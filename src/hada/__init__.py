@@ -4,8 +4,7 @@ projective space over the rationals.
 All arithmetic is exact: coordinates are primitive integer vectors,
 products and classifications are computed in closed form, and every
 rank, kernel and regularity invariant comes from fraction-free integer
-elimination.  A compiled elimination backend is used when available;
-``hada.linalg.backend_name()`` reports which one is active.
+elimination in ``hada._elim``.
 """
 
 from .errors import (

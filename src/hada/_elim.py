@@ -1,4 +1,4 @@
-"""Integer row-reduction kernels (pure Python backend).
+"""Integer row-reduction kernels: the single elimination core.
 
 Every matrix here is a dense list of rows of Python ints; arbitrary
 precision comes for free.  Two elimination strategies are combined:
@@ -14,14 +14,11 @@ precision comes for free.  Two elimination strategies are combined:
 
 Both paths normalize identically, so results do not depend on the path
 taken: the reduced form is the unique primitive-integer RREF with
-positive pivots.  The compiled twin (``hada._speedups``) implements
-the same functions with bit-identical output and is swapped in
-transparently by ``hada.linalg``.
+positive pivots.  ``hada.linalg`` is the frontend every other module
+calls.
 """
 
 from math import gcd
-
-BACKEND_NAME = "python"
 
 
 def _primitive_rows(rows):

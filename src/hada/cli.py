@@ -157,7 +157,10 @@ def _resolve_set(inst: Instance, args) -> PointSet:
     if args.set:
         return inst.point_set(args.set)
     if args.product:
-        left, right = (s.strip() for s in args.product.split(","))
+        names = [s.strip() for s in args.product.split(",")]
+        if len(names) != 2:
+            raise InstanceError("--product needs exactly two names A,B")
+        left, right = names
         products, _ = pairwise_products(
             inst.point_set(left), inst.point_set(right)
         )

@@ -4,7 +4,9 @@ Each fixture is a JSON file with an instance plus a list of checks:
 an operation name, its arguments (entity names from the instance) and
 the expected exact output.  Replaying a fixture recomputes every check
 and diffs the canonical results; nothing is thrown on mismatch, the
-summary reports failures so a driver can exit nonzero.
+summary reports failures so a driver can exit nonzero.  A fixture
+file that is not valid JSON or lacks its instance or checks raises
+InstanceError.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import HadaError
+from .errors import HadaError, InstanceError
 from .ideals import (
     ci_verdict,
     degree_bounded_ideal,
@@ -218,21 +220,26 @@ class ReplaySummary:
 
 
 def replay_fixture(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        instance = doc["instance"]
+        checks = [(c["op"], c.get("args", {}), c["expect"]) for c in doc["checks"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        # invalid JSON or UTF-8, a missing key, or a value that is not
+        # an object where one is required
+        raise InstanceError(f"malformed fixture {path}: {exc!r}") from None
     name = doc.get("name", path.stem)
-    inst = parse_instance_dict(doc["instance"])
+    inst = parse_instance_dict(instance)
     outcomes = []
-    for i, check in enumerate(doc["checks"]):
-        op = check["op"]
+    for i, (op, args, expect) in enumerate(checks):
         try:
-            actual = CHECK_OPS[op](inst, check.get("args", {}))
+            actual = CHECK_OPS[op](inst, args)
         except (HadaError, KeyError) as exc:
             outcomes.append(
                 CheckOutcome(name, i, op, False, f"error: {exc}")
             )
             continue
-        expect = check["expect"]
         if actual == expect:
             outcomes.append(CheckOutcome(name, i, op, True))
         else:

@@ -1,35 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Thin frontend over the row-reduction kernels.  The compiled backend
-(``hada._speedups``, built from ``_speedups.pyx``) is preferred when it
-imports; set ``HADA_PURE=1`` to force the pure-Python kernels.  Both
-backends produce bit-identical output, so the choice only affects
-speed.
+Thin frontend over the integer row-reduction kernels in
+``hada._elim``.
 
 Rows may contain ints or Fractions; they are cleared to primitive
 integer rows before reduction (row scaling does not change rank,
 kernel or echelon form).
 """
 
-import os
 from fractions import Fraction
 from math import gcd
 
-from . import _elim as _pure
-
-if os.environ.get("HADA_PURE", "0") not in ("", "0"):
-    _impl = _pure
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _pure
-
-BACKEND = _impl.BACKEND_NAME
+from . import _elim
 
 
 def backend_name():
-    return BACKEND
+    """Name of the elimination core, kept in every CLI report."""
+    return "python"
 
 
 def clear_row(row):
@@ -62,16 +49,16 @@ def _int_rows(rows):
 def rank_of(rows, ncols):
     if not rows:
         return 0
-    return _impl.rank(_int_rows(rows), ncols)
+    return _elim.rank(_int_rows(rows), ncols)
 
 
 def rref_of(rows, ncols):
-    return _impl.rref(_int_rows(rows), ncols)
+    return _elim.rref(_int_rows(rows), ncols)
 
 
 def kernel_basis(rows, ncols):
     """Primitive integer kernel basis, deterministically ordered."""
-    return _impl.nullspace(_int_rows(rows), ncols)
+    return _elim.nullspace(_int_rows(rows), ncols)
 
 
 def det_of(rows):
@@ -81,4 +68,4 @@ def det_of(rows):
         # Clearing rows scales the determinant; only its vanishing is
         # preserved, which is all callers of the Fraction path need.
         raise TypeError("det_of requires integer rows; scale first")
-    return _impl.det([list(r) for r in rows])
+    return _elim.det([list(r) for r in rows])

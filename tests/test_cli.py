@@ -145,6 +145,15 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["hilbert", "quadric", "ci"])
+@pytest.mark.parametrize("product", ["X", "X,Xp,Xp"])
+def test_product_needs_exactly_two_names(capsys, p3_file, command, product):
+    rc = main([command, "-i", p3_file, "--product", product])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "exactly two names" in err and "Traceback" not in err
+
+
 def test_random_is_deterministic(capsys):
     rc, rep1 = run_json(capsys, ["random", "--space", "3", "--m", "3", "--seed", "7"])
     assert rc == 0
@@ -187,6 +196,19 @@ def test_verify_tampered_fixture_fails_exactly_once(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert out.count("FAIL") >= 1 and out.count("PASS") == 7
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"instance": ', json.dumps({"checks": []}), json.dumps({"instance": GRID_DOC})],
+    ids=["invalid-json", "no-instance", "no-checks"],
+)
+def test_verify_malformed_fixture_is_input_error(tmp_path, capsys, text):
+    (tmp_path / "broken.json").write_text(text)
+    rc = main(["verify", "--fixtures", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "broken.json" in err and "Traceback" not in err
 
 
 def test_verify_empty_directory(tmp_path, capsys):

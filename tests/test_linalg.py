@@ -2,17 +2,8 @@
 
 import random
 
-import pytest
-
 from hada import _elim, linalg
 from support import frac_rank, frac_rref
-
-try:
-    from hada import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_elim] + ([_speedups] if _speedups else [])
 
 
 def random_matrix(rng, nrows, ncols, bound=30, sparsity=0.2):
@@ -22,24 +13,22 @@ def random_matrix(rng, nrows, ncols, bound=30, sparsity=0.2):
     ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND_NAME)
-def test_rank_matches_fraction_oracle(backend):
+def test_rank_matches_fraction_oracle():
     rng = random.Random(101)
     for _ in range(150):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         m = random_matrix(rng, nrows, ncols)
-        assert backend.rank(m, ncols) == frac_rank(m, ncols)
+        assert _elim.rank(m, ncols) == frac_rank(m, ncols)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND_NAME)
-def test_rref_is_primitive_scaling_of_monic_rref(backend):
+def test_rref_is_primitive_scaling_of_monic_rref():
     from math import gcd
 
     rng = random.Random(202)
     for _ in range(100):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         m = random_matrix(rng, nrows, ncols)
-        rank, pivots, red = backend.rref(m, ncols)
+        rank, pivots, red = _elim.rref(m, ncols)
         orank, opivots, ored = frac_rref(m, ncols)
         assert (rank, pivots) == (orank, opivots)
         for row, orow in zip(red, ored):
@@ -55,13 +44,12 @@ def test_rref_is_primitive_scaling_of_monic_rref(backend):
             assert list(row) == ints
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND_NAME)
-def test_nullspace_vectors_annihilate_and_count(backend):
+def test_nullspace_vectors_annihilate_and_count():
     rng = random.Random(303)
     for _ in range(150):
         nrows, ncols = rng.randint(1, 7), rng.randint(2, 8)
         m = random_matrix(rng, nrows, ncols)
-        basis = backend.nullspace(m, ncols)
+        basis = _elim.nullspace(m, ncols)
         assert len(basis) == ncols - frac_rank(m, ncols)
         for v in basis:
             for row in m:
@@ -74,11 +62,10 @@ def test_nullspace_vectors_annihilate_and_count(backend):
             for x in v:
                 g = gcd(g, x)
             assert g == 1
-        assert backend.nullspace(m, ncols) == basis
+        assert _elim.nullspace(m, ncols) == basis
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND_NAME)
-def test_det_against_permutation_expansion(backend):
+def test_det_against_permutation_expansion():
     rng = random.Random(404)
     from itertools import permutations
 
@@ -101,23 +88,50 @@ def test_det_against_permutation_expansion(backend):
     for _ in range(60):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n, bound=9, sparsity=0.25)
-        assert backend.det(m) == naive_det(m)
+        assert _elim.det(m) == naive_det(m)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND_NAME)
-def test_adversarial_dense_input_hits_growth_guard(backend):
-    # dense wide-entry matrices trip the content-division guard and go
-    # through the Bareiss fallback; results must still match the oracle
+def test_growth_guard_fallback_is_bit_identical(monkeypatch):
+    # dense wide-entry matrices: the unforced path must match the oracle
     rng = random.Random(606)
-    for _ in range(5):
-        n = 12
-        m = [[rng.randint(-(2**64), 2**64) for _ in range(n)] for _ in range(n - 2)]
-        assert backend.rank(m, n) == frac_rank(m, n)
-        basis = backend.nullspace(m, n)
-        assert len(basis) == n - frac_rank(m, n)
+    n = 12
+    cases = [
+        ([[rng.randint(-(2**64), 2**64) for _ in range(n)] for _ in range(n - 2)], n)
+        for _ in range(5)
+    ]
+    for _ in range(60):
+        nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
+        cases.append((random_matrix(rng, nrows, ncols, bound=10**6), ncols))
+    unforced = []
+    for m, ncols in cases:
+        rank = _elim.rank(m, ncols)
+        assert rank == frac_rank(m, ncols)
+        basis = _elim.nullspace(m, ncols)
+        assert len(basis) == ncols - rank
         for v in basis:
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+        unforced.append((rank, _elim.rref(m, ncols), basis))
+
+    # a zero growth limit trips the guard on the first row update, so
+    # every case that needs elimination reruns through the Bareiss fallback
+    calls = {"rank": 0, "rref": 0}
+
+    def spy(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(_elim, "_growth_limit", lambda m, ncols: 0)
+    monkeypatch.setattr(_elim, "_rank_bareiss", spy("rank", _elim._rank_bareiss))
+    monkeypatch.setattr(_elim, "_rref_bareiss", spy("rref", _elim._rref_bareiss))
+    for (m, ncols), expected in zip(cases, unforced):
+        forced = (_elim.rank(m, ncols), _elim.rref(m, ncols), _elim.nullspace(m, ncols))
+        assert forced == expected
+        assert forced[0] == frac_rank(m, ncols)
+    assert calls["rank"] > 0 and calls["rref"] > 0
 
 
 def test_empty_matrix_conventions():
@@ -130,16 +144,3 @@ def test_fraction_rows_are_cleared():
 
     rows = [[Fraction(1, 2), Fraction(1, 3)], [3, 2]]
     assert linalg.rank_of(rows, 2) == 1  # second row is 6x the first
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-def test_backends_agree_bit_for_bit():
-    rng = random.Random(505)
-    for _ in range(200):
-        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-        m = random_matrix(rng, nrows, ncols, bound=10**6)
-        assert _elim.rank(m, ncols) == _speedups.rank(m, ncols)
-        assert _elim.rref(m, ncols) == _speedups.rref(m, ncols)
-        assert _elim.nullspace(m, ncols) == _speedups.nullspace(m, ncols)
-        if nrows == ncols:
-            assert _elim.det(m) == _speedups.det(m)
