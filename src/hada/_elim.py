@@ -12,10 +12,21 @@ precision comes for free.  Two elimination strategies are combined:
 * the fallback is one-step fraction-free (Bareiss) elimination, whose
   entries are minors of the input and hence polynomially sized.
 
-Both paths normalize identically, so results do not depend on the path
-taken: the reduced form is the unique primitive-integer RREF with
-positive pivots.  ``hada.linalg`` is the frontend every other module
-calls.
+``echelon`` and ``rref`` run the primary path and, if the guard trips,
+the fallback on the same input:
+
+* ``echelon`` is forward elimination only: rank, pivot columns and
+  rows in echelon form.  Rank and pivots do not depend on the path
+  taken.  It skips the back substitution of ``rref``; ``rank`` is its
+  first component, and the per-degree ladder in ``hada.ideals`` reads
+  all three;
+* ``rref`` also clears above every pivot.  Both paths normalize
+  identically, so its result does not depend on the path taken: the
+  reduced form is the unique primitive-integer RREF with positive
+  pivots.  ``nullspace`` reads its kernel basis off that form.
+
+``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
+the frontend every other module calls.
 """
 
 from math import gcd
@@ -75,8 +86,9 @@ def _row_within(row, ncols, limit):
     return True
 
 
-def _rank_gcd(m, ncols, limit):
+def _echelon_gcd(m, ncols, limit):
     nrows = len(m)
+    pivots = []
     r = 0
     for c in range(ncols):
         piv = -1
@@ -98,15 +110,17 @@ def _rank_gcd(m, ncols, limit):
                     row_i[j] = row_i[j] * p - q * row_r[j]
                 _reduce_row(row_i, ncols)
                 if not _row_within(row_i, ncols, limit):
-                    return -1
+                    return None
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    return r, pivots, m
 
 
-def _rank_bareiss(m, ncols):
+def _echelon_bareiss(m, ncols):
     nrows = len(m)
+    pivots = []
     r = 0
     prev = 1
     for c in range(ncols):
@@ -133,19 +147,32 @@ def _rank_bareiss(m, ncols):
                 for j in range(c, ncols):
                     row_i[j] = row_i[j] * p // prev
         prev = p
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    return r, pivots, m
+
+
+def echelon(rows, ncols):
+    """Forward (row) echelon form of an integer matrix.
+
+    Returns ``(rank, pivots, rows)`` where ``rows`` holds the ``rank``
+    nonzero rows, each zero left of its pivot column ``pivots[i]``.
+    Rank and pivots do not depend on the path taken; the rows span the
+    row space but, unlike ``rref``, are not a canonical form.
+    """
+    m = _primitive_rows(rows)
+    attempt = _echelon_gcd([list(r) for r in m], ncols, _growth_limit(m, ncols))
+    if attempt is None:
+        attempt = _echelon_bareiss(m, ncols)
+    r, pivots, work = attempt
+    return r, pivots, work[:r]
 
 
 def rank(rows, ncols):
     """Rank of an integer matrix, by fraction-free elimination."""
-    m = _primitive_rows(rows)
-    result = _rank_gcd([list(r) for r in m], ncols, _growth_limit(m, ncols))
-    if result >= 0:
-        return result
-    return _rank_bareiss(m, ncols)
+    return echelon(rows, ncols)[0]
 
 
 def _rref_gcd(m, ncols, limit):

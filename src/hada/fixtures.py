@@ -5,8 +5,8 @@ an operation name, its arguments (entity names from the instance) and
 the expected exact output.  Replaying a fixture recomputes every check
 and diffs the canonical results; nothing is thrown on mismatch, the
 summary reports failures so a driver can exit nonzero.  A fixture
-file that is not valid JSON or lacks its instance or checks raises
-InstanceError.
+file that is not valid JSON, lacks its instance or checks, or gives a
+check ``args`` that is not an object raises InstanceError.
 """
 
 from __future__ import annotations
@@ -225,6 +225,9 @@ def replay_fixture(path: Path):
             doc = json.load(fh)
         instance = doc["instance"]
         checks = [(c["op"], c.get("args", {}), c["expect"]) for c in doc["checks"]]
+        for _, args, _ in checks:
+            if not isinstance(args, dict):
+                raise TypeError(f"check args must be an object, got {args!r}")
     except (ValueError, KeyError, TypeError) as exc:
         # invalid JSON or UTF-8, a missing key, or a value that is not
         # an object where one is required

@@ -1,12 +1,34 @@
 """Hilbert functions and ideal invariants of finite point sets.
 
-Everything reduces to exact linear algebra on evaluation matrices: the
-value of the Hilbert function in degree t is the rank of the matrix of
-all degree-t monomials evaluated at the points, the degree-t part of
-the vanishing ideal is its kernel, and minimal generator counts come
-from comparing each degree with the span of (variables times previous
-degree).  No Groebner machinery is involved; for finite point sets the
-evaluation matrix is the definition.
+Everything reduces to exact linear algebra on evaluation matrices E_t,
+the degree-t monomials evaluated at the points: HF(t) is the rank of
+E_t and the degree-t part I_t of the vanishing ideal is its kernel.  No
+Groebner machinery is involved; for finite point sets the evaluation
+matrix is the definition.
+
+Questions about a whole profile (``hilbert_profile``,
+``generator_profile``, ``ci_verdict``, ``hf_product_check``) share one
+per-set degree ladder that eliminates each E_t once, forward only:
+
+* choose l = x0 + c*x1 + ... + c^n*xn with the least c >= 0 for which
+  l vanishes at no point.  Each point rules out at most n values of c.
+  Such an l is a nonzerodivisor on R/I, so R/I and its Artinian
+  reduction R/(I, l) have the same graded Betti numbers (Eisenbud,
+  *The Geometry of Syzygies*, 2005, ch. 4);
+* change coordinates by the unimodular map x0 -> l, so that l is the
+  first variable.  Monomials are in descending lex order, so the
+  l-divisible columns of E_t come first and the last columns are the
+  monomials of S = R/(l), a ring with one variable fewer;
+* the echelon rows of E_t whose pivot lies among the S columns,
+  restricted to those columns, form a matrix Z_t whose kernel J_t is
+  the image of I_t in S_t;
+* minimal generators of I in degree t are then minimal generators of
+  J = (I + l)/l, counted as dim J_t minus the rank of S_1 * J_(t-1).
+  Beyond the regularity index tau, J_(tau+1) = S_(tau+1) and no
+  generator is new in any higher degree.
+
+Single-degree questions (``hilbert_function``, ``ideal_dimension``,
+``degree_bounded_ideal``) eliminate E_t of the given points directly.
 """
 
 from __future__ import annotations
@@ -21,9 +43,15 @@ from .forms import HomogeneousForm, evaluate_monomial, monomials
 from .projective import PointSet
 
 
+def _evaluation_matrix(coords, nvars: int, degree: int):
+    monos = monomials(nvars, degree)
+    return [[evaluate_monomial(e, p) for e in monos] for p in coords]
+
+
 def evaluation_rows(points: PointSet, degree: int):
-    monos = monomials(points.ambient_dim + 1, degree)
-    return [[evaluate_monomial(e, p.coords) for e in monos] for p in points]
+    return _evaluation_matrix(
+        [p.coords for p in points], points.ambient_dim + 1, degree
+    )
 
 
 def hilbert_function(points: PointSet, t: int) -> int:
@@ -50,26 +78,92 @@ class HilbertProfile:
     cardinality: int
 
 
-def hilbert_profile(points: PointSet) -> HilbertProfile:
+def _divisible_count(n: int, t: int) -> int:
+    """Number of degree-t monomials in x0..xn divisible by x0; they lead
+    the descending lex order."""
+    return comb(t - 1 + n, n) if t else 0
+
+
+def _linear_form_value(c: int, coords) -> int:
+    """Value of l_c = x0 + c*x1 + ... + c^n*xn at the given coordinates."""
+    return sum(c**i * x for i, x in enumerate(coords))
+
+
+def _linear_form_parameter(points: PointSet) -> int:
+    """Least c >= 0 such that l_c vanishes at no point of the set.
+
+    l_c(p) is a nonzero polynomial of degree at most n in c, so each
+    point rules out at most n values and the search stops by n*|X|.
+    """
+    c = 0
+    while any(_linear_form_value(c, p.coords) == 0 for p in points):
+        c += 1
+    return c
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """One forward elimination per degree of a point set.
+
+    ``values[t]`` is HF(t) for every degree eliminated and, once the
+    cardinality is reached at ``tau``, the confirmed HF(tau + 1).
+    ``tau`` is None when the degree bound came first.  ``reduced[t]``
+    holds the rows of Z_t, whose kernel is J_t, for t <= tau.
+    """
+
+    cardinality: int
+    values: tuple[int, ...]
+    tau: Optional[int]
+    reduced: tuple[list, ...]
+
+    def value(self, t: int) -> int:
+        """HF(t); past the computed values only when ``tau`` is known."""
+        return self.values[t] if t < len(self.values) else self.cardinality
+
+
+def _ladder(points: PointSet, max_degree: Optional[int] = None) -> _Ladder:
+    """Eliminate E_t once for t = 0 .. min(tau, max_degree)."""
+    n = points.ambient_dim
     card = len(points)
-    values = []
+    c = _linear_form_parameter(points)
+    # x0 -> l is unimodular (triangular, unit diagonal): ranks are kept and
+    # l becomes the first variable
+    coords = [(_linear_form_value(c, p.coords),) + p.coords[1:] for p in points]
+    values: list[int] = []
+    reduced = []
+    tau = None
     t = 0
-    while True:
-        v = hilbert_function(points, t)
-        values.append(v)
-        if v == card:
+    while max_degree is None or t <= max_degree:
+        split = _divisible_count(n, t)
+        rank, pivots, rows = linalg.echelon_of(
+            _evaluation_matrix(coords, n + 1, t), comb(t + n, n)
+        )
+        values.append(rank)
+        reduced.append([row[split:] for row, col in zip(rows, pivots) if col >= split])
+        if rank == card:
             tau = t
             break
-        if t > 0 and v <= values[t - 1]:
+        if t > 0 and rank <= values[t - 1]:
             raise HadaError("Hilbert function failed to increase strictly")
         t += 1
-    values.append(hilbert_function(points, tau + 1))
+    if tau is not None and (max_degree is None or tau < max_degree):
+        values.append(hilbert_function(points, tau + 1))
+        if values[-1] != card:
+            raise HadaError("Hilbert function failed to stay at the cardinality")
+    return _Ladder(
+        cardinality=card, values=tuple(values), tau=tau, reduced=tuple(reduced)
+    )
+
+
+def hilbert_profile(points: PointSet) -> HilbertProfile:
+    ladder = _ladder(points)
+    values, tau = ladder.values, ladder.tau
     h_vector = [values[0]] + [values[i] - values[i - 1] for i in range(1, tau + 1)]
     return HilbertProfile(
-        values=tuple(values),
+        values=values,
         tau=tau,
         h_vector=tuple(h_vector),
-        cardinality=card,
+        cardinality=ladder.cardinality,
     )
 
 
@@ -114,16 +208,17 @@ def hf_product_check(
     xs: PointSet, xs2: PointSet, product_set: PointSet
 ) -> HFProductReport:
     profile = hilbert_profile(product_set)
-    rows = []
-    for t in range(profile.tau + 2):
-        rows.append(
-            HFProductRow(
-                degree=t,
-                product_value=profile.values[t],
-                left_value=hilbert_function(xs, t),
-                right_value=hilbert_function(xs2, t),
-            )
+    top = profile.tau + 1
+    left, right = _ladder(xs, top), _ladder(xs2, top)
+    rows = [
+        HFProductRow(
+            degree=t,
+            product_value=profile.values[t],
+            left_value=left.value(t),
+            right_value=right.value(t),
         )
+        for t in range(top + 1)
+    ]
     tau_expected = len(xs) - 1 if len(xs) == len(xs2) else None
     return HFProductReport(
         rows=tuple(rows), tau_product=profile.tau, tau_expected=tau_expected
@@ -178,7 +273,7 @@ class GeneratorProfile:
         return 0
 
 
-def _shift_vector(vector, monos_from, index_of, nvars, var):
+def _shift_vector(vector, monos_from, index_of, var):
     out = [0] * len(index_of)
     for coeff, expo in zip(vector, monos_from):
         if coeff:
@@ -191,37 +286,54 @@ def _shift_vector(vector, monos_from, index_of, nvars, var):
 def generator_profile(points: PointSet, max_degree: Optional[int] = None):
     """Count minimal generators per degree.
 
-    New generators in degree t are the gap between the degree-t part of
-    the ideal and the span of (variable times degree t-1 part), both
-    computed as exact ranks.  Ideals of finite point sets are generated
-    in degrees up to tau + 1, the default bound.
+    The count is taken in the Artinian reduction S = R/(l) of the
+    module docstring: new generators in degree t are dim J_t minus the
+    rank of the span of (variable of S times J_(t-1)), with J_t read
+    off the degree ladder.  Because l is a nonzerodivisor on R/I, these
+    are the minimal generator counts of I itself (Eisenbud, *The
+    Geometry of Syzygies*, 2005, ch. 4).  Ideals of finite point sets
+    are generated in degrees up to tau + 1, the default bound; above
+    it no degree is eliminated and the count is zero.
     """
-    nvars = points.ambient_dim + 1
+    n = points.ambient_dim
+    nvars = n + 1
+    ladder = _ladder(points, max_degree)
     if max_degree is None:
-        max_degree = hilbert_profile(points).tau + 1
+        max_degree = ladder.tau + 1
+    # the ladder stops at tau; J_(tau+1) = S_(tau+1), and no generator is
+    # new above tau + 1
+    last = min(max_degree, len(ladder.reduced))
     entries = []
-    prev_kernel: list = []
-    prev_monos = None
+    prev_basis: list = []
+    prev_monos = ()
     for t in range(max_degree + 1):
         monos = monomials(nvars, t)
-        dim_t = len(monos) - linalg.rank_of(evaluation_rows(points, t), len(monos))
-        if t == 0 or not prev_kernel:
+        new = 0
+        if t <= last:
+            s_monos = monos[_divisible_count(n, t) :]
+            dim_j = len(s_monos)
+            if t < len(ladder.reduced):
+                dim_j -= len(ladder.reduced[t])
             span_rank = 0
-        else:
-            index_of = {e: i for i, e in enumerate(monos)}
-            span_rows = [
-                _shift_vector(v, prev_monos, index_of, nvars, var)
-                for v in prev_kernel
-                for var in range(nvars)
-            ]
-            span_rank = linalg.rank_of(span_rows, len(monos))
+            if prev_basis:
+                index_of = {e: i for i, e in enumerate(s_monos)}
+                span_rows = [
+                    _shift_vector(v, prev_monos, index_of, var)
+                    for v in prev_basis
+                    for var in range(1, nvars)
+                ]
+                span_rank = linalg.rank_of(span_rows, len(s_monos))
+            new = dim_j - span_rank
+            if t < last:
+                prev_basis = linalg.kernel_basis(ladder.reduced[t], len(s_monos))
+                prev_monos = s_monos
         entries.append(
             GeneratorDegree(
-                degree=t, ideal_dim=dim_t, new_generators=dim_t - span_rank
+                degree=t,
+                ideal_dim=len(monos) - ladder.value(t),
+                new_generators=new,
             )
         )
-        prev_kernel = linalg.kernel_basis(evaluation_rows(points, t), len(monos))
-        prev_monos = monos
     return GeneratorProfile(entries=tuple(entries), max_degree=max_degree)
 
 
@@ -240,8 +352,8 @@ def ci_verdict(points: PointSet, max_degree: Optional[int] = None) -> CIVerdict:
     """A set of points is a complete intersection exactly when its
     ideal needs only codimension-many generators."""
     n = points.ambient_dim
-    profile = hilbert_profile(points)
-    bound = profile.tau + 1
+    gens = generator_profile(points)
+    bound = gens.max_degree  # tau + 1
     if max_degree is not None and max_degree < bound:
         return CIVerdict(
             kind="Unknown",
@@ -251,7 +363,6 @@ def ci_verdict(points: PointSet, max_degree: Optional[int] = None) -> CIVerdict:
                 "count incomplete"
             ),
         )
-    gens = generator_profile(points, max_degree or bound)
     total = gens.total
     if total == n:
         return CIVerdict(
@@ -260,7 +371,9 @@ def ci_verdict(points: PointSet, max_degree: Optional[int] = None) -> CIVerdict:
             total_generators=total,
             witness_degrees=gens.witness_degrees(),
         )
-    symmetric = profile.h_vector == tuple(reversed(profile.h_vector))
+    hf = [comb(e.degree + n, n) - e.ideal_dim for e in gens.entries[:bound]]
+    h_vector = [hf[0]] + [b - a for a, b in zip(hf, hf[1:])]
+    symmetric = h_vector == h_vector[::-1]
     reason = f"{total} minimal generators exceed the codimension {n}"
     if not symmetric:
         reason += "; h-vector is not symmetric"

@@ -52,6 +52,11 @@ def rank_of(rows, ncols):
     return _elim.rank(_int_rows(rows), ncols)
 
 
+def echelon_of(rows, ncols):
+    """Forward echelon form ``(rank, pivots, rows)``; see ``_elim.echelon``."""
+    return _elim.echelon(_int_rows(rows), ncols)
+
+
 def rref_of(rows, ncols):
     return _elim.rref(_int_rows(rows), ncols)
 

@@ -17,6 +17,7 @@ from hada.projective import (
     hadamard_points,
 )
 from hada import sampling
+from hada.forms import evaluate_monomial, monomials
 from hada.plane import line_through
 
 
@@ -44,6 +45,63 @@ def frac_rref(rows, ncols):
 
 def frac_rank(rows, ncols):
     return frac_rref(rows, ncols)[0]
+
+
+def frac_kernel(rows, ncols):
+    """Kernel basis read off the Fraction RREF, one vector per free column."""
+    _, pivots, red = frac_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def frac_hilbert_value(points: PointSet, t: int) -> int:
+    monos = monomials(points.ambient_dim + 1, t)
+    rows = [[evaluate_monomial(e, p.coords) for e in monos] for p in points]
+    return frac_rank(rows, len(monos))
+
+
+def frac_hilbert_values(points: PointSet):
+    """HF(0 .. tau + 1) from Fraction ranks of the evaluation matrices."""
+    values = []
+    while not values or values[-1] < len(points):
+        values.append(frac_hilbert_value(points, len(values)))
+    values.append(frac_hilbert_value(points, len(values)))
+    return values
+
+
+def span_rank_generators(points: PointSet, max_degree: int):
+    """Minimal generator counts in the full polynomial ring, degree by
+    degree: ``(t, dim I_t, dim I_t - rank of x_i * I_(t-1))``, every rank
+    and kernel taken by ``frac_rref``."""
+    nvars = points.ambient_dim + 1
+    out = []
+    prev_kernel, prev_monos = [], ()
+    for t in range(max_degree + 1):
+        monos = monomials(nvars, t)
+        rows = [[evaluate_monomial(e, p.coords) for e in monos] for p in points]
+        dim_t = len(monos) - frac_rank(rows, len(monos))
+        span_rows = []
+        index_of = {e: i for i, e in enumerate(monos)}
+        for v in prev_kernel:
+            for var in range(nvars):
+                row = [Fraction(0)] * len(monos)
+                for coeff, expo in zip(v, prev_monos):
+                    if coeff:
+                        e = list(expo)
+                        e[var] += 1
+                        row[index_of[tuple(e)]] += coeff
+                span_rows.append(row)
+        out.append((t, dim_t, dim_t - frac_rank(span_rows, len(monos))))
+        prev_kernel, prev_monos = frac_kernel(rows, len(monos)), monos
+    return out
 
 
 def random_point_with_level(rng: random.Random, level: int, dim: int = 2) -> ProjPoint:

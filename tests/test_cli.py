@@ -211,6 +211,16 @@ def test_verify_malformed_fixture_is_input_error(tmp_path, capsys, text):
     assert "broken.json" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [[1], "x", 3], ids=["list", "string", "number"])
+def test_verify_non_object_args_is_input_error(tmp_path, capsys, args):
+    doc = {"instance": GRID_DOC, "checks": [{"op": "ci", "args": args, "expect": {}}]}
+    (tmp_path / "broken.json").write_text(json.dumps(doc))
+    rc = main(["verify", "--fixtures", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "broken.json" in err and "Traceback" not in err
+
+
 def test_verify_empty_directory(tmp_path, capsys):
     rc = main(["verify", "--fixtures", str(tmp_path)])
     out = capsys.readouterr().out

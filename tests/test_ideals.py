@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hada import linalg
 from hada.forms import monomials
 from hada.ideals import (
+    CIVerdict,
+    HilbertProfile,
+    _linear_form_parameter,
     ci_verdict,
     degree_bounded_ideal,
     evaluation_rows,
@@ -21,7 +24,7 @@ from hada.ideals import (
 from hada.plane import grid_product_p2
 from hada.projective import Hyperplane, PointSet, ProjPoint, pairwise_products
 from hada.space import Line3, generic_skew_sample
-from support import frac_rank
+from support import frac_hilbert_values, frac_rank, span_rank_generators
 
 
 def collinear_points(m, dim=3):
@@ -244,3 +247,96 @@ class TestCIVerdict:
     def test_unknown_when_bound_too_low(self):
         v = ci_verdict(GRID2, max_degree=2)
         assert v.kind == "Unknown"
+
+
+def seeded_point_sets(count, seed):
+    """Point sets in P^1..P^3 with at most 9 points, cycling through
+    generic coordinates, a point with x0 = 0, every coordinate vanishing
+    at some point (so x0 is not a nonzerodivisor and l = x0 + c*x1 + ...
+    needs c >= 1) and coordinates in {-1, 0, 1}."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = 1 + i % 3
+        kind = (i // 3) % 4
+        size = rng.randint(n + 1 if kind == 2 else 1, 9)
+        bound = 1 if kind == 3 else 6
+        rows = []
+        for k in range(4 * size):
+            row = [rng.randint(-bound, bound) for _ in range(n + 1)]
+            if kind == 1 and k == 0:
+                row[0] = 0
+            if kind == 2 and k <= n:
+                row[k] = 0
+            if any(row):
+                rows.append(row)
+        points = PointSet.dedupe(ProjPoint(r) for r in rows)
+        yield PointSet(points.points[:size]), rng.randint(0, 4)
+
+
+def generator_entries(profile):
+    return [(e.degree, e.ideal_dim, e.new_generators) for e in profile.entries]
+
+
+def test_ladder_matches_full_ring_oracle():
+    # the ladder counts generators in R/(l); the oracle counts x_i * I_(t-1)
+    # in the full ring with Fraction ranks
+    x0_vanishes = needs_c = 0
+    for points, extra in seeded_point_sets(120, 8080):
+        n = points.ambient_dim
+        values = frac_hilbert_values(points)
+        tau = len(values) - 2
+        h_vector = [values[0]] + [values[t] - values[t - 1] for t in range(1, tau + 1)]
+        assert hilbert_profile(points) == HilbertProfile(
+            tuple(values), tau, tuple(h_vector), len(points)
+        )
+
+        expected = span_rank_generators(points, tau + 1)
+        assert generator_entries(generator_profile(points)) == expected
+        total = sum(new for _, _, new in expected)
+        witness = tuple(t for t, _, new in expected for _ in range(new))
+        if total == n:
+            verdict = CIVerdict("CI", n, total, witness)
+        else:
+            reason = f"{total} minimal generators exceed the codimension {n}"
+            if h_vector != h_vector[::-1]:
+                reason += "; h-vector is not symmetric"
+            verdict = CIVerdict("NotCI", n, total, witness, reason)
+        assert ci_verdict(points) == verdict
+
+        # an explicit bound below, at or above tau + 1
+        d = max(tau + 1 + extra - 2, 0)
+        assert generator_entries(generator_profile(points, d)) == (
+            span_rank_generators(points, d)
+        )
+        assert (ci_verdict(points, d).kind == "Unknown") == (d < tau + 1)
+
+        x0_vanishes += any(p.coords[0] == 0 for p in points)
+        needs_c += _linear_form_parameter(points) >= 1
+    assert x0_vanishes >= 30 and needs_c >= 30
+
+
+def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
+    calls = []
+
+    def spy(name):
+        original = getattr(linalg, name)
+
+        def wrapped(rows, ncols):
+            calls.append((name, len(rows), ncols))
+            return original(rows, ncols)
+
+        monkeypatch.setattr(linalg, name, wrapped)
+
+    for name in ("echelon_of", "rank_of", "kernel_basis", "rref_of"):
+        spy(name)
+    assert ci_verdict(PLANAR25).kind == "CI"
+
+    tau, n = 8, 3
+    evaluation_shapes = {(25, comb(t + n, n)) for t in range(tau + 2)}
+    on_evaluation = [c for c in calls if c[1:] in evaluation_shapes]
+    assert on_evaluation == [("echelon_of", 25, comb(t + n, n)) for t in range(tau + 1)] + [
+        ("rank_of", 25, comb(tau + 1 + n, n))
+    ]
+    others = [c for c in calls if c not in on_evaluation]
+    assert others and all(name in ("rank_of", "kernel_basis") for name, _, _ in others)
+    assert max(ncols for _, _, ncols in others) == comb(tau + n, n - 1)

@@ -44,6 +44,19 @@ def test_rref_is_primitive_scaling_of_monic_rref():
             assert list(row) == ints
 
 
+def test_echelon_pivots_and_row_space_match_oracle():
+    rng = random.Random(505)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        m = random_matrix(rng, nrows, ncols)
+        rank, pivots, rows = _elim.echelon(m, ncols)
+        assert (rank, pivots) == frac_rref(m, ncols)[:2]
+        assert len(rows) == rank
+        for row, col in zip(rows, pivots):
+            assert row[col] != 0 and not any(row[:col])
+        assert _elim.rref(rows, ncols) == _elim.rref(m, ncols)
+
+
 def test_nullspace_vectors_annihilate_and_count():
     rng = random.Random(303)
     for _ in range(150):
@@ -111,11 +124,14 @@ def test_growth_guard_fallback_is_bit_identical(monkeypatch):
         for v in basis:
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
-        unforced.append((rank, _elim.rref(m, ncols), basis))
+        echelon = _elim.echelon(m, ncols)
+        assert echelon[0] == rank
+        assert _elim.rref(echelon[2], ncols) == _elim.rref(m, ncols)
+        unforced.append((rank, _elim.rref(m, ncols), basis, echelon))
 
     # a zero growth limit trips the guard on the first row update, so
     # every case that needs elimination reruns through the Bareiss fallback
-    calls = {"rank": 0, "rref": 0}
+    calls = {"echelon": 0, "rref": 0}
 
     def spy(key, fn):
         def wrapped(*args):
@@ -125,13 +141,19 @@ def test_growth_guard_fallback_is_bit_identical(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(_elim, "_growth_limit", lambda m, ncols: 0)
-    monkeypatch.setattr(_elim, "_rank_bareiss", spy("rank", _elim._rank_bareiss))
+    monkeypatch.setattr(
+        _elim, "_echelon_bareiss", spy("echelon", _elim._echelon_bareiss)
+    )
     monkeypatch.setattr(_elim, "_rref_bareiss", spy("rref", _elim._rref_bareiss))
     for (m, ncols), expected in zip(cases, unforced):
         forced = (_elim.rank(m, ncols), _elim.rref(m, ncols), _elim.nullspace(m, ncols))
-        assert forced == expected
+        assert forced == expected[:3]
         assert forced[0] == frac_rank(m, ncols)
-    assert calls["rank"] > 0 and calls["rref"] > 0
+        # echelon rows may differ by path; rank, pivots and row space may not
+        rank, pivots, rows = _elim.echelon(m, ncols)
+        assert (rank, pivots) == expected[3][:2] == forced[1][:2]
+        assert _elim.rref(rows, ncols) == forced[1]
+    assert calls["echelon"] > 0 and calls["rref"] > 0
 
 
 def test_empty_matrix_conventions():
