@@ -5,8 +5,9 @@ an operation name, its arguments (entity names from the instance) and
 the expected exact output.  Replaying a fixture recomputes every check
 and diffs the canonical results; nothing is thrown on mismatch, the
 summary reports failures so a driver can exit nonzero.  A fixture
-file that is not valid JSON, lacks its instance or checks, or gives a
-check ``args`` that is not an object raises InstanceError.
+directory that is missing or holds no fixture, and a fixture file that
+is not valid JSON, lacks its instance or checks, or gives a check
+``args`` that is not an object, raise InstanceError.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ def _resolve_set(inst: Instance, args, key="set"):
         inst.point_set(pair[0]), inst.point_set(pair[1])
     )
     return products
-
-
-def _any_line(inst: Instance, name):
-    if name in inst.lines:
-        return inst.lines[name]
-    return inst.line3(name)
 
 
 def _check_hyperplane_product(inst, args):
@@ -216,7 +211,7 @@ class ReplaySummary:
 
     @property
     def ok(self) -> bool:
-        return self.fixture_count > 0 and not self.failures
+        return not self.failures
 
 
 def replay_fixture(path: Path):
@@ -256,7 +251,11 @@ def replay_fixture(path: Path):
 
 def replay_fixtures(dirpath=None) -> ReplaySummary:
     base = Path(dirpath) if dirpath is not None else fixtures_dir()
-    paths = sorted(base.glob("*.json")) if base.is_dir() else []
+    if not base.is_dir():
+        raise InstanceError(f"fixture directory {base} does not exist")
+    paths = sorted(base.glob("*.json"))
+    if not paths:
+        raise InstanceError(f"fixture directory {base} holds no *.json fixtures")
     outcomes = []
     for path in paths:
         outcomes.extend(replay_fixture(path))

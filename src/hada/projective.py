@@ -255,9 +255,13 @@ def hyperplane_product(h: Hyperplane, k: Hyperplane):
 
 
 class PointSet:
-    """Duplicate-free ordered set of points in a common ambient space."""
+    """Duplicate-free ordered set of points in a common ambient space.
 
-    __slots__ = ("points",)
+    A set is never mutated after construction, so ``hada.ideals`` keeps
+    its degree ladder in the ``_ladder`` slot, filled on first use.
+    """
+
+    __slots__ = ("points", "_ladder")
 
     def __init__(self, points):
         pts = tuple(points)
@@ -272,6 +276,7 @@ class PointSet:
                 raise HadaError(f"duplicate point {p}")
             seen.add(p.coords)
         self.points = pts
+        self._ladder = None
 
     @classmethod
     def from_coords(cls, rows):

@@ -223,16 +223,25 @@ def test_verify_non_object_args_is_input_error(tmp_path, capsys, args):
 
 def test_verify_empty_directory(tmp_path, capsys):
     rc = main(["verify", "--fixtures", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "0 fixtures" in out
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
+def test_verify_missing_directory(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    rc = main(["verify", "--fixtures", str(missing)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(missing) in err and "Traceback" not in err
 
 
 def test_env_var_overrides_fixture_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HADA_FIXTURES", str(tmp_path))
     rc = main(["verify"])
-    assert rc == 1
-    assert "0 fixtures" in capsys.readouterr().out
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(tmp_path) in err and "Traceback" not in err
 
 
 def test_text_report_renders(capsys, grid_file):

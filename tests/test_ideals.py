@@ -285,6 +285,17 @@ def test_ladder_matches_full_ring_oracle():
         n = points.ambient_dim
         values = frac_hilbert_values(points)
         tau = len(values) - 2
+
+        # an explicit bound below, at or above tau + 1, asked first of a
+        # fresh copy so that a bounded call fills its stored ladder, which
+        # the unbounded calls below then read
+        points = PointSet(points.points)
+        d = max(tau + 1 + extra - 2, 0)
+        assert generator_entries(generator_profile(points, d)) == (
+            span_rank_generators(points, d)
+        )
+        assert (ci_verdict(points, d).kind == "Unknown") == (d < tau + 1)
+
         h_vector = [values[0]] + [values[t] - values[t - 1] for t in range(1, tau + 1)]
         assert hilbert_profile(points) == HilbertProfile(
             tuple(values), tau, tuple(h_vector), len(points)
@@ -303,19 +314,14 @@ def test_ladder_matches_full_ring_oracle():
             verdict = CIVerdict("NotCI", n, total, witness, reason)
         assert ci_verdict(points) == verdict
 
-        # an explicit bound below, at or above tau + 1
-        d = max(tau + 1 + extra - 2, 0)
-        assert generator_entries(generator_profile(points, d)) == (
-            span_rank_generators(points, d)
-        )
-        assert (ci_verdict(points, d).kind == "Unknown") == (d < tau + 1)
-
         x0_vanishes += any(p.coords[0] == 0 for p in points)
         needs_c += _linear_form_parameter(points) >= 1
     assert x0_vanishes >= 30 and needs_c >= 30
 
 
-def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
+def spy_linalg(monkeypatch):
+    """Record (name, rows, columns) of every echelon, rank, kernel and
+    rref call made through ``hada.linalg``."""
     calls = []
 
     def spy(name):
@@ -329,14 +335,61 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
 
     for name in ("echelon_of", "rank_of", "kernel_basis", "rref_of"):
         spy(name)
-    assert ci_verdict(PLANAR25).kind == "CI"
+    return calls
+
+
+def evaluation_shapes(points, top):
+    n = points.ambient_dim
+    return {(len(points), comb(t + n, n)) for t in range(top + 1)}
+
+
+def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
+    # a fresh copy: earlier tests may have stored the ladder of PLANAR25
+    points = PointSet(PLANAR25.points)
+    calls = spy_linalg(monkeypatch)
+    assert ci_verdict(points).kind == "CI"
 
     tau, n = 8, 3
-    evaluation_shapes = {(25, comb(t + n, n)) for t in range(tau + 2)}
-    on_evaluation = [c for c in calls if c[1:] in evaluation_shapes]
+    shapes = evaluation_shapes(points, tau + 1)
+    on_evaluation = [c for c in calls if c[1:] in shapes]
     assert on_evaluation == [("echelon_of", 25, comb(t + n, n)) for t in range(tau + 1)] + [
         ("rank_of", 25, comb(tau + 1 + n, n))
     ]
     others = [c for c in calls if c not in on_evaluation]
     assert others and all(name in ("rank_of", "kernel_basis") for name, _, _ in others)
     assert max(ncols for _, _, ncols in others) == comb(tau + n, n - 1)
+
+
+def test_one_ladder_serves_every_profile_question(monkeypatch):
+    _, _, xs, xs2 = generic_skew_sample(5, 5, 4242)
+    points = pairwise_products(xs, xs2)[0]
+    calls = spy_linalg(monkeypatch)
+    prof = hilbert_profile(points)
+    gens = generator_profile(points)
+    verdict = ci_verdict(points)
+
+    tau, n = prof.tau, 3
+    assert (tau, gens.max_degree, verdict.kind) == (4, 5, "NotCI")
+    on_evaluation = [c for c in calls if c[1:] in evaluation_shapes(points, tau + 1)]
+    assert on_evaluation == [("echelon_of", 25, comb(t + n, n)) for t in range(tau + 1)] + [
+        ("rank_of", 25, comb(tau + 1 + n, n))
+    ]
+
+
+def test_hf_product_check_reads_stored_factor_ladders(monkeypatch):
+    _, _, xs, xs2 = generic_skew_sample(3, 3, 4343)
+    products = pairwise_products(xs, xs2)[0]
+    hilbert_profile(xs)
+    hilbert_profile(xs2)
+    calls = spy_linalg(monkeypatch)
+    assert hf_product_check(xs, xs2, products).ok
+    factor_shapes = evaluation_shapes(xs, len(xs))
+    assert calls and not [c for c in calls if c[1:] in factor_shapes]
+
+
+def test_unknown_ci_verdict_counts_no_generators(monkeypatch):
+    points = PointSet(GRID2.points)
+    calls = spy_linalg(monkeypatch)
+    assert ci_verdict(points, max_degree=2).kind == "Unknown"
+    shapes = evaluation_shapes(points, len(points))
+    assert calls and all(c[0] in ("echelon_of", "rank_of") and c[1:] in shapes for c in calls)
