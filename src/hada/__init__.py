@@ -13,7 +13,6 @@ from .errors import (
     GridConditionError,
     HadaError,
     InstanceError,
-    InterpolationError,
     MembershipError,
     SamplingError,
     StratumError,

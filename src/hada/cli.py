@@ -7,9 +7,13 @@ as colon-separated coordinates, e.g. --point 0:1:1.  Reports are plain
 text by default and JSON with --json; exact values are never rendered
 through floats.
 
+The implicitize command is exact: it evaluates forms on the products
+of a (d+1) x (d+1) grid of points on the two lines, which pins down
+the degree-d part of the ideal of the product with no sampling.
+
 Exit codes: 0 success, 1 mathematical verdict failure (failed fixture
-replay, violated grid condition, interpolation that did not verify),
-2 input error.
+replay, violated grid condition), 2 input error, including a degree
+or a random set size outside its cap.
 """
 
 from __future__ import annotations
@@ -20,12 +24,7 @@ import sys
 import time
 
 from . import linalg
-from .errors import (
-    GridConditionError,
-    HadaError,
-    InstanceError,
-    InterpolationError,
-)
+from .errors import GridConditionError, HadaError, InstanceError
 from .fixtures import replay_fixtures
 from .ideals import ci_verdict, hilbert_profile
 from .instances import Instance, emit_instance, parse_instance
@@ -58,6 +57,9 @@ from .space import (
 
 MATH_FAILURE = 1
 INPUT_ERROR = 2
+
+# Largest point set `random` draws on each line.
+MAX_RANDOM_SIZE = 12
 
 
 def _fmt(value):
@@ -325,17 +327,9 @@ def cmd_quadric(args) -> int:
 def cmd_implicitize(args) -> int:
     started = time.perf_counter()
     inst = _load_instance(args)
-    try:
-        forms = variety_product_interpolate(
-            inst.line3(args.line),
-            inst.line3(args.line2),
-            args.degree,
-            samples=args.samples,
-            seed=args.seed,
-        )
-    except InterpolationError as exc:
-        emit_report(args, "implicitize", {"error": str(exc)}, started)
-        return MATH_FAILURE
+    forms = variety_product_interpolate(
+        inst.line3(args.line), inst.line3(args.line2), args.degree
+    )
     results = {
         "degree": args.degree,
         "count": len(forms),
@@ -390,6 +384,11 @@ def cmd_verify(args) -> int:
 
 def cmd_random(args) -> int:
     started = time.perf_counter()
+    for flag, size in (("--n", args.n), ("--m", args.m)):
+        if not 1 <= size <= MAX_RANDOM_SIZE:
+            raise HadaError(
+                f"{flag} must be between 1 and {MAX_RANDOM_SIZE}, got {size}"
+            )
     if args.space == 2:
         from .sampling import nonzero_int
         import random as _random
@@ -479,13 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--product", help="A,B: use the product set of A and B")
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("implicitize", help="fit forms vanishing on a product of lines")
+    p = sub.add_parser(
+        "implicitize", help="forms of one degree vanishing on a product of lines"
+    )
     common(p)
     p.add_argument("--line", default="L")
     p.add_argument("--line2", default="Lp")
     p.add_argument("--degree", "-d", type=int, required=True)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_implicitize)
 
     p = sub.add_parser("verify", help="replay the bundled worked examples")

@@ -24,9 +24,9 @@ class MembershipError(HadaError):
 class UnsupportedShapeError(HadaError):
     """Hyperplane pair outside the closed-form product cases.
 
-    Products of hyperplanes with three or more nonzero coefficients on
-    each side have no closed form here; use the sampling-based
-    interpolation routine instead (experimental).
+    Products of hyperplanes outside the coordinate and binomial cases
+    have no closed form here, and no other routine in this package
+    computes them.
     """
 
 
@@ -47,10 +47,6 @@ class GridConditionError(HadaError):
 
 class SamplingError(HadaError):
     """Seeded rejection sampling exhausted its retry budget."""
-
-
-class InterpolationError(HadaError):
-    """The fitted kernel failed verification on the hold-out sample batch."""
 
 
 class InstanceError(HadaError):

@@ -130,7 +130,6 @@ def _check_implicitize(inst, args):
         inst.line3(args["line"]),
         inst.line3(args["line2"]),
         args["degree"],
-        seed=args.get("seed", 0),
     )
     return {"forms": [list(f.coefficient_vector()) for f in forms]}
 
@@ -165,10 +164,7 @@ def _check_hf_product(inst, args):
     xs2 = inst.point_set(args["x2"])
     products, _ = pairwise_products(xs, xs2)
     rep = hf_product_check(xs, xs2, products)
-    out = {"product_holds": rep.product_holds}
-    if rep.tau_matches is not None:
-        out["tau_matches"] = rep.tau_matches
-    return out
+    return {"product_holds": rep.product_holds, "tau_matches": rep.tau_matches}
 
 
 CHECK_OPS = {

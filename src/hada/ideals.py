@@ -199,26 +199,27 @@ class HFProductRow:
 @dataclass(frozen=True)
 class HFProductReport:
     """Degree-by-degree comparison of HF(product set) with the product
-    of the factor Hilbert functions, plus the regularity check when the
-    factors have equal size."""
+    of the factor Hilbert functions, plus the regularity check.
+
+    An a x b grid on the quadric P^1 x P^1 (projectively normal) has
+    HF(t) = min(a, t+1) * min(b, t+1), so the expected regularity index
+    is max(a, b) - 1 for any sizes."""
 
     rows: tuple[HFProductRow, ...]
     tau_product: int
-    tau_expected: Optional[int]
+    tau_expected: int
 
     @property
     def product_holds(self) -> bool:
         return all(r.ok for r in self.rows)
 
     @property
-    def tau_matches(self) -> Optional[bool]:
-        if self.tau_expected is None:
-            return None
+    def tau_matches(self) -> bool:
         return self.tau_product == self.tau_expected
 
     @property
     def ok(self) -> bool:
-        return self.product_holds and self.tau_matches in (None, True)
+        return self.product_holds and self.tau_matches
 
 
 def hf_product_check(
@@ -236,7 +237,7 @@ def hf_product_check(
         )
         for t in range(top + 1)
     ]
-    tau_expected = len(xs) - 1 if len(xs) == len(xs2) else None
+    tau_expected = max(len(xs), len(xs2)) - 1
     return HFProductReport(
         rows=tuple(rows), tau_product=profile.tau, tau_expected=tau_expected
     )

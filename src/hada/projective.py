@@ -216,8 +216,8 @@ def hyperplane_product(h: Hyperplane, k: Hyperplane):
     (same index pair, at least one side with both coefficients nonzero)
     is the hyperplane a_i b_i x_i - a_j b_j x_j = 0.
 
-    Anything else has no closed form and raises UnsupportedShapeError;
-    sampling-based interpolation covers those shapes experimentally.
+    Anything else raises UnsupportedShapeError: no closed form exists
+    for those supports, and this package does not compute them.
     """
     from .errors import UnsupportedShapeError
 
@@ -238,15 +238,14 @@ def hyperplane_product(h: Hyperplane, k: Hyperplane):
     if len(sup_h) > 2 or len(sup_k) > 2 or len(union) != 2:
         raise UnsupportedShapeError(
             "no closed form for these supports "
-            f"({list(sup_h)} and {list(sup_k)}); "
-            "use variety_product_interpolate"
+            f"({list(sup_h)} and {list(sup_k)})"
         )
     i, j = union
     a, b = h.dual.coords, k.dual.coords
     if not ((a[i] and a[j]) or (b[i] and b[j])):
         raise UnsupportedShapeError(
-            f"binomial supports {{{i},{j}}} need one side with both "
-            "coefficients nonzero; use variety_product_interpolate"
+            f"no closed form for binomial supports {{{i},{j}}} unless one "
+            "side has both coefficients nonzero"
         )
     coords = [0] * (h.ambient_dim + 1)
     coords[i] = a[i] * b[i]

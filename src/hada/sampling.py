@@ -60,9 +60,9 @@ def sample_point(rng: random.Random, basis, accept=None, tries: int = 200):
     raise SamplingError(f"no acceptable point found in {tries} attempts")
 
 
-def fixed_line_samples(basis, extra_rng=None, count: int = 12):
-    """Deterministic points on a line: fixed weights plus optional
-    seeded extras.  Used by the brute-force verification oracles."""
+def fixed_line_samples(basis, count: int = 12):
+    """Deterministic points on a line from the fixed weights.  Used by
+    the brute-force verification oracles."""
     out = []
     seen = set()
     for w in FIXED_WEIGHTS[:count]:
@@ -70,12 +70,4 @@ def fixed_line_samples(basis, extra_rng=None, count: int = 12):
         if p is not None and p.coords not in seen:
             seen.add(p.coords)
             out.append(p)
-    if extra_rng is not None:
-        while len(out) < count:
-            lam = extra_rng.randint(-PARAM_BOUND, PARAM_BOUND)
-            mu = nonzero_int(extra_rng, PARAM_BOUND)
-            p = combine(basis, (lam, mu))
-            if p is not None and p.coords not in seen:
-                seen.add(p.coords)
-                out.append(p)
     return out

@@ -6,7 +6,9 @@ points of those planes.  Products of a point with a line intersect the
 two transformed planes; products of two finite collinear sets form a
 grid exactly when a 4x4 rank condition holds for every cross pair, and
 the grid then lies on a quadric carrying the two rulings of product
-lines.  The quadric itself is recovered by exact interpolation.
+lines.  The quadric itself, and any degree-bounded part of the ideal
+of a product of two lines, is recovered exactly from the products of
+a (d+1) x (d+1) grid of points on the two lines.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from .errors import (
     DimensionMismatch,
     GridConditionError,
     HadaError,
-    InterpolationError,
     MembershipError,
     SamplingError,
     StratumError,
 )
-from .forms import HomogeneousForm, evaluate_monomial, monomial_count, monomials
+from .forms import HomogeneousForm, evaluate_monomial, monomials
+from .ideals import degree_bounded_ideal
 from .projective import (
-    UNDEFINED,
     Hyperplane,
     PointSet,
     ProjPoint,
@@ -36,6 +37,10 @@ from .projective import (
     pairwise_products,
     point_hyperplane_product,
 )
+
+# Highest degree variety_product_interpolate accepts; the evaluation
+# matrix has (d+1)^2 rows and C(d+3, 3) columns.
+MAX_IMPLICIT_DEGREE = 6
 
 
 class Line3:
@@ -377,58 +382,37 @@ def generic_plane_pair(line: Line3) -> Line3:
 
 
 def variety_product_interpolate(
-    line: Line3,
-    line2: Line3,
-    degree: int,
-    samples: Optional[int] = None,
-    seed: int = 0,
+    line: Line3, line2: Line3, degree: int, seed: Optional[int] = None
 ):
     """Degree-bounded implicitization of the product of two lines.
 
-    Seeded rational points are sampled on both lines, their pairwise
-    products fitted by an exact kernel computation, and the fitted
-    forms re-checked on a disjoint batch of products; any nonzero value
-    there means the kernel was an artifact of the sample and an error
-    is raised.  Returns the (possibly empty) canonical basis of forms
-    of the given degree vanishing on the product.
+    Each coordinate of (lam*a + mu*b) o (sig*a' + tau*b') is bilinear,
+    so a degree-d form pulled back along the product map is
+    bihomogeneous of bidegree (d, d).  Such a form vanishes identically
+    iff it vanishes on a (d+1) x (d+1) grid of distinct parameter
+    ratios (Alon, Combinatorial Nullstellensatz, 1999).  So the forms
+    vanishing at the products (i*a + b) o (j*a' + b'), 0 <= i, j <= d,
+    are exactly the degree-d part of the ideal of the product; their
+    canonical basis is returned (possibly empty).  Products that are undefined add no
+    condition; when all of them are, the whole product is empty and
+    HadaError is raised.
+
+    ``seed`` is accepted and ignored: the construction is exact and
+    draws nothing, and the parameter stays only for callers that
+    still pass it.
     """
-    if degree < 1:
-        raise HadaError("degree must be positive")
-    count = monomial_count(4, degree)
-    if samples is None:
-        samples = 3 * count
-    if samples < 2 * count:
-        raise HadaError(f"need at least {2 * count} samples for degree {degree}")
-    rng = random.Random(seed)
-    basis = line.basis_points()
-    basis2 = line2.basis_points()
-    products = []
-    seen = set()
-    attempts = 0
-    while len(products) < samples:
-        attempts += 1
-        if attempts > 50 * samples:
-            raise SamplingError("could not sample enough defined products")
-        p = sampling.sample_point(rng, basis)
-        p2 = sampling.sample_point(rng, basis2)
-        r = hadamard_points(p, p2)
-        if r is UNDEFINED or r.coords in seen:
-            continue
-        seen.add(r.coords)
-        products.append(r)
-    n_verify = samples // 3
-    fit, verify = products[: samples - n_verify], products[samples - n_verify :]
-    monos = monomials(4, degree)
-    rows = [[evaluate_monomial(e, p.coords) for e in monos] for p in fit]
-    kernel = linalg.kernel_basis(rows, len(monos))
-    forms = [HomogeneousForm.from_vector(4, degree, v) for v in kernel]
-    for f in forms:
-        for p in verify:
-            if not f.vanishes_at(p):
-                raise InterpolationError(
-                    "sample-dependent kernel; increase samples"
-                )
-    return forms
+    if not 1 <= degree <= MAX_IMPLICIT_DEGREE:
+        raise HadaError(
+            f"degree must be between 1 and {MAX_IMPLICIT_DEGREE}, got {degree}"
+        )
+    sides = [
+        PointSet(
+            sampling.combine(l.basis_points(), (i, 1)) for i in range(degree + 1)
+        )
+        for l in (line, line2)
+    ]
+    products, _ = pairwise_products(*sides)
+    return degree_bounded_ideal(products, degree)
 
 
 def generic_skew_sample(n: int, m: int, seed: int):

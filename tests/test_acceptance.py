@@ -175,7 +175,7 @@ def test_criterion_07_ruling_suite():
             g, line, line2 = skew_instance(m, seed)
             # the quadric is fitted from the lines themselves; from m = 3
             # points on, it is also the unique quadric through the grid
-            fitted = variety_product_interpolate(line, line2, 2, seed=seed)
+            fitted = variety_product_interpolate(line, line2, 2)
             assert len(fitted) == 1
             q = Quadric3(fitted[0])
             if m >= 3:

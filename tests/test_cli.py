@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from hada.cli import main
+from hada.cli import MAX_RANDOM_SIZE, main
 from hada.fixtures import fixtures_dir, replay_fixtures
+from hada.space import MAX_IMPLICIT_DEGREE
 
 GRID_DOC = {
     "space": 2,
@@ -117,11 +118,55 @@ def test_quadric_and_implicitize(capsys, p3_file):
     assert rep["results"]["kind"] == "quadric"
     assert rep["results"]["nondegenerate"] is True
     assert no_floats(rep)
-    rc, rep = run_json(
-        capsys, ["implicitize", "-i", p3_file, "--degree", "2", "--seed", "3"]
-    )
+    quadric = rep["results"]["vector"]
+    rc, rep = run_json(capsys, ["implicitize", "-i", p3_file, "--degree", "2"])
     assert rc == 0
     assert rep["results"]["count"] == 1
+    assert rep["results"]["forms"] == [quadric]
+
+
+def test_implicitize_has_no_sampling_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["implicitize", "--help"])
+    usage = capsys.readouterr().out
+    assert "--degree" in usage
+    assert "--samples" not in usage and "--seed" not in usage
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["implicitize", "--degree", "0"],
+        ["implicitize", "--degree", str(MAX_IMPLICIT_DEGREE + 1)],
+        ["random", "--space", "3", "--n", "0"],
+        ["random", "--space", "3", "--m", str(MAX_RANDOM_SIZE + 1)],
+        ["random", "--space", "2", "--n", "10000000"],
+    ],
+)
+def test_caps_are_input_errors(capsys, p3_file, argv):
+    if argv[0] == "implicitize":
+        argv = argv + ["-i", p3_file]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "must be between 1 and" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_implicitize_empty_product_is_input_error(capsys, tmp_path):
+    doc = {
+        "space": 3,
+        "lines": {
+            "L": {"H": [0, 0, 1, 0], "K": [0, 0, 0, 1]},
+            "Lp": {"H": [1, 0, 0, 0], "K": [0, 1, 0, 0]},
+        },
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["implicitize", "-i", str(path), "--degree", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "undefined" in err and "Traceback" not in err
 
 
 def test_grid_condition_failure_exit_code(capsys, tmp_path):

@@ -142,7 +142,8 @@ class TestHFProduct:
         )
         products, _ = pairwise_products(xs, ys)
         rep = hf_product_check(xs, ys, products)
-        assert rep.product_holds and rep.tau_matches is None
+        assert rep.product_holds
+        assert rep.tau_matches is True and rep.tau_product == 3
         assert hilbert_profile(products).values == (1, 4, 9, 12, 12)
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,8 +14,10 @@ from hada.errors import (
     StratumError,
 )
 from hada.forms import HomogeneousForm
+from hada.ideals import degree_bounded_ideal
 from hada.projective import Hyperplane, PointSet, ProjPoint, pairwise_products
 from hada.space import (
+    MAX_IMPLICIT_DEGREE,
     Line3,
     Quadric3,
     generic_plane_pair,
@@ -27,7 +30,7 @@ from hada.space import (
     ruling_check,
     variety_product_interpolate,
 )
-from hada import sampling
+from hada import linalg, sampling
 from support import brute_products
 
 L_A = Line3(Hyperplane([1, -1, 1, 2]), Hyperplane([1, 2, -1, 1]))
@@ -231,34 +234,102 @@ class TestRulingCheck:
 EXPECTED_D2_C = (0, 0, 0, 60, 0, 9, -105, 0, 84, -980)
 
 
+AXIS = Line3(Hyperplane([0, 0, 1, 0]), Hyperplane([0, 0, 0, 1]))
+# every point of AXIS o OTHER_AXIS is the zero vector
+OTHER_AXIS = Line3(Hyperplane([1, 0, 0, 0]), Hyperplane([0, 1, 0, 0]))
+
+
+def oracle_product_ideal(line, line2, degree):
+    """Degree-``degree`` forms vanishing on the defined products of a
+    (d+3) x (d+3) grid of points, with weights other than the
+    certificate's; None when every one of those products is undefined."""
+    sides = [
+        PointSet(
+            sampling.combine(l.basis_points(), (2 * i + 1, i + 5))
+            for i in range(degree + 3)
+        )
+        for l in (line, line2)
+    ]
+    try:
+        products, _ = pairwise_products(*sides)
+    except HadaError:
+        return None
+    return degree_bounded_ideal(products, degree)
+
+
+def oracle_line_pairs():
+    """Fixed pairs, generic, meeting coordinate strata or with an empty
+    product, plus seeded pairs whose small plane coefficients often
+    vanish."""
+    pairs = [
+        (L_A, L_B),
+        (L_C, L_B),
+        (AXIS, AXIS),
+        (AXIS, L_A),
+        (L_C, L_C),
+        (AXIS, OTHER_AXIS),
+    ]
+    rng = random.Random(4242)
+    while len(pairs) < 30:
+        coeffs = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        try:
+            planes = [Hyperplane(c) for c in coeffs]
+            pairs.append((Line3(*planes[:2]), Line3(*planes[2:])))
+        except HadaError:
+            continue
+    return pairs
+
+
 class TestInterpolation:
     def test_strata_meeting_pair_recovers_quadric(self):
-        forms = variety_product_interpolate(L_C, L_B, 2, seed=11)
+        forms = variety_product_interpolate(L_C, L_B, 2)
         assert len(forms) == 1
         assert forms[0].coefficient_vector() == QUADRIC_B
 
     def test_double_strata_pair(self):
         line2 = Line3(Hyperplane([1, 1, -2, 1]), Hyperplane([1, 1, 1, -4]))
-        forms = variety_product_interpolate(L_C, line2, 2, seed=13)
+        forms = variety_product_interpolate(L_C, line2, 2)
         assert len(forms) == 1
         assert forms[0].coefficient_vector() == EXPECTED_D2_C
 
     def test_coordinate_axis_line(self):
-        axis = Line3(Hyperplane([0, 0, 1, 0]), Hyperplane([0, 0, 0, 1]))
-        forms = variety_product_interpolate(axis, axis, 1, seed=5)
+        forms = variety_product_interpolate(AXIS, AXIS, 1)
         vectors = sorted(f.coefficient_vector() for f in forms)
         assert vectors == [(0, 0, 0, 1), (0, 0, 1, 0)]
 
-    def test_seed_stability(self):
-        one = variety_product_interpolate(L_A, L_B, 2, seed=3)
-        two = variety_product_interpolate(L_A, L_B, 2, seed=4444)
-        assert [f.coefficient_vector() for f in one] == [
-            f.coefficient_vector() for f in two
-        ]
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_grid_certificate_matches_larger_grid(self, degree):
+        for line, line2 in oracle_line_pairs():
+            expected = oracle_product_ideal(line, line2, degree)
+            if expected is None:
+                with pytest.raises(HadaError):
+                    variety_product_interpolate(line, line2, degree)
+                continue
+            got = variety_product_interpolate(line, line2, degree)
+            assert [f.coefficient_vector() for f in got] == [
+                f.coefficient_vector() for f in expected
+            ], (line, line2)
 
-    def test_sample_floor(self):
-        with pytest.raises(HadaError):
-            variety_product_interpolate(L_A, L_B, 2, samples=10)
+    def test_generic_pair_has_the_quadric_dimension(self):
+        # the product is a smooth quadric, isomorphic to P^1 x P^1
+        # embedded by O(1, 1), so HF(d) = (d+1)^2
+        d = MAX_IMPLICIT_DEGREE
+        forms = variety_product_interpolate(L_A, L_B, d)
+        assert len(forms) == comb(d + 3, 3) - (d + 1) ** 2
+
+    def test_empty_product(self):
+        with pytest.raises(HadaError, match="undefined"):
+            variety_product_interpolate(AXIS, OTHER_AXIS, 2)
+
+    def test_degree_bounds(self, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("eliminated before the degree check")
+
+        monkeypatch.setattr(linalg, "kernel_basis", no_elimination)
+        monkeypatch.setattr(linalg, "rref_of", no_elimination)
+        for degree in (-1, 0, MAX_IMPLICIT_DEGREE + 1, 10**6):
+            with pytest.raises(HadaError, match="degree must be between"):
+                variety_product_interpolate(L_A, L_B, degree)
 
 
 class TestPlanePairChooser:
