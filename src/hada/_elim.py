@@ -8,7 +8,14 @@ precision comes for free.  Two elimination strategies are combined:
   produces (monomial evaluations, coordinatewise products) the content
   is enormous and entries stay small, but on adversarial dense input
   the growth can be exponential, so the path aborts once an entry
-  outgrows a bound derived from the Bareiss minor estimate;
+  outgrows a bound derived from the Bareiss minor estimate.  A row
+  with entry q under a pivot p becomes row_i*(p/g) - (q/g)*row_r with
+  g = gcd(p, q), not row_i*p - q*row_r: since g > 0 that is the
+  full-multiplier row divided by g, so after the content division the
+  row is the same, sign included, and so are every later step, the
+  guard's decisions and the output.  Only the factors multiplied are
+  smaller (Bareiss, Math. Comp. 22, 1968, for the fraction-free
+  background);
 * the fallback is one-step fraction-free (Bareiss) elimination, whose
   entries are minors of the input and hence polynomially sized.
 
@@ -32,33 +39,21 @@ the frontend every other module calls.
 from math import gcd
 
 
+def _primitive(row):
+    """The row divided by the gcd of its entries, as a new list."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
+
+
 def _primitive_rows(rows):
-    out = []
-    for row in rows:
-        row = list(row)
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-        if g > 1:
-            row = [x // g for x in row]
-        out.append(row)
-    return out
+    return [_primitive(row) for row in rows]
 
 
-def _reduce_row(row, ncols):
-    g = 0
-    for j in range(ncols):
-        x = row[j]
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return
+def _reduce_row(row):
+    """Divide the row by the gcd of its entries, in place."""
+    g = gcd(*row)
     if g > 1:
-        for j in range(ncols):
-            row[j] //= g
+        row[:] = [x // g for x in row]
 
 
 def _growth_limit(m, ncols):
@@ -78,16 +73,15 @@ def _growth_limit(m, ncols):
     return 2 * steps * (maxbits + ncols.bit_length() + 2) + 64
 
 
-def _row_within(row, ncols, limit):
-    for j in range(ncols):
-        x = row[j]
-        if x and x.bit_length() > limit:
-            return False
-    return True
+def _row_within(row, bound):
+    """True when every entry is below ``bound`` = 2**limit in absolute
+    value, i.e. has at most ``limit`` bits."""
+    return -bound < min(row) and max(row) < bound
 
 
 def _echelon_gcd(m, ncols, limit):
     nrows = len(m)
+    bound = 1 << limit
     pivots = []
     r = 0
     for c in range(ncols):
@@ -102,14 +96,16 @@ def _echelon_gcd(m, ncols, limit):
             m[r], m[piv] = m[piv], m[r]
         row_r = m[r]
         p = row_r[c]
+        tail_r = row_r[c:]
         for i in range(r + 1, nrows):
             row_i = m[i]
             q = row_i[c]
             if q:
-                for j in range(c, ncols):
-                    row_i[j] = row_i[j] * p - q * row_r[j]
-                _reduce_row(row_i, ncols)
-                if not _row_within(row_i, ncols, limit):
+                g = gcd(p, q)
+                a, b = p // g, q // g
+                row_i[c:] = [x * a - b * y for x, y in zip(row_i[c:], tail_r)]
+                _reduce_row(row_i)
+                if not _row_within(row_i, bound):
                     return None
         pivots.append(c)
         r += 1
@@ -177,6 +173,7 @@ def rank(rows, ncols):
 
 def _rref_gcd(m, ncols, limit):
     nrows = len(m)
+    bound = 1 << limit
     pivots = []
     r = 0
     for c in range(ncols):
@@ -191,8 +188,7 @@ def _rref_gcd(m, ncols, limit):
             m[r], m[piv] = m[piv], m[r]
         row_r = m[r]
         if row_r[c] < 0:
-            for j in range(ncols):
-                row_r[j] = -row_r[j]
+            row_r[:] = [-x for x in row_r]
         p = row_r[c]
         for i in range(nrows):
             if i == r:
@@ -200,14 +196,11 @@ def _rref_gcd(m, ncols, limit):
             row_i = m[i]
             q = row_i[c]
             if q:
-                if p == 1:
-                    for j in range(ncols):
-                        row_i[j] -= q * row_r[j]
-                else:
-                    for j in range(ncols):
-                        row_i[j] = row_i[j] * p - q * row_r[j]
-                _reduce_row(row_i, ncols)
-                if not _row_within(row_i, ncols, limit):
+                g = gcd(p, q)
+                a, b = p // g, q // g
+                row_i[:] = [x * a - b * y for x, y in zip(row_i, row_r)]
+                _reduce_row(row_i)
+                if not _row_within(row_i, bound):
                     return None
         pivots.append(c)
         r += 1
@@ -252,18 +245,10 @@ def _rref_bareiss(m, ncols):
     return r, pivots, m
 
 
-def _canonical_rows(m, pivots, r, ncols):
+def _canonical_rows(m, pivots, r):
     reduced = []
     for i in range(r):
-        row = m[i]
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-        if g > 1:
-            row = [x // g for x in row]
+        row = _primitive(m[i])
         if row[pivots[i]] < 0:
             row = [-x for x in row]
         reduced.append(tuple(row))
@@ -282,7 +267,7 @@ def rref(rows, ncols):
     if attempt is None:
         attempt = _rref_bareiss(m, ncols)
     r, pivots, work = attempt
-    return r, pivots, _canonical_rows(work, pivots, r, ncols)
+    return r, pivots, _canonical_rows(work, pivots, r)
 
 
 def nullspace(rows, ncols):
@@ -308,13 +293,7 @@ def nullspace(rows, ncols):
             entry = red[i][f]
             if entry:
                 v[pivots[i]] = -entry * (lcm_piv // red[i][pivots[i]])
-        g = 0
-        for x in v:
-            if x:
-                g = gcd(g, x)
-        if g > 1:
-            v = [x // g for x in v]
-        basis.append(tuple(v))
+        basis.append(tuple(_primitive(v)))
     return basis
 
 

@@ -19,6 +19,11 @@ per-set degree ladder that eliminates each E_t once, forward only:
   first variable.  Monomials are in descending lex order, so the
   l-divisible columns of E_t come first and the last columns are the
   monomials of S = R/(l), a ring with one variable fewer;
+* the l-divisible columns of E_t, in order, are l times the degree-(t-1)
+  monomials, so they equal D * E_(t-1) with D = diag(l(p)).  The ladder
+  therefore builds the row of a point p in degree t as l(p) times its
+  row in degree t-1, followed by the degree-t monomials of S evaluated
+  at (p1, ..., pn); only those last columns are evaluated afresh;
 * the echelon rows of E_t whose pivot lies among the S columns,
   restricted to those columns, form a matrix Z_t whose kernel J_t is
   the image of I_t in S_t;
@@ -136,7 +141,8 @@ def _ladder(points: PointSet) -> _Ladder:
     """The degree ladder of the set, eliminated on first use and then
     read from the set.
 
-    E_t is eliminated once for t = 0 .. tau.  HF(tau + 1) = |X| is then
+    E_t is built from E_(t-1) as the module docstring describes and
+    eliminated once for t = 0 .. tau.  HF(tau + 1) = |X| is then
     confirmed by a direct elimination of E_(tau+1); the module
     docstring says why that cannot fail and why it stays for now.
     """
@@ -147,15 +153,22 @@ def _ladder(points: PointSet) -> _Ladder:
     c = _linear_form_parameter(points)
     # x0 -> l is unimodular (triangular, unit diagonal): ranks are kept and
     # l becomes the first variable
-    coords = [(_linear_form_value(c, p.coords),) + p.coords[1:] for p in points]
+    lvalues = [_linear_form_value(c, p.coords) for p in points]
+    tails = [p.coords[1:] for p in points]
     values: list[int] = []
     reduced = []
+    matrix = [[1] for _ in points]
     t = 0
     while True:
         split = _divisible_count(n, t)
-        rank, pivots, rows = linalg.echelon_of(
-            _evaluation_matrix(coords, n + 1, t), comb(t + n, n)
-        )
+        if t:
+            # E_t = [diag(l(p)) * E_(t-1) | degree-t monomials of S]
+            s_monos = monomials(n, t)
+            matrix = [
+                [lp * v for v in row] + [evaluate_monomial(e, tail) for e in s_monos]
+                for lp, tail, row in zip(lvalues, tails, matrix)
+            ]
+        rank, pivots, rows = linalg.echelon_of(matrix, comb(t + n, n))
         values.append(rank)
         reduced.append([row[split:] for row, col in zip(rows, pivots) if col >= split])
         if rank == card:

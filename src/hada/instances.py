@@ -80,6 +80,9 @@ def parse_instance_dict(data: dict) -> Instance:
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise InstanceError("seed must be an integer")
+    for key in ("lines", "points"):
+        if not isinstance(data.get(key) or {}, dict):
+            raise InstanceError(f"{key} must be a JSON object")
     ncoords = space + 1
     inst = Instance(space=space, seed=seed)
     seen = set()

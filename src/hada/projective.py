@@ -213,8 +213,8 @@ def hyperplane_product(h: Hyperplane, k: Hyperplane):
     Coordinate hyperplanes: x_i = 0 times x_j = 0 is x_i = 0 when
     i = j, and the codimension-2 subspace x_i = x_j = 0 when i != j.
     Binomial supports: a_i x_i + a_j x_j = 0 times b_i x_i + b_j x_j = 0
-    (same index pair, at least one side with both coefficients nonzero)
-    is the hyperplane a_i b_i x_i - a_j b_j x_j = 0.
+    (supports within one index pair {i, j}, at least one of them all of
+    it) is the hyperplane a_i b_i x_i - a_j b_j x_j = 0.
 
     Anything else raises UnsupportedShapeError: no closed form exists
     for those supports, and this package does not compute them.
@@ -240,13 +240,9 @@ def hyperplane_product(h: Hyperplane, k: Hyperplane):
             "no closed form for these supports "
             f"({list(sup_h)} and {list(sup_k)})"
         )
+    # two single coordinates returned above, so one support is {i, j}
     i, j = union
     a, b = h.dual.coords, k.dual.coords
-    if not ((a[i] and a[j]) or (b[i] and b[j])):
-        raise UnsupportedShapeError(
-            f"no closed form for binomial supports {{{i},{j}}} unless one "
-            "side has both coefficients nonzero"
-        )
     coords = [0] * (h.ambient_dim + 1)
     coords[i] = a[i] * b[i]
     coords[j] = -a[j] * b[j]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hada.projective import (
     UNDEFINED,
@@ -41,6 +42,58 @@ def frac_rref(rows, ncols):
         pivots.append(c)
         rank += 1
     return rank, pivots, m[:rank]
+
+
+def _ref_reduce_row(row, ncols):
+    g = 0
+    for j in range(ncols):
+        if row[j]:
+            g = gcd(g, row[j])
+    if g > 1:
+        for j in range(ncols):
+            row[j] //= g
+
+
+def _ref_row_within(row, ncols, limit):
+    return all(not x or x.bit_length() <= limit for x in row[:ncols])
+
+
+def ref_echelon_gcd(m, ncols, limit, full_rows=False):
+    """Reference for ``_elim._echelon_gcd``: the same content-division
+    elimination with the full pivot values, row_i*p - q*row_r, and no
+    gcd(p, q) step.  ``full_rows`` also clears above each pivot, which
+    makes it the reference for ``_elim._rref_gcd``."""
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        if full_rows and row_r[c] < 0:
+            row_r[:] = [-x for x in row_r]
+        p = row_r[c]
+        for i in range(0 if full_rows else r + 1, nrows):
+            row_i = m[i]
+            q = row_i[c]
+            if i == r or not q:
+                continue
+            for j in range(ncols):
+                row_i[j] = row_i[j] * p - q * row_r[j]
+            _ref_reduce_row(row_i, ncols)
+            if not _ref_row_within(row_i, ncols, limit):
+                return None
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots, m
+
+
+def ref_rref_gcd(m, ncols, limit):
+    return ref_echelon_gcd(m, ncols, limit, full_rows=True)
 
 
 def frac_rank(rows, ncols):

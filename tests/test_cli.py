@@ -1,10 +1,13 @@
 """CLI behaviour: reports, exit codes, fixture replay, determinism."""
 
+import contextlib
+import io
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hada.cli import MAX_RANDOM_SIZE, main
 from hada.fixtures import fixtures_dir, replay_fixtures
@@ -29,6 +32,13 @@ P3_DOC = {
         "X": [[-2, 1, 1, 1], [-1, -1, -2, 1], [-3, 3, 4, 1]],
         "Xp": [[-1, 2, 2, 1], [11, -8, -2, 1], [-7, 7, 4, 1]],
     },
+}
+
+# two collinear sets whose grid condition fails: `grid` exits 1
+BAD_GRID_DOC = {
+    "space": 2,
+    "lines": {"L": [1, 1, -2], "Lp": [1, -3, 2]},
+    "points": {"X": [[1, 1, 1]], "Xp": [[3, -1, -3]]},
 }
 
 
@@ -170,13 +180,8 @@ def test_implicitize_empty_product_is_input_error(capsys, tmp_path):
 
 
 def test_grid_condition_failure_exit_code(capsys, tmp_path):
-    doc = {
-        "space": 2,
-        "lines": {"L": [1, 1, -2], "Lp": [1, -3, 2]},
-        "points": {"X": [[1, 1, 1]], "Xp": [[3, -1, -3]]},
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(BAD_GRID_DOC))
     rc = main(["grid", "-i", str(path), "--json"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
@@ -188,6 +193,17 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert rc == 2
     rc = main(["hilbert", "--set", "X"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("section", ["lines", "points"])
+@pytest.mark.parametrize("value", [[1, 2], True, "L"], ids=["list", "bool", "string"])
+def test_non_object_section_is_input_error(capsys, tmp_path, section, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**GRID_DOC, section: value}))
+    rc = main(["hilbert", "-i", str(path), "--set", "X"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{section} must be a JSON object" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["hilbert", "quadric", "ci"])
@@ -294,3 +310,128 @@ def test_text_report_renders(capsys, grid_file):
     out = capsys.readouterr().out
     assert rc == 0
     assert "values: [1, 2, 3, 3]" in out
+
+
+# --- fuzzing the exit-code contract -------------------------------------
+
+json_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+junk_coordinate = st.sampled_from(["x", "1/0", "", "1/2", 1.5, True, None, [1], {}])
+
+
+@st.composite
+def instance_docs(draw):
+    """Instance documents: a bundled worked example or a random one with
+    small integer coordinates, then at most one defect (a junk field, a
+    junk coordinate, a coordinate too many or too few, or a junk
+    document)."""
+    base = draw(st.sampled_from(["random", "random", "grid", "bad-grid", "p3"]))
+    if base == "random":
+        space = draw(st.sampled_from([2, 3]))
+
+        def vector(k):
+            entries = st.sampled_from([1, 2, -1, 3, -2, 5, 0, -3, 4])
+            return st.lists(entries, min_size=k, max_size=k)
+
+        plane_pair = st.fixed_dictionaries({"H": vector(4), "K": vector(4)})
+        line = plane_pair if space == 3 else vector(3)
+        doc = {
+            "space": space,
+            "lines": {name: draw(line) for name in ("L", "Lp")},
+            "points": {
+                name: draw(
+                    st.lists(vector(space + 1), min_size=1, max_size=4, unique_by=tuple)
+                )
+                for name in ("X", "Xp")
+            },
+        }
+    else:
+        template = {"grid": GRID_DOC, "bad-grid": BAD_GRID_DOC, "p3": P3_DOC}[base]
+        doc = json.loads(json.dumps(template))
+    defect = draw(
+        st.sampled_from([None, None, None, "field", "coordinate", "length", "document"])
+    )
+    if defect == "field":
+        doc[draw(st.sampled_from(["space", "lines", "points", "seed"]))] = draw(json_junk)
+    elif defect in ("coordinate", "length"):
+        rows = doc["points"][draw(st.sampled_from(["X", "Xp"]))]
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if defect == "coordinate":
+            row[draw(st.integers(0, len(row) - 1))] = draw(junk_coordinate)
+        elif draw(st.booleans()):
+            row.append(1)
+        else:
+            row.pop()
+    elif defect == "document":
+        return draw(json_junk)
+    return doc
+
+
+size = st.sampled_from(["2", "3", "1", "2", "3", "0", "13", "x"])
+commands = st.one_of(
+    st.sampled_from(
+        [
+            ["product", "--left", "X", "--right", "Xp"],
+            ["product", "--left", "L", "--right", "Lp"],
+            ["product", "--left", "X", "--right", "L"],
+            ["grid"],
+            ["grid"],
+            ["hilbert", "--product", "X,Xp"],
+            ["hilbert", "--set", "X"],
+            ["quadric", "--product", "X,Xp"],
+            ["ci", "--product", "X,Xp"],
+            ["ci", "--set", "Xp"],
+            ["classify", "--point", "X", "--line", "L"],
+            ["classify", "--point", "X", "--point2", "Xp", "--line", "L"],
+        ]
+    ),
+    size.map(lambda d: ["implicitize", "--degree", d]),
+    st.tuples(st.sampled_from(["3", "2", "3", "4"]), size, size).map(
+        lambda a: ["random", "--space", a[0], "--n", a[1], "--m", a[2]]
+    ),
+)
+stray_tokens = st.sampled_from(
+    [[]] * 6 + [["--set", "Y"], ["--product", "X,X"], ["--degree"], ["1:2:3"]]
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    doc=instance_docs(),
+    argv=commands,
+    extra=stray_tokens,
+    with_input=st.sampled_from([True, True, True, False]),
+    as_json=st.booleans(),
+)
+def test_exit_code_contract_under_fuzzing(tmp_path_factory, doc, argv, extra, with_input, as_json):
+    path = tmp_path_factory.getbasetemp() / "fuzz-instance.json"
+    path.write_text(json.dumps(doc))
+    argv = argv + extra
+    if with_input and argv[0] != "random":
+        argv += ["-i", str(path)]
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, doc, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        # the only verdict failure these commands can report
+        assert argv[0] == "grid"
+        if as_json:
+            assert json.loads(out.getvalue())["results"]["condition"] is False
+        else:
+            assert "condition: False" in out.getvalue()

@@ -11,7 +11,9 @@ from hada.forms import monomials
 from hada.ideals import (
     CIVerdict,
     HilbertProfile,
+    _evaluation_matrix,
     _linear_form_parameter,
+    _linear_form_value,
     ci_verdict,
     degree_bounded_ideal,
     evaluation_rows,
@@ -375,6 +377,36 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
     assert on_evaluation == [("echelon_of", 25, comb(t + n, n)) for t in range(tau + 1)] + [
         ("rank_of", 25, comb(tau + 1 + n, n))
     ]
+
+
+def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
+    # E_t is built from E_(t-1); it must be the plain evaluation matrix of
+    # the points in l-coordinates (l(p), p1, ..., pn).  The last set has
+    # a zero in every coordinate, so l is not x0 there
+    received = []
+    original = linalg.echelon_of
+
+    def spy(rows, ncols):
+        received.append(([list(r) for r in rows], ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "echelon_of", spy)
+    _, _, xs, xs2 = generic_skew_sample(5, 5, 4545)
+    no_zero_free_coordinate = PointSet.from_coords(
+        [[0, 1, 1, 1], [1, 0, 2, 1], [1, 3, 0, 1], [2, 1, 1, 0], [1, 2, 3, 4], [3, -1, 2, 5]]
+    )
+    sets = (pairwise_products(xs, xs2)[0], PointSet(PLANAR25.points), no_zero_free_coordinate)
+    for points in sets:
+        n = points.ambient_dim
+        c = _linear_form_parameter(points)
+        assert (c > 0) == (points is no_zero_free_coordinate)
+        coords = [(_linear_form_value(c, p.coords),) + p.coords[1:] for p in points]
+        received.clear()
+        tau = hilbert_profile(points).tau
+        assert len(received) == tau + 1
+        for t, (rows, ncols) in enumerate(received):
+            assert ncols == comb(t + n, n)
+            assert rows == _evaluation_matrix(coords, n + 1, t)
 
 
 def test_hf_product_check_reads_stored_factor_ladders(monkeypatch):

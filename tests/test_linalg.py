@@ -1,9 +1,12 @@
 """Elimination kernels against an independent Fraction oracle."""
 
 import random
+from math import comb
 
 from hada import _elim, linalg
-from support import frac_rank, frac_rref
+from hada.ideals import evaluation_rows
+from hada.projective import PointSet, ProjPoint
+from support import frac_rank, frac_rref, ref_echelon_gcd, ref_rref_gcd
 
 
 def random_matrix(rng, nrows, ncols, bound=30, sparsity=0.2):
@@ -154,6 +157,59 @@ def test_growth_guard_fallback_is_bit_identical(monkeypatch):
         assert (rank, pivots) == expected[3][:2] == forced[1][:2]
         assert _elim.rref(rows, ncols) == forced[1]
     assert calls["echelon"] > 0 and calls["rref"] > 0
+
+
+def evaluation_cases(seed):
+    """Evaluation matrices E_t of seeded point sets in P^2 and P^3."""
+    rng = random.Random(seed)
+    cases = []
+    for n, top in ((2, 4), (3, 3)):
+        for _ in range(5):
+            rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(14)]
+            points = PointSet.dedupe(ProjPoint(r) for r in rows if any(r))
+            points = PointSet(points.points[: rng.randint(4, 12)])
+            for t in range(top + 1):
+                cases.append((evaluation_rows(points, t), comb(t + n, n)))
+    return cases
+
+
+def test_reduced_multipliers_match_full_multiplier_reference(monkeypatch):
+    rng = random.Random(808)
+    cases = evaluation_cases(909)
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        bound = rng.choice([9, 10**6, 2**64])
+        cases.append((random_matrix(rng, nrows, ncols, bound=bound), ncols))
+
+    # the kernels themselves, at limits that trip the guard early, midway
+    # or not at all: the same rows and the same decision to give up
+    outcomes = set()
+    for m, ncols in cases:
+        prim = _elim._primitive_rows(m)
+        for limit in (0, 12, 40, _elim._growth_limit(prim, ncols)):
+            for ours, ref in (
+                (_elim._echelon_gcd, ref_echelon_gcd),
+                (_elim._rref_gcd, ref_rref_gcd),
+            ):
+                got = ours([list(r) for r in prim], ncols, limit)
+                assert got == ref([list(r) for r in prim], ncols, limit)
+                outcomes.add((limit, got is None))
+    assert (12, True) in outcomes and (12, False) in outcomes
+
+    def answers():
+        return [(_elim.echelon(m, ncols), _elim.rref(m, ncols)) for m, ncols in cases]
+
+    # the public functions, unforced and with the Bareiss fallback forced
+    # by a zero growth limit, against the same functions running the
+    # full-multiplier reference
+    for limit in (None, 0):
+        with monkeypatch.context() as patch:
+            if limit is not None:
+                patch.setattr(_elim, "_growth_limit", lambda m, ncols: limit)
+            ours = answers()
+            patch.setattr(_elim, "_echelon_gcd", ref_echelon_gcd)
+            patch.setattr(_elim, "_rref_gcd", ref_rref_gcd)
+            assert answers() == ours
 
 
 def test_empty_matrix_conventions():

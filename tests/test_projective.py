@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +44,15 @@ class TestCanonicalForm:
     def test_all_zero_rejected(self):
         with pytest.raises(HadaError):
             ProjPoint([0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "coords", [[True, 0, 1], [1.0, 2, 3]], ids=["bool", "float"]
+    )
+    def test_bad_coordinate_types_rejected(self, coords):
+        # bool is a subclass of int, so an int-only fast path must still
+        # send it to parse_rational
+        with pytest.raises(HadaError):
+            ProjPoint(coords)
 
     @given(coord_lists(3))
     def test_idempotent(self, coords):
@@ -191,6 +201,30 @@ class TestHyperplaneProduct:
             hyperplane_product(Hyperplane([1, 1, 1]), Hyperplane([1, 1, 1]))
         with pytest.raises(UnsupportedShapeError):
             hyperplane_product(Hyperplane([1, 1, 0, 0]), Hyperplane([0, 0, 1, 1]))
+
+    def test_every_small_support_pair_in_p3(self):
+        # every pair of supports of size <= 2 either has a closed form or
+        # is refused with the one "no closed form for these supports" error
+        supports = [s for size in (1, 2) for s in combinations(range(4), size)]
+        answered = refused = 0
+        for sup_h in supports:
+            for sup_k in supports:
+                a, b = [0] * 4, [0] * 4
+                for pos, i in enumerate(sup_h):
+                    a[i] = (2, -3)[pos]
+                for pos, i in enumerate(sup_k):
+                    b[i] = (5, 7)[pos]
+                try:
+                    got = hyperplane_product(Hyperplane(a), Hyperplane(b))
+                except UnsupportedShapeError as exc:
+                    assert str(exc).startswith("no closed form for these supports")
+                    assert len(set(sup_h) | set(sup_k)) > 2
+                    refused += 1
+                else:
+                    assert isinstance(got, (Hyperplane, LinearSubspace))
+                    answered += 1
+        # 16 coordinate pairs, 24 coordinate-binomial, 6 binomial on one pair
+        assert (answered, refused) == (46, 54)
 
     def test_soundness_on_sampled_points(self):
         # products of points of H and K satisfy the returned equation
