@@ -24,19 +24,35 @@ the fallback on the same input:
 
 * ``echelon`` is forward elimination only: rank, pivot columns and
   rows in echelon form.  Rank and pivots do not depend on the path
-  taken.  It skips the back substitution of ``rref``; ``rank`` is its
-  first component, and the per-degree ladder in ``hada.ideals`` reads
-  all three;
+  taken.  It skips the back substitution of ``rref``; ``rank`` falls
+  back on its first component, and the per-degree ladder in
+  ``hada.ideals`` reads all three;
 * ``rref`` also clears above every pivot.  Both paths normalize
   identically, so its result does not depend on the path taken: the
   reduced form is the unique primitive-integer RREF with positive
   pivots.  ``nullspace`` reads its kernel basis off that form.
+
+``rank`` first tries a modular certificate.  Reducing the entries mod
+the prime p = 2**61 - 1 is a ring map, so the rank mod p is at most the
+rank over Q, which is at most min(nrows, ncols).  When the rank mod p
+reaches min(nrows, ncols) it is therefore the exact rank; otherwise
+``rank`` runs ``echelon`` unchanged (growth guard and Bareiss fallback
+included).  The certificate is tried only when some entry is at least
+p in absolute value: below that, reduction shrinks no entry, and on a
+rank-deficient matrix both passes would be paid for.  Full-rank
+matrices with wide entries are common here: the evaluation matrix
+that confirms HF(tau + 1) = |X| and the span matrices of the generator
+count in ``hada.ideals`` (Moeller & Buchberger, 1982, use the same
+lower bound by reduction).
 
 ``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
 the frontend every other module calls.
 """
 
 from math import gcd
+
+# the modulus of the rank certificate in ``rank``, a Mersenne prime
+_PRIME = (1 << 61) - 1
 
 
 def _primitive(row):
@@ -166,8 +182,58 @@ def echelon(rows, ncols):
     return r, pivots, work[:r]
 
 
+def _has_wide_entry(rows):
+    """True when some entry is at least ``_PRIME`` in absolute value."""
+    return any(max(row) >= _PRIME or min(row) <= -_PRIME for row in rows if row)
+
+
+def _full_rank_mod_prime(rows, ncols):
+    """True when the matrix has rank min(nrows, ncols) modulo ``_PRIME``.
+
+    Forward elimination over GF(p); it gives up as soon as more columns
+    lack a pivot than that rank leaves room for.
+    """
+    p = _PRIME
+    m = [[x % p for x in row] for row in rows]
+    nrows = len(m)
+    target = min(nrows, ncols)
+    slack = ncols - target
+    r = 0
+    for c in range(ncols):
+        if r == target:
+            break
+        piv = -1
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv < 0:
+            slack -= 1
+            if slack < 0:
+                return False
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        inv = pow(row_r[c], -1, p)
+        tail_r = [x * inv % p for x in row_r[c + 1 :]]
+        for i in range(r + 1, nrows):
+            row_i = m[i]
+            q = row_i[c]
+            if q:
+                row_i[c + 1 :] = [(x - q * y) % p for x, y in zip(row_i[c + 1 :], tail_r)]
+        r += 1
+    return r == target
+
+
 def rank(rows, ncols):
-    """Rank of an integer matrix, by fraction-free elimination."""
+    """Exact rank of an integer matrix.
+
+    Certified modulo ``_PRIME`` when some entry is that wide and the
+    matrix has full rank; otherwise by fraction-free elimination.
+    """
+    if _has_wide_entry(rows) and _full_rank_mod_prime(rows, ncols):
+        return min(len(rows), ncols)
     return echelon(rows, ncols)[0]
 
 

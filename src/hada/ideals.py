@@ -20,16 +20,29 @@ per-set degree ladder that eliminates each E_t once, forward only:
   l-divisible columns of E_t come first and the last columns are the
   monomials of S = R/(l), a ring with one variable fewer;
 * the l-divisible columns of E_t, in order, are l times the degree-(t-1)
-  monomials, so they equal D * E_(t-1) with D = diag(l(p)).  The ladder
-  therefore builds the row of a point p in degree t as l(p) times its
-  row in degree t-1, followed by the degree-t monomials of S evaluated
-  at (p1, ..., pn); only those last columns are evaluated afresh;
-* the echelon rows of E_t whose pivot lies among the S columns,
+  monomials, so they equal D * E_(t-1) with D = diag(l(p)).  D is an
+  invertible row scaling, so only the pivot columns of E_(t-1) can
+  carry rank: the ladder eliminates E'_t = [D * E'_(t-1)[:, pivots] |
+  degree-t monomials of S], with E'_0 = E_0.  E'_t has the column space
+  of E_t (by induction), hence its rank, the pivots among the S columns
+  and the S-parts of the row vectors that vanish on the first block;
+  it has HF(t-1) + C(t+n-1, n-1) columns instead of C(t+n, n).  The row
+  of a point p in degree t is l(p) times its pivot entries in degree
+  t-1, followed by the degree-t monomials of S evaluated at
+  (p1, ..., pn); only those last columns are evaluated afresh;
+* the echelon rows of E'_t whose pivot lies among the S columns,
   restricted to those columns, form a matrix Z_t whose kernel J_t is
-  the image of I_t in S_t;
+  the image of I_t in S_t.  It has the row space of the Z_t that the
+  full E_t would give, so the canonical kernel basis of J_t does not
+  depend on the narrowing;
 * minimal generators of I in degree t are then minimal generators of
   J = (I + l)/l, counted as dim J_t minus the rank of S_1 * J_(t-1).
-  Beyond the regularity index tau, J_(tau+1) = S_(tau+1) and no
+  That span lies in J_t = ker Z_t, and Z_t is in echelon form, so its
+  projection onto the free (non-pivot) columns of Z_t is injective:
+  the rank is taken on those dim J_t columns alone.  In a degree with
+  no new generator the projected matrix has full column rank, which
+  ``hada._elim.rank`` certifies modulo a prime.  Beyond the regularity
+  index tau, J_(tau+1) = S_(tau+1) (every column is free) and no
   generator is new in any higher degree.
 
 The ladder of a set is built on the first profile question asked of
@@ -38,11 +51,12 @@ it, always up to tau (at most |X| - 1), and stored on the
 ladder.  Storing it is safe: a ``PointSet`` is never mutated, and the
 Hilbert function and the generator counts do not depend on the order
 of the points.  The ladder still confirms HF(tau + 1) = |X| with one
-direct elimination of E_(tau+1), although that cannot fail: the
-l-divisible columns of E_(tau+1) are D * E_tau with D = diag(l(p))
-invertible, so the rank stays |X|.  The benchmark's tracer test
+rank of the full E_(tau+1) (certified modulo a prime when its entries
+are that wide), although that cannot fail: the l-divisible columns of
+E_(tau+1) are D * E_tau with D = diag(l(p)) invertible, so the rank
+stays |X|.  The benchmark's tracer test
 (``perfbench/tests/test_perfbench.py``) asserts the shape of that
-elimination, so dropping it waits for a change to the benchmark.
+rank, so dropping it waits for a change to the benchmark.
 
 Single-degree questions (``hilbert_function``, ``ideal_dimension``,
 ``degree_bounded_ideal``) eliminate E_t of the given points directly.
@@ -124,13 +138,15 @@ class _Ladder:
 
     ``values[t]`` is HF(t) for t = 0 .. tau + 1, where ``tau`` is the
     least degree whose value reaches the cardinality.  ``reduced[t]``
-    holds the rows of Z_t, whose kernel is J_t, for t <= tau.
+    holds the rows of Z_t, whose kernel is J_t, and ``free[t]`` the
+    columns of Z_t that hold no pivot, for t <= tau.
     """
 
     cardinality: int
     values: tuple[int, ...]
     tau: int
     reduced: tuple[list, ...]
+    free: tuple[tuple[int, ...], ...]
 
     def value(self, t: int) -> int:
         """HF(t) in any degree t >= 0."""
@@ -141,10 +157,11 @@ def _ladder(points: PointSet) -> _Ladder:
     """The degree ladder of the set, eliminated on first use and then
     read from the set.
 
-    E_t is built from E_(t-1) as the module docstring describes and
-    eliminated once for t = 0 .. tau.  HF(tau + 1) = |X| is then
-    confirmed by a direct elimination of E_(tau+1); the module
-    docstring says why that cannot fail and why it stays for now.
+    E'_t is built from the pivot columns of E'_(t-1) as the module
+    docstring describes and eliminated once for t = 0 .. tau.
+    HF(tau + 1) = |X| is then confirmed by a rank of the full E_(tau+1);
+    the module docstring says why that cannot fail and why it stays for
+    now.
     """
     if points._ladder is not None:
         return points._ladder
@@ -157,20 +174,26 @@ def _ladder(points: PointSet) -> _Ladder:
     tails = [p.coords[1:] for p in points]
     values: list[int] = []
     reduced = []
+    free = []
     matrix = [[1] for _ in points]
+    pivots: list[int] = []
     t = 0
     while True:
-        split = _divisible_count(n, t)
+        split = len(pivots)
         if t:
-            # E_t = [diag(l(p)) * E_(t-1) | degree-t monomials of S]
+            # E'_t = [diag(l(p)) * E'_(t-1)[:, pivots] | degree-t monomials of S]
             s_monos = monomials(n, t)
             matrix = [
-                [lp * v for v in row] + [evaluate_monomial(e, tail) for e in s_monos]
+                [lp * row[j] for j in pivots]
+                + [evaluate_monomial(e, tail) for e in s_monos]
                 for lp, tail, row in zip(lvalues, tails, matrix)
             ]
-        rank, pivots, rows = linalg.echelon_of(matrix, comb(t + n, n))
+        width = len(matrix[0])
+        rank, pivots, rows = linalg.echelon_of(matrix, width)
         values.append(rank)
         reduced.append([row[split:] for row, col in zip(rows, pivots) if col >= split])
+        z_pivots = {col - split for col in pivots if col >= split}
+        free.append(tuple(j for j in range(width - split) if j not in z_pivots))
         if rank == card:
             break
         if t > 0 and rank <= values[t - 1]:
@@ -180,7 +203,11 @@ def _ladder(points: PointSet) -> _Ladder:
     if values[-1] != card:
         raise HadaError("Hilbert function failed to stay at the cardinality")
     points._ladder = _Ladder(
-        cardinality=card, values=tuple(values), tau=t, reduced=tuple(reduced)
+        cardinality=card,
+        values=tuple(values),
+        tau=t,
+        reduced=tuple(reduced),
+        free=tuple(free),
     )
     return points._ladder
 
@@ -305,12 +332,16 @@ class GeneratorProfile:
 
 
 def _shift_vector(vector, monos_from, index_of, var):
+    """The vector times the variable ``var``, on the monomials in
+    ``index_of``; coefficients of other monomials are dropped."""
     out = [0] * len(index_of)
     for coeff, expo in zip(vector, monos_from):
         if coeff:
             e = list(expo)
             e[var] += 1
-            out[index_of[tuple(e)]] += coeff
+            i = index_of.get(tuple(e))
+            if i is not None:
+                out[i] += coeff
     return out
 
 
@@ -320,7 +351,9 @@ def generator_profile(points: PointSet, max_degree: Optional[int] = None):
     The count is taken in the Artinian reduction S = R/(l) of the
     module docstring: new generators in degree t are dim J_t minus the
     rank of the span of (variable of S times J_(t-1)), with J_t read
-    off the degree ladder.  Because l is a nonzerodivisor on R/I, these
+    off the degree ladder.  The span lies in J_t, so its rank is taken
+    on the dim J_t free columns of Z_t, where the projection is
+    injective.  Because l is a nonzerodivisor on R/I, these
     are the minimal generator counts of I itself (Eisenbud, *The
     Geometry of Syzygies*, 2005, ch. 4).  Ideals of finite point sets
     are generated in degrees up to tau + 1, the default bound; above
@@ -342,18 +375,20 @@ def generator_profile(points: PointSet, max_degree: Optional[int] = None):
         new = 0
         if t <= last:
             s_monos = monos[_divisible_count(n, t) :]
-            dim_j = len(s_monos)
-            if t < len(ladder.reduced):
-                dim_j -= len(ladder.reduced[t])
+            if t < len(ladder.free):
+                free = ladder.free[t]
+            else:
+                free = range(len(s_monos))
+            dim_j = len(free)
             span_rank = 0
             if prev_basis:
-                index_of = {e: i for i, e in enumerate(s_monos)}
+                index_of = {s_monos[j]: i for i, j in enumerate(free)}
                 span_rows = [
                     _shift_vector(v, prev_monos, index_of, var)
                     for v in prev_basis
                     for var in range(1, nvars)
                 ]
-                span_rank = linalg.rank_of(span_rows, len(s_monos))
+                span_rank = linalg.rank_of(span_rows, dim_j)
             new = dim_j - span_rank
             if t < last:
                 prev_basis = linalg.kernel_basis(ladder.reduced[t], len(s_monos))

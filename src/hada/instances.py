@@ -97,16 +97,16 @@ def parse_instance_dict(data: dict) -> Instance:
                 raise InstanceError(
                     f"{where}: plane pairs need space 3 and keys H, K"
                 )
+            h = _coords(value["H"], 4, where + ".H")
+            k = _coords(value["K"], 4, where + ".K")
             try:
-                inst.lines3[name] = Line3(
-                    Hyperplane(_coords(value["H"], 4, where + ".H")),
-                    Hyperplane(_coords(value["K"], 4, where + ".K")),
-                )
+                inst.lines3[name] = Line3(Hyperplane(h), Hyperplane(k))
             except HadaError as exc:
                 raise InstanceError(f"{where}: {exc}") from None
         else:
+            coeffs = _coords(value, ncoords, where)
             try:
-                inst.lines[name] = Hyperplane(_coords(value, ncoords, where))
+                inst.lines[name] = Hyperplane(coeffs)
             except HadaError as exc:
                 raise InstanceError(f"{where}: {exc}") from None
 
@@ -119,8 +119,9 @@ def parse_instance_dict(data: dict) -> Instance:
             raise InstanceError(f"{where}: expected a nonempty list of points")
         pts = []
         for i, row in enumerate(rows):
+            coords = _coords(row, ncoords, f"{where}[{i}]")
             try:
-                pts.append(ProjPoint(_coords(row, ncoords, f"{where}[{i}]")))
+                pts.append(ProjPoint(coords))
             except HadaError as exc:
                 raise InstanceError(f"{where}[{i}]: {exc}") from None
         try:

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -21,18 +22,27 @@ from math import gcd
 from .errors import DimensionMismatch, HadaError, StratumError
 
 
+# an integer or a quotient of integers; exponent and decimal notations
+# are refused, since "1e100000" would build a 330 000-bit coordinate
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", re.ASCII)
+
+
 def parse_rational(value) -> Fraction:
-    """Exact rational from an int, Fraction or 'p/q' string."""
+    """Exact rational from an int, Fraction or integer or 'p/q' string."""
     if isinstance(value, bool):
         raise HadaError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise HadaError(f"malformed rational {value!r}: expected an integer or 'p/q'")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise HadaError(f"malformed rational {value!r}: {exc}") from None
-    raise HadaError(f"not a rational: {value!r} (floats are rejected)")
+    if isinstance(value, float):
+        raise HadaError(f"not a rational: {value!r} (floats are rejected)")
+    raise HadaError(f"not a rational: {value!r}")
 
 
 def canonical_coords(values) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,23 @@ def test_caps_are_input_errors(capsys, p3_file, argv):
     captured = capsys.readouterr()
     assert rc == 2
     assert "must be between 1 and" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("coordinate", ["1e100000", "1.5", "0x10", "1_000"])
+def test_only_integer_and_quotient_strings_are_coordinates(capsys, tmp_path, coordinate):
+    # "1e100000" is a 330 000-bit integer to Fraction; it must be refused
+    # before any arithmetic, not after a minute of it
+    doc = json.loads(json.dumps(GRID_DOC))
+    doc["points"]["X"][1][0] = coordinate
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    rc = main(["ci", "-i", str(path), "--product", "X,Xp"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert rc == 2 and elapsed < 1.0
+    assert f"points.X[1][0]: malformed rational {coordinate!r}" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
 
@@ -320,7 +338,9 @@ json_junk = st.recursive(
     | st.dictionaries(st.text(max_size=2), inner, max_size=3),
     max_leaves=6,
 )
-junk_coordinate = st.sampled_from(["x", "1/0", "", "1/2", 1.5, True, None, [1], {}])
+junk_coordinate = st.sampled_from(
+    ["x", "1/0", "", "1/2", 1.5, True, None, [1], {}, "1e100000"]
+)
 
 
 @st.composite

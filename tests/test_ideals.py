@@ -26,7 +26,7 @@ from hada.ideals import (
 from hada.plane import grid_product_p2
 from hada.projective import Hyperplane, PointSet, ProjPoint, pairwise_products
 from hada.space import Line3, generic_skew_sample
-from support import frac_hilbert_values, frac_rank, span_rank_generators
+from support import frac_hilbert_values, frac_rank, frac_rref, span_rank_generators
 
 
 def collinear_points(m, dim=3):
@@ -346,6 +346,22 @@ def evaluation_shapes(points, top):
     return {(len(points), comb(t + n, n)) for t in range(top + 1)}
 
 
+def ladder_widths(n, values, tau):
+    """Columns of the ladder's E'_t for t = 0 .. tau: the HF(t-1) pivot
+    columns carried over from degree t-1, then the degree-t monomials of
+    S = R/(l), a ring in n variables."""
+    return [(values[t - 1] if t else 0) + comb(t + n - 1, n - 1) for t in range(tau + 1)]
+
+
+def j_dims(n, values, top):
+    """dim J_t for t = 0 .. top: the degree-t monomials of S minus the
+    t-th entry of the h-vector (zero above tau)."""
+    return [
+        comb(t + n - 1, n - 1) - (values[t] - (values[t - 1] if t else 0))
+        for t in range(top + 1)
+    ]
+
+
 def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
     # a fresh copy: earlier tests may have stored the ladder of PLANAR25
     points = PointSet(PLANAR25.points)
@@ -353,13 +369,17 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
     assert ci_verdict(points).kind == "CI"
 
     tau, n = 8, 3
-    shapes = evaluation_shapes(points, tau + 1)
-    on_evaluation = [c for c in calls if c[1:] in shapes]
-    assert on_evaluation == [("echelon_of", 25, comb(t + n, n)) for t in range(tau + 1)] + [
-        ("rank_of", 25, comb(tau + 1 + n, n))
-    ]
-    others = [c for c in calls if c not in on_evaluation]
+    values = (1, 3, 6, 10, 15, 19, 22, 24, 25, 25)
+    echelons = [c for c in calls if c[0] == "echelon_of"]
+    assert echelons == [("echelon_of", 25, w) for w in ladder_widths(n, values, tau)]
+    # E_8 shrinks from 165 to 69 columns
+    assert echelons[8] == ("echelon_of", 25, 69) and comb(8 + n, n) == 165
+    # the one elimination of a full evaluation matrix confirms HF(tau + 1)
+    full = [c for c in calls if c[0] != "echelon_of" and c[1:] in evaluation_shapes(points, tau + 1)]
+    assert full == [("rank_of", 25, comb(tau + 1 + n, n))]
+    others = [c for c in calls if c[0] != "echelon_of" and c not in full]
     assert others and all(name in ("rank_of", "kernel_basis") for name, _, _ in others)
+    # widest: the span rank in degree tau + 1, where every column of S is free
     assert max(ncols for _, _, ncols in others) == comb(tau + n, n - 1)
 
 
@@ -373,16 +393,21 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
 
     tau, n = prof.tau, 3
     assert (tau, gens.max_degree, verdict.kind) == (4, 5, "NotCI")
-    on_evaluation = [c for c in calls if c[1:] in evaluation_shapes(points, tau + 1)]
-    assert on_evaluation == [("echelon_of", 25, comb(t + n, n)) for t in range(tau + 1)] + [
-        ("rank_of", 25, comb(tau + 1 + n, n))
+    echelons = [c for c in calls if c[0] == "echelon_of"]
+    assert echelons == [
+        ("echelon_of", 25, w) for w in ladder_widths(n, prof.values, tau)
     ]
+    full = [c for c in calls if c[0] != "echelon_of" and c[1:] in evaluation_shapes(points, tau + 1)]
+    assert full == [("rank_of", 25, comb(tau + 1 + n, n))]
 
 
 def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
-    # E_t is built from E_(t-1); it must be the plain evaluation matrix of
-    # the points in l-coordinates (l(p), p1, ..., pn).  The last set has
-    # a zero in every coordinate, so l is not x0 there
+    # E'_t is built from the pivot columns of E'_(t-1); it must be the
+    # plain evaluation matrix of the points in l-coordinates
+    # (l(p), p1, ..., pn), restricted to l times the monomials of the
+    # previous degree's pivot columns, then the monomials of S.  The
+    # pivots come from the Fraction oracle.  The last set has a zero in
+    # every coordinate, so l is not x0 there
     received = []
     original = linalg.echelon_of
 
@@ -396,17 +421,52 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         [[0, 1, 1, 1], [1, 0, 2, 1], [1, 3, 0, 1], [2, 1, 1, 0], [1, 2, 3, 4], [3, -1, 2, 5]]
     )
     sets = (pairwise_products(xs, xs2)[0], PointSet(PLANAR25.points), no_zero_free_coordinate)
+    narrowed = 0
     for points in sets:
         n = points.ambient_dim
         c = _linear_form_parameter(points)
         assert (c > 0) == (points is no_zero_free_coordinate)
         coords = [(_linear_form_value(c, p.coords),) + p.coords[1:] for p in points]
         received.clear()
-        tau = hilbert_profile(points).tau
-        assert len(received) == tau + 1
+        prof = hilbert_profile(points)
+        assert len(received) == prof.tau + 1
+        columns = []  # exponents, in l-coordinates, of the columns of E'_t
         for t, (rows, ncols) in enumerate(received):
-            assert ncols == comb(t + n, n)
-            assert rows == _evaluation_matrix(coords, n + 1, t)
+            if t:
+                pivots = frac_rref(received[t - 1][0], received[t - 1][1])[1]
+                columns = [(columns[j][0] + 1,) + columns[j][1:] for j in pivots]
+            columns += [e for e in monomials(n + 1, t) if e[0] == 0]
+            assert ncols == len(columns) == ladder_widths(n, prof.values, prof.tau)[t]
+            full = _evaluation_matrix(coords, n + 1, t)
+            index_of = {e: i for i, e in enumerate(monomials(n + 1, t))}
+            assert rows == [[row[index_of[e]] for e in columns] for row in full]
+            narrowed += ncols < comb(t + n, n)
+    # degrees 3..4 of the grid and 2..8 of the planar set drop columns
+    assert narrowed == 9
+
+
+def test_span_ranks_take_dim_j_columns(monkeypatch):
+    # S_1 * J_(t-1) lies in J_t; its rank is taken on the dim J_t free
+    # columns of Z_t, with one row per variable of S and basis vector of
+    # J_(t-1)
+    _, _, xs, xs2 = generic_skew_sample(5, 5, 4646)
+    sets = (
+        PointSet(PLANAR25.points),
+        pairwise_products(xs, xs2)[0],
+        PointSet(GRID2.points),
+        PointSet(GRID3.points),
+        PointSet.from_coords([[1, 2, 3]]),
+    )
+    for points in sets:
+        n = points.ambient_dim
+        prof = hilbert_profile(points)
+        top = prof.tau + 1
+        dims = j_dims(n, prof.values, top)
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            generator_profile(points)
+        expected = [("rank_of", n * dims[t - 1], dims[t]) for t in range(1, top + 1) if dims[t - 1]]
+        assert [c for c in calls if c[0] != "kernel_basis"] == expected
 
 
 def test_hf_product_check_reads_stored_factor_ladders(monkeypatch):
@@ -418,11 +478,17 @@ def test_hf_product_check_reads_stored_factor_ladders(monkeypatch):
     assert hf_product_check(xs, xs2, products).ok
     factor_shapes = evaluation_shapes(xs, len(xs))
     assert calls and not [c for c in calls if c[1:] in factor_shapes]
+    # ladder eliminations no longer have the evaluation shapes: every
+    # one must be of the product set
+    assert all(rows == len(products) for name, rows, _ in calls if name == "echelon_of")
 
 
 def test_unknown_ci_verdict_counts_no_generators(monkeypatch):
     points = PointSet(GRID2.points)
     calls = spy_linalg(monkeypatch)
     assert ci_verdict(points, max_degree=2).kind == "Unknown"
-    shapes = evaluation_shapes(points, len(points))
-    assert calls and all(c[0] in ("echelon_of", "rank_of") and c[1:] in shapes for c in calls)
+    tau, n = 5, 2
+    values = (1, 3, 6, 9, 11, 12, 12)
+    assert calls == [("echelon_of", 12, w) for w in ladder_widths(n, values, tau)] + [
+        ("rank_of", 12, comb(tau + 1 + n, n))
+    ]

@@ -50,6 +50,34 @@ def test_zero_over_zero_rejected():
         parse_instance_dict({"space": 2, "points": {"P": [["0/0", "1", "2"]]}})
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"space": 2, "points": {"X": [[1, 2, 3], [None, 1, 1]]}},
+            "points.X[1][0]: not a rational: None",
+        ),
+        (
+            {"space": 2, "lines": {"L": [1, None, 1]}},
+            "lines.L[1]: not a rational: None",
+        ),
+        (
+            {"space": 3, "lines": {"M": {"H": [1, 1, None, 1], "K": [1, 2, 3, 4]}}},
+            "lines.M.H[2]: not a rational: None",
+        ),
+        (
+            {"space": 2, "points": {"X": [[1, 2, 3], [1, 1]]}},
+            "points.X[1]: expected 3 coordinates",
+        ),
+    ],
+    ids=["point", "line", "plane-pair", "length"],
+)
+def test_each_location_is_named_once(doc, message):
+    with pytest.raises(InstanceError) as info:
+        parse_instance_dict(doc)
+    assert str(info.value) == message
+
+
 def test_floats_rejected():
     with pytest.raises(InstanceError, match="floats"):
         parse_instance_dict({"space": 2, "points": {"P": [[0.5, 1, 2]]}})

@@ -212,6 +212,72 @@ def test_reduced_multipliers_match_full_multiplier_reference(monkeypatch):
             assert answers() == ours
 
 
+def spy_echelon(monkeypatch):
+    """Count the exact eliminations ``_elim.rank`` falls back on."""
+    calls = []
+    original = _elim.echelon
+
+    def wrapped(rows, ncols):
+        calls.append((len(rows), ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(_elim, "echelon", wrapped)
+    return calls
+
+
+def test_certified_rank_matches_fraction_oracle(monkeypatch):
+    # narrow entries (no modular pass), entries of at least 2**61 (the
+    # certificate or its fallback), full rank and rank-deficient
+    rng = random.Random(707)
+    calls = spy_echelon(monkeypatch)
+    certified = fallbacks = 0
+    for k in range(240):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        bound = (30, 2**64, 2**90)[k % 3]
+        if k % 2:
+            # a product through r < min(nrows, ncols) dimensions
+            r = rng.randint(1, max(min(nrows, ncols) - 1, 1))
+            a = random_matrix(rng, nrows, r, bound=bound, sparsity=0)
+            b = random_matrix(rng, r, ncols, bound=9)
+            m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        else:
+            m = random_matrix(rng, nrows, ncols, bound=bound)
+        wide = _elim._has_wide_entry(m)
+        before = len(calls)
+        rank = _elim.rank(m, ncols)
+        assert rank == frac_rank(m, ncols)
+        if not wide:
+            assert len(calls) == before + 1
+        elif len(calls) == before:
+            certified += 1
+            assert rank == min(nrows, ncols)
+        else:
+            fallbacks += 1
+            assert rank < min(nrows, ncols)
+    assert certified >= 40 and fallbacks >= 40
+
+
+def test_rank_dropping_mod_p_falls_back_to_exact_elimination(monkeypatch):
+    p = _elim._PRIME
+    calls = spy_echelon(monkeypatch)
+    assert _elim.rank([[p, 0], [0, 1]], 2) == 2
+    assert calls == [(2, 2)]
+    # a determinant divisible by p: full rank over Q, not mod p
+    assert _elim.rank([[p + 1, 1], [1, 1]], 2) == 2
+    assert _elim.rank([[2 * p, p], [3, 5], [1, 1]], 2) == 2
+    assert len(calls) == 2
+
+
+def test_confirmation_of_planar25_is_certified(monkeypatch):
+    from test_ideals import PLANAR25
+
+    rows = evaluation_rows(PLANAR25, 9)
+    assert _elim._has_wide_entry(rows)
+    calls = spy_echelon(monkeypatch)
+    assert linalg.rank_of(rows, comb(9 + 3, 3)) == 25
+    assert calls == []
+
+
 def test_empty_matrix_conventions():
     assert linalg.rank_of([], 4) == 0
     assert linalg.kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
