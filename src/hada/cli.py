@@ -19,6 +19,7 @@ or a random set size outside its cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -504,9 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InstanceError as exc:

@@ -48,7 +48,10 @@ per-set degree ladder that eliminates each E_t once, forward only:
 The ladder of a set is built on the first profile question asked of
 it, always up to tau (at most |X| - 1), and stored on the
 ``PointSet``; later questions, bounded ones included, read the stored
-ladder.  Storing it is safe: a ``PointSet`` is never mutated, and the
+ladder.  The generator counts through tau + 1 are stored on the ladder
+by the first generator question, so a ``ci_verdict`` after a
+``generator_profile`` computes no kernel and no span rank again.
+Storing both is safe: a ``PointSet`` is never mutated, and the
 Hilbert function and the generator counts do not depend on the order
 of the points.  The ladder still confirms HF(tau + 1) = |X| with one
 rank of the full E_(tau+1) (certified modulo a prime when its entries
@@ -132,14 +135,17 @@ def _linear_form_parameter(points: PointSet) -> int:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Ladder:
     """One forward elimination per degree of a point set.
 
     ``values[t]`` is HF(t) for t = 0 .. tau + 1, where ``tau`` is the
     least degree whose value reaches the cardinality.  ``reduced[t]``
     holds the rows of Z_t, whose kernel is J_t, and ``free[t]`` the
-    columns of Z_t that hold no pivot, for t <= tau.
+    columns of Z_t that hold no pivot, for t <= tau.  ``generators[t]``
+    is the number of new minimal generators in degree t for
+    t = 0 .. tau + 1; it is counted on the first generator question
+    and None until then.
     """
 
     cardinality: int
@@ -147,6 +153,7 @@ class _Ladder:
     tau: int
     reduced: tuple[list, ...]
     free: tuple[tuple[int, ...], ...]
+    generators: Optional[tuple[int, ...]] = None
 
     def value(self, t: int) -> int:
         """HF(t) in any degree t >= 0."""
@@ -345,62 +352,67 @@ def _shift_vector(vector, monos_from, index_of, var):
     return out
 
 
+def _generator_counts(ladder: _Ladder, n: int) -> tuple[int, ...]:
+    """New minimal generators in degrees 0 .. tau + 1, counted once per
+    ladder and stored on it.
+
+    New generators in degree t are dim J_t minus the rank of the span
+    of (variable of S times J_(t-1)).  The span lies in J_t, so its rank
+    is taken on the dim J_t free columns of Z_t, where the projection is
+    injective.  J_(tau+1) = S_(tau+1): every column is free.
+    """
+    if ladder.generators is not None:
+        return ladder.generators
+    nvars = n + 1
+    counts = []
+    prev_basis: list = []
+    prev_monos = ()
+    for t in range(ladder.tau + 2):
+        s_monos = monomials(nvars, t)[_divisible_count(n, t) :]
+        free = ladder.free[t] if t <= ladder.tau else range(len(s_monos))
+        span_rank = 0
+        if prev_basis:
+            index_of = {s_monos[j]: i for i, j in enumerate(free)}
+            span_rows = [
+                _shift_vector(v, prev_monos, index_of, var)
+                for v in prev_basis
+                for var in range(1, nvars)
+            ]
+            span_rank = linalg.rank_of(span_rows, len(free))
+        counts.append(len(free) - span_rank)
+        if t <= ladder.tau:
+            prev_basis = linalg.kernel_basis(ladder.reduced[t], len(s_monos))
+            prev_monos = s_monos
+    ladder.generators = tuple(counts)
+    return ladder.generators
+
+
 def generator_profile(points: PointSet, max_degree: Optional[int] = None):
     """Count minimal generators per degree.
 
     The count is taken in the Artinian reduction S = R/(l) of the
-    module docstring: new generators in degree t are dim J_t minus the
-    rank of the span of (variable of S times J_(t-1)), with J_t read
-    off the degree ladder.  The span lies in J_t, so its rank is taken
-    on the dim J_t free columns of Z_t, where the projection is
-    injective.  Because l is a nonzerodivisor on R/I, these
-    are the minimal generator counts of I itself (Eisenbud, *The
-    Geometry of Syzygies*, 2005, ch. 4).  Ideals of finite point sets
-    are generated in degrees up to tau + 1, the default bound; above
-    it no degree is eliminated and the count is zero.
+    module docstring and stored with the degree ladder, so a later
+    question of the same set, bounded or not, eliminates nothing.
+    Because l is a nonzerodivisor on R/I, these are the minimal
+    generator counts of I itself (Eisenbud, *The Geometry of
+    Syzygies*, 2005, ch. 4).  Ideals of finite point sets are generated
+    in degrees up to tau + 1, the default bound; above it the count is
+    zero.
     """
     n = points.ambient_dim
-    nvars = n + 1
     ladder = _ladder(points)
     if max_degree is None:
         max_degree = ladder.tau + 1
-    # the ladder stops at tau; J_(tau+1) = S_(tau+1), and no generator is
-    # new above tau + 1
-    last = min(max_degree, len(ladder.reduced))
-    entries = []
-    prev_basis: list = []
-    prev_monos = ()
-    for t in range(max_degree + 1):
-        monos = monomials(nvars, t)
-        new = 0
-        if t <= last:
-            s_monos = monos[_divisible_count(n, t) :]
-            if t < len(ladder.free):
-                free = ladder.free[t]
-            else:
-                free = range(len(s_monos))
-            dim_j = len(free)
-            span_rank = 0
-            if prev_basis:
-                index_of = {s_monos[j]: i for i, j in enumerate(free)}
-                span_rows = [
-                    _shift_vector(v, prev_monos, index_of, var)
-                    for v in prev_basis
-                    for var in range(1, nvars)
-                ]
-                span_rank = linalg.rank_of(span_rows, dim_j)
-            new = dim_j - span_rank
-            if t < last:
-                prev_basis = linalg.kernel_basis(ladder.reduced[t], len(s_monos))
-                prev_monos = s_monos
-        entries.append(
-            GeneratorDegree(
-                degree=t,
-                ideal_dim=len(monos) - ladder.value(t),
-                new_generators=new,
-            )
+    counts = _generator_counts(ladder, n)
+    entries = tuple(
+        GeneratorDegree(
+            degree=t,
+            ideal_dim=comb(t + n, n) - ladder.value(t),
+            new_generators=counts[t] if t < len(counts) else 0,
         )
-    return GeneratorProfile(entries=tuple(entries), max_degree=max_degree)
+        for t in range(max_degree + 1)
+    )
+    return GeneratorProfile(entries=entries, max_degree=max_degree)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,22 @@
 
 A line is stored as an ordered pair of planes, because every
 hypothesis in this part of the theory is phrased through the dual
-points of those planes.  Products of a point with a line intersect the
-two transformed planes; products of two finite collinear sets form a
-grid exactly when a 4x4 rank condition holds for every cross pair, and
-the grid then lies on a quadric carrying the two rulings of product
-lines.  The quadric itself, and any degree-bounded part of the ideal
-of a product of two lines, is recovered exactly from the products of
-a (d+1) x (d+1) grid of points on the two lines.
+points of those planes, together with its dual Plücker vector: the six
+2x2 minors q_ij = a_i*b_j - a_j*b_i of the plane pair (a; b), made
+primitive.  That vector names the line whatever pair is given, and
+every line-line question is a closed form in it (Hodge & Pedoe,
+*Methods of Algebraic Geometry* I, 1947, ch. VII; Pottmann & Wallner,
+*Computational Line Geometry*, 2001, ch. 2): two lines are equal when
+their vectors are, and they meet when the pairing of the vectors,
+which is det[a; b; a'; b'], vanishes.
+
+Products of a point with a line intersect the two transformed planes;
+products of two finite collinear sets form a grid exactly when a 4x4
+rank condition holds for every cross pair, and the grid then lies on a
+quadric carrying the two rulings of product lines.  The quadric
+itself, and any degree-bounded part of the ideal of a product of two
+lines, is recovered exactly from the products of a (d+1) x (d+1) grid
+of points on the two lines.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from . import linalg, sampling
@@ -43,18 +53,58 @@ from .projective import (
 MAX_IMPLICIT_DEGREE = 6
 
 
-class Line3:
-    """A line in P^3 as an ordered pair of distinct planes."""
+# Index pairs (i, j) of the Plücker coordinates q_ij, in the order of Line3.q.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_POSITION = {pair: n for n, pair in enumerate(_PAIRS)}
 
-    __slots__ = ("h", "k")
+
+def _minor(q, i: int, j: int) -> int:
+    """q_ij for any i != j, with q_ji = -q_ij."""
+    return q[_POSITION[i, j]] if i < j else -q[_POSITION[j, i]]
+
+
+def _pairing(q, r) -> int:
+    """The Plücker pairing sum of +-q_ij * r_kl over complementary pairs
+    {i, j}, {k, l}: up to the scale of q and r, det[a; b; a'; b']."""
+    return (
+        q[0] * r[5] - q[1] * r[4] + q[2] * r[3]
+        + q[3] * r[2] - q[4] * r[1] + q[5] * r[0]
+    )
+
+
+def _proportional(u, v) -> bool:
+    """True when the nonzero vector ``v`` is a multiple of the nonzero
+    vector ``u``."""
+    i = next(i for i, x in enumerate(u) if x)
+    return all(x * v[i] == y * u[i] for x, y in zip(u, v))
+
+
+class Line3:
+    """A line in P^3 as an ordered pair of distinct planes.
+
+    ``q`` is the dual Plücker vector of the pair (a; b) of plane duals:
+    q_ij = a_i*b_j - a_j*b_i over the pairs 01, 02, 03, 12, 13, 23, made
+    primitive with its first nonzero entry positive.  It is zero exactly
+    when the planes coincide, and any other pair of planes through the
+    line scales it by a nonzero constant, so it identifies the line.
+    """
+
+    __slots__ = ("h", "k", "q", "_basis")
 
     def __init__(self, h: Hyperplane, k: Hyperplane):
         if h.ambient_dim != 3 or k.ambient_dim != 3:
             raise DimensionMismatch("plane pair must live in P^3")
-        if linalg.rank_of([h.dual.coords, k.dual.coords], 4) != 2:
+        a, b = h.dual.coords, k.dual.coords
+        q = [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
+        if not any(q):
             raise HadaError("planes coincide; they do not cut out a line")
+        g = gcd(*q)
+        if next(x for x in q if x) < 0:
+            g = -g
         self.h = h
         self.k = k
+        self.q = tuple(x // g for x in q)
+        self._basis = None
 
     @property
     def duals(self) -> tuple[ProjPoint, ProjPoint]:
@@ -64,13 +114,35 @@ class Line3:
         return self.h.contains(p) and self.k.contains(p)
 
     def basis_points(self) -> tuple[ProjPoint, ProjPoint]:
-        b = sampling.solution_basis([self.h.dual.coords, self.k.dual.coords], 4)
-        return b[0], b[1]
+        """The kernel basis of the dual matrix [a; b] that
+        ``sampling.solution_basis`` returns, by Cramer's rule.
+
+        The reduced echelon form of [a; b] has its pivots in the first
+        nonzero column c1 and the first column c2 > c1 with q_(c1 c2)
+        nonzero.  The kernel vector of a free column f has x_f = q_(c1 c2),
+        x_c1 = -q_(f c2), x_c2 = -q_(c1 f) and zeros elsewhere; the
+        free columns come in increasing order.
+        """
+        if self._basis is None:
+            a, b = self.h.dual.coords, self.k.dual.coords
+            q = self.q
+            c1 = next(i for i in range(4) if a[i] or b[i])
+            c2 = next(j for j in range(c1 + 1, 4) if _minor(q, c1, j))
+            points = []
+            for f in range(4):
+                if f in (c1, c2):
+                    continue
+                x = [0] * 4
+                x[f] = _minor(q, c1, c2)
+                x[c1] = -_minor(q, f, c2)
+                x[c2] = -_minor(q, c1, f)
+                points.append(ProjPoint(x))
+            self._basis = (points[0], points[1])
+        return self._basis
 
     def canonical_key(self):
         """Key identifying the line independently of the plane pair."""
-        _, _, red = linalg.rref_of([self.h.dual.coords, self.k.dual.coords], 4)
-        return tuple(red)
+        return self.q
 
     def meets_coordinate_points(self) -> bool:
         a, b = self.h.dual.coords, self.k.dual.coords
@@ -79,40 +151,43 @@ class Line3:
     def avoids_two_zero_locus(self) -> bool:
         """True when no point of the line has two zero coordinates,
         i.e. all six 2x2 minors of the dual matrix are nonzero."""
-        a, b = self.h.dual.coords, self.k.dual.coords
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if a[i] * b[j] - a[j] * b[i] == 0:
-                    return False
-        return True
+        return all(self.q)
 
     def __eq__(self, other):
         if not isinstance(other, Line3):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return self.q == other.q
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash(self.q)
 
     def __repr__(self):
         return f"Line3({self.h!r}, {self.k!r})"
 
 
+def _meet(l1: Line3, l2: Line3) -> bool:
+    """True when the lines share a point (equal lines included)."""
+    return _pairing(l1.q, l2.q) == 0
+
+
 def line_intersection(l1: Line3, l2: Line3):
     """Common point of two lines: a point, None when disjoint, or the
-    whole line when they coincide."""
-    rows = [
-        l1.h.dual.coords,
-        l1.k.dual.coords,
-        l2.h.dual.coords,
-        l2.k.dual.coords,
-    ]
-    basis = linalg.kernel_basis(rows, 4)
-    if not basis:
+    whole line when they coincide.
+
+    Distinct meeting lines meet where the line through the basis points
+    x, y of ``l1`` crosses a plane h of ``l2`` that does not contain
+    ``l1``: at x*h(y) - y*h(x).
+    """
+    if l1.q == l2.q:
+        return l1
+    if not _meet(l1, l2):
         return None
-    if len(basis) == 1:
-        return ProjPoint(basis[0])
-    return l1
+    x, y = l1.basis_points()
+    hx, hy = l2.h.evaluate(x), l2.h.evaluate(y)
+    if not (hx or hy):
+        # l1 lies in the first plane of l2, so not in the second
+        hx, hy = l2.k.evaluate(x), l2.k.evaluate(y)
+    return ProjPoint([u * hy - v * hx for u, v in zip(x.coords, y.coords)])
 
 
 def point_line_product_p3(p: ProjPoint, line: Line3) -> Line3:
@@ -142,7 +217,14 @@ def rank_condition(
     line: Line3, line2: Line3, p: ProjPoint, p2: ProjPoint
 ) -> RankCertificate:
     """Exact rank of the 4x4 matrix deciding whether the two product
-    lines through P and P' are distinct (rank 3) or equal (rank 2)."""
+    lines through P and P' are distinct (rank 3) or equal (rank 2).
+
+    The rank is read off Plücker coordinates.  The 2x2 minors of
+    [a*P; b*P] are q_ij * p_i * p_j, so the two row pairs span the same
+    subspace of Q^4 exactly when q o (p_i p_j) and q' o (p'_i p'_j) are
+    proportional: then the rank is 2, otherwise 3.  It is never 4:
+    a.P = b.P = 0 says that every row annihilates (1, 1, 1, 1).
+    """
     for nm, l, q in (("first", line, p), ("second", line2, p2)):
         for d in l.duals:
             if d.delta_level < 3:
@@ -156,7 +238,9 @@ def rank_condition(
     rows = []
     for dual, pt in ((a, p), (b, p), (a2, p2), (b2, p2)):
         rows.append(tuple(x * y for x, y in zip(dual.coords, pt.coords)))
-    return RankCertificate(rows=tuple(rows), rank=linalg.rank_of(rows, 4))
+    u = [x * p.coords[i] * p.coords[j] for x, (i, j) in zip(line.q, _PAIRS)]
+    v = [x * p2.coords[i] * p2.coords[j] for x, (i, j) in zip(line2.q, _PAIRS)]
+    return RankCertificate(rows=tuple(rows), rank=2 if _proportional(u, v) else 3)
 
 
 @dataclass(frozen=True)
@@ -225,8 +309,9 @@ def grid_product_p3(
         row = []
         for j, p2 in enumerate(xs2):
             pt = hadamard_points(p, p2)
-            meet = line_intersection(row_lines[i], col_lines[j])
-            if not isinstance(meet, ProjPoint) or meet != pt:
+            r, c = row_lines[i], col_lines[j]
+            # distinct lines through a common point meet in it alone
+            if r.q == c.q or not (r.contains(pt) and c.contains(pt)):
                 fail(
                     f"row {i} and column {j} do not meet exactly in the "
                     f"product point {pt}",
@@ -341,15 +426,13 @@ def ruling_check(quadric: Quadric3, rows, cols) -> RulingReport:
     for fam, lines in (("row", rows), ("column", cols)):
         for i in range(len(lines)):
             for j in range(i + 1, len(lines)):
-                meet = line_intersection(lines[i], lines[j])
-                if meet is not None:
+                if _meet(lines[i], lines[j]):
                     violations.append(f"{fam} lines {i} and {j} are not disjoint")
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
-            meet = line_intersection(r, c)
-            if meet is None:
+            if not _meet(r, c):
                 violations.append(f"row {i} and column {j} do not meet")
-            elif not isinstance(meet, ProjPoint):
+            elif r.q == c.q:
                 violations.append(f"row {i} and column {j} coincide")
     determinant = quadric.determinant()
     if determinant == 0:

@@ -17,7 +17,7 @@ from hada.projective import (
     ProjPoint,
     hadamard_points,
 )
-from hada import sampling
+from hada import linalg, sampling
 from hada.forms import evaluate_monomial, monomials
 from hada.plane import line_through
 
@@ -217,3 +217,38 @@ def brute_products(xs: PointSet, ys: PointSet):
             if r is not UNDEFINED and all(r != s for s in out):
                 out.append(r)
     return PointSet(sorted(out, key=lambda p: p.coords))
+
+
+# Line questions in P^3 by elimination on the stacked plane duals: the
+# references for the Plücker closed forms of ``hada.space``.
+
+
+def kernel_line_intersection(l1, l2):
+    """Common point of two lines from the kernel of their four plane
+    duals: a point, None when disjoint, or ``l1`` when they coincide."""
+    rows = [d.coords for d in l1.duals + l2.duals]
+    basis = linalg.kernel_basis(rows, 4)
+    if not basis:
+        return None
+    if len(basis) == 1:
+        return ProjPoint(basis[0])
+    return l1
+
+
+def kernel_rank(line, line2, p, p2):
+    """Rank of the stacked coordinatewise products (A*P, B*P, A'*P', B'*P')."""
+    rows = []
+    for dual, pt in ((line.h.dual, p), (line.k.dual, p), (line2.h.dual, p2), (line2.k.dual, p2)):
+        rows.append(tuple(x * y for x, y in zip(dual.coords, pt.coords)))
+    return linalg.rank_of(rows, 4)
+
+
+def kernel_basis_points(line):
+    b = sampling.solution_basis([d.coords for d in line.duals], 4)
+    return b[0], b[1]
+
+
+def rref_line_key(line):
+    """The reduced row echelon form of the plane duals: equal exactly for
+    equal lines."""
+    return tuple(linalg.rref_of([d.coords for d in line.duals], 4)[2])

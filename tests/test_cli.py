@@ -136,6 +136,49 @@ def test_quadric_and_implicitize(capsys, p3_file):
     assert rep["results"]["forms"] == [quadric]
 
 
+def test_one_parser_serves_back_to_back_calls(capsys, monkeypatch, grid_file, p3_file):
+    # main builds its parser once per process; calls in a row, with
+    # different subcommands and options left at their defaults after
+    # being set, must answer exactly as calls with a fresh parser
+    from hada import cli
+
+    argvs = [
+        ["random", "--space", "3", "--n", "4", "--seed", "5", "--json"],
+        ["grid", "-i", grid_file, "--x", "Xp", "--x2", "X", "--json"],  # off its line
+        ["hilbert", "-i", grid_file, "--set", "X", "--json"],
+        ["ci", "-i", grid_file, "--product", "X,Xp", "--json"],
+        ["grid", "-i", grid_file, "--json"],
+        ["random", "--json"],
+        ["quadric", "-i", p3_file, "--product", "X,Xp", "--json"],
+        ["implicitize", "-i", p3_file, "--degree", "2", "--json"],
+        ["hilbert", "-i", grid_file, "--bogus"],
+        ["classify", "--point", "0:1:1", "--line", "1:1:1", "--json"],
+    ]
+
+    def run(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        report = json.loads(out.out) if out.out else None
+        if report is not None:
+            report.pop("elapsed_ms")
+        return rc, report, out.err
+
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    builds = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or original())
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in argvs] == fresh
+    assert len(builds) == 1
+    assert [rc for rc, _, _ in fresh] == [0, 2, 0, 0, 0, 0, 0, 0, 2, 0]
+
+
 def test_implicitize_has_no_sampling_flags(capsys):
     with pytest.raises(SystemExit):
         main(["implicitize", "--help"])

@@ -401,6 +401,22 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
     assert full == [("rank_of", 25, comb(tau + 1 + n, n))]
 
 
+def test_second_generator_question_eliminates_nothing(monkeypatch):
+    # the counts through tau + 1 are stored with the ladder by the first
+    # question; a CI verdict and bounded profiles then only read them
+    _, _, xs, xs2 = generic_skew_sample(4, 4, 4747)
+    points = pairwise_products(xs, xs2)[0]
+    gens = generator_profile(points)
+    calls = spy_linalg(monkeypatch)
+    assert ci_verdict(points).witness_degrees == gens.witness_degrees()
+    assert generator_profile(points) == gens
+    for d in range(gens.max_degree + 3):
+        bounded = generator_profile(points, d)
+        assert bounded.entries[: gens.max_degree + 1] == gens.entries[: d + 1]
+        assert all(e.new_generators == 0 for e in bounded.entries[gens.max_degree + 1 :])
+    assert calls == []
+
+
 def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
     # E'_t is built from the pivot columns of E'_(t-1); it must be the
     # plain evaluation matrix of the points in l-coordinates

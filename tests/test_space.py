@@ -31,7 +31,13 @@ from hada.space import (
     variety_product_interpolate,
 )
 from hada import linalg, sampling
-from support import brute_products
+from support import (
+    brute_products,
+    kernel_basis_points,
+    kernel_line_intersection,
+    kernel_rank,
+    rref_line_key,
+)
 
 L_A = Line3(Hyperplane([1, -1, 1, 2]), Hyperplane([1, 2, -1, 1]))
 L_B = Line3(Hyperplane([1, 2, -2, 1]), Hyperplane([2, 2, 1, -4]))
@@ -387,6 +393,136 @@ class TestCoplanarContrapositive:
         from hada import linalg
 
         assert linalg.rank_of([p.coords for p in products], 4) == 3
+
+
+def small_plane(rng, full_support=False):
+    while True:
+        coeffs = [rng.randint(-3, 3) for _ in range(4)]
+        if all(coeffs) if full_support else any(coeffs):
+            return Hyperplane(coeffs)
+
+
+def small_line(rng, full_support=False):
+    while True:
+        try:
+            return Line3(small_plane(rng, full_support), small_plane(rng, full_support))
+        except HadaError:
+            continue
+
+
+def meeting_kind(meet):
+    if meet is None:
+        return "disjoint"
+    return "point" if isinstance(meet, ProjPoint) else "equal"
+
+
+class TestPluckerMatchesElimination:
+    """The Plücker closed forms against the elimination they replace,
+    on seeded lines with coefficients in -3..3."""
+
+    def line_pairs(self, rng):
+        for i in range(200):
+            l1, l2 = small_line(rng), small_line(rng)
+            yield l1, l2
+            if i % 5 == 0:
+                # the same line through another pair of its planes
+                a, b = l1.h.dual.coords, l1.k.dual.coords
+                yield l1, Line3(
+                    Hyperplane([x + y for x, y in zip(a, b)]),
+                    Hyperplane([x + 2 * y for x, y in zip(a, b)]),
+                )
+            # lines sharing a plane meet, in a point or along the line;
+            # the shared plane comes first or second in the other pair
+            h = l1.h
+            try:
+                yield l1, Line3(h, small_plane(rng))
+                yield Line3(small_plane(rng), h), l1
+            except HadaError:
+                pass
+        yield L_A, Line3(L_A.k, L_A.h)
+        yield AXIS, OTHER_AXIS
+        yield AXIS, AXIS
+
+    def test_line_questions(self):
+        rng = random.Random(5151)
+        kinds = {"disjoint": 0, "point": 0, "equal": 0}
+        late_pivot = 0
+        for l1, l2 in self.line_pairs(rng):
+            got = line_intersection(l1, l2)
+            want = kernel_line_intersection(l1, l2)
+            assert meeting_kind(got) == meeting_kind(want), (l1, l2)
+            if isinstance(want, ProjPoint):
+                assert got.coords == want.coords, (l1, l2)
+            else:
+                assert got is want or got == want
+            kinds[meeting_kind(got)] += 1
+            assert (l1.canonical_key() == l2.canonical_key()) == (
+                rref_line_key(l1) == rref_line_key(l2)
+            )
+            assert (l1 == l2) == (meeting_kind(got) == "equal")
+            for line in (l1, l2):
+                got_basis = tuple(p.coords for p in line.basis_points())
+                assert got_basis == tuple(p.coords for p in kernel_basis_points(line))
+                late_pivot += line.q[0] == 0
+                a, b = line.h.dual.coords, line.k.dual.coords
+                assert line.avoids_two_zero_locus() == all(
+                    a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)
+                )
+        assert min(kinds.values()) >= 40, kinds
+        assert late_pivot > 0
+
+    def test_rank_condition(self):
+        rng = random.Random(5252)
+        ranks = {2: 0, 3: 0}
+
+        def points_on(line):
+            basis = line.basis_points()
+            out = []
+            for w in sampling.FIXED_WEIGHTS:
+                p = sampling.combine(basis, w)
+                if p is not None and p.delta_level == 3:
+                    out.append(p)
+            return out[:3]
+
+        for _ in range(40):
+            line, line2 = small_line(rng, True), small_line(rng, True)
+            r = ProjPoint([rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(4)])
+            cases = [(line, line2, p, p2) for p in points_on(line) for p2 in points_on(line2)]
+            cases += [(line, line, p, p) for p in points_on(line)]
+            # the rows of (r o line, r o p) are those of (line, p) up to
+            # scale: rank 2 from two distinct lines
+            scaled = point_line_product_p3(r, line)
+            if all(d.delta_level == 3 for d in scaled.duals):
+                cases += [
+                    (line, scaled, p, ProjPoint([x * y for x, y in zip(r.coords, p.coords)]))
+                    for p in points_on(line)
+                ]
+            for case in cases:
+                rank = rank_condition(*case).rank
+                assert rank == kernel_rank(*case), case
+                ranks[rank] += 1
+        assert min(ranks.values()) >= 10, ranks
+
+
+def test_grid_and_rulings_do_no_elimination(monkeypatch):
+    line, line2, xs, xs2 = generic_skew_sample(5, 5, 6161)
+    (form,) = variety_product_interpolate(line, line2, 2)
+    quadric = Quadric3(form)
+
+    def forbid(name):
+        def spy(*args):
+            raise AssertionError(f"{name} called for a line question")
+
+        monkeypatch.setattr(linalg, name, spy)
+
+    for name in ("kernel_basis", "rref_of", "rank_of"):
+        forbid(name)
+    dets = []
+    original_det = linalg.det_of
+    monkeypatch.setattr(linalg, "det_of", lambda rows: dets.append(rows) or original_det(rows))
+    g = grid_product_p3(xs, xs2, line, line2)
+    assert ruling_check(quadric, g.row_lines, g.col_lines).ok
+    assert len(dets) == 1
 
 
 class TestGenericSkewSample:
