@@ -19,18 +19,19 @@ precision comes for free.  Two elimination strategies are combined:
 * the fallback is one-step fraction-free (Bareiss) elimination, whose
   entries are minors of the input and hence polynomially sized.
 
-``echelon`` and ``rref`` run the primary path and, if the guard trips,
-the fallback on the same input:
-
-* ``echelon`` is forward elimination only: rank, pivot columns and
-  rows in echelon form.  Rank and pivots do not depend on the path
-  taken.  It skips the back substitution of ``rref``; ``rank`` falls
-  back on its first component, and the per-degree ladder in
-  ``hada.ideals`` reads all three;
-* ``rref`` also clears above every pivot.  Both paths normalize
-  identically, so its result does not depend on the path taken: the
-  reduced form is the unique primitive-integer RREF with positive
-  pivots.  ``nullspace`` reads its kernel basis off that form.
+There is one forward pass.  ``echelon`` runs the primary path and, if
+the guard trips, the fallback on the same input; rank and pivots do not
+depend on the path taken, the echelon rows do.  ``rank`` falls back on
+its first component, and the per-degree ladder in ``hada.ideals`` reads
+all three.  ``rref`` is ``echelon`` followed by a back substitution that
+clears above every pivot, last pivot first.  It needs no second guard:
+each row it builds is, up to its content, a vector of minors of the
+echelon rows, which the guard or Bareiss already keep polynomially
+sized (``_back_substitute`` gives the argument; Nakos, Turner &
+Williams, SIGSAM Bull. 31, 1997, for the fraction-free background).
+Its result is the unique primitive-integer RREF with positive pivots,
+whichever path ``echelon`` took, and ``nullspace`` reads its kernel
+basis off that form.
 
 ``rank`` first tries a modular certificate.  Reducing the entries mod
 the prime p = 2**61 - 1 is a ring map, so the rank mod p is at most the
@@ -237,88 +238,39 @@ def rank(rows, ncols):
     return echelon(rows, ncols)[0]
 
 
-def _rref_gcd(m, ncols, limit):
-    nrows = len(m)
-    bound = 1 << limit
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        if row_r[c] < 0:
-            row_r[:] = [-x for x in row_r]
-        p = row_r[c]
-        for i in range(nrows):
-            if i == r:
-                continue
+def _back_substitute(rows, pivots):
+    """Primitive reduced rows, as tuples, from echelon rows.
+
+    The rows are made primitive, then cleared above every pivot from
+    the last to the first; each pivot entry is made positive first.
+    A row update divides its multipliers by gcd(p, q) and the row by
+    its content, as in ``_echelon_gcd``.
+
+    No growth guard is needed.  When row k is used it is already
+    reduced, so after the update each row i above it is, up to scale,
+    the unique vector of span(row_i, rows k..r-1) that vanishes at
+    pivots k..r-1.  By Cramer's rule its entries are minors of the
+    echelon rows, and after the content division they are at most
+    those minors.  The echelon rows are bounded by the growth guard
+    or are themselves minors of the input (Bareiss), so the entries
+    stay polynomially sized.
+    """
+    m = _primitive_rows(rows)
+    for k in range(len(pivots) - 1, -1, -1):
+        row_k = m[k]
+        c = pivots[k]
+        if row_k[c] < 0:
+            row_k[:] = [-x for x in row_k]
+        p = row_k[c]
+        for i in range(k):
             row_i = m[i]
             q = row_i[c]
             if q:
                 g = gcd(p, q)
                 a, b = p // g, q // g
-                row_i[:] = [x * a - b * y for x, y in zip(row_i, row_r)]
+                row_i[:] = [x * a - b * y for x, y in zip(row_i, row_k)]
                 _reduce_row(row_i)
-                if not _row_within(row_i, bound):
-                    return None
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, m
-
-
-def _rref_bareiss(m, ncols):
-    nrows = len(m)
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        p = row_r[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row_i = m[i]
-            q = row_i[c]
-            if q:
-                for j in range(ncols):
-                    row_i[j] = (row_i[j] * p - q * row_r[j]) // prev
-            elif p != prev:
-                for j in range(ncols):
-                    row_i[j] = row_i[j] * p // prev
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, m
-
-
-def _canonical_rows(m, pivots, r):
-    reduced = []
-    for i in range(r):
-        row = _primitive(m[i])
-        if row[pivots[i]] < 0:
-            row = [-x for x in row]
-        reduced.append(tuple(row))
-    return reduced
+    return [tuple(row) for row in m]
 
 
 def rref(rows, ncols):
@@ -326,14 +278,11 @@ def rref(rows, ncols):
 
     Returns ``(rank, pivots, reduced)`` where ``reduced`` holds the
     nonzero rows as tuples: primitive, positive pivot entry, zeros
-    above and below every pivot.
+    above and below every pivot.  This form is unique, so it does not
+    depend on the path ``echelon`` took.
     """
-    m = _primitive_rows(rows)
-    attempt = _rref_gcd([list(r) for r in m], ncols, _growth_limit(m, ncols))
-    if attempt is None:
-        attempt = _rref_bareiss(m, ncols)
-    r, pivots, work = attempt
-    return r, pivots, _canonical_rows(work, pivots, r)
+    r, pivots, rows = echelon(rows, ncols)
+    return r, pivots, _back_substitute(rows, pivots)
 
 
 def nullspace(rows, ncols):

@@ -135,14 +135,6 @@ class HomogeneousForm:
                 prod[e] = prod.get(e, 0) + c1 * c2
         return HomogeneousForm(self.nvars, prod)
 
-    def multiply_by_variable(self, index: int) -> "HomogeneousForm":
-        shifted = {}
-        for expo, c in self.coeffs.items():
-            e = list(expo)
-            e[index] += 1
-            shifted[tuple(e)] = c
-        return HomogeneousForm(self.nvars, shifted)
-
     def __eq__(self, other):
         if not isinstance(other, HomogeneousForm):
             return NotImplemented

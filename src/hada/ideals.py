@@ -53,11 +53,17 @@ by the first generator question, so a ``ci_verdict`` after a
 ``generator_profile`` computes no kernel and no span rank again.
 Storing both is safe: a ``PointSet`` is never mutated, and the
 Hilbert function and the generator counts do not depend on the order
-of the points.  The ladder still confirms HF(tau + 1) = |X| with one
-rank of the full E_(tau+1) (certified modulo a prime when its entries
-are that wide), although that cannot fail: the l-divisible columns of
-E_(tau+1) are D * E_tau with D = diag(l(p)) invertible, so the rank
-stays |X|.  The benchmark's tracer test
+of the points.
+
+The ladder needs no consistency checks.  HF rises strictly until it
+reaches |X|: its first differences are the h-vector of the Artinian
+reduction R/(I, l), a standard graded algebra, which has no internal
+zeros (once it is zero in degree t it is zero above, as it is generated
+in degree 1).  So the loop stops at tau <= |X| - 1.  The ladder still
+stores HF(tau + 1) from one rank of the full E_(tau+1) (certified
+modulo a prime when its entries are that wide), although that rank is
+|X|: the l-divisible columns of E_(tau+1) are D * E_tau with
+D = diag(l(p)) invertible.  The benchmark's tracer test
 (``perfbench/tests/test_perfbench.py``) asserts the shape of that
 rank, so dropping it waits for a change to the benchmark.
 
@@ -166,8 +172,8 @@ def _ladder(points: PointSet) -> _Ladder:
 
     E'_t is built from the pivot columns of E'_(t-1) as the module
     docstring describes and eliminated once for t = 0 .. tau.
-    HF(tau + 1) = |X| is then confirmed by a rank of the full E_(tau+1);
-    the module docstring says why that cannot fail and why it stays for
+    HF(tau + 1) is then read off a rank of the full E_(tau+1); the
+    module docstring says why that is |X| and why the rank stays for
     now.
     """
     if points._ladder is not None:
@@ -203,12 +209,8 @@ def _ladder(points: PointSet) -> _Ladder:
         free.append(tuple(j for j in range(width - split) if j not in z_pivots))
         if rank == card:
             break
-        if t > 0 and rank <= values[t - 1]:
-            raise HadaError("Hilbert function failed to increase strictly")
         t += 1
     values.append(hilbert_function(points, t + 1))
-    if values[-1] != card:
-        raise HadaError("Hilbert function failed to stay at the cardinality")
     points._ladder = _Ladder(
         cardinality=card,
         values=tuple(values),

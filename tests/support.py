@@ -58,11 +58,10 @@ def _ref_row_within(row, ncols, limit):
     return all(not x or x.bit_length() <= limit for x in row[:ncols])
 
 
-def ref_echelon_gcd(m, ncols, limit, full_rows=False):
+def ref_echelon_gcd(m, ncols, limit):
     """Reference for ``_elim._echelon_gcd``: the same content-division
     elimination with the full pivot values, row_i*p - q*row_r, and no
-    gcd(p, q) step.  ``full_rows`` also clears above each pivot, which
-    makes it the reference for ``_elim._rref_gcd``."""
+    gcd(p, q) step."""
     nrows = len(m)
     pivots = []
     r = 0
@@ -72,13 +71,11 @@ def ref_echelon_gcd(m, ncols, limit, full_rows=False):
             continue
         m[r], m[piv] = m[piv], m[r]
         row_r = m[r]
-        if full_rows and row_r[c] < 0:
-            row_r[:] = [-x for x in row_r]
         p = row_r[c]
-        for i in range(0 if full_rows else r + 1, nrows):
+        for i in range(r + 1, nrows):
             row_i = m[i]
             q = row_i[c]
-            if i == r or not q:
+            if not q:
                 continue
             for j in range(ncols):
                 row_i[j] = row_i[j] * p - q * row_r[j]
@@ -90,10 +87,6 @@ def ref_echelon_gcd(m, ncols, limit, full_rows=False):
         if r == nrows:
             break
     return r, pivots, m
-
-
-def ref_rref_gcd(m, ncols, limit):
-    return ref_echelon_gcd(m, ncols, limit, full_rows=True)
 
 
 def frac_rank(rows, ncols):
