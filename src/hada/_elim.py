@@ -22,8 +22,8 @@ precision comes for free.  Two elimination strategies are combined:
 There is one forward pass.  ``echelon`` runs the primary path and, if
 the guard trips, the fallback on the same input; rank and pivots do not
 depend on the path taken, the echelon rows do.  ``rank`` falls back on
-its first component, and the per-degree ladder in ``hada.ideals`` reads
-all three.  ``rref`` is ``echelon`` followed by a back substitution that
+its first component, and the degree ladder in ``hada.ideals`` reads all
+three.  ``rref`` is ``echelon`` followed by a back substitution that
 clears above every pivot, last pivot first.  It needs no second guard:
 each row it builds is, up to its content, a vector of minors of the
 echelon rows, which the guard or Bareiss already keep polynomially
@@ -40,11 +40,18 @@ reaches min(nrows, ncols) it is therefore the exact rank; otherwise
 ``rank`` runs ``echelon`` unchanged (growth guard and Bareiss fallback
 included).  The certificate is tried only when some entry is at least
 p in absolute value: below that, reduction shrinks no entry, and on a
-rank-deficient matrix both passes would be paid for.  Full-rank
-matrices with wide entries are common here: the evaluation matrix
-that confirms HF(tau + 1) = |X| and the span matrices of the generator
-count in ``hada.ideals`` (Moeller & Buchberger, 1982, use the same
-lower bound by reduction).
+rank-deficient matrix both passes would be paid for.  It walks the
+vectors along the longer side (rows of a tall matrix, columns of a
+wide one) into a ``ModBasis``, the one GF(p) routine here: an echelon
+basis that reduces each vector mod p only when it is added, so the
+walk stops at min(nrows, ncols) independent vectors without touching
+the rest.  Full-rank matrices with wide entries are common here: the
+evaluation matrix that confirms HF(tau + 1) = |X| and the span
+matrices of the generator count in ``hada.ideals`` (Moeller &
+Buchberger, 1982, use the same lower bound by reduction).  The degree
+ladder there also adds evaluation columns to a ``ModBasis`` to choose
+the one degree it eliminates exactly; the choice decides no answer,
+since every value it reports comes from that exact elimination.
 
 ``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
 the frontend every other module calls.
@@ -188,43 +195,62 @@ def _has_wide_entry(rows):
     return any(max(row) >= _PRIME or min(row) <= -_PRIME for row in rows if row)
 
 
+class ModBasis:
+    """Echelon basis of a growing subspace of GF(p)^k, p = ``_PRIME``.
+
+    Vectors are added one at a time and reduced modulo p only when
+    added.  A kept vector is stored from its pivot, its first nonzero
+    entry, on, scaled to 1 there; it is zero at the pivots of the vectors
+    kept before it, so one pass over the basis in order reduces a new
+    vector.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, vector) -> bool:
+        """Keep the vector if it is independent of the basis mod p;
+        return whether it was kept."""
+        p = _PRIME
+        v = [x % p for x in vector]
+        for j, tail in self.rows:
+            c = v[j]
+            if c:
+                v[j:] = [(x - c * y) % p for x, y in zip(v[j:], tail)]
+        j = next((j for j, x in enumerate(v) if x), -1)
+        if j < 0:
+            return False
+        inv = pow(v[j], -1, p)
+        self.rows.append((j, [x * inv % p for x in v[j:]]))
+        return True
+
+
 def _full_rank_mod_prime(rows, ncols):
     """True when the matrix has rank min(nrows, ncols) modulo ``_PRIME``.
 
-    Forward elimination over GF(p); it gives up as soon as more columns
-    lack a pivot than that rank leaves room for.
+    Walks the vectors along the longer side (the rows of a tall matrix,
+    the columns of a wide one) into a ``ModBasis``; it stops at
+    min(nrows, ncols) independent vectors, or as soon as the vectors
+    left cannot reach that many.
     """
-    p = _PRIME
-    m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
+    nrows = len(rows)
     target = min(nrows, ncols)
-    slack = ncols - target
-    r = 0
-    for c in range(ncols):
-        if r == target:
+    vectors = rows if nrows >= ncols else zip(*rows)
+    slack = max(nrows, ncols) - target
+    basis = ModBasis()
+    for v in vectors:
+        if len(basis) == target:
             break
-        piv = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv < 0:
+        if not basis.add(v):
             slack -= 1
             if slack < 0:
                 return False
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        inv = pow(row_r[c], -1, p)
-        tail_r = [x * inv % p for x in row_r[c + 1 :]]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            q = row_i[c]
-            if q:
-                row_i[c + 1 :] = [(x - q * y) % p for x, y in zip(row_i[c + 1 :], tail_r)]
-        r += 1
-    return r == target
+    return len(basis) == target
 
 
 def rank(rows, ncols):

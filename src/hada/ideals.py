@@ -8,7 +8,7 @@ matrix is the definition.
 
 Questions about a whole profile (``hilbert_profile``,
 ``generator_profile``, ``ci_verdict``, ``hf_product_check``) share one
-per-set degree ladder that eliminates each E_t once, forward only:
+per-set degree ladder, read off a single forward elimination:
 
 * choose l = x0 + c*x1 + ... + c^n*xn with the least c >= 0 for which
   l vanishes at no point.  Each point rules out at most n values of c.
@@ -17,24 +17,23 @@ per-set degree ladder that eliminates each E_t once, forward only:
   *The Geometry of Syzygies*, 2005, ch. 4);
 * change coordinates by the unimodular map x0 -> l, so that l is the
   first variable.  Monomials are in descending lex order, so the
-  l-divisible columns of E_t come first and the last columns are the
-  monomials of S = R/(l), a ring with one variable fewer;
-* the l-divisible columns of E_t, in order, are l times the degree-(t-1)
-  monomials, so they equal D * E_(t-1) with D = diag(l(p)).  D is an
-  invertible row scaling, so only the pivot columns of E_(t-1) can
-  carry rank: the ladder eliminates E'_t = [D * E'_(t-1)[:, pivots] |
-  degree-t monomials of S], with E'_0 = E_0.  E'_t has the column space
-  of E_t (by induction), hence its rank, the pivots among the S columns
-  and the S-parts of the row vectors that vanish on the first block;
-  it has HF(t-1) + C(t+n-1, n-1) columns instead of C(t+n, n).  The row
-  of a point p in degree t is l(p) times its pivot entries in degree
-  t-1, followed by the degree-t monomials of S evaluated at
-  (p1, ..., pn); only those last columns are evaluated afresh;
-* the echelon rows of E'_t whose pivot lies among the S columns,
-  restricted to those columns, form a matrix Z_t whose kernel J_t is
-  the image of I_t in S_t.  It has the row space of the Z_t that the
-  full E_t would give, so the canonical kernel basis of J_t does not
-  depend on the narrowing;
+  degree-d monomials fall into blocks t = 0 .. d, the monomials
+  l^(d-t) * s with s a degree-t monomial of S = R/(l), a ring with one
+  variable fewer.  With D = diag(l(p)) and S_t the degree-t monomials
+  of S evaluated at (p1, ..., pn),
+  E_d = [D^d * S_0 | D^(d-1) * S_1 | ... | S_d], and its leading
+  C(t+n, n) columns are D^(d-t) * E_t, an invertible row scaling of
+  E_t;
+* so one forward echelon of E_d with d >= tau answers every degree up
+  to d.  Pivots do not depend on later columns, and a row scaling keeps
+  column dependencies, so HF(t) is the number of pivots left of column
+  C(t+n, n), and tau is the least t where that number is |X|;
+* the echelon rows whose pivot lies in block t, restricted to block
+  t's columns, form a matrix Z_t whose kernel J_t is the image of I_t
+  in S_t.  Its row space is the block-t part of the row vectors of E_d
+  that vanish on blocks 0 .. t-1, which the scaling by D^(d-t) does not
+  change, so the canonical kernel basis of J_t, the free columns of
+  Z_t and every count below do not depend on d;
 * minimal generators of I in degree t are then minimal generators of
   J = (I + l)/l, counted as dim J_t minus the rank of S_1 * J_(t-1).
   That span lies in J_t = ker Z_t, and Z_t is in echelon form, so its
@@ -45,27 +44,42 @@ per-set degree ladder that eliminates each E_t once, forward only:
   index tau, J_(tau+1) = S_(tau+1) (every column is free) and no
   generator is new in any higher degree.
 
+The degree d is found modulo the prime p = ``_elim._PRIME``.  Scaling
+the row of p by 1/l(p)^d turns E_d into the affine monomials of degree
+at most d in y = (p1, ..., pn)/l(p), so E_t grows from E_(t-1) by
+appending columns, and a pass over GF(p) adds them one degree at a time
+to an ``_elim.ModBasis``.  The independent columns, taken in term
+order, are the standard monomials of the reduced points (Moeller &
+Buchberger, 1982) and form an order ideal, so a monomial with a
+dependent divisor is dependent and is skipped.  The pass stops at the first degree of rank |X| mod p; rank
+mod p is at most rank over Q, so HF is |X| there and d >= tau.  It
+cannot decide when some l(p) vanishes mod p, or when a degree adds no
+column, which happens when two points agree mod p (none is added
+afterwards).  Then d starts at the least t with C(t+n, n) >= |X| and
+rises by one until the exact pivots reach |X|.  Every value, kernel and
+count comes from the exact elimination; the prime only chooses which
+matrix it eliminates, so it cannot change an answer.
+
 The ladder of a set is built on the first profile question asked of
-it, always up to tau (at most |X| - 1), and stored on the
-``PointSet``; later questions, bounded ones included, read the stored
-ladder.  The generator counts through tau + 1 are stored on the ladder
-by the first generator question, so a ``ci_verdict`` after a
-``generator_profile`` computes no kernel and no span rank again.
-Storing both is safe: a ``PointSet`` is never mutated, and the
-Hilbert function and the generator counts do not depend on the order
-of the points.
+it and stored on the ``PointSet``; later questions, bounded ones
+included, read the stored ladder.  The generator counts through
+tau + 1 are stored on the ladder by the first generator question, so a
+``ci_verdict`` after a ``generator_profile`` computes no kernel and no
+span rank again.  Storing both is safe: a ``PointSet`` is never
+mutated, and the Hilbert function and the generator counts do not
+depend on the order of the points.
 
 The ladder needs no consistency checks.  HF rises strictly until it
 reaches |X|: its first differences are the h-vector of the Artinian
 reduction R/(I, l), a standard graded algebra, which has no internal
 zeros (once it is zero in degree t it is zero above, as it is generated
-in degree 1).  So the loop stops at tau <= |X| - 1.  The ladder still
-stores HF(tau + 1) from one rank of the full E_(tau+1) (certified
-modulo a prime when its entries are that wide), although that rank is
-|X|: the l-divisible columns of E_(tau+1) are D * E_tau with
-D = diag(l(p)) invertible.  The benchmark's tracer test
-(``perfbench/tests/test_perfbench.py``) asserts the shape of that
-rank, so dropping it waits for a change to the benchmark.
+in degree 1).  So tau <= |X| - 1.  The ladder still stores
+HF(tau + 1) from one rank of the full E_(tau+1) (certified modulo a
+prime when its entries are that wide), although that rank is |X|: the
+l-divisible columns of E_(tau+1) are D * E_tau with D invertible.  The
+benchmark's tracer test (``perfbench/tests/test_perfbench.py``)
+asserts the shape of that rank, so dropping it waits for a change to
+the benchmark.
 
 Single-degree questions (``hilbert_function``, ``ideal_dimension``,
 ``degree_bounded_ideal``) eliminate E_t of the given points directly.
@@ -73,11 +87,12 @@ Single-degree questions (``hilbert_function``, ``ideal_dimension``,
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from . import linalg
+from . import _elim, linalg
 from .errors import HadaError
 from .forms import HomogeneousForm, evaluate_monomial, monomials
 from .projective import PointSet
@@ -143,7 +158,7 @@ def _linear_form_parameter(points: PointSet) -> int:
 
 @dataclass
 class _Ladder:
-    """One forward elimination per degree of a point set.
+    """The degree ladder of a point set, read off one elimination.
 
     ``values[t]`` is HF(t) for t = 0 .. tau + 1, where ``tau`` is the
     least degree whose value reaches the cardinality.  ``reduced[t]``
@@ -166,15 +181,56 @@ class _Ladder:
         return self.values[t] if t < len(self.values) else self.cardinality
 
 
+def _modular_degree(lvalues, tails) -> Optional[int]:
+    """Least t with rank E_t = |X| modulo ``_elim._PRIME``, or None when
+    the prime cannot decide.
+
+    Row p of E_t scaled by 1/l(p)^t holds the affine monomials of degree
+    at most t in y = (p1, ..., pn)/l(p), so each degree appends columns.
+    A monomial with a dependent divisor y^a / y_i is dependent and is
+    skipped.  None means some l(p) vanishes mod p, or a degree added no
+    column, after which none ever does (two points agree mod p).
+    """
+    p = _elim._PRIME
+    card, n = len(lvalues), len(tails[0])
+    if any(lp % p == 0 for lp in lvalues):
+        return None
+    inverses = [pow(lp, -1, p) for lp in lvalues]
+    ys = [[x * inv % p for x, inv in zip(column, inverses)] for column in zip(*tails)]
+    basis = _elim.ModBasis()
+    basis.add([1] * card)
+    kept = {(0,) * n: [1] * card}
+    t = 0
+    while len(basis) < card:
+        t += 1
+        added = {}
+        for e in monomials(n, t):
+            divisors = [(i, e[:i] + (a - 1,) + e[i + 1 :]) for i, a in enumerate(e) if a]
+            if any(d not in kept for _, d in divisors):
+                continue
+            i, d = divisors[0]
+            column = [x * y % p for x, y in zip(kept[d], ys[i])]
+            if basis.add(column):
+                added[e] = column
+                if len(basis) == card:
+                    break
+        if not added:
+            return None
+        kept = added
+    return t
+
+
 def _ladder(points: PointSet) -> _Ladder:
     """The degree ladder of the set, eliminated on first use and then
     read from the set.
 
-    E'_t is built from the pivot columns of E'_(t-1) as the module
-    docstring describes and eliminated once for t = 0 .. tau.
-    HF(tau + 1) is then read off a rank of the full E_(tau+1); the
-    module docstring says why that is |X| and why the rank stays for
-    now.
+    One forward echelon of E_d in l-coordinates, d >= tau, gives HF(t),
+    Z_t and the free columns of Z_t for every t <= tau, as the module
+    docstring describes.  ``_modular_degree`` picks d; when it cannot
+    decide, d starts at the least degree with at least |X| monomials
+    and rises until the exact rank is |X|.  HF(tau + 1) is then read off
+    a rank of the full E_(tau+1); the module docstring says why that is
+    |X| and why the rank stays for now.
     """
     if points._ladder is not None:
         return points._ladder
@@ -185,31 +241,33 @@ def _ladder(points: PointSet) -> _Ladder:
     # l becomes the first variable
     lvalues = [_linear_form_value(c, p.coords) for p in points]
     tails = [p.coords[1:] for p in points]
+    coords = [(lp,) + tail for lp, tail in zip(lvalues, tails)]
+    d = _modular_degree(lvalues, tails)
+    if d is None:
+        d = next(t for t in range(card) if comb(t + n, n) >= card)
+    while True:
+        rank, pivots, rows = linalg.echelon_of(
+            _evaluation_matrix(coords, n + 1, d), comb(d + n, n)
+        )
+        if rank == card:
+            break
+        d += 1
+    # HF(t) is the number of pivots left of column C(t + n, n); the rows
+    # with pivots in block t, cut to block t, form Z_t
     values: list[int] = []
     reduced = []
     free = []
-    matrix = [[1] for _ in points]
-    pivots: list[int] = []
-    t = 0
-    while True:
-        split = len(pivots)
-        if t:
-            # E'_t = [diag(l(p)) * E'_(t-1)[:, pivots] | degree-t monomials of S]
-            s_monos = monomials(n, t)
-            matrix = [
-                [lp * row[j] for j in pivots]
-                + [evaluate_monomial(e, tail) for e in s_monos]
-                for lp, tail, row in zip(lvalues, tails, matrix)
-            ]
-        width = len(matrix[0])
-        rank, pivots, rows = linalg.echelon_of(matrix, width)
-        values.append(rank)
-        reduced.append([row[split:] for row, col in zip(rows, pivots) if col >= split])
-        z_pivots = {col - split for col in pivots if col >= split}
-        free.append(tuple(j for j in range(width - split) if j not in z_pivots))
-        if rank == card:
+    lo = start = 0
+    for t in range(d + 1):
+        end = comb(t + n, n)
+        hi = bisect_left(pivots, end)
+        values.append(hi)
+        reduced.append([row[start:end] for row in rows[lo:hi]])
+        z_pivots = {col - start for col in pivots[lo:hi]}
+        free.append(tuple(j for j in range(end - start) if j not in z_pivots))
+        if hi == card:
             break
-        t += 1
+        lo, start = hi, end
     values.append(hilbert_function(points, t + 1))
     points._ladder = _Ladder(
         cardinality=card,

@@ -40,6 +40,7 @@ from .errors import (
 from .forms import HomogeneousForm, evaluate_monomial, monomials
 from .ideals import degree_bounded_ideal
 from .projective import (
+    UNDEFINED,
     Hyperplane,
     PointSet,
     ProjPoint,
@@ -77,6 +78,13 @@ def _proportional(u, v) -> bool:
     vector ``u``."""
     i = next(i for i, x in enumerate(u) if x)
     return all(x * v[i] == y * u[i] for x, y in zip(u, v))
+
+
+def _product_plucker(q, p: ProjPoint) -> list:
+    """q o (p_i p_j): the Plücker vector, up to scale, of the product of
+    the point p with the line of dual Plücker vector q."""
+    c = p.coords
+    return [x * c[i] * c[j] for x, (i, j) in zip(q, _PAIRS)]
 
 
 class Line3:
@@ -238,8 +246,7 @@ def rank_condition(
     rows = []
     for dual, pt in ((a, p), (b, p), (a2, p2), (b2, p2)):
         rows.append(tuple(x * y for x, y in zip(dual.coords, pt.coords)))
-    u = [x * p.coords[i] * p.coords[j] for x, (i, j) in zip(line.q, _PAIRS)]
-    v = [x * p2.coords[i] * p2.coords[j] for x, (i, j) in zip(line2.q, _PAIRS)]
+    u, v = _product_plucker(line.q, p), _product_plucker(line2.q, p2)
     return RankCertificate(rows=tuple(rows), rank=2 if _proportional(u, v) else 3)
 
 
@@ -265,9 +272,15 @@ def grid_product_p3(
 
     All hypotheses are checked exactly; a failure raises
     GridConditionError naming the witness and carrying the brute-force
-    product set so relaxed instances can still be inspected.
+    product set so relaxed instances can still be inspected.  Each pair
+    is multiplied once: the product set is the grid's defined products,
+    sorted and deduplicated as ``pairwise_products`` does.
     """
-    products, _ = pairwise_products(xs, xs2)
+    point_grid = tuple(tuple(hadamard_points(p, p2) for p2 in xs2) for p in xs)
+    defined = [pt for row in point_grid for pt in row if pt is not UNDEFINED]
+    if not defined:
+        raise HadaError("every pairwise product is undefined")
+    products = PointSet.dedupe(sorted(defined, key=lambda p: p.coords))
     expected = len(xs) * len(xs2)
 
     def fail(msg, witness=None):
@@ -287,14 +300,13 @@ def grid_product_p3(
     for p in xs:
         if p in xs2:
             fail(f"point {p} belongs to both sets", witness=p)
+    # the hypotheses rank_condition checks hold by now: test the rank directly
+    seconds = [_product_plucker(line2.q, p2) for p2 in xs2]
     for p in xs:
-        for p2 in xs2:
-            cert = rank_condition(line, line2, p, p2)
-            if cert.rank <= 2:
-                fail(
-                    f"rank condition fails at {p}, {p2} (rank {cert.rank})",
-                    witness=(p, p2),
-                )
+        u = _product_plucker(line.q, p)
+        for p2, v in zip(xs2, seconds):
+            if _proportional(u, v):
+                fail(f"rank condition fails at {p}, {p2} (rank 2)", witness=(p, p2))
 
     if len(products) != expected:
         fail("product set is smaller than the grid size")
@@ -304,12 +316,8 @@ def grid_product_p3(
         fail("row lines are not pairwise distinct")
     if len({l.canonical_key() for l in col_lines}) != len(col_lines):
         fail("column lines are not pairwise distinct")
-    grid_rows = []
-    for i, p in enumerate(xs):
-        row = []
-        for j, p2 in enumerate(xs2):
-            pt = hadamard_points(p, p2)
-            r, c = row_lines[i], col_lines[j]
+    for i, (p, r) in enumerate(zip(xs, row_lines)):
+        for j, (p2, c, pt) in enumerate(zip(xs2, col_lines, point_grid[i])):
             # distinct lines through a common point meet in it alone
             if r.q == c.q or not (r.contains(pt) and c.contains(pt)):
                 fail(
@@ -317,13 +325,11 @@ def grid_product_p3(
                     f"product point {pt}",
                     witness=(p, p2),
                 )
-            row.append(pt)
-        grid_rows.append(tuple(row))
     return GridResult3(
         points=products,
         row_lines=row_lines,
         col_lines=col_lines,
-        point_grid=tuple(grid_rows),
+        point_grid=point_grid,
     )
 
 
@@ -537,15 +543,17 @@ def generic_skew_sample(n: int, m: int, seed: int):
                 first.append(p)
 
             second: list[ProjPoint] = []
+            # every hypothesis of rank_condition holds by construction, so
+            # its rank is tested directly against each first point
+            firsts = [_product_plucker(line.q, p) for p in first]
 
             def ok(p2):
                 if p2.delta_level < 3:
                     return False
                 if any(p2 == q for q in second) or any(p2 == q for q in first):
                     return False
-                return all(
-                    rank_condition(line, line2, p, p2).rank > 2 for p in first
-                )
+                v = _product_plucker(line2.q, p2)
+                return not any(_proportional(u, v) for u in firsts)
 
             while len(second) < m:
                 second.append(sampling.sample_point(rng, basis2, ok))

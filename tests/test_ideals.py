@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hada import linalg
+from hada import _elim, ideals, linalg
 from hada.forms import monomials
 from hada.ideals import (
     CIVerdict,
@@ -346,13 +346,6 @@ def evaluation_shapes(points, top):
     return {(len(points), comb(t + n, n)) for t in range(top + 1)}
 
 
-def ladder_widths(n, values, tau):
-    """Columns of the ladder's E'_t for t = 0 .. tau: the HF(t-1) pivot
-    columns carried over from degree t-1, then the degree-t monomials of
-    S = R/(l), a ring in n variables."""
-    return [(values[t - 1] if t else 0) + comb(t + n - 1, n - 1) for t in range(tau + 1)]
-
-
 def j_dims(n, values, top):
     """dim J_t for t = 0 .. top: the degree-t monomials of S minus the
     t-th entry of the h-vector (zero above tau)."""
@@ -369,14 +362,13 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
     assert ci_verdict(points).kind == "CI"
 
     tau, n = 8, 3
-    values = (1, 3, 6, 10, 15, 19, 22, 24, 25, 25)
+    # one echelon of the full E_tau serves every degree of the ladder
     echelons = [c for c in calls if c[0] == "echelon_of"]
-    assert echelons == [("echelon_of", 25, w) for w in ladder_widths(n, values, tau)]
-    # E_8 shrinks from 165 to 69 columns
-    assert echelons[8] == ("echelon_of", 25, 69) and comb(8 + n, n) == 165
-    # the one elimination of a full evaluation matrix confirms HF(tau + 1)
+    assert echelons == [("echelon_of", 25, comb(tau + n, n))] == [("echelon_of", 25, 165)]
+    # the one other elimination of a full evaluation matrix confirms HF(tau + 1)
     full = [c for c in calls if c[0] != "echelon_of" and c[1:] in evaluation_shapes(points, tau + 1)]
-    assert full == [("rank_of", 25, comb(tau + 1 + n, n))]
+    assert full == [("rank_of", 25, comb(tau + 1 + n, n))] == [("rank_of", 25, 220)]
+    assert calls.index(full[0]) == 1
     others = [c for c in calls if c[0] != "echelon_of" and c not in full]
     assert others and all(name in ("rank_of", "kernel_basis") for name, _, _ in others)
     # widest: the span rank in degree tau + 1, where every column of S is free
@@ -394,11 +386,10 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
     tau, n = prof.tau, 3
     assert (tau, gens.max_degree, verdict.kind) == (4, 5, "NotCI")
     echelons = [c for c in calls if c[0] == "echelon_of"]
-    assert echelons == [
-        ("echelon_of", 25, w) for w in ladder_widths(n, prof.values, tau)
-    ]
+    assert echelons == [("echelon_of", 25, comb(tau + n, n))]
     full = [c for c in calls if c[0] != "echelon_of" and c[1:] in evaluation_shapes(points, tau + 1)]
     assert full == [("rank_of", 25, comb(tau + 1 + n, n))]
+    assert calls[:2] == echelons + full
 
 
 def test_second_generator_question_eliminates_nothing(monkeypatch):
@@ -418,12 +409,12 @@ def test_second_generator_question_eliminates_nothing(monkeypatch):
 
 
 def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
-    # E'_t is built from the pivot columns of E'_(t-1); it must be the
-    # plain evaluation matrix of the points in l-coordinates
-    # (l(p), p1, ..., pn), restricted to l times the monomials of the
-    # previous degree's pivot columns, then the monomials of S.  The
-    # pivots come from the Fraction oracle.  The last set has a zero in
-    # every coordinate, so l is not x0 there
+    # the ladder eliminates one matrix: the plain degree-tau evaluation
+    # matrix of the points in l-coordinates (l(p), p1, ..., pn).  Its
+    # leading C(t + n, n) columns are diag(l(p))^(tau - t) * E_t, so the
+    # pivots left of them count HF(t), which the Fraction oracle
+    # confirms.  The last set has a zero in every coordinate, so l is
+    # not x0 there
     received = []
     original = linalg.echelon_of
 
@@ -437,7 +428,6 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         [[0, 1, 1, 1], [1, 0, 2, 1], [1, 3, 0, 1], [2, 1, 1, 0], [1, 2, 3, 4], [3, -1, 2, 5]]
     )
     sets = (pairwise_products(xs, xs2)[0], PointSet(PLANAR25.points), no_zero_free_coordinate)
-    narrowed = 0
     for points in sets:
         n = points.ambient_dim
         c = _linear_form_parameter(points)
@@ -445,20 +435,14 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         coords = [(_linear_form_value(c, p.coords),) + p.coords[1:] for p in points]
         received.clear()
         prof = hilbert_profile(points)
-        assert len(received) == prof.tau + 1
-        columns = []  # exponents, in l-coordinates, of the columns of E'_t
-        for t, (rows, ncols) in enumerate(received):
-            if t:
-                pivots = frac_rref(received[t - 1][0], received[t - 1][1])[1]
-                columns = [(columns[j][0] + 1,) + columns[j][1:] for j in pivots]
-            columns += [e for e in monomials(n + 1, t) if e[0] == 0]
-            assert ncols == len(columns) == ladder_widths(n, prof.values, prof.tau)[t]
-            full = _evaluation_matrix(coords, n + 1, t)
-            index_of = {e: i for i, e in enumerate(monomials(n + 1, t))}
-            assert rows == [[row[index_of[e]] for e in columns] for row in full]
-            narrowed += ncols < comb(t + n, n)
-    # degrees 3..4 of the grid and 2..8 of the planar set drop columns
-    assert narrowed == 9
+        assert len(received) == 1
+        rows, ncols = received[0]
+        assert ncols == comb(prof.tau + n, n)
+        assert rows == _evaluation_matrix(coords, n + 1, prof.tau)
+        pivots = frac_rref(rows, ncols)[1]
+        assert [sum(j < comb(t + n, n) for j in pivots) for t in range(prof.tau + 1)] == list(
+            frac_hilbert_values(points)[: prof.tau + 1]
+        )
 
 
 def test_span_ranks_take_dim_j_columns(monkeypatch):
@@ -504,7 +488,61 @@ def test_unknown_ci_verdict_counts_no_generators(monkeypatch):
     calls = spy_linalg(monkeypatch)
     assert ci_verdict(points, max_degree=2).kind == "Unknown"
     tau, n = 5, 2
-    values = (1, 3, 6, 9, 11, 12, 12)
-    assert calls == [("echelon_of", 12, w) for w in ladder_widths(n, values, tau)] + [
-        ("rank_of", 12, comb(tau + 1 + n, n))
+    assert calls == [
+        ("echelon_of", 12, comb(tau + n, n)),
+        ("rank_of", 12, comb(tau + 1 + n, n)),
+    ] == [("echelon_of", 12, 21), ("rank_of", 12, 28)]
+
+
+def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
+    # the modular pass cannot decide either set: two points of the first
+    # agree mod p (2**61 = 1), and l = x0 vanishes mod p at a point of the
+    # second.  The ladder then eliminates E_d exactly from the least d
+    # with |X| monomials (d = 2 for both) up to tau; answers must match
+    # the Fraction oracles
+    p = _elim._PRIME
+    agree_mod_p = PointSet.from_coords([[1, 1, 2], [1, 2**61, 2], [1, 3, 2], [1, 5, 2]])
+    l_vanishes_mod_p = PointSet.from_coords([[p, 1, 2], [1, 1, 2], [2, 1, 2], [3, 1, 2], [4, 1, 2]])
+    passes = []
+    original = ideals._modular_degree
+
+    def spy_pass(*args):
+        passes.append(original(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(ideals, "_modular_degree", spy_pass)
+    calls = spy_linalg(monkeypatch)
+    for points in (agree_mod_p, l_vanishes_mod_p):
+        n, card = points.ambient_dim, len(points)
+        values = frac_hilbert_values(points)
+        tau = len(values) - 2
+        assert tau == card - 1
+        calls.clear()
+        prof = hilbert_profile(points)
+        assert prof.values == tuple(values) and prof.tau == tau
+        assert [c for c in calls if c[0] == "echelon_of"] == [
+            ("echelon_of", card, comb(d + n, n)) for d in range(2, tau + 1)
+        ]
+        expected = span_rank_generators(points, tau + 1)
+        assert generator_entries(generator_profile(points)) == expected
+        assert [new for _, _, new in expected] == [0, 1] + [0] * (tau - 1) + [1]
+        assert ci_verdict(points) == CIVerdict("CI", n, 2, (1, card))
+    assert passes == [None, None]
+
+
+def test_any_degree_at_least_tau_gives_the_same_ladder(monkeypatch):
+    # the prime only picks d; eliminating a larger E_d must answer alike
+    sets = [GRID2, GRID3, collinear_points(4)]
+    answers = [
+        (hilbert_profile(s), generator_profile(s), ci_verdict(s))
+        for s in (PointSet(points.points) for points in sets)
     ]
+    original = ideals._modular_degree
+    monkeypatch.setattr(ideals, "_modular_degree", lambda *args: original(*args) + 2)
+    calls = spy_linalg(monkeypatch)
+    for points, expected in zip(sets, answers):
+        fresh = PointSet(points.points)
+        assert (hilbert_profile(fresh), generator_profile(fresh), ci_verdict(fresh)) == expected
+        n, d = points.ambient_dim, expected[0].tau + 2
+        assert calls[0] == ("echelon_of", len(points), comb(d + n, n))
+        calls.clear()

@@ -172,6 +172,48 @@ class TestGrid3:
         assert len(exc.value.products) == 25  # the relaxed instance is still a
         assert exc.value.expected == 25  # full-size product set
 
+    def test_all_undefined_products_raise_the_pairwise_error(self):
+        xs = PointSet.from_coords([[1, 0, 0, 0], [1, 1, 0, 0]])
+        ys = PointSet.from_coords([[0, 0, 1, 0], [0, 0, 1, 1]])
+        with pytest.raises(HadaError) as brute:
+            pairwise_products(xs, ys)
+        with pytest.raises(HadaError) as grid:
+            grid_product_p3(xs, ys, L_A, L_B)
+        assert type(grid.value) is type(brute.value) is HadaError
+        assert str(grid.value) == str(brute.value) == "every pairwise product is undefined"
+
+    def test_rank_condition_failure_names_the_first_pair(self):
+        # r o L_A carries the products r o p of its points: the product line
+        # of p with it equals that of r o p with L_A, so (p, r o p) has rank 2
+        r = ProjPoint([2, 3, 5, 7])
+        line2 = point_line_product_p3(r, L_A)
+        scaled = [ProjPoint([x * y for x, y in zip(r.coords, p.coords)]) for p in X_A]
+        ys = PointSet([scaled[1], scaled[0]])
+        with pytest.raises(GridConditionError) as exc:
+            grid_product_p3(X_A, ys, L_A, line2)
+        p, p2 = X_A.points[0], scaled[0]
+        assert rank_condition(L_A, line2, p, p2).rank == 2
+        assert str(exc.value) == f"rank condition fails at {p}, {p2} (rank 2)"
+        assert exc.value.witness == (p, p2)
+        assert exc.value.products == pairwise_products(X_A, ys)[0]
+        assert exc.value.expected == 6
+
+    def test_each_pair_is_multiplied_once(self, monkeypatch):
+        # and neither the sampler nor the grid re-checks rank_condition's
+        # hypotheses through it
+        from hada import space
+
+        monkeypatch.setattr(space, "rank_condition", None)
+        line, line2, xs, xs2 = generic_skew_sample(4, 3, 3131)
+        pairs = []
+        original = space.hadamard_points
+        monkeypatch.setattr(
+            space, "hadamard_points", lambda p, q: pairs.append((p, q)) or original(p, q)
+        )
+        g = grid_product_p3(xs, xs2, line, line2)
+        assert pairs == [(p, q) for p in xs for q in xs2]
+        assert list(g.points) == list(pairwise_products(xs, xs2)[0])
+
 
 class TestQuadric:
     def test_unique_quadric_through_grid(self):
