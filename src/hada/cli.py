@@ -11,6 +11,11 @@ The implicitize command is exact: it evaluates forms on the products
 of a (d+1) x (d+1) grid of points on the two lines, which pins down
 the degree-d part of the ideal of the product with no sampling.
 
+Each ``cmd_*`` function computes its command's results and returns
+them with the exit code; ``main`` times the command and renders the
+one report through ``emit_report``.  Only the plain-text form of
+``verify`` prints its own lines and returns no results.
+
 Exit codes: 0 success, 1 mathematical verdict failure (failed fixture
 replay, violated grid condition), 2 input error, including a degree
 or a random set size outside its cap.
@@ -21,14 +26,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 import time
+from fractions import Fraction
 
 from . import linalg
 from .errors import GridConditionError, HadaError, InstanceError
 from .fixtures import replay_fixtures
 from .ideals import ci_verdict, hilbert_profile
-from .instances import Instance, emit_instance, parse_instance
+from .instances import Instance, emit_instance, parse_instance, save_instance
 from .plane import (
     generic_collinear_sample,
     grid_product_p2,
@@ -40,12 +47,11 @@ from .projective import (
     LinearSubspace,
     PointSet,
     ProjPoint,
-    hadamard_points,
     hyperplane_product,
     pairwise_products,
     point_hyperplane_product,
-    UNDEFINED,
 )
+from .sampling import nonzero_int
 from .space import (
     Line3,
     Quadric3,
@@ -65,8 +71,6 @@ MAX_RANDOM_SIZE = 12
 
 def _fmt(value):
     """JSON-ready rendering with exact values kept exact."""
-    from fractions import Fraction
-
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else int(value)
     if isinstance(value, ProjPoint):
@@ -157,22 +161,13 @@ def _resolve_hyperplane(inst, spec) -> Hyperplane:
 
 
 def _resolve_set(inst: Instance, args) -> PointSet:
-    if args.set:
-        return inst.point_set(args.set)
-    if args.product:
-        names = [s.strip() for s in args.product.split(",")]
-        if len(names) != 2:
-            raise InstanceError("--product needs exactly two names A,B")
-        left, right = names
-        products, _ = pairwise_products(
-            inst.point_set(left), inst.point_set(right)
-        )
-        return products
-    raise InstanceError("name a point set with --set or --product A,B")
+    if not (args.set or args.product):
+        raise InstanceError("name a point set with --set or --product A,B")
+    names = args.product and [s.strip() for s in args.product.split(",")]
+    return inst.point_set_of(args.set or None, names)
 
 
-def cmd_product(args) -> int:
-    started = time.perf_counter()
+def cmd_product(args):
     inst = _load_instance(args)
     left, right = args.left, args.right
     results: dict
@@ -217,8 +212,7 @@ def cmd_product(args) -> int:
         )
     else:
         raise InstanceError(f"cannot pair {left!r} with {right!r}")
-    emit_report(args, "product", results, started)
-    return 0
+    return results, 0
 
 
 def _classify_results(outcome):
@@ -230,8 +224,7 @@ def _classify_results(outcome):
     return results
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def cmd_classify(args):
     inst = parse_instance(args.input) if args.input else None
     point = _resolve_point(inst, args.point)
     line = _resolve_hyperplane(inst, args.line)
@@ -249,36 +242,19 @@ def cmd_classify(args) -> int:
         }
     else:
         results = _classify_results(point_line_product_p2(point, line))
-    emit_report(args, "classify", results, started)
-    return 0
+    return results, 0
 
 
-def cmd_grid(args) -> int:
-    started = time.perf_counter()
+def cmd_grid(args):
     inst = _load_instance(args)
     xs, xs2 = inst.point_set(args.x), inst.point_set(args.x2)
     try:
         if inst.space == 2:
             g = grid_product_p2(xs, xs2, inst.line(args.line), inst.line(args.line2))
-            results = {
-                "condition": True,
-                "count": len(g.points),
-                "points": g.points,
-                "row_lines": list(g.row_lines),
-                "col_lines": list(g.col_lines),
-                "witness_degrees": [f.degree for f in g.ci_witness],
-            }
         else:
             g = grid_product_p3(
                 xs, xs2, inst.line3(args.line), inst.line3(args.line2)
             )
-            results = {
-                "condition": True,
-                "count": len(g.points),
-                "points": g.points,
-                "row_lines": list(g.row_lines),
-                "col_lines": list(g.col_lines),
-            }
     except GridConditionError as exc:
         results = {
             "condition": False,
@@ -288,14 +264,20 @@ def cmd_grid(args) -> int:
         }
         if exc.products is not None:
             results["points"] = exc.products
-        emit_report(args, "grid", results, started)
-        return MATH_FAILURE
-    emit_report(args, "grid", results, started)
-    return 0
+        return results, MATH_FAILURE
+    results = {
+        "condition": True,
+        "count": len(g.points),
+        "points": g.points,
+        "row_lines": list(g.row_lines),
+        "col_lines": list(g.col_lines),
+    }
+    if inst.space == 2:
+        results["witness_degrees"] = [f.degree for f in g.ci_witness]
+    return results, 0
 
 
-def cmd_hilbert(args) -> int:
-    started = time.perf_counter()
+def cmd_hilbert(args):
     inst = _load_instance(args)
     prof = hilbert_profile(_resolve_set(inst, args))
     results = {
@@ -304,12 +286,10 @@ def cmd_hilbert(args) -> int:
         "h_vector": list(prof.h_vector),
         "cardinality": prof.cardinality,
     }
-    emit_report(args, "hilbert", results, started)
-    return 0
+    return results, 0
 
 
-def cmd_quadric(args) -> int:
-    started = time.perf_counter()
+def cmd_quadric(args):
     inst = _load_instance(args)
     q = quadric_through(_resolve_set(inst, args))
     if isinstance(q, Quadric3):
@@ -321,12 +301,10 @@ def cmd_quadric(args) -> int:
         }
     else:
         results = {"kind": q}
-    emit_report(args, "quadric", results, started)
-    return 0
+    return results, 0
 
 
-def cmd_implicitize(args) -> int:
-    started = time.perf_counter()
+def cmd_implicitize(args):
     inst = _load_instance(args)
     forms = variety_product_interpolate(
         inst.line3(args.line), inst.line3(args.line2), args.degree
@@ -336,12 +314,10 @@ def cmd_implicitize(args) -> int:
         "count": len(forms),
         "forms": [list(f.coefficient_vector()) for f in forms],
     }
-    emit_report(args, "implicitize", results, started)
-    return 0
+    return results, 0
 
 
-def cmd_ci(args) -> int:
-    started = time.perf_counter()
+def cmd_ci(args):
     inst = _load_instance(args)
     v = ci_verdict(_resolve_set(inst, args))
     results = {"kind": v.kind, "codimension": v.codimension}
@@ -351,12 +327,10 @@ def cmd_ci(args) -> int:
         results["witness_degrees"] = list(v.witness_degrees)
     if v.reason:
         results["reason"] = v.reason
-    emit_report(args, "ci", results, started)
-    return 0
+    return results, 0
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args):
     summary = replay_fixtures(args.fixtures)
     if args.json:
         results = {
@@ -368,8 +342,8 @@ def cmd_verify(args) -> int:
             ],
             "ok": summary.ok,
         }
-        emit_report(args, "verify", results, started)
     else:
+        results = None
         seen = []
         for o in summary.outcomes:
             if o.fixture not in seen:
@@ -380,21 +354,17 @@ def cmd_verify(args) -> int:
         for o in summary.failures:
             print(f"  {o.fixture} [{o.op}] {o.detail}")
         print(f"{summary.fixture_count} fixtures, {len(summary.failures)} failing checks")
-    return 0 if summary.ok else MATH_FAILURE
+    return results, 0 if summary.ok else MATH_FAILURE
 
 
-def cmd_random(args) -> int:
-    started = time.perf_counter()
+def cmd_random(args):
     for flag, size in (("--n", args.n), ("--m", args.m)):
         if not 1 <= size <= MAX_RANDOM_SIZE:
             raise HadaError(
                 f"{flag} must be between 1 and {MAX_RANDOM_SIZE}, got {size}"
             )
     if args.space == 2:
-        from .sampling import nonzero_int
-        import random as _random
-
-        rng = _random.Random(args.seed)
+        rng = random.Random(args.seed)
         while True:
             line = Hyperplane([nonzero_int(rng, 20) for _ in range(3)])
             line2 = Hyperplane([nonzero_int(rng, 20) for _ in range(3)])
@@ -403,36 +373,22 @@ def cmd_random(args) -> int:
         xs, xs2 = generic_collinear_sample(
             line, line2, args.n, args.m, rng.getrandbits(32)
         )
-        inst = Instance(
-            space=2,
-            lines={"L": line, "Lp": line2},
-            point_sets={"X": xs, "Xp": xs2},
-            seed=args.seed,
-        )
         grid = grid_product_p2(xs, xs2, line, line2)
-        summary = {"grid_points": len(grid.points)}
+        lines = {"lines": {"L": line, "Lp": line2}}
     else:
         line, line2, xs, xs2 = generic_skew_sample(args.n, args.m, args.seed)
-        inst = Instance(
-            space=3,
-            lines3={"L": line, "Lp": line2},
-            point_sets={"X": xs, "Xp": xs2},
-            seed=args.seed,
-        )
         grid = grid_product_p3(xs, xs2, line, line2)
-        summary = {"grid_points": len(grid.points)}
-
-    payload = emit_instance(inst)
+        lines = {"lines3": {"L": line, "Lp": line2}}
+    inst = Instance(
+        space=args.space, point_sets={"X": xs, "Xp": xs2}, seed=args.seed, **lines
+    )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        results = {"written": args.out, **summary}
-        emit_report(args, "random", results, started)
+        save_instance(inst, args.out)
+        results = {"written": args.out}
     else:
-        results = {"instance": payload, **summary}
-        emit_report(args, "random", results, started)
-    return 0
+        results = {"instance": emit_instance(inst)}
+    results["grid_points"] = len(grid.points)
+    return results, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,14 +470,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        results, code = args.func(args)
     except InstanceError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except HadaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    if results is not None:
+        emit_report(args, args.subcommand, results, started)
+    return code
 
 
 if __name__ == "__main__":

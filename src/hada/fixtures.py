@@ -6,8 +6,11 @@ the expected exact output.  Replaying a fixture recomputes every check
 and diffs the canonical results; nothing is thrown on mismatch, the
 summary reports failures so a driver can exit nonzero.  A fixture
 directory that is missing or holds no fixture, and a fixture file that
-is not valid JSON, lacks its instance or checks, or gives a check
-``args`` that is not an object, raise InstanceError.
+is not valid JSON, lacks its instance or checks, gives a check ``args``
+that is not an object, or gives a check a name its instance lacks, a
+name that is not a string, a ``product_of`` that is not two names or a
+``degree`` that is not an integer, raise InstanceError naming the
+file.
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ from .ideals import (
 )
 from .instances import Instance, parse_instance_dict
 from .plane import collinear_set_line_product, grid_product_p2
-from .projective import Hyperplane, LinearSubspace, pairwise_products
+from .projective import (
+    Hyperplane,
+    LinearSubspace,
+    hyperplane_product,
+    pairwise_products,
+)
 from .space import (
     Quadric3,
     grid_product_p3,
@@ -43,19 +51,18 @@ def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-def _resolve_set(inst: Instance, args, key="set"):
-    if key in args:
-        return inst.point_set(args[key])
-    pair = args["product_of"]
-    products, _ = pairwise_products(
-        inst.point_set(pair[0]), inst.point_set(pair[1])
-    )
-    return products
+def _resolve_set(inst: Instance, args):
+    return inst.point_set_of(args.get("set"), args.get("product_of"))
+
+
+def _degree(args) -> int:
+    degree = args["degree"]
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise InstanceError(f"degree must be an integer, got {degree!r}")
+    return degree
 
 
 def _check_hyperplane_product(inst, args):
-    from .projective import hyperplane_product
-
     result = hyperplane_product(inst.line(args["left"]), inst.line(args["right"]))
     if isinstance(result, Hyperplane):
         return {"kind": "hyperplane", "coefficients": list(result.dual.coords)}
@@ -129,13 +136,13 @@ def _check_implicitize(inst, args):
     forms = variety_product_interpolate(
         inst.line3(args["line"]),
         inst.line3(args["line2"]),
-        args["degree"],
+        _degree(args),
     )
     return {"forms": [list(f.coefficient_vector()) for f in forms]}
 
 
 def _check_degree_forms(inst, args):
-    forms = degree_bounded_ideal(_resolve_set(inst, args), args["degree"])
+    forms = degree_bounded_ideal(_resolve_set(inst, args), _degree(args))
     return {"forms": [list(f.coefficient_vector()) for f in forms]}
 
 
@@ -160,10 +167,9 @@ def _check_generators(inst, args):
 
 
 def _check_hf_product(inst, args):
-    xs = inst.point_set(args["x"])
-    xs2 = inst.point_set(args["x2"])
-    products, _ = pairwise_products(xs, xs2)
-    rep = hf_product_check(xs, xs2, products)
+    names = [args["x"], args["x2"]]
+    xs, xs2 = (inst.point_set(name) for name in names)
+    rep = hf_product_check(xs, xs2, inst.point_set_of(product_of=names))
     return {"product_holds": rep.product_holds, "tau_matches": rep.tau_matches}
 
 
@@ -229,6 +235,10 @@ def replay_fixture(path: Path):
     for i, (op, args, expect) in enumerate(checks):
         try:
             actual = CHECK_OPS[op](inst, args)
+        except InstanceError as exc:
+            # the check names what its instance lacks, or names it or
+            # its degree by a value of the wrong type
+            raise InstanceError(f"malformed fixture {path}: {exc}") from None
         except (HadaError, KeyError) as exc:
             outcomes.append(
                 CheckOutcome(name, i, op, False, f"error: {exc}")

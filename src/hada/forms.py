@@ -4,7 +4,10 @@ A form of degree d in n+1 variables is a map from exponent vectors to
 coefficients.  Since every use in this package is projective, forms are
 normalized on construction to a canonical representative: primitive
 integer coefficients whose first nonzero entry (in the fixed monomial
-order) is positive.  Equality is therefore equality up to scale.
+order) is positive.  That is the canonical form of
+``hada.projective.canonical_coords`` applied to the coefficients in
+monomial order, so points, hyperplanes and forms share one
+normalization.  Equality is therefore equality up to scale.
 
 The monomial order is descending lexicographic on exponent vectors, so
 for degree 1 the order is x0, x1, ..., xn and for degree 2 it starts
@@ -13,12 +16,10 @@ x0^2, x0*x1, x0*x2, ...
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
 
-from .errors import HadaError
-from .projective import Hyperplane, ProjPoint, parse_rational
+from .errors import DimensionMismatch, HadaError
+from .projective import Hyperplane, ProjPoint, canonical_coords, parse_rational
 
 
 @lru_cache(maxsize=None)
@@ -31,10 +32,6 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomials(nvars - 1, degree - e0):
             out.append((e0,) + rest)
     return tuple(out)
-
-
-def monomial_count(nvars: int, degree: int) -> int:
-    return comb(degree + nvars - 1, nvars - 1)
 
 
 def evaluate_monomial(expo, coords):
@@ -66,25 +63,13 @@ class HomogeneousForm:
             elif d != degree:
                 raise HadaError("form is not homogeneous")
             items[expo] = items.get(expo, 0) + c
-        items = {e: c for e, c in items.items() if c != 0}
-        if not items:
+        # descending lex: the largest exponent vector comes first
+        expos = sorted((e for e, c in items.items() if c != 0), reverse=True)
+        if not expos:
             raise HadaError("zero form")
-        lcm = 1
-        for c in items.values():
-            d = c.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        ints = {e: int(c * lcm) for e, c in items.items()}
-        g = 0
-        for c in ints.values():
-            g = gcd(g, c)
-        if g > 1:
-            ints = {e: c // g for e, c in ints.items()}
-        lead = max(ints)  # descending lex: largest exponent vector comes first
-        if ints[lead] < 0:
-            ints = {e: -c for e, c in ints.items()}
         self.nvars = nvars
         self.degree = degree
-        self.coeffs = ints
+        self.coeffs = dict(zip(expos, canonical_coords([items[e] for e in expos])))
 
     @classmethod
     def from_vector(cls, nvars: int, degree: int, vector) -> "HomogeneousForm":
@@ -166,7 +151,5 @@ class HomogeneousForm:
 def membership(p: ProjPoint, f: HomogeneousForm) -> bool:
     """Exact test that a form vanishes at a point."""
     if p.ambient_dim + 1 != f.nvars:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch("point and form dimensions differ")
     return f.vanishes_at(p)

@@ -162,7 +162,9 @@ class _Ladder:
 
     ``values[t]`` is HF(t) for t = 0 .. tau + 1, where ``tau`` is the
     least degree whose value reaches the cardinality.  ``reduced[t]``
-    holds the rows of Z_t, whose kernel is J_t, and ``free[t]`` the
+    holds the rows of Z_t, whose kernel is J_t, each primitive (a slice
+    of an echelon row keeps the common factors of the whole row, which
+    would only be carried and divided out again), and ``free[t]`` the
     columns of Z_t that hold no pivot, for t <= tau.  ``generators[t]``
     is the number of new minimal generators in degree t for
     t = 0 .. tau + 1; it is counted on the first generator question
@@ -226,11 +228,13 @@ def _ladder(points: PointSet) -> _Ladder:
 
     One forward echelon of E_d in l-coordinates, d >= tau, gives HF(t),
     Z_t and the free columns of Z_t for every t <= tau, as the module
-    docstring describes.  ``_modular_degree`` picks d; when it cannot
-    decide, d starts at the least degree with at least |X| monomials
-    and rises until the exact rank is |X|.  HF(tau + 1) is then read off
-    a rank of the full E_(tau+1); the module docstring says why that is
-    |X| and why the rank stays for now.
+    docstring describes.  Each row of Z_t is stored primitive; dividing
+    a row by a constant keeps the row space, so J_t does not change.
+    ``_modular_degree`` picks d; when it cannot decide, d starts at the
+    least degree with at least |X| monomials and rises until the exact
+    rank is |X|.  HF(tau + 1) is then read off a rank of the full
+    E_(tau+1); the module docstring says why that is |X| and why the
+    rank stays for now.
     """
     if points._ladder is not None:
         return points._ladder
@@ -253,7 +257,7 @@ def _ladder(points: PointSet) -> _Ladder:
             break
         d += 1
     # HF(t) is the number of pivots left of column C(t + n, n); the rows
-    # with pivots in block t, cut to block t, form Z_t
+    # with pivots in block t, cut to block t and made primitive, form Z_t
     values: list[int] = []
     reduced = []
     free = []
@@ -262,7 +266,7 @@ def _ladder(points: PointSet) -> _Ladder:
         end = comb(t + n, n)
         hi = bisect_left(pivots, end)
         values.append(hi)
-        reduced.append([row[start:end] for row in rows[lo:hi]])
+        reduced.append([_elim._primitive(row[start:end]) for row in rows[lo:hi]])
         z_pivots = {col - start for col in pivots[lo:hi]}
         free.append(tuple(j for j in range(end - start) if j not in z_pivots))
         if hi == card:
@@ -509,8 +513,7 @@ def ci_verdict(points: PointSet, max_degree: Optional[int] = None) -> CIVerdict:
             total_generators=total,
             witness_degrees=gens.witness_degrees(),
         )
-    hf = [comb(e.degree + n, n) - e.ideal_dim for e in gens.entries[:bound]]
-    h_vector = [hf[0]] + [b - a for a, b in zip(hf, hf[1:])]
+    h_vector = hilbert_profile(points).h_vector
     symmetric = h_vector == h_vector[::-1]
     reason = f"{total} minimal generators exceed the codimension {n}"
     if not symmetric:

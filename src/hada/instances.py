@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import HadaError, InstanceError
-from .projective import Hyperplane, PointSet, ProjPoint, parse_rational
+from .projective import (
+    Hyperplane,
+    PointSet,
+    ProjPoint,
+    pairwise_products,
+    parse_rational,
+)
 from .space import Line3
 
 
@@ -38,23 +44,35 @@ class Instance:
     point_sets: dict[str, PointSet] = field(default_factory=dict)
     seed: Optional[int] = None
 
-    def names(self):
-        return set(self.lines) | set(self.lines3) | set(self.point_sets)
-
     def line(self, name: str) -> Hyperplane:
-        if name not in self.lines:
-            raise InstanceError(f"no hyperplane named {name!r}")
-        return self.lines[name]
+        return _named(self.lines, name, "hyperplane")
 
     def line3(self, name: str) -> Line3:
-        if name not in self.lines3:
-            raise InstanceError(f"no space line named {name!r}")
-        return self.lines3[name]
+        return _named(self.lines3, name, "space line")
 
     def point_set(self, name: str) -> PointSet:
-        if name not in self.point_sets:
-            raise InstanceError(f"no point set named {name!r}")
-        return self.point_sets[name]
+        return _named(self.point_sets, name, "point set")
+
+    def point_set_of(self, name=None, product_of=None) -> PointSet:
+        """The point set called ``name`` or, when ``name`` is None, the
+        product set of the two point sets named in ``product_of``."""
+        if name is not None:
+            return self.point_set(name)
+        if not isinstance(product_of, (list, tuple)) or len(product_of) != 2:
+            raise InstanceError(
+                f"a product needs exactly two names, got {product_of!r}"
+            )
+        left, right = (self.point_set(n) for n in product_of)
+        products, _ = pairwise_products(left, right)
+        return products
+
+
+def _named(table: dict, name, kind: str):
+    if not isinstance(name, str):
+        raise InstanceError(f"a {kind} name must be a string, got {name!r}")
+    if name not in table:
+        raise InstanceError(f"no {kind} named {name!r}")
+    return table[name]
 
 
 def _coords(values, length, where):

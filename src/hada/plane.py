@@ -43,6 +43,7 @@ from .projective import (
     ProjPoint,
     coordinate_hyperplane,
     hadamard_points,
+    hyperplane_product,
     pairwise_products,
 )
 
@@ -504,8 +505,6 @@ def product_collinearity_check(
     containing = None
     if collinear:
         if meets_delta0:
-            from .projective import hyperplane_product
-
             containing = hyperplane_product(line, line)
             if products is not None and not all(
                 containing.contains(p) for p in products

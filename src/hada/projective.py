@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * Homogeneous coordinates are kept in canonical form: a primitive
   integer vector (content 1) whose first nonzero entry is positive.
   Equality, hashing and serialization all act on this form, so equal
-  projective points compare equal bit for bit.
+  projective points compare equal bit for bit.  ``primitive_vector``
+  is the one routine that takes a vector to it; forms and the Plücker
+  vectors of lines in ``hada.space`` use it too.
 * The degeneracy level of a point is (number of nonzero coordinates)
   minus one: level ``n`` means no zero coordinate in ``P^n``, level 0
   is a coordinate point, and level -1 is reserved for the undefined
@@ -19,7 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionMismatch, HadaError, StratumError
+from .errors import (
+    DimensionMismatch,
+    HadaError,
+    StratumError,
+    UnsupportedShapeError,
+)
 
 
 # an integer or a quotient of integers; exponent and decimal notations
@@ -45,6 +52,18 @@ def parse_rational(value) -> Fraction:
     raise HadaError(f"not a rational: {value!r}")
 
 
+def primitive_vector(ints) -> tuple[int, ...]:
+    """The canonical form of a nonzero integer vector: divided by the
+    gcd of its entries, with its first nonzero entry made positive."""
+    g = gcd(*ints)
+    for x in ints:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return tuple(ints) if g == 1 else tuple([x // g for x in ints])
+
+
 def canonical_coords(values) -> tuple[int, ...]:
     """Canonical primitive integer vector for a homogeneous tuple."""
     fracs = [parse_rational(v) for v in values]
@@ -54,19 +73,7 @@ def canonical_coords(values) -> tuple[int, ...]:
     for f in fracs:
         d = f.denominator
         lcm = lcm * d // gcd(lcm, d)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        if x:
-            g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    return primitive_vector([int(f * lcm) for f in fracs])
 
 
 class Undefined:
@@ -229,8 +236,6 @@ def hyperplane_product(h: Hyperplane, k: Hyperplane):
     Anything else raises UnsupportedShapeError: no closed form exists
     for those supports, and this package does not compute them.
     """
-    from .errors import UnsupportedShapeError
-
     if h.ambient_dim != k.ambient_dim:
         raise DimensionMismatch("hyperplane dimensions differ")
     sup_h, sup_k = h.support, k.support

@@ -3,8 +3,9 @@
 A line is stored as an ordered pair of planes, because every
 hypothesis in this part of the theory is phrased through the dual
 points of those planes, together with its dual Plücker vector: the six
-2x2 minors q_ij = a_i*b_j - a_j*b_i of the plane pair (a; b), made
-primitive.  That vector names the line whatever pair is given, and
+2x2 minors q_ij = a_i*b_j - a_j*b_i of the plane pair (a; b), in the
+canonical form points have (``hada.projective.primitive_vector``).
+That vector names the line whatever pair is given, and
 every line-line question is a closed form in it (Hodge & Pedoe,
 *Methods of Algebraic Geometry* I, 1947, ch. VII; Pottmann & Wallner,
 *Computational Line Geometry*, 2001, ch. 2): two lines are equal when
@@ -25,7 +26,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
 from . import linalg, sampling
@@ -37,7 +37,7 @@ from .errors import (
     SamplingError,
     StratumError,
 )
-from .forms import HomogeneousForm, evaluate_monomial, monomials
+from .forms import HomogeneousForm
 from .ideals import degree_bounded_ideal
 from .projective import (
     UNDEFINED,
@@ -47,6 +47,7 @@ from .projective import (
     hadamard_points,
     pairwise_products,
     point_hyperplane_product,
+    primitive_vector,
 )
 
 # Highest degree variety_product_interpolate accepts; the evaluation
@@ -91,8 +92,9 @@ class Line3:
     """A line in P^3 as an ordered pair of distinct planes.
 
     ``q`` is the dual Plücker vector of the pair (a; b) of plane duals:
-    q_ij = a_i*b_j - a_j*b_i over the pairs 01, 02, 03, 12, 13, 23, made
-    primitive with its first nonzero entry positive.  It is zero exactly
+    q_ij = a_i*b_j - a_j*b_i over the pairs 01, 02, 03, 12, 13, 23, in the
+    canonical form of ``hada.projective.primitive_vector``: primitive,
+    with its first nonzero entry positive.  It is zero exactly
     when the planes coincide, and any other pair of planes through the
     line scales it by a nonzero constant, so it identifies the line.
     """
@@ -106,12 +108,9 @@ class Line3:
         q = [a[i] * b[j] - a[j] * b[i] for i, j in _PAIRS]
         if not any(q):
             raise HadaError("planes coincide; they do not cut out a line")
-        g = gcd(*q)
-        if next(x for x in q if x) < 0:
-            g = -g
         self.h = h
         self.k = k
-        self.q = tuple(x // g for x in q)
+        self.q = primitive_vector(q)
         self._basis = None
 
     @property
@@ -385,23 +384,20 @@ class Quadric3:
 
 
 def quadric_through(points: PointSet) -> Union[Quadric3, str]:
-    """The quadric through a point set when it is unique.
+    """The quadric through a point set when it is unique: the one form
+    of ``degree_bounded_ideal(points, 2)``.
 
     Returns "none" when no quadric contains the set and "non-unique"
     when the space of such quadrics has dimension at least two.
     """
     if points.ambient_dim != 3:
         raise DimensionMismatch("quadrics live in P^3")
-    monos = monomials(4, 2)
-    rows = [
-        [evaluate_monomial(e, p.coords) for e in monos] for p in points
-    ]
-    basis = linalg.kernel_basis(rows, len(monos))
-    if not basis:
+    forms = degree_bounded_ideal(points, 2)
+    if not forms:
         return "none"
-    if len(basis) > 1:
+    if len(forms) > 1:
         return "non-unique"
-    return Quadric3(HomogeneousForm.from_vector(4, 2, basis[0]))
+    return Quadric3(forms[0])
 
 
 @dataclass(frozen=True)

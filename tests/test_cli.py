@@ -343,6 +343,29 @@ def test_verify_non_object_args_is_input_error(tmp_path, capsys, args):
     assert "broken.json" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "instance, op, args",
+    [
+        (GRID_DOC, "ci", {"product_of": ["X"]}),
+        (GRID_DOC, "ci", {"product_of": 5}),
+        (GRID_DOC, "hilbert", {"set": ["X"]}),
+        (GRID_DOC, "hilbert", {"set": "Y"}),
+        (GRID_DOC, "degree_forms", {"set": "X", "degree": "2"}),
+        (GRID_DOC, "degree_forms", {"set": "X", "degree": True}),
+        (P3_DOC, "implicitize", {"line": "L", "line2": "Lp", "degree": 2.0}),
+    ],
+    ids=["one-name", "number-pair", "list-name", "unknown-name", "string-degree",
+         "bool-degree", "float-degree"],
+)
+def test_verify_malformed_check_args_is_input_error(tmp_path, capsys, instance, op, args):
+    doc = {"instance": instance, "checks": [{"op": op, "args": args, "expect": {}}]}
+    (tmp_path / "broken.json").write_text(json.dumps(doc))
+    rc = main(["verify", "--fixtures", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "broken.json" in err and "Traceback" not in err
+
+
 def test_verify_empty_directory(tmp_path, capsys):
     rc = main(["verify", "--fixtures", str(tmp_path)])
     err = capsys.readouterr().err
@@ -371,6 +394,274 @@ def test_text_report_renders(capsys, grid_file):
     out = capsys.readouterr().out
     assert rc == 0
     assert "values: [1, 2, 3, 3]" in out
+
+
+# --- whole reports, one per branch of each command ----------------------
+
+# P3_DOC plus a plane H and a one-point set P
+SPACE_DOC = {
+    **P3_DOC,
+    "lines": {**P3_DOC["lines"], "H": [1, 2, 3, 4]},
+    "points": {**P3_DOC["points"], "P": [[1, 2, -1, 1]]},
+}
+COORDINATE_LINES_DOC = {"space": 2, "lines": {"A": [1, 0, 0], "B": [0, 1, 0]}}
+
+DOCS = {
+    "grid": GRID_DOC,
+    "p3": P3_DOC,
+    "bad": BAD_GRID_DOC,
+    "space": SPACE_DOC,
+    "coordinate": COORDINATE_LINES_DOC,
+}
+
+
+@pytest.fixture
+def docs(tmp_path):
+    paths = {}
+    for name, doc in DOCS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+def with_paths(docs, argv):
+    """The argument list with each ``-i`` name replaced by its file."""
+    return [docs[a] if prev == "-i" else a for prev, a in zip([None] + argv, argv)]
+
+
+def whole_report(capsys, argv):
+    """Exit code and JSON report of a command, without its timing."""
+    rc, report = run_json(capsys, argv)
+    assert isinstance(report.pop("elapsed_ms"), int)
+    return rc, report
+
+
+P3_GRID_RESULTS = {
+    "condition": True,
+    "count": 9,
+    "points": [
+        [1, -2, -4, 1], [2, 2, 2, 1], [3, 6, 8, 1], [7, -7, -8, 1],
+        [11, -8, -4, -1], [14, 7, 4, 1], [21, 21, 16, 1], [22, 8, 2, -1],
+        [33, 24, 8, -1],
+    ],
+    "row_lines": [
+        {"H": [1, -4, 4, -2], "K": [1, -2, -1, 4]},
+        {"H": [1, 2, -1, -1], "K": [4, 4, 1, 8]},
+        {"H": [2, -4, 3, -6], "K": [8, -8, -3, 48]},
+    ],
+    "col_lines": [
+        {"H": [2, 1, -1, -4], "K": [2, -2, 1, -2]},
+        {"H": [8, 11, -44, 176], "K": [4, -11, 22, 44]},
+        {"H": [4, 4, -7, -56], "K": [4, -8, 7, -28]},
+    ],
+}
+
+P2_GRID_RESULTS = {
+    "condition": True,
+    "count": 12,
+    "points": [
+        [33, 657, 1], [36, 584, 1], [121, 2079, 5], [132, 1848, 5],
+        [168, 2652, 5], [174, 3066, 5], [187, 3888, 5], [204, 3456, 5],
+        [308, 5967, 10], [638, 9702, 25], [812, 13923, 25], [986, 18144, 25],
+    ],
+    "row_lines": [[67, -3, -660], [603, -22, -5445], [1407, -58, -13398]],
+    "col_lines": [[21, 1, -924], [663, 28, -37128], [432, 17, -29376], [73, 3, -4380]],
+    "witness_degrees": [3, 4],
+}
+
+QUADRIC_VECTOR = [36, -246, 338, 354, 180, -354, -1690, 126, 861, 630]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, results",
+    [
+        (
+            ["product", "-i", "coordinate", "--left", "A", "--right", "B"],
+            0,
+            {"kind": "subspace", "planes": [[1, 0, 0], [0, 1, 0]]},
+        ),
+        (
+            ["product", "-i", "coordinate", "--left", "A", "--right", "A"],
+            0,
+            {"kind": "hyperplane", "hyperplane": [1, 0, 0]},
+        ),
+        (
+            ["product", "-i", "space", "--left", "P", "--right", "H"],
+            0,
+            {"kind": "hyperplane", "hyperplane": [1, 1, -3, 4]},
+        ),
+        (
+            ["product", "-i", "space", "--left", "P", "--right", "L"],
+            0,
+            {"kind": "line", "line": {"H": [2, -1, -2, 4], "K": [1, 1, 1, 1]}},
+        ),
+        (
+            ["classify", "--point", "0:1:2", "--line", "0:1:1"],
+            0,
+            {"kind": "point", "case": 3, "point": [0, 1, -2]},
+        ),
+        (
+            ["classify", "--point", "1:2:3", "--point2", "0:1:2", "--line", "0:1:1"],
+            0,
+            {
+                "case": "2a",
+                "relation": "point-off-line",
+                "direct_relation": "point-off-line",
+                "consistent": True,
+                "first": {"kind": "line", "case": 1, "line": [0, 3, 2]},
+                "second": {"kind": "point", "case": 3, "point": [0, 1, -2]},
+            },
+        ),
+        (["grid", "-i", "p3"], 0, P3_GRID_RESULTS),
+        (["grid", "-i", "grid"], 0, P2_GRID_RESULTS),
+        (
+            ["grid", "-i", "bad"],
+            1,
+            {
+                "condition": False,
+                "detail": "grid condition fails: [1:1:1] and [3:-1:-3] produce "
+                "the same product with the dual points",
+                "brute_force_count": 1,
+                "expected": 1,
+                "points": [[3, -1, -3]],
+            },
+        ),
+        (
+            ["hilbert", "-i", "grid", "--set", "X"],
+            0,
+            {"values": [1, 2, 3, 3], "tau": 2, "h_vector": [1, 1, 1], "cardinality": 3},
+        ),
+        (["quadric", "-i", "p3", "--set", "X"], 0, {"kind": "non-unique"}),
+        (
+            ["quadric", "-i", "p3", "--product", "X,Xp"],
+            0,
+            {
+                "kind": "quadric",
+                "vector": QUADRIC_VECTOR,
+                "determinant": "22187592025/4",
+                "nondegenerate": True,
+            },
+        ),
+        (
+            ["implicitize", "-i", "p3", "--degree", "2"],
+            0,
+            {"degree": 2, "count": 1, "forms": [QUADRIC_VECTOR]},
+        ),
+        (
+            ["ci", "-i", "p3", "--product", "X,Xp"],
+            0,
+            {
+                "kind": "NotCI",
+                "codimension": 3,
+                "total_generators": 8,
+                "witness_degrees": [2, 3, 3, 3, 3, 3, 3, 3],
+                "reason": "8 minimal generators exceed the codimension 3; "
+                "h-vector is not symmetric",
+            },
+        ),
+        (
+            ["ci", "-i", "grid", "--product", "X,Xp"],
+            0,
+            {"kind": "CI", "codimension": 2, "total_generators": 2, "witness_degrees": [3, 4]},
+        ),
+        (
+            ["verify"],
+            0,
+            {"fixtures": 8, "checks": 27, "failures": [], "ok": True},
+        ),
+        (
+            ["random", "--space", "3", "--n", "2", "--m", "2", "--seed", "3"],
+            0,
+            {
+                "instance": {
+                    "space": 3,
+                    "seed": 3,
+                    "lines": {
+                        "L": {"H": [5, -17, -14, 12], "K": [3, 18, 10, 20]},
+                        "Lp": {"H": [17, -16, 18, -20], "K": [10, -4, 15, -6]},
+                    },
+                    "points": {
+                        "X": [[300290, 76460, -58233, -84741], [54118, -2108, 11589, -12015]],
+                        "Xp": [[483208, 136519, -258014, 69299], [435064, 131113, -232990, 55223]],
+                    },
+                },
+                "grid_points": 4,
+            },
+        ),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+)
+def test_whole_json_report(capsys, docs, argv, rc, results):
+    argv = with_paths(docs, argv)
+    assert whole_report(capsys, argv) == (
+        rc,
+        {"command": argv[0], "backend": "python", "results": results},
+    )
+
+
+def test_random_out_report_names_the_file(capsys, tmp_path):
+    out = str(tmp_path / "rand.json")
+    argv = ["random", "--space", "2", "--n", "2", "--m", "2", "--seed", "3", "--out", out]
+    assert whole_report(capsys, argv) == (
+        0,
+        {
+            "command": "random",
+            "backend": "python",
+            "results": {"written": out, "grid_points": 4},
+        },
+    )
+
+
+def test_verify_json_report_lists_each_failure(tmp_path, capsys):
+    target = tmp_path / "fixtures"
+    shutil.copytree(fixtures_dir(), target)
+    doc = json.loads((target / "plane-pair-binomial.json").read_text())
+    doc["checks"][0]["expect"]["coefficients"] = [0, 22, 0, -8]
+    (target / "plane-pair-binomial.json").write_text(json.dumps(doc))
+    rc, report = whole_report(capsys, ["verify", "--fixtures", str(target)])
+    assert rc == 1
+    assert report == {
+        "command": "verify",
+        "backend": "python",
+        "results": {
+            "fixtures": 8,
+            "checks": 27,
+            "failures": [
+                {
+                    "fixture": "plane-pair-binomial",
+                    "op": "hyperplane_product",
+                    "detail": "expected {'kind': 'hyperplane', 'coefficients': "
+                    "[0, 22, 0, -8]}, got {'kind': 'hyperplane', "
+                    "'coefficients': [0, 21, 0, -8]}",
+                }
+            ],
+            "ok": False,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["product", "-i", "grid", "--left", "X", "--right", "L"],
+            "point set 'X' has 3 points, need 1",
+        ),
+        (["hilbert", "-i", "grid"], "name a point set with --set or --product A,B"),
+        (["product", "-i", "space", "--left", "L", "--right", "X"], "cannot pair 'L' with 'X'"),
+        (
+            ["product", "-i", "space", "--left", "L", "--right", "Lp"],
+            "products of two space lines have no closed form",
+        ),
+    ],
+)
+def test_input_error_branches_print_no_report(capsys, docs, argv, message):
+    rc = main(with_paths(docs, argv) + ["--json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and message in captured.err
 
 
 # --- fuzzing the exit-code contract -------------------------------------

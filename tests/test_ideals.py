@@ -1,12 +1,13 @@
 """Hilbert functions, generator counts and CI verdicts."""
 
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hada import _elim, ideals, linalg
+from hada.errors import HadaError
 from hada.forms import monomials
 from hada.ideals import (
     CIVerdict,
@@ -62,6 +63,10 @@ PLANAR25 = pairwise_products(
 
 
 class TestHilbertFunction:
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(HadaError, match="degree must be nonnegative"):
+            hilbert_function(GRID3, -1)
+
     def test_single_point(self):
         p = PointSet.from_coords([[3, 5, 7]])
         for t in range(4):
@@ -192,6 +197,10 @@ class TestDegreeBoundedIdeal:
             forms = degree_bounded_ideal(GRID3, t)
             assert len(forms) == count - hilbert_function(GRID3, t)
 
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(HadaError, match="degree must be nonnegative"):
+            degree_bounded_ideal(GRID3, -1)
+
     def test_deterministic_order(self):
         a = degree_bounded_ideal(GRID3, 3)
         b = degree_bounded_ideal(GRID3, 3)
@@ -216,6 +225,12 @@ class TestGeneratorProfile:
     def test_single_point_in_plane(self):
         prof = generator_profile(PointSet.from_coords([[1, 2, 3]]))
         assert prof.new_in_degree(1) == 2 and prof.total == 2
+
+    def test_no_generator_beyond_the_bound(self):
+        prof = generator_profile(GRID3, max_degree=2)
+        assert [e.degree for e in prof.entries] == [0, 1, 2]
+        assert prof.new_in_degree(2) == 1
+        assert prof.new_in_degree(3) == 0 and prof.new_in_degree(9) == 0
 
     def test_new_generators_nonnegative_and_dims_consistent(self):
         for points in (GRID2, GRID3):
@@ -546,3 +561,14 @@ def test_any_degree_at_least_tau_gives_the_same_ladder(monkeypatch):
         n, d = points.ambient_dim, expected[0].tau + 2
         assert calls[0] == ("echelon_of", len(points), comb(d + n, n))
         calls.clear()
+
+
+def test_stored_ladder_rows_are_primitive():
+    # a slice of an echelon row of E_d keeps the common factors of the
+    # whole row; on this 5x5 skew grid they reach hundreds of bits
+    _, _, xs, xs2 = generic_skew_sample(5, 5, 2000)
+    skew = pairwise_products(xs, xs2)[0]
+    for points in (skew, GRID2, GRID3, PLANAR25, collinear_points(6)):
+        ladder = ideals._ladder(PointSet(points.points))
+        rows = [row for block in ladder.reduced for row in block]
+        assert rows and all(gcd(*row) == 1 for row in rows)

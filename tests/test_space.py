@@ -230,6 +230,8 @@ class TestQuadric:
         from hada.forms import membership
 
         assert all(membership(p, q.form) for p in g.points)
+        assert all(q.contains_point(p) for p in g.points)
+        assert not q.contains_point(ProjPoint([0, 0, 0, 1]))  # x3^2 has 1176
 
     def test_three_points_non_unique(self):
         assert quadric_through(X_A) == "non-unique"

@@ -2,10 +2,10 @@
 
 Runs the tier-1 suite (``tests/``) in this process under a
 ``sys.settrace`` line tracer and prints every statement of
-``src/hada/*.py`` whose first line never ran, as ``module:line``,
-followed by a per-module count.  Standard library only; it is about
-four times slower than the untraced suite, which is why the suite does
-not collect it.
+``src/hada/*.py`` whose first line never ran, as ``module:line``
+followed by that line of source, and then a per-module count.
+Standard library only; it is about four times slower than the
+untraced suite, which is why the suite does not collect it.
 
 A statement is a node of the module's syntax tree whose first line
 carries bytecode (docstrings and ``global`` lines carry none).  Code
@@ -67,8 +67,9 @@ def main(argv):
 
     counts = Counter()
     for name, path in files.items():
+        source = path.read_text().splitlines()
         for line in sorted(statement_lines(path) - hits[name]):
-            print(f"{path.stem}:{line}")
+            print(f"{path.stem}:{line}  {source[line - 1].strip()}")
             counts[path.stem] += 1
     total = sum(len(statement_lines(path)) for path in files.values())
     for module, count in counts.most_common():
