@@ -3,19 +3,32 @@
 Every matrix here is a dense list of rows of Python ints; arbitrary
 precision comes for free.  Two elimination strategies are combined:
 
-* the primary path eliminates fraction-free and divides every updated
-  row by its content.  On the structured matrices this package
-  produces (monomial evaluations, coordinatewise products) the content
-  is enormous and entries stay small, but on adversarial dense input
-  the growth can be exponential, so the path aborts once an entry
+* the primary path eliminates fraction-free and divides rows by their
+  content.  On the structured matrices this package produces
+  (monomial evaluations, coordinatewise products) the content is
+  enormous and entries stay small, but on adversarial dense input the
+  growth can be exponential, so the path aborts once an entry
   outgrows a bound derived from the Bareiss minor estimate.  A row
   with entry q under a pivot p becomes row_i*(p/g) - (q/g)*row_r with
-  g = gcd(p, q), not row_i*p - q*row_r: since g > 0 that is the
-  full-multiplier row divided by g, so after the content division the
-  row is the same, sign included, and so are every later step, the
-  guard's decisions and the output.  Only the factors multiplied are
-  smaller (Bareiss, Math. Comp. 22, 1968, for the fraction-free
-  background);
+  g = gcd(p, q), not row_i*p - q*row_r.  A row is divided by its
+  content when it becomes the pivot row, when an update has more than
+  doubled its largest bit size since its last division (grown it by
+  half, if that division removed more than a quarter of its bits), and
+  before the guard gives up on it; other updates leave the content in.
+  Each row kept this way is a positive integer multiple of the
+  primitive row that dividing after every full-multiplier update would
+  keep: g > 0, and positive multiples of the pivot row and of the row
+  itself give a positive multiple of the result.  So every pivot row,
+  once divided, is that primitive row, sign included, and so are the
+  returned rows.  The guard gives up only on a divided row, which is
+  that primitive row, and a multiple within the bound has its
+  primitive row within it, so its decisions are the same too.  Only
+  the factors multiplied and the number of content gcds are smaller.
+  The growth rule is needed on dense input, where the content one
+  update adds is about the previous pivot (the Bareiss identity), so
+  rows divided only at pivot time carry it compounded; a row with
+  that much content is divided sooner (Bareiss, Math. Comp. 22, 1968,
+  for the fraction-free background);
 * the fallback is one-step fraction-free (Bareiss) elimination, whose
   entries are minors of the input and hence polynomially sized.
 
@@ -97,15 +110,16 @@ def _growth_limit(m, ncols):
     return 2 * steps * (maxbits + ncols.bit_length() + 2) + 64
 
 
-def _row_within(row, bound):
-    """True when every entry is below ``bound`` = 2**limit in absolute
-    value, i.e. has at most ``limit`` bits."""
-    return -bound < min(row) and max(row) < bound
+def _bits(row):
+    """Largest bit size of an entry of the row (0 for a zero row)."""
+    return max(max(row).bit_length(), min(row).bit_length())
 
 
 def _echelon_gcd(m, ncols, limit):
     nrows = len(m)
-    bound = 1 << limit
+    # the bit size at which each row is next divided by its content; the
+    # input rows are primitive
+    due = [2 * _bits(row) if row else 0 for row in m]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -118,7 +132,9 @@ def _echelon_gcd(m, ncols, limit):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            due[r], due[piv] = due[piv], due[r]
         row_r = m[r]
+        _reduce_row(row_r)
         p = row_r[c]
         tail_r = row_r[c:]
         for i in range(r + 1, nrows):
@@ -127,10 +143,20 @@ def _echelon_gcd(m, ncols, limit):
             if q:
                 g = gcd(p, q)
                 a, b = p // g, q // g
-                row_i[c:] = [x * a - b * y for x, y in zip(row_i[c:], tail_r)]
-                _reduce_row(row_i)
-                if not _row_within(row_i, bound):
-                    return None
+                tail = [x * a - b * y for x, y in zip(row_i[c:], tail_r)]
+                row_i[c:] = tail
+                bits = _bits(tail)
+                if bits > limit or bits > due[i]:
+                    g = gcd(*tail)
+                    left = bits
+                    if g > 1:
+                        tail = row_i[c:] = [x // g for x in tail]
+                        left = _bits(tail)
+                    if left > limit:
+                        return None
+                    # a row whose content was more than a quarter of its
+                    # bits is divided again when it has grown by half
+                    due[i] = 2 * left if 4 * (bits - left) <= bits else 3 * left // 2
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -202,7 +228,10 @@ class ModBasis:
     added.  A kept vector is stored from its pivot, its first nonzero
     entry, on, scaled to 1 there; it is zero at the pivots of the vectors
     kept before it, so one pass over the basis in order reduces a new
-    vector.
+    vector.  The pass reduces only each multiplier mod p and takes the
+    entries mod p once at the end: an entry starts below p, and each of
+    the k stored rows subtracts less than p**2, so it stays below
+    (k + 1) * p**2 in absolute value.
     """
 
     __slots__ = ("rows",)
@@ -219,9 +248,10 @@ class ModBasis:
         p = _PRIME
         v = [x % p for x in vector]
         for j, tail in self.rows:
-            c = v[j]
+            c = v[j] % p
             if c:
-                v[j:] = [(x - c * y) % p for x, y in zip(v[j:], tail)]
+                v[j:] = [x - c * y for x, y in zip(v[j:], tail)]
+        v = [x % p for x in v]
         j = next((j for j, x in enumerate(v) if x), -1)
         if j < 0:
             return False
@@ -270,7 +300,7 @@ def _back_substitute(rows, pivots):
     The rows are made primitive, then cleared above every pivot from
     the last to the first; each pivot entry is made positive first.
     A row update divides its multipliers by gcd(p, q) and the row by
-    its content, as in ``_echelon_gcd``.
+    its content after every update.
 
     No growth guard is needed.  When row k is used it is already
     reduced, so after the update each row i above it is, up to scale,

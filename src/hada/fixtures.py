@@ -6,11 +6,12 @@ the expected exact output.  Replaying a fixture recomputes every check
 and diffs the canonical results; nothing is thrown on mismatch, the
 summary reports failures so a driver can exit nonzero.  A fixture
 directory that is missing or holds no fixture, and a fixture file that
-is not valid JSON, lacks its instance or checks, gives a check ``args``
-that is not an object, or gives a check a name its instance lacks, a
-name that is not a string, a ``product_of`` that is not two names or a
-``degree`` that is not an integer, raise InstanceError naming the
-file.
+is not valid JSON, lacks its instance or checks, names an unknown
+operation, gives a check ``args`` that is not an object, or gives a
+check a missing argument, a name its instance lacks, a name that is not
+a string, a ``product_of`` that is not two names or a ``degree`` that is
+not an integer, raise InstanceError naming the file.  A check whose
+operation raises any other HadaError is a failing check.
 """
 
 from __future__ import annotations
@@ -222,12 +223,14 @@ def replay_fixture(path: Path):
             doc = json.load(fh)
         instance = doc["instance"]
         checks = [(c["op"], c.get("args", {}), c["expect"]) for c in doc["checks"]]
-        for _, args, _ in checks:
+        for op, args, _ in checks:
+            if op not in CHECK_OPS:
+                raise ValueError(f"unknown check op {op!r}")
             if not isinstance(args, dict):
                 raise TypeError(f"check args must be an object, got {args!r}")
     except (ValueError, KeyError, TypeError) as exc:
-        # invalid JSON or UTF-8, a missing key, or a value that is not
-        # an object where one is required
+        # invalid JSON or UTF-8, a missing key, an unknown op, or a value
+        # that is not an object where one is required
         raise InstanceError(f"malformed fixture {path}: {exc!r}") from None
     name = doc.get("name", path.stem)
     inst = parse_instance_dict(instance)
@@ -239,7 +242,11 @@ def replay_fixture(path: Path):
             # the check names what its instance lacks, or names it or
             # its degree by a value of the wrong type
             raise InstanceError(f"malformed fixture {path}: {exc}") from None
-        except (HadaError, KeyError) as exc:
+        except KeyError as exc:
+            raise InstanceError(
+                f"malformed fixture {path}: check {i} ({op}) lacks argument {exc}"
+            ) from None
+        except HadaError as exc:
             outcomes.append(
                 CheckOutcome(name, i, op, False, f"error: {exc}")
             )

@@ -89,18 +89,34 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
 from . import _elim, linalg
 from .errors import HadaError
-from .forms import HomogeneousForm, evaluate_monomial, monomials
+from .forms import HomogeneousForm, monomials
 from .projective import PointSet
 
 
+@lru_cache(maxsize=None)
+def _exponent_columns(nvars: int, degree: int):
+    """The exponents of each variable across ``monomials(nvars, degree)``."""
+    return tuple(zip(*monomials(nvars, degree)))
+
+
 def _evaluation_matrix(coords, nvars: int, degree: int):
-    monos = monomials(nvars, degree)
-    return [[evaluate_monomial(e, p) for e in monos] for p in coords]
+    """E_t: the degree-t monomials, in ``monomials`` order, evaluated at
+    each point, as products of per-coordinate power tables."""
+    first, *rest = _exponent_columns(nvars, degree)
+    matrix = []
+    for p in coords:
+        powers = [[x**e for e in range(degree + 1)] for x in p]
+        row = [powers[0][e] for e in first]
+        for table, column in zip(powers[1:], rest):
+            row = [v * table[e] for v, e in zip(row, column)]
+        matrix.append(row)
+    return matrix
 
 
 def evaluation_rows(points: PointSet, degree: int):

@@ -103,12 +103,11 @@ def parse_instance_dict(data: dict) -> Instance:
             raise InstanceError(f"{key} must be a JSON object")
     ncoords = space + 1
     inst = Instance(space=space, seed=seed)
-    seen = set()
+    # names are keys of JSON objects, so only a point set can repeat a
+    # line's name
+    lines = data.get("lines") or {}
 
-    for name, value in (data.get("lines") or {}).items():
-        if name in seen:
-            raise InstanceError(f"duplicate name {name!r}")
-        seen.add(name)
+    for name, value in lines.items():
         where = f"lines.{name}"
         if isinstance(value, dict):
             if space != 3 or set(value) != {"H", "K"}:
@@ -129,9 +128,8 @@ def parse_instance_dict(data: dict) -> Instance:
                 raise InstanceError(f"{where}: {exc}") from None
 
     for name, rows in (data.get("points") or {}).items():
-        if name in seen:
+        if name in lines:
             raise InstanceError(f"duplicate name {name!r}")
-        seen.add(name)
         where = f"points.{name}"
         if not isinstance(rows, list) or not rows:
             raise InstanceError(f"{where}: expected a nonempty list of points")
@@ -182,6 +180,9 @@ def emit_instance(inst: Instance) -> dict:
 
 
 def save_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(emit_instance(inst), fh, indent=2)
-        fh.write("\n")
+    text = json.dumps(emit_instance(inst), indent=2) + "\n"
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InstanceError(f"cannot write {path}: {exc}") from None

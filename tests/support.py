@@ -89,6 +89,36 @@ def ref_echelon_gcd(m, ncols, limit):
     return r, pivots, m
 
 
+class EagerModBasis:
+    """Reference for ``_elim.ModBasis``: the same echelon basis over
+    GF(p), with every entry reduced mod p after every row step."""
+
+    def __init__(self, prime):
+        self.prime = prime
+        self.rows = []
+
+    def add(self, vector):
+        p = self.prime
+        v = [x % p for x in vector]
+        for j, tail in self.rows:
+            c = v[j]
+            if c:
+                v[j:] = [(x - c * y) % p for x, y in zip(v[j:], tail)]
+        j = next((j for j, x in enumerate(v) if x), -1)
+        if j < 0:
+            return False
+        inv = pow(v[j], -1, p)
+        self.rows.append((j, [x * inv % p for x in v[j:]]))
+        return True
+
+
+def ref_evaluation_matrix(coords, nvars, degree):
+    """Reference for ``ideals._evaluation_matrix``: every monomial
+    evaluated on its own by ``evaluate_monomial``."""
+    monos = monomials(nvars, degree)
+    return [[evaluate_monomial(e, p) for e in monos] for p in coords]
+
+
 def frac_rank(rows, ncols):
     return frac_rref(rows, ncols)[0]
 

@@ -297,6 +297,15 @@ def test_random_round_trips_through_parse(tmp_path, capsys):
     assert emit_instance(parse_instance(out)) == data
 
 
+
+def test_random_out_in_missing_directory_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "rand.json"
+    rc = main(["random", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error: cannot write") and str(out) in err
+    assert "Traceback" not in err and not out.exists()
+
 def test_verify_bundled_fixtures(capsys):
     rc = main(["verify"])
     out = capsys.readouterr().out
@@ -364,6 +373,49 @@ def test_verify_malformed_check_args_is_input_error(tmp_path, capsys, instance, 
     err = capsys.readouterr().err
     assert rc == 2
     assert "broken.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ({"op": "no_such_op", "args": {"set": "X"}, "expect": {}}, "no_such_op"),
+        ({"op": ["ci"], "args": {}, "expect": {}}, "unhashable"),
+        ({"op": "grid2", "args": {"x": "X", "x2": "Xp"}, "expect": {}},
+         "check 0 (grid2) lacks argument 'line'"),
+    ],
+    ids=["unknown-op", "list-op", "missing-argument"],
+)
+def test_verify_malformed_check_is_input_error(tmp_path, capsys, check, message):
+    doc = {"instance": GRID_DOC, "checks": [check]}
+    (tmp_path / "broken.json").write_text(json.dumps(doc))
+    rc = main(["verify", "--fixtures", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error: malformed fixture")
+    assert "broken.json" in err and message in err and "Traceback" not in err
+
+
+def test_verify_check_raising_a_hada_error_fails_that_check(tmp_path, capsys):
+    grid2 = {"x": "X", "x2": "Xp", "line": "L", "line2": "Lp"}
+    doc = {
+        "name": "bad-grid",
+        "instance": BAD_GRID_DOC,
+        "checks": [
+            {"op": "grid2", "args": grid2, "expect": {}},
+            {"op": "product_count", "args": {"x": "X", "x2": "Xp"},
+             "expect": {"count": 1, "undefined_pairs": 0}},
+        ],
+    }
+    (tmp_path / "bad-grid.json").write_text(json.dumps(doc))
+    summary = replay_fixtures(tmp_path)
+    assert [(o.op, o.ok) for o in summary.outcomes] == [
+        ("grid2", False),
+        ("product_count", True),
+    ]
+    assert summary.failures[0].detail.startswith("error: ")
+    rc = main(["verify", "--fixtures", str(tmp_path)])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_empty_directory(tmp_path, capsys):

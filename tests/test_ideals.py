@@ -27,7 +27,13 @@ from hada.ideals import (
 from hada.plane import grid_product_p2
 from hada.projective import Hyperplane, PointSet, ProjPoint, pairwise_products
 from hada.space import Line3, generic_skew_sample
-from support import frac_hilbert_values, frac_rank, frac_rref, span_rank_generators
+from support import (
+    frac_hilbert_values,
+    frac_rank,
+    frac_rref,
+    ref_evaluation_matrix,
+    span_rank_generators,
+)
 
 
 def collinear_points(m, dim=3):
@@ -572,3 +578,14 @@ def test_stored_ladder_rows_are_primitive():
         ladder = ideals._ladder(PointSet(points.points))
         rows = [row for block in ladder.reduced for row in block]
         assert rows and all(gcd(*row) == 1 for row in rows)
+
+
+def test_evaluation_matrix_matches_monomial_by_monomial_reference():
+    rng = random.Random(1313)
+    for nvars in range(1, 5):
+        for degree in range(10):
+            coords = [tuple(rng.randint(-7, 7) for _ in range(nvars)) for _ in range(6)]
+            coords += [(0,) * nvars, tuple(-1 for _ in range(nvars))]
+            assert _evaluation_matrix(coords, nvars, degree) == ref_evaluation_matrix(
+                coords, nvars, degree
+            )

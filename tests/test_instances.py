@@ -158,3 +158,26 @@ def test_emit_canonicalizes():
         {"space": 2, "lines": {"L": ["2/4", "1", "-6"]}}
     )
     assert emit_instance(inst)["lines"]["L"] == [1, 2, -12]
+
+
+@pytest.mark.parametrize("line", [[1, 1, 1], {"H": [1, 0, 0, 1], "K": [0, 1, 0, 1]}],
+                         ids=["plane-line", "space-line"])
+def test_point_set_named_like_a_line_is_rejected(line):
+    space = 3 if isinstance(line, dict) else 2
+    doc = {"space": space, "lines": {"X": line}, "points": {"X": [[1] * (space + 1)]}}
+    with pytest.raises(InstanceError, match="duplicate name 'X'"):
+        parse_instance_dict(doc)
+
+
+def test_parsed_sets_and_lines_serve_as_keys():
+    inst = parse_instance_dict({
+        "space": 3,
+        "lines": {"L": {"H": [1, -1, 1, 2], "K": [1, 2, -1, 1]},
+                  "M": {"H": [2, 1, 0, 3], "K": [1, 2, -1, 1]}},
+        "points": {"X": [[1, 2, 3, 4], [0, 1, 0, 1]], "Y": [[0, 2, 0, 2], [2, 4, 6, 8]]},
+    })
+    # the same line from another plane pair, the same set in another order
+    assert len({inst.line3("L"), inst.line3("M")}) == 1
+    assert len({inst.point_set("X"), inst.point_set("Y")}) == 1
+    assert repr(inst.point_set("Y")) == "{[0:1:0:1], [1:2:3:4]}"
+    assert repr(inst.line3("L")) == "Line3({1*x0-1*x1+1*x2+2*x3=0}, {1*x0+2*x1-1*x2+1*x3=0})"

@@ -6,7 +6,7 @@ from math import comb
 from hada import _elim, linalg
 from hada.ideals import evaluation_rows
 from hada.projective import PointSet, ProjPoint
-from support import frac_rank, frac_rref, ref_echelon_gcd
+from support import EagerModBasis, frac_rank, frac_rref, ref_echelon_gcd
 
 
 def random_matrix(rng, nrows, ncols, bound=30, sparsity=0.2):
@@ -188,6 +188,12 @@ def evaluation_cases(seed):
             points = PointSet(points.points[: rng.randint(4, 12)])
             for t in range(top + 1):
                 cases.append((evaluation_rows(points, t), comb(t + n, n)))
+    # dense: wide coordinates, so that row updates outgrow their last
+    # content division and the growth-triggered division runs
+    rows = [[rng.randint(-10**4, 10**4) for _ in range(3)] for _ in range(20)]
+    points = PointSet.dedupe(ProjPoint(r) for r in rows if any(r))
+    for t in (4, 5, 6):
+        cases.append((evaluation_rows(points, t), comb(t + 2, 2)))
     return cases
 
 
@@ -307,3 +313,36 @@ def test_empty_matrix_conventions():
     assert linalg.rank_of([], 4) == 0
     assert linalg.kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert linalg.det_of([]) == 1
+
+
+def test_mod_basis_matches_eager_reference():
+    rng = random.Random(1212)
+    p = _elim._PRIME
+    wide = 2**70
+    outcomes = set()
+    for _ in range(60):
+        k = rng.randint(1, 30)
+        ours, ref = _elim.ModBasis(), EagerModBasis(p)
+        added = []
+        for _ in range(rng.randint(1, k + 5)):
+            kind = rng.random()
+            if added and kind < 0.3:
+                # planted dependency: an integer combination of kept
+                # vectors plus multiples of p
+                v = [0] * k
+                for w in rng.sample(added, rng.randint(1, len(added))):
+                    c = rng.randint(-wide, wide)
+                    v = [x + c * y for x, y in zip(v, w)]
+                v = [x + p * rng.randint(-3, 3) for x in v]
+            elif kind < 0.35:
+                v = [p * rng.randint(-wide, wide) for _ in range(k)]
+            else:
+                v = [0 if rng.random() < 0.3 else rng.randint(-wide, wide) for _ in range(k)]
+            kept = ours.add(v)
+            assert kept == ref.add(v)
+            assert ours.rows == ref.rows
+            outcomes.add(kept)
+            if kept:
+                added.append(v)
+        assert len(ours) == len(ref.rows) <= k
+    assert outcomes == {True, False}
