@@ -93,26 +93,20 @@ def _reduce_row(row):
         row[:] = [x // g for x in row]
 
 
+def _bits(row):
+    """Largest bit size of an entry of the row (0 for a zero row)."""
+    return max(max(row).bit_length(), min(row).bit_length())
+
+
 def _growth_limit(m, ncols):
     """Bit size beyond which the content-division path gives up.
 
     Bareiss intermediates are minors, so their Hadamard bound (with
     slack) separates harmless growth from the exponential regime.
     """
-    maxbits = 1
-    for row in m:
-        for x in row:
-            if x:
-                b = x.bit_length()
-                if b > maxbits:
-                    maxbits = b
+    maxbits = max([1] + [_bits(row) for row in m if row])
     steps = min(len(m), ncols)
     return 2 * steps * (maxbits + ncols.bit_length() + 2) + 64
-
-
-def _bits(row):
-    """Largest bit size of an entry of the row (0 for a zero row)."""
-    return max(max(row).bit_length(), min(row).bit_length())
 
 
 def _echelon_gcd(m, ncols, limit):
