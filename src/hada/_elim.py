@@ -59,12 +59,14 @@ wide one) into a ``ModBasis``, the one GF(p) routine here: an echelon
 basis that reduces each vector mod p only when it is added, so the
 walk stops at min(nrows, ncols) independent vectors without touching
 the rest.  Full-rank matrices with wide entries are common here: the
-evaluation matrix that confirms HF(tau + 1) = |X| and the span
-matrices of the generator count in ``hada.ideals`` (Moeller &
-Buchberger, 1982, use the same lower bound by reduction).  The degree
-ladder there also adds evaluation columns to a ``ModBasis`` to choose
-the one degree it eliminates exactly; the choice decides no answer,
-since every value it reports comes from that exact elimination.
+evaluation matrix that confirms HF(tau + 1) = |X| in ``hada.ideals``,
+and there a generator count's span with fewer rows than columns (Moeller & Buchberger, 1982, use the same lower bound by reduction).
+The degree ladder there also adds evaluation columns to a ``ModBasis``
+to choose the one degree it eliminates exactly; the choice decides no
+answer, since every value it reports comes from that exact
+elimination.  Its generator counts add remainders of shifted kernel
+vectors to a ``ModBasis``: each independent one raises a lower bound
+on the rank of a span, the same inequality again.
 
 ``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
 the frontend every other module calls.

@@ -18,7 +18,8 @@ one report through ``emit_report``.  Only the plain-text form of
 
 Exit codes: 0 success, 1 mathematical verdict failure (failed fixture
 replay, violated grid condition), 2 input error, including a degree
-or a random set size outside its cap.
+or a random set size outside its cap and a point set too large for a
+profile question (``hada.instances.MAX_PROFILE_POINTS``).
 """
 
 from __future__ import annotations
@@ -160,11 +161,14 @@ def _resolve_hyperplane(inst, spec) -> Hyperplane:
     return Hyperplane(_inline_coords(spec))
 
 
-def _resolve_set(inst: Instance, args) -> PointSet:
+def _resolve_set(inst: Instance, args, profile=False) -> PointSet:
+    """The set named by --set or --product; for a profile question
+    (``profile``) refused beyond ``MAX_PROFILE_POINTS`` points."""
     if not (args.set or args.product):
         raise InstanceError("name a point set with --set or --product A,B")
     names = args.product and [s.strip() for s in args.product.split(",")]
-    return inst.point_set_of(args.set or None, names)
+    resolve = inst.profile_set if profile else inst.point_set_of
+    return resolve(args.set or None, names)
 
 
 def cmd_product(args):
@@ -279,7 +283,7 @@ def cmd_grid(args):
 
 def cmd_hilbert(args):
     inst = _load_instance(args)
-    prof = hilbert_profile(_resolve_set(inst, args))
+    prof = hilbert_profile(_resolve_set(inst, args, profile=True))
     results = {
         "values": list(prof.values),
         "tau": prof.tau,
@@ -319,7 +323,7 @@ def cmd_implicitize(args):
 
 def cmd_ci(args):
     inst = _load_instance(args)
-    v = ci_verdict(_resolve_set(inst, args))
+    v = ci_verdict(_resolve_set(inst, args, profile=True))
     results = {"kind": v.kind, "codimension": v.codimension}
     if v.total_generators is not None:
         results["total_generators"] = v.total_generators

@@ -9,9 +9,12 @@ directory that is missing or holds no fixture, and a fixture file that
 is not valid JSON, lacks its instance or checks, names an unknown
 operation, gives a check ``args`` that is not an object, or gives a
 check a missing argument, a name its instance lacks, a name that is not
-a string, a ``product_of`` that is not two names or a ``degree`` that is
-not an integer, raise InstanceError naming the file.  A check whose
-operation raises any other HadaError is a failing check.
+a string, a ``product_of`` that is not two names, a ``degree`` that is
+not an integer, or a profile check (hilbert, ci, generators,
+hf_product) of a set with more than
+``hada.instances.MAX_PROFILE_POINTS`` points, raise InstanceError
+naming the file.  A check whose operation raises any other HadaError
+is a failing check.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ def fixtures_dir() -> Path:
 
 def _resolve_set(inst: Instance, args):
     return inst.point_set_of(args.get("set"), args.get("product_of"))
+
+
+def _profile_set(inst: Instance, args):
+    return inst.profile_set(args.get("set"), args.get("product_of"))
 
 
 def _degree(args) -> int:
@@ -118,7 +125,7 @@ def _check_product_count(inst, args):
 
 
 def _check_hilbert(inst, args):
-    prof = hilbert_profile(_resolve_set(inst, args))
+    prof = hilbert_profile(_profile_set(inst, args))
     return {
         "values": list(prof.values),
         "tau": prof.tau,
@@ -148,7 +155,7 @@ def _check_degree_forms(inst, args):
 
 
 def _check_ci(inst, args):
-    v = ci_verdict(_resolve_set(inst, args))
+    v = ci_verdict(_profile_set(inst, args))
     out = {"kind": v.kind}
     if v.witness_degrees is not None:
         out["witness_degrees"] = list(v.witness_degrees)
@@ -156,7 +163,7 @@ def _check_ci(inst, args):
 
 
 def _check_generators(inst, args):
-    prof = generator_profile(_resolve_set(inst, args))
+    prof = generator_profile(_profile_set(inst, args))
     return {
         "total": prof.total,
         "by_degree": {
@@ -170,7 +177,7 @@ def _check_generators(inst, args):
 def _check_hf_product(inst, args):
     names = [args["x"], args["x2"]]
     xs, xs2 = (inst.point_set(name) for name in names)
-    rep = hf_product_check(xs, xs2, inst.point_set_of(product_of=names))
+    rep = hf_product_check(xs, xs2, inst.profile_set(product_of=names))
     return {"product_holds": rep.product_holds, "tau_matches": rep.tau_matches}
 
 

@@ -36,13 +36,49 @@ per-set degree ladder, read off a single forward elimination:
   Z_t and every count below do not depend on d;
 * minimal generators of I in degree t are then minimal generators of
   J = (I + l)/l, counted as dim J_t minus the rank of S_1 * J_(t-1).
-  That span lies in J_t = ker Z_t, and Z_t is in echelon form, so its
-  projection onto the free (non-pivot) columns of Z_t is injective:
-  the rank is taken on those dim J_t columns alone.  In a degree with
-  no new generator the projected matrix has full column rank, which
-  ``hada._elim.rank`` certifies modulo a prime.  Beyond the regularity
-  index tau, J_(tau+1) = S_(tau+1) (every column is free) and no
-  generator is new in any higher degree.
+  Beyond the regularity index tau, J_(tau+1) = S_(tau+1) (every column
+  is free) and no generator is new in any higher degree.
+
+The generator counts are read off the ladder's staircase, and a span is
+eliminated exactly only in a degree that nothing cheaper decides:
+
+* the bound.  The RREF kernel vector v_f of Z_t for a free column f has
+  its other entries at pivot columns left of f, so it leads at f in the
+  order in which a later column leads (within a degree, the reverse of
+  descending lex, which multiplying by a variable keeps).  So the free
+  columns F_t of Z_t are the degree-t part of the initial ideal in(J)
+  (Eisenbud, *Commutative Algebra*, 1995, ch. 15), and x * in(v) =
+  in(x * v) puts S_1 * F_(t-1) among the leads of S_1 * J_(t-1).  The
+  count in degree t is therefore at most b(t) = |F_t| - |S_1 * F_(t-1)|,
+  the count of in(J), and a degree with b(t) = 0 needs nothing more;
+* the Krull stop.  J is primary to the maximal ideal of S, a ring in n
+  variables, so it needs at least n generators (Krull's height
+  theorem).  Once the upper bounds sum to n, every one is exact.  This
+  settles every degree of a collinear set, and of any set whose in(J)
+  is a complete intersection, with no elimination;
+* the remainder certificate.  Z_(t-1) is in echelon form, so its RREF
+  over Q is U^(-1) * Z_(t-1), U the triangular block at its pivot
+  columns.  When no pivot entry vanishes modulo p = ``_elim._PRIME``,
+  that RREF mod p, and with it the kernel basis scaled to 1 at each free
+  column, is the reduction of the one over Q: a basis of J_(t-1) over
+  the integers localised at p.  The rank mod p of a matrix over that
+  ring is at most its rank over Q.  The shifts x_i * v_f lead at
+  x_i * f with entry 1, so one shift per monomial of S_1 * F_(t-1) is a
+  triangular set T of rank |S_1 * F_(t-1)|, and every combination of the
+  other shifts whose remainder against T is independent mod p of the
+  remainders before it adds one to that rank.  The certificate is not
+  tried where |F_t| > n * |F_(t-1)|: there the span has fewer rows than
+  columns, so the count is positive.  Remainders could lower its bound
+  but not settle it, and on the not-CI grids, where this happens at
+  tau + 1, they would only add cost;
+* the exact count.  A degree still open takes the exact kernel of
+  Z_(t-1) and the rank of its shifts.  That span lies in J_t = ker Z_t,
+  and Z_t is in echelon form, so its projection onto the free columns of
+  Z_t is injective: the rank is taken on those dim J_t columns alone.
+  Where the span has fewer rows than columns, ``hada._elim.rank`` may
+  certify a full row rank modulo the prime; elsewhere the remainder
+  certificate has already found the column rank short mod p, so the
+  rank is read off a forward echelon.
 
 The degree d is found modulo the prime p = ``_elim._PRIME``.  Scaling
 the row of p by 1/l(p)^d turns E_d into the affine monomials of degree
@@ -51,13 +87,13 @@ appending columns, and a pass over GF(p) adds them one degree at a time
 to an ``_elim.ModBasis``.  The independent columns, taken in term
 order, are the standard monomials of the reduced points (Moeller &
 Buchberger, 1982) and form an order ideal, so a monomial with a
-dependent divisor is dependent and is skipped.  The pass stops at the first degree of rank |X| mod p; rank
-mod p is at most rank over Q, so HF is |X| there and d >= tau.  It
-cannot decide when some l(p) vanishes mod p, or when a degree adds no
-column, which happens when two points agree mod p (none is added
-afterwards).  Then d starts at the least t with C(t+n, n) >= |X| and
-rises by one until the exact pivots reach |X|.  Every value, kernel and
-count comes from the exact elimination; the prime only chooses which
+dependent divisor is dependent and is skipped.  The pass stops at the
+first degree of rank |X| mod p; rank mod p is at most rank over Q, so
+HF is |X| there and d >= tau.  It cannot decide when some l(p) vanishes
+mod p, or when a degree adds no column, which happens when two points
+agree mod p (none is added afterwards).  Then d starts at the least t with C(t+n, n) >= |X| and
+rises by one until the exact pivots reach |X|.  Every Hilbert value and
+every Z_t comes from the exact elimination; the prime only chooses which
 matrix it eliminates, so it cannot change an answer.
 
 The ladder of a set is built on the first profile question asked of
@@ -418,51 +454,182 @@ class GeneratorProfile:
         return 0
 
 
-def _shift_vector(vector, monos_from, index_of, var):
-    """The vector times the variable ``var``, on the monomials in
-    ``index_of``; coefficients of other monomials are dropped."""
-    out = [0] * len(index_of)
-    for coeff, expo in zip(vector, monos_from):
-        if coeff:
-            e = list(expo)
+@lru_cache(maxsize=None)
+def _s_monomials(n: int, t: int):
+    """The degree-t monomials of S = R/(l): those of ``monomials(n + 1, t)``
+    not divisible by x0, which close the block."""
+    return monomials(n + 1, t)[_divisible_count(n, t) :]
+
+
+@lru_cache(maxsize=None)
+def _shift_columns(n: int, t: int):
+    """One table per variable x_i of S (i = 1 .. n): entry j is the
+    column in S_t of x_i times monomial j of S_(t-1)."""
+    index_of = {e: j for j, e in enumerate(_s_monomials(n, t))}
+    tables = []
+    for var in range(1, n + 1):
+        table = []
+        for e in _s_monomials(n, t - 1):
+            e = list(e)
             e[var] += 1
-            i = index_of.get(tuple(e))
-            if i is not None:
-                out[i] += coeff
-    return out
+            table.append(index_of[tuple(e)])
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _positions(free, ncols):
+    """Index of each column in ``free``, -1 for the columns not in it."""
+    position = [-1] * ncols
+    for k, j in enumerate(free):
+        position[j] = k
+    return position
+
+
+def _modular_kernel(rows, free, ncols):
+    """The RREF kernel of Z modulo ``_elim._PRIME``, or None when some
+    pivot entry of Z vanishes mod p.
+
+    Z is in echelon form, so its RREF over Q is U^(-1) * Z with U the
+    triangular block at the pivot columns, whose denominators divide the
+    product of the pivot entries.  When none of them vanishes mod p the
+    RREF mod p is the reduction of the RREF over Q, and so is the kernel
+    vector v_f of each free column f, scaled to 1 at f.  Vector f is
+    returned as its (pivot column, entry) pairs with a nonzero entry.
+    """
+    p = _elim._PRIME
+    free_set = set(free)
+    pivots = [j for j in range(ncols) if j not in free_set]
+    red = []
+    for row, c in zip(rows, pivots):
+        lead = row[c] % p
+        if not lead:
+            return None
+        inv = pow(lead, -1, p)
+        red.append([x * inv % p for x in row])
+    for k in range(len(red) - 1, 0, -1):
+        row_k, c = red[k], pivots[k]
+        for row_i in red[:k]:
+            q = row_i[c]
+            if q:
+                row_i[c:] = [(x - q * y) % p for x, y in zip(row_i[c:], row_k[c:])]
+    return [[(c, -row[f] % p) for row, c in zip(red, pivots) if row[f]] for f in free]
+
+
+def _independent_remainders(ladder: _Ladder, n: int, t: int, free_t, need: int) -> int:
+    """A lower bound, at most ``need``, on rank(S_1 * J_(t-1)) minus
+    |S_1 * F_(t-1)|, found modulo ``_elim._PRIME``; 0 when some pivot
+    entry of Z_(t-1) vanishes mod p.
+
+    The shifts x_i * v_f of the kernel vectors of Z_(t-1) mod p are
+    taken on the columns ``free_t`` of Z_t.  x_i * v_f leads at x_i * f,
+    with entry 1, so one shift per monomial of S_1 * F_(t-1) gives a
+    triangular set T of independent vectors.  Deterministic combinations
+    of the other shifts are reduced against T, one at a time, and their
+    remainders, which vanish at the leads of T, are added to a
+    ``ModBasis``; the count stops at the first dependent remainder or at
+    ``need``.  Each one found raises the rank mod p, which is at most
+    the rank over Q.
+    """
+    p = _elim._PRIME
+    prev = ladder.free[t - 1]
+    kernel = _modular_kernel(ladder.reduced[t - 1], prev, len(_s_monomials(n, t - 1)))
+    if kernel is None:
+        return 0
+    position = _positions(free_t, len(_s_monomials(n, t)))
+    triangular = {}
+    others = []
+    for f, tail in zip(prev, kernel):
+        for table in _shift_columns(n, t):
+            lead = position[table[f]]
+            rest = [(position[table[c]], v) for c, v in tail if position[table[c]] >= 0]
+            if lead in triangular:
+                others.append([(lead, 1)] + rest)
+            else:
+                triangular[lead] = rest
+    leads = sorted(triangular, reverse=True)
+    outside = [k for k in range(len(free_t)) if k not in triangular]
+    basis = _elim.ModBasis()
+    for g in range(2, 2 + need):
+        w = [0] * len(free_t)
+        c = 1
+        for shift in others:
+            c = c * g % p
+            for k, v in shift:
+                w[k] += c * v
+        # the leads of T, last column first: a subtraction touches only
+        # columns left of its lead
+        for lead in leads:
+            x = w[lead] % p
+            if x:
+                for k, v in triangular[lead]:
+                    w[k] -= x * v
+        if not basis.add([w[k] for k in outside]) or len(basis) == need:
+            break
+    return len(basis)
+
+
+def _span_rank(ladder: _Ladder, n: int, t: int, free_t) -> int:
+    """Exact rank of S_1 * J_(t-1), taken on the columns ``free_t`` of
+    Z_t, where the projection from J_t is injective."""
+    position = _positions(free_t, len(_s_monomials(n, t)))
+    tables = _shift_columns(n, t)
+    rows = []
+    for v in linalg.kernel_basis(ladder.reduced[t - 1], len(_s_monomials(n, t - 1))):
+        for table in tables:
+            row = [0] * len(free_t)
+            for j, coeff in enumerate(v):
+                if coeff and position[table[j]] >= 0:
+                    row[position[table[j]]] += coeff
+            rows.append(row)
+    if len(rows) < len(free_t):
+        # full row rank is possible, and ``rank_of`` certifies it mod p
+        return linalg.rank_of(rows, len(free_t))
+    # here the remainders mod p came short of full column rank (or could
+    # not be taken), so a certificate of it would be paid for and fail
+    return linalg.echelon_of(rows, len(free_t))[0]
 
 
 def _generator_counts(ladder: _Ladder, n: int) -> tuple[int, ...]:
     """New minimal generators in degrees 0 .. tau + 1, counted once per
     ladder and stored on it.
 
-    New generators in degree t are dim J_t minus the rank of the span
-    of (variable of S times J_(t-1)).  The span lies in J_t, so its rank
-    is taken on the dim J_t free columns of Z_t, where the projection is
-    injective.  J_(tau+1) = S_(tau+1): every column is free.
+    The count in degree t is |F_t| minus the rank of S_1 * J_(t-1),
+    with F_t the free columns of Z_t (all of S_(tau+1) at t = tau + 1).
+    Each step below runs only in the degrees the ones before leave open;
+    the module docstring gives the arguments:
+
+    * the bound b(t) = |F_t| - |S_1 * F_(t-1)| caps each count with no
+      elimination, since F_t is the degree-t part of in(J).  A degree
+      with b(t) = 0 or F_(t-1) empty (no span) is settled;
+    * J needs at least n generators (Krull), so once the upper bounds
+      sum to n every one is exact;
+    * where |F_t| <= n * |F_(t-1)|, ``_independent_remainders`` raises
+      the rank mod p by the remainders it finds independent, which
+      lowers the bound by as much: the kernel of Z_(t-1) mod p reduces a
+      basis of J_(t-1) when no pivot entry of Z_(t-1) vanishes mod p,
+      and rank mod p is at most rank over Q;
+    * a degree still open, while the bounds exceed n, takes the exact
+      span rank (``_span_rank``).
     """
     if ladder.generators is not None:
         return ladder.generators
-    nvars = n + 1
-    counts = []
-    prev_basis: list = []
-    prev_monos = ()
-    for t in range(ladder.tau + 2):
-        s_monos = monomials(nvars, t)[_divisible_count(n, t) :]
-        free = ladder.free[t] if t <= ladder.tau else range(len(s_monos))
-        span_rank = 0
-        if prev_basis:
-            index_of = {s_monos[j]: i for i, j in enumerate(free)}
-            span_rows = [
-                _shift_vector(v, prev_monos, index_of, var)
-                for v in prev_basis
-                for var in range(1, nvars)
-            ]
-            span_rank = linalg.rank_of(span_rows, len(free))
-        counts.append(len(free) - span_rank)
-        if t <= ladder.tau:
-            prev_basis = linalg.kernel_basis(ladder.reduced[t], len(s_monos))
-            prev_monos = s_monos
+    top = ladder.tau + 1
+    free = ladder.free + (tuple(range(len(_s_monomials(n, top)))),)
+    counts = [len(free[0])]
+    for t in range(1, top + 1):
+        leads = {table[f] for table in _shift_columns(n, t) for f in free[t - 1]}
+        counts.append(len(free[t]) - len(leads))
+    unsettled = [t for t in range(1, top + 1) if counts[t] and free[t - 1]]
+    for t in unsettled:
+        if sum(counts) == n:
+            break
+        if len(free[t]) <= n * len(free[t - 1]):
+            counts[t] -= _independent_remainders(ladder, n, t, free[t], counts[t])
+    for t in unsettled:
+        if sum(counts) == n:
+            break
+        if counts[t]:
+            counts[t] = len(free[t]) - _span_rank(ladder, n, t, free[t])
     ladder.generators = tuple(counts)
     return ladder.generators
 

@@ -35,6 +35,13 @@ from .projective import (
 )
 from .space import Line3
 
+# Largest point set whose profile (Hilbert function, generators, CI
+# verdict, HF-product check) an instance may ask for: the 12 x 12 grid
+# product that ``hada random`` writes at its size cap.  The exact
+# elimination grows about as |X|^5, and that grid in P^2 already takes
+# tens of seconds.
+MAX_PROFILE_POINTS = 144
+
 
 @dataclass
 class Instance:
@@ -65,6 +72,18 @@ class Instance:
         left, right = (self.point_set(n) for n in product_of)
         products, _ = pairwise_products(left, right)
         return products
+
+    def profile_set(self, name=None, product_of=None) -> PointSet:
+        """``point_set_of``, refused before any elimination when it has
+        more than ``MAX_PROFILE_POINTS`` points."""
+        points = self.point_set_of(name, product_of)
+        if len(points) > MAX_PROFILE_POINTS:
+            what = repr(name) if name is not None else f"the product of {product_of!r}"
+            raise InstanceError(
+                f"{what} has {len(points)} points; profile questions take at "
+                f"most {MAX_PROFILE_POINTS}"
+            )
+        return points
 
 
 def _named(table: dict, name, kind: str):

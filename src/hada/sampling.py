@@ -17,7 +17,7 @@ from .projective import ProjPoint
 
 PARAM_BOUND = 10_000
 
-# Small fixed weights used by deterministic oracles (no RNG involved).
+# Small fixed weights for deterministic points on a line (no RNG involved).
 FIXED_WEIGHTS = (
     (1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2),
     (3, 1), (1, 3), (2, 3), (3, 2), (1, -2), (2, -1),
@@ -58,16 +58,3 @@ def sample_point(rng: random.Random, basis, accept=None, tries: int = 200):
         if accept is None or accept(p):
             return p
     raise SamplingError(f"no acceptable point found in {tries} attempts")
-
-
-def fixed_line_samples(basis, count: int = 12):
-    """Deterministic points on a line from the fixed weights.  Used by
-    the brute-force verification oracles."""
-    out = []
-    seen = set()
-    for w in FIXED_WEIGHTS[:count]:
-        p = combine(basis, w)
-        if p is not None and p.coords not in seen:
-            seen.add(p.coords)
-            out.append(p)
-    return out

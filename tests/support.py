@@ -17,7 +17,7 @@ from hada.projective import (
     ProjPoint,
     hadamard_points,
 )
-from hada import linalg, sampling
+from hada import _elim, ideals, linalg, sampling
 from hada.forms import evaluate_monomial, monomials
 from hada.plane import line_through
 
@@ -180,6 +180,37 @@ def span_rank_generators(points: PointSet, max_degree: int):
     return out
 
 
+def exact_span_counts(points: PointSet):
+    """Generator counts in R/(l) read off the set's degree ladder with
+    every span eliminated: dim J_t minus the exact rank of S_1 * J_(t-1)
+    on all the monomials of S_t, for t = 0 .. tau + 1.  The reference
+    for the staircase bound, the Krull stop and the remainder
+    certificate of ``ideals._generator_counts``, which it shares only
+    the ladder with."""
+    ladder = ideals._ladder(points)
+    nvars = points.ambient_dim + 1
+    counts = []
+    kernel, prev_monos = [], ()
+    for t in range(ladder.tau + 2):
+        monos = [e for e in monomials(nvars, t) if e[0] == 0]
+        h = ladder.values[t] - (ladder.values[t - 1] if t else 0)
+        index_of = {e: i for i, e in enumerate(monos)}
+        rows = []
+        for v in kernel:
+            for var in range(1, nvars):
+                row = [0] * len(monos)
+                for coeff, expo in zip(v, prev_monos):
+                    e = list(expo)
+                    e[var] += 1
+                    row[index_of[tuple(e)]] += coeff
+                rows.append(row)
+        rank = _elim.echelon(rows, len(monos))[0] if rows else 0
+        counts.append(len(monos) - h - rank)
+        if t <= ladder.tau:
+            kernel, prev_monos = _elim.nullspace(ladder.reduced[t], len(monos)), monos
+    return tuple(counts)
+
+
 def random_point_with_level(rng: random.Random, level: int, dim: int = 2) -> ProjPoint:
     support = rng.sample(range(dim + 1), level + 1)
     coords = [0] * (dim + 1)
@@ -189,8 +220,17 @@ def random_point_with_level(rng: random.Random, level: int, dim: int = 2) -> Pro
 
 
 def line_samples(line: Hyperplane, count: int = 12):
+    """Deterministic distinct points on the line, from the first
+    ``count`` fixed weights on its kernel basis."""
     basis = sampling.solution_basis([line.dual.coords], line.ambient_dim + 1)
-    return sampling.fixed_line_samples(basis, count=count)
+    out = []
+    seen = set()
+    for w in sampling.FIXED_WEIGHTS[:count]:
+        p = sampling.combine(basis, w)
+        if p is not None and p.coords not in seen:
+            seen.add(p.coords)
+            out.append(p)
+    return out
 
 
 def check_point_line_outcome(q: ProjPoint, line: Hyperplane, outcome) -> None:

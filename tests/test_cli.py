@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hada import linalg
 from hada.cli import MAX_RANDOM_SIZE, main
 from hada.fixtures import fixtures_dir, replay_fixtures
+from hada.instances import MAX_PROFILE_POINTS, parse_instance
 from hada.space import MAX_IMPLICIT_DEGREE
 
 GRID_DOC = {
@@ -205,6 +207,77 @@ def test_caps_are_input_errors(capsys, p3_file, argv):
     assert rc == 2
     assert "must be between 1 and" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+# X * Xp is the 13 x 12 = 156 points (1 : i : j); Big is 145 points
+BIG_DOC = {
+    "space": 2,
+    "lines": {},
+    "points": {
+        "X": [[1, i, 1] for i in range(1, 14)],
+        "Xp": [[1, 1, j] for j in range(1, 13)],
+        "Big": [[1, i, j] for i in range(1, 14) for j in range(1, 13)][:MAX_PROFILE_POINTS + 1],
+    },
+}
+
+
+@pytest.fixture
+def no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an elimination ran")
+
+    for name in ("echelon_of", "rank_of", "kernel_basis", "rref_of"):
+        monkeypatch.setattr(linalg, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["ci", "--product", "X,Xp"], "the product of ['X', 'Xp'] has 156 points"),
+        (["hilbert", "--product", "X,Xp"], "the product of ['X', 'Xp'] has 156 points"),
+        (["ci", "--set", "Big"], "'Big' has 145 points"),
+        (["hilbert", "--set", "Big"], "'Big' has 145 points"),
+    ],
+)
+def test_profile_questions_refuse_sets_beyond_the_cap(capsys, tmp_path, no_elimination, argv, what):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_DOC))
+    rc = main(argv + ["-i", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        f"input error: {what}; profile questions take at most {MAX_PROFILE_POINTS}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "op, args",
+    [
+        ("hilbert", {"product_of": ["X", "Xp"]}),
+        ("ci", {"set": "Big"}),
+        ("generators", {"product_of": ["X", "Xp"]}),
+        ("hf_product", {"x": "X", "x2": "Xp"}),
+    ],
+)
+def test_verify_refuses_profile_checks_beyond_the_cap(capsys, tmp_path, no_elimination, op, args):
+    doc = {"instance": BIG_DOC, "checks": [{"op": op, "args": args, "expect": {}}]}
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    rc = main(["verify", "--fixtures", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error: malformed fixture") and "big.json" in err
+    assert f"profile questions take at most {MAX_PROFILE_POINTS}" in err
+
+
+def test_largest_random_grid_is_within_the_profile_cap(capsys, tmp_path, no_elimination):
+    # the 12 x 12 grid that `random` writes at its size cap stays answerable
+    path = tmp_path / "largest.json"
+    argv = ["random", "--space", "3", "--n", str(MAX_RANDOM_SIZE),
+            "--m", str(MAX_RANDOM_SIZE), "--out", str(path), "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["grid_points"] == MAX_PROFILE_POINTS
+    inst = parse_instance(str(path))
+    assert len(inst.profile_set(product_of=["X", "Xp"])) == MAX_PROFILE_POINTS
 
 
 @pytest.mark.parametrize("coordinate", ["1e100000", "1.5", "0x10", "1_000"])

@@ -1,5 +1,7 @@
 """Hilbert functions, generator counts and CI verdicts."""
 
+import functools
+import json
 import random
 from math import comb, gcd
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hada import _elim, ideals, linalg
 from hada.errors import HadaError
+from hada.fixtures import fixtures_dir
 from hada.forms import monomials
 from hada.ideals import (
     CIVerdict,
@@ -24,10 +27,12 @@ from hada.ideals import (
     hilbert_profile,
     ideal_dimension,
 )
-from hada.plane import grid_product_p2
+from hada.instances import parse_instance_dict
+from hada.plane import generic_collinear_sample, grid_product_p2
 from hada.projective import Hyperplane, PointSet, ProjPoint, pairwise_products
 from hada.space import Line3, generic_skew_sample
 from support import (
+    exact_span_counts,
     frac_hilbert_values,
     frac_rank,
     frac_rref,
@@ -380,20 +385,18 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
     # a fresh copy: earlier tests may have stored the ladder of PLANAR25
     points = PointSet(PLANAR25.points)
     calls = spy_linalg(monkeypatch)
-    assert ci_verdict(points).kind == "CI"
+    assert ci_verdict(points).witness_degrees == (1, 5, 5)
 
     tau, n = 8, 3
-    # one echelon of the full E_tau serves every degree of the ladder
-    echelons = [c for c in calls if c[0] == "echelon_of"]
-    assert echelons == [("echelon_of", 25, comb(tau + n, n))] == [("echelon_of", 25, 165)]
-    # the one other elimination of a full evaluation matrix confirms HF(tau + 1)
-    full = [c for c in calls if c[0] != "echelon_of" and c[1:] in evaluation_shapes(points, tau + 1)]
-    assert full == [("rank_of", 25, comb(tau + 1 + n, n))] == [("rank_of", 25, 220)]
-    assert calls.index(full[0]) == 1
-    others = [c for c in calls if c[0] != "echelon_of" and c not in full]
-    assert others and all(name in ("rank_of", "kernel_basis") for name, _, _ in others)
-    # widest: the span rank in degree tau + 1, where every column of S is free
-    assert max(ncols for _, _, ncols in others) == comb(tau + n, n - 1)
+    # one echelon of the full E_tau serves every degree of the ladder and
+    # one rank confirms HF(tau + 1).  The generator counts take no kernel
+    # and no span rank: the staircase bound is (0, 1, 0, 0, 0, 2, 1, 1, 1, 1),
+    # one remainder mod p in each of degrees 6 .. tau + 1 lowers it to 0
+    # there, and the bounds then sum to n
+    assert calls == [
+        ("echelon_of", 25, comb(tau + n, n)),
+        ("rank_of", 25, comb(tau + 1 + n, n)),
+    ] == [("echelon_of", 25, 165), ("rank_of", 25, 220)]
 
 
 def test_one_ladder_serves_every_profile_question(monkeypatch):
@@ -467,27 +470,140 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
 
 
 def test_span_ranks_take_dim_j_columns(monkeypatch):
-    # S_1 * J_(t-1) lies in J_t; its rank is taken on the dim J_t free
-    # columns of Z_t, with one row per variable of S and basis vector of
-    # J_(t-1)
-    _, _, xs, xs2 = generic_skew_sample(5, 5, 4646)
-    sets = (
-        PointSet(PLANAR25.points),
-        pairwise_products(xs, xs2)[0],
-        PointSet(GRID2.points),
-        PointSet(GRID3.points),
-        PointSet.from_coords([[1, 2, 3]]),
+    # a span rank runs only in a degree that the staircase bound, the
+    # remainders mod p and the Krull stop leave open: on these sets only
+    # at tau + 1 of the two not-CI grids, where |F_(tau+1)| > n * |F_tau|.
+    # It takes one kernel of Z_tau, and its rank has one row per variable
+    # of S and basis vector of J_tau and the dim J_(tau+1) columns of S;
+    # with fewer rows than columns it may certify a full row rank mod p.
+    # No remainder mod p is tried there, nor anywhere else on those grids
+    remainders = []
+    original = ideals._independent_remainders
+    monkeypatch.setattr(
+        ideals, "_independent_remainders", lambda *a: remainders.append(a[2]) or original(*a)
     )
-    for points in sets:
+    _, _, xs, xs2 = generic_skew_sample(5, 5, 4646)
+    skew = pairwise_products(xs, xs2)[0]
+    sets = (
+        (PointSet(PLANAR25.points), False),
+        (PointSet(skew.points), True),
+        (PointSet(GRID2.points), False),
+        (PointSet(GRID3.points), True),
+        (PointSet.from_coords([[1, 2, 3]]), False),
+    )
+    made = []
+    for points, open_at_top in sets:
         n = points.ambient_dim
         prof = hilbert_profile(points)
-        top = prof.tau + 1
-        dims = j_dims(n, prof.values, top)
+        tau = prof.tau
+        dims = j_dims(n, prof.values, tau + 1)
+        remainders.clear()
         with monkeypatch.context() as patch:
             calls = spy_linalg(patch)
-            generator_profile(points)
-        expected = [("rank_of", n * dims[t - 1], dims[t]) for t in range(1, top + 1) if dims[t - 1]]
-        assert [c for c in calls if c[0] != "kernel_basis"] == expected
+            verdict = ci_verdict(points)
+        assert (verdict.kind == "NotCI") == open_at_top
+        if open_at_top:
+            assert remainders == []
+        expected = [
+            ("kernel_basis", prof.h_vector[tau], comb(tau + n - 1, n - 1)),
+            ("rank_of", n * dims[tau], dims[tau + 1]),
+        ]
+        assert calls == (expected if open_at_top else [])
+        if open_at_top:
+            assert n * dims[tau] < dims[tau + 1]
+        made.append(calls)
+    assert made[3] == [("kernel_basis", 5, 6), ("rank_of", 3, 10)]
+
+
+def test_collinear_points_eliminate_no_span(monkeypatch):
+    # the staircase bound (0, 2, 0, ..., 0, 1) sums to n = 3, so the Krull
+    # stop settles every count: no remainder mod p, no kernel, no span rank
+    points = collinear_points(20)
+    remainders = []
+    original = ideals._independent_remainders
+    monkeypatch.setattr(
+        ideals, "_independent_remainders", lambda *a: remainders.append(a) or original(*a)
+    )
+    calls = spy_linalg(monkeypatch)
+    assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 1, 20))
+    tau, n = 19, 3
+    assert calls == [
+        ("echelon_of", 20, comb(tau + n, n)),
+        ("rank_of", 20, comb(tau + 1 + n, n)),
+    ]
+    assert remainders == []
+
+
+def oracle_sets():
+    """Every point set of the bundled fixtures and the products of each
+    pair of them, the ladder oracle's sets, and random, collinear, grid and
+    skew-grid sets in P^2 and P^3."""
+    for path in sorted(fixtures_dir().glob("*.json")):
+        inst = parse_instance_dict(json.loads(path.read_text())["instance"])
+        names = sorted(inst.point_sets)
+        yield from (inst.point_set(name) for name in names)
+        yield from (
+            inst.point_set_of(product_of=[a, b]) for i, a in enumerate(names) for b in names[i + 1 :]
+        )
+    for points, _ in seeded_point_sets(120, 8080):
+        yield points
+    rng = random.Random(1616)
+    for k in range(16):
+        n = 2 + k % 2
+        rows = [[rng.randint(-30, 30) for _ in range(n + 1)] for _ in range(40)]
+        points = PointSet.dedupe(ProjPoint(r) for r in rows if any(r))
+        yield PointSet(points.points[: rng.randint(n + 2, 30)])
+    for m in (1, 2, 3, 7, 12):
+        yield collinear_points(m, 2)
+        yield collinear_points(m, 3)
+    for a, b in ((2, 3), (3, 3), (4, 2), (4, 5), (5, 5)):
+        _, _, xs, xs2 = generic_skew_sample(a, b, 1700 + 10 * a + b)
+        yield pairwise_products(xs, xs2)[0]
+        line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
+        xs, xs2 = generic_collinear_sample(line, line2, a, b, 1800 + 10 * a + b)
+        yield grid_product_p2(xs, xs2, line, line2).points
+    yield from (GRID2, GRID3, PLANAR25)
+
+
+@functools.cache
+def oracle_counts():
+    """The oracle sets with their ``exact_span_counts``."""
+    return [(points, exact_span_counts(PointSet(points.points))) for points in oracle_sets()]
+
+
+def test_generator_counts_equal_exact_span_counts():
+    kinds = set()
+    for points, expected in oracle_counts():
+        points = PointSet(points.points)
+        counts = ideals._generator_counts(ideals._ladder(points), points.ambient_dim)
+        assert counts == expected, points
+        kinds.add(sum(counts) == points.ambient_dim)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
+    # modulo a small prime, pivot entries of Z_(t-1) vanish or the
+    # remainders do (every combination is 0 mod 2), so the certificate
+    # settles less and the exact span ranks must give the same counts
+    cases = oracle_counts()
+    exact_degrees = []
+    original = ideals._span_rank
+
+    def spy(ladder, n, t, free_t):
+        exact_degrees[-1].append(t)
+        return original(ladder, n, t, free_t)
+
+    monkeypatch.setattr(ideals, "_span_rank", spy)
+    monkeypatch.setattr(_elim, "_PRIME", prime)
+    for points, counts in cases:
+        exact_degrees.append([])
+        fresh = PointSet(points.points)
+        assert ideals._generator_counts(ideals._ladder(fresh), fresh.ambient_dim) == counts
+    if prime == 2:
+        # GRID2 and PLANAR25, the last sets: every degree that the staircase
+        # and the Krull stop leave open
+        assert exact_degrees[-3:] == [[4, 5, 6], [3], [5, 6, 7, 8, 9]]
 
 
 def test_hf_product_check_reads_stored_factor_ladders(monkeypatch):

@@ -33,6 +33,7 @@ from hada.projective import (
 from support import (
     brute_products,
     check_point_line_outcome,
+    line_samples,
     random_fuzz_line,
     random_point_with_level,
 )
@@ -393,10 +394,7 @@ class TestCollinearity:
             level = rng.choice([1, 2])
             a = random_point_with_level(rng, level)
             line = Hyperplane(a)
-            from hada.sampling import solution_basis, fixed_line_samples
-
-            pts = fixed_line_samples(solution_basis([line.dual.coords], 3), count=12)
-            pts = [p for p in pts]
+            pts = line_samples(line)
             if len(pts) < 7:
                 continue
             xs = PointSet(pts[:3])

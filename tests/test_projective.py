@@ -170,6 +170,22 @@ class TestPointHyperplaneProduct:
                 done += 1
 
 
+class TestDimensionMismatch:
+    def test_evaluate_and_contains(self):
+        h = Hyperplane([1, 2, 3])
+        for call in (h.evaluate, h.contains):
+            with pytest.raises(DimensionMismatch, match="point and hyperplane"):
+                call(ProjPoint([1, 1, 1, 1]))
+
+    def test_point_hyperplane_product(self):
+        with pytest.raises(DimensionMismatch, match="point and hyperplane"):
+            point_hyperplane_product(ProjPoint([1, 2, 3, 4]), Hyperplane([1, 1, 1]))
+
+    def test_hyperplane_product(self):
+        with pytest.raises(DimensionMismatch, match="hyperplane dimensions differ"):
+            hyperplane_product(Hyperplane([1, 2, 3]), Hyperplane([1, 2, 3, 4]))
+
+
 class TestHyperplaneProduct:
     def test_binomial_pair(self):
         h = Hyperplane([0, 3, 0, -2])
@@ -266,6 +282,16 @@ class TestPointSet:
     def test_duplicates_rejected(self):
         with pytest.raises(HadaError):
             PointSet([ProjPoint([1, 2, 3]), ProjPoint([2, 4, 6])])
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(HadaError, match="empty point set"):
+            PointSet([])
+        with pytest.raises(HadaError, match="empty point set"):
+            PointSet.from_coords([])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch, match="mixed ambient dimension"):
+            PointSet([ProjPoint([1, 2, 3]), ProjPoint([1, 2, 3, 4])])
 
     def test_dedupe_and_products(self):
         xs = PointSet.from_coords([[1, 1, 1], [1, 2, 3]])

@@ -250,6 +250,22 @@ class TestQuadric:
         assert m[0][1] == Fraction(3, 2) == m[1][0]
         assert m[2][2] == 4
 
+    def test_repr_names_the_form(self):
+        q = Quadric3(HomogeneousForm(4, {(1, 1, 0, 0): 3, (0, 0, 2, 0): 4}))
+        assert repr(q) == "Quadric3(3*x0*x1 + 4*x2^2)"
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            HomogeneousForm(4, {(1, 0, 0, 0): 1}),
+            HomogeneousForm(3, {(2, 0, 0): 1}),
+            HomogeneousForm(4, {(3, 0, 0, 0): 1}),
+        ],
+    )
+    def test_only_quadrics_in_four_variables(self, form):
+        with pytest.raises(HadaError, match="not a quadric in four variables"):
+            Quadric3(form)
+
 
 class TestRulingCheck:
     def grid(self):
