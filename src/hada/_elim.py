@@ -60,7 +60,8 @@ basis that reduces each vector mod p only when it is added, so the
 walk stops at min(nrows, ncols) independent vectors without touching
 the rest.  Full-rank matrices with wide entries are common here: the
 evaluation matrix that confirms HF(tau + 1) = |X| in ``hada.ideals``,
-and there a generator count's span with fewer rows than columns (Moeller & Buchberger, 1982, use the same lower bound by reduction).
+and there a generator count's span (Moeller & Buchberger, 1982, use
+the same lower bound by reduction).
 The degree ladder there also adds evaluation columns to a ``ModBasis``
 to choose the one degree it eliminates exactly; the choice decides no
 answer, since every value it reports comes from that exact

@@ -11,7 +11,7 @@ operation, gives a check ``args`` that is not an object, or gives a
 check a missing argument, a name its instance lacks, a name that is not
 a string, a ``product_of`` that is not two names, a ``degree`` that is
 not an integer, or a profile check (hilbert, ci, generators,
-hf_product) of a set with more than
+hf_product, whose two factors count too) of a set with more than
 ``hada.instances.MAX_PROFILE_POINTS`` points, raise InstanceError
 naming the file.  A check whose operation raises any other HadaError
 is a failing check.
@@ -176,7 +176,7 @@ def _check_generators(inst, args):
 
 def _check_hf_product(inst, args):
     names = [args["x"], args["x2"]]
-    xs, xs2 = (inst.point_set(name) for name in names)
+    xs, xs2 = (inst.profile_set(name) for name in names)
     rep = hf_product_check(xs, xs2, inst.profile_set(product_of=names))
     return {"product_holds": rep.product_holds, "tau_matches": rep.tau_matches}
 

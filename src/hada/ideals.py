@@ -74,11 +74,8 @@ eliminated exactly only in a degree that nothing cheaper decides:
 * the exact count.  A degree still open takes the exact kernel of
   Z_(t-1) and the rank of its shifts.  That span lies in J_t = ker Z_t,
   and Z_t is in echelon form, so its projection onto the free columns of
-  Z_t is injective: the rank is taken on those dim J_t columns alone.
-  Where the span has fewer rows than columns, ``hada._elim.rank`` may
-  certify a full row rank modulo the prime; elsewhere the remainder
-  certificate has already found the column rank short mod p, so the
-  rank is read off a forward echelon.
+  Z_t is injective: the rank is taken on those dim J_t columns alone,
+  by ``linalg.rank_of``.
 
 The degree d is found modulo the prime p = ``_elim._PRIME``.  Scaling
 the row of p by 1/l(p)^d turns E_d into the affine monomials of degree
@@ -581,12 +578,7 @@ def _span_rank(ladder: _Ladder, n: int, t: int, free_t) -> int:
                 if coeff and position[table[j]] >= 0:
                     row[position[table[j]]] += coeff
             rows.append(row)
-    if len(rows) < len(free_t):
-        # full row rank is possible, and ``rank_of`` certifies it mod p
-        return linalg.rank_of(rows, len(free_t))
-    # here the remainders mod p came short of full column rank (or could
-    # not be taken), so a certificate of it would be paid for and fail
-    return linalg.echelon_of(rows, len(free_t))[0]
+    return linalg.rank_of(rows, len(free_t))
 
 
 def _generator_counts(ladder: _Ladder, n: int) -> tuple[int, ...]:

@@ -217,6 +217,8 @@ BIG_DOC = {
         "X": [[1, i, 1] for i in range(1, 14)],
         "Xp": [[1, 1, j] for j in range(1, 13)],
         "Big": [[1, i, j] for i in range(1, 14) for j in range(1, 13)][:MAX_PROFILE_POINTS + 1],
+        # a zero coordinate collapses Big * Axis to 13 points
+        "Axis": [[1, 1, 0]],
     },
 }
 
@@ -257,6 +259,7 @@ def test_profile_questions_refuse_sets_beyond_the_cap(capsys, tmp_path, no_elimi
         ("ci", {"set": "Big"}),
         ("generators", {"product_of": ["X", "Xp"]}),
         ("hf_product", {"x": "X", "x2": "Xp"}),
+        ("hf_product", {"x": "Big", "x2": "Axis"}),
     ],
 )
 def test_verify_refuses_profile_checks_beyond_the_cap(capsys, tmp_path, no_elimination, op, args):
