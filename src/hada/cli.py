@@ -90,6 +90,7 @@ def _fmt(value):
 
 
 def _render_text(data, indent=0):
+    """Text lines of a report dict, or of a dict or list nested in one."""
     pad = "  " * indent
     lines = []
     if isinstance(data, dict):
@@ -99,15 +100,13 @@ def _render_text(data, indent=0):
                 lines.extend(_render_text(v, indent + 1))
             else:
                 lines.append(f"{pad}{k}: {_inline(v)}")
-    elif isinstance(data, list):
+    else:
         for v in data:
             if isinstance(v, (dict, list)) and v and not _is_flat(v):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(v, indent + 1))
             else:
                 lines.append(f"{pad}- {_inline(v)}")
-    else:
-        lines.append(f"{pad}{_inline(data)}")
     return lines
 
 

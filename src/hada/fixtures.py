@@ -10,9 +10,10 @@ is not valid JSON, lacks its instance or checks, names an unknown
 operation, gives a check ``args`` that is not an object, or gives a
 check a missing argument, a name its instance lacks, a name that is not
 a string, a ``product_of`` that is not two names, a ``degree`` that is
-not an integer, or a profile check (hilbert, ci, generators,
-hf_product, whose two factors count too) of a set with more than
-``hada.instances.MAX_PROFILE_POINTS`` points, raise InstanceError
+not an integer, a ``degree_forms`` degree outside 0 to
+``hada.space.MAX_IMPLICIT_DEGREE``, or a profile check (hilbert, ci,
+generators, hf_product, whose two factors count too) of a set with more
+than ``hada.instances.MAX_PROFILE_POINTS`` points, raise InstanceError
 naming the file.  A check whose operation raises any other HadaError
 is a failing check.
 """
@@ -41,6 +42,7 @@ from .projective import (
     pairwise_products,
 )
 from .space import (
+    MAX_IMPLICIT_DEGREE,
     Quadric3,
     grid_product_p3,
     quadric_through,
@@ -150,7 +152,12 @@ def _check_implicitize(inst, args):
 
 
 def _check_degree_forms(inst, args):
-    forms = degree_bounded_ideal(_resolve_set(inst, args), _degree(args))
+    degree = _degree(args)
+    if not 0 <= degree <= MAX_IMPLICIT_DEGREE:
+        raise InstanceError(
+            f"degree must be between 0 and {MAX_IMPLICIT_DEGREE}, got {degree}"
+        )
+    forms = degree_bounded_ideal(_resolve_set(inst, args), degree)
     return {"forms": [list(f.coefficient_vector()) for f in forms]}
 
 

@@ -257,12 +257,22 @@ def collinear_set_line_product(
 ) -> LineArrangement:
     """Product of a set of collinear points with a line.
 
-    ``xset`` must lie on ``on_line`` whose dual has full support.  The
-    shape of the result is decided by the level of the dual of
-    ``line``: full support gives as many distinct lines as points; one
-    zero coefficient may additionally turn one product into an isolated
-    point; a coordinate line absorbs everything (the product collapses
-    onto it) once the set has at least three points.
+    ``xset`` must lie on ``on_line``, whose dual has full support: none
+    of its points is a coordinate point, and for each j exactly one has
+    its only zero at j.  The cases of ``point_line_product_p2`` then fix
+    the shape.  When the dual A of ``line`` has at least two nonzero
+    coefficients, a point without zeros gives the line a_i / q_i
+    (case 1), which is no coordinate line, and the point with its zero
+    at j gives x_j = 0 (case 2) or, when a_j = 0 too, a point whose only
+    zero is at j (case 3); cases 4 and 5 need a coordinate point.  Two
+    case-1 lines coincide, and a case-1 line holds the case-3 point,
+    only for two points proportional on the support of A, which the
+    carrier makes equal.  So the product is pairwise distinct lines,
+    one per point, but for at most one isolated point off all of them.
+    When A is a coordinate point, each point gives ``line`` itself or,
+    for the two points with their zero where A is zero, a coordinate
+    point on it: a set of three or more collapses onto ``line``, and a
+    set of only those two or one of them raises ArrangementError.
     """
     _require_plane(line, on_line)
     if on_line.dual.delta_level < 2:
@@ -274,31 +284,18 @@ def collinear_set_line_product(
     outcomes = [point_line_product_p2(p, line) for p in xset]
     lines = [o.line for o in outcomes if o.kind == "line"]
     points = [o.point for o in outcomes if o.kind == "point"]
-    if any(o.kind == "undefined" for o in outcomes):
-        raise ArrangementError("a product degenerated to the undefined outcome")
-
-    la = line.dual.delta_level
-    if la == 0:
-        if any(l == line for l in lines):
+    if line.dual.delta_level == 0:
+        if line in lines:
             return LineArrangement(collapsed=line)
         raise ArrangementError(
             "set-times-line product is a set of isolated points; "
             "not expressible as a line arrangement "
             "(needs at least three points to collapse)"
         )
-
-    distinct = sorted({l.dual.coords for l in lines})
-    if len(distinct) != len(lines):
-        raise ArrangementError("product lines are not pairwise distinct")
-    lines = tuple(Hyperplane(list(c)) for c in distinct)
-    if not points:
-        return LineArrangement(lines=lines)
-    if len(points) > 1:
-        raise ArrangementError("more than one isolated point in the product")
-    point = points[0]
-    if any(l.contains(point) for l in lines):
-        raise ArrangementError(f"isolated point {point} lies on a product line")
-    return LineArrangement(lines=lines, isolated_point=point)
+    return LineArrangement(
+        lines=tuple(sorted(lines, key=lambda l: l.dual.coords)),
+        isolated_point=points[0] if points else None,
+    )
 
 
 def _check_grid_pre(xs, xs2, line, line2):
@@ -362,11 +359,21 @@ class GridResult:
 def grid_product_p2(
     xs: PointSet, xs2: PointSet, line: Hyperplane, line2: Hyperplane
 ) -> GridResult:
-    """Product of two collinear sets as a grid of lines and points."""
+    """Product of two collinear sets as a grid of lines and points.
+
+    The row line of P in X is P*L' and the column line of P' in X' is
+    P'*L; both pass through P*P'.  The row line of P equals the column
+    line of P' exactly when P*A = P'*A', which the grid condition rules
+    out.  It then also makes the |X| |X'| products pairwise distinct,
+    each on one row line and one column line only: if P*P' = Q*Q' or
+    P*P' lies on the row line of some Q != P in X, the point
+    Q' = (P*P')/Q of L' differs from P', so the row line of Q and the
+    column line of P' share the two points P*P' and Q*P' and coincide
+    (and symmetrically for the columns).
+    """
     _check_grid_pre(xs, xs2, line, line2)
     collision = _grid_collision(xs, xs2, line, line2)
     products, _ = pairwise_products(xs, xs2)
-    expected = len(xs) * len(xs2)
     if collision is not None:
         p, p2 = collision
         raise GridConditionError(
@@ -374,26 +381,10 @@ def grid_product_p2(
             "with the dual points",
             witness=collision,
             products=products,
-            expected=expected,
-        )
-    if len(products) != expected:
-        raise GridConditionError(
-            "product set has fewer points than the grid size",
-            products=products,
-            expected=expected,
+            expected=len(xs) * len(xs2),
         )
     row_lines = tuple(point_line_product_p2(p, line2).line for p in xs)
     col_lines = tuple(point_line_product_p2(p2, line).line for p2 in xs2)
-    for p in products:
-        rows_on = sum(1 for l in row_lines if l.contains(p))
-        cols_on = sum(1 for l in col_lines if l.contains(p))
-        if rows_on != 1 or cols_on != 1:
-            raise GridConditionError(
-                f"product point {p} lies on {rows_on} row and {cols_on} "
-                "column lines",
-                products=products,
-                expected=expected,
-            )
     row_form = _product_of_linear_forms(row_lines)
     col_form = _product_of_linear_forms(col_lines)
     return GridResult(
@@ -505,11 +496,10 @@ def product_collinearity_check(
     containing = None
     if collinear:
         if meets_delta0:
+            # a_i x_i + a_j x_j = 0 on both factors gives
+            # a_i^2 x_i - a_j^2 x_j = 0 on their product (and x_i = 0
+            # on both gives x_i = 0), so this line holds every product
             containing = hyperplane_product(line, line)
-            if products is not None and not all(
-                containing.contains(p) for p in products
-            ):
-                raise HadaError("products escaped the self-product line")
         elif products is not None and len(products) >= 2:
             containing = line_through(products.points[0], products.points[1])
 

@@ -17,6 +17,9 @@ from .projective import ProjPoint
 
 PARAM_BOUND = 10_000
 
+# Draws sample_point makes before it gives up.
+SAMPLE_TRIES = 200
+
 # Small fixed weights for deterministic points on a line (no RNG involved).
 FIXED_WEIGHTS = (
     (1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2),
@@ -47,14 +50,16 @@ def nonzero_int(rng: random.Random, bound: int) -> int:
     return v
 
 
-def sample_point(rng: random.Random, basis, accept=None, tries: int = 200):
-    """Seeded rational point in the span of ``basis`` passing ``accept``."""
-    for _ in range(tries):
+def sample_point(rng: random.Random, basis, accept):
+    """Seeded rational point in the span of ``basis`` passing ``accept``.
+
+    Callers pass two independent basis points and mu is never zero, so
+    every draw is a point.
+    """
+    for _ in range(SAMPLE_TRIES):
         lam = rng.randint(-PARAM_BOUND, PARAM_BOUND)
         mu = nonzero_int(rng, PARAM_BOUND)
         p = combine(basis, (lam, mu))
-        if p is None:
-            continue
-        if accept is None or accept(p):
+        if accept(p):
             return p
-    raise SamplingError(f"no acceptable point found in {tries} attempts")
+    raise SamplingError(f"no acceptable point found in {SAMPLE_TRIES} attempts")

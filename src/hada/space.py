@@ -274,6 +274,13 @@ def grid_product_p3(
     product set so relaxed instances can still be inspected.  Each pair
     is multiplied once: the product set is the grid's defined products,
     sorted and deduplicated as ``pairwise_products`` does.
+
+    The row line P*L' of P and the column line P'*L of P' coincide
+    exactly when the rank condition fails at (P, P').  Once it holds,
+    the argument of ``hada.plane.grid_product_p2`` shows that the
+    |X| |X'| products are distinct, the row lines are distinct, the
+    column lines are distinct, and each row line meets each column line
+    in its product point alone.
     """
     point_grid = tuple(tuple(hadamard_points(p, p2) for p2 in xs2) for p in xs)
     defined = [pt for row in point_grid for pt in row if pt is not UNDEFINED]
@@ -307,27 +314,10 @@ def grid_product_p3(
             if _proportional(u, v):
                 fail(f"rank condition fails at {p}, {p2} (rank 2)", witness=(p, p2))
 
-    if len(products) != expected:
-        fail("product set is smaller than the grid size")
-    row_lines = tuple(point_line_product_p3(p, line2) for p in xs)
-    col_lines = tuple(point_line_product_p3(p2, line) for p2 in xs2)
-    if len({l.canonical_key() for l in row_lines}) != len(row_lines):
-        fail("row lines are not pairwise distinct")
-    if len({l.canonical_key() for l in col_lines}) != len(col_lines):
-        fail("column lines are not pairwise distinct")
-    for i, (p, r) in enumerate(zip(xs, row_lines)):
-        for j, (p2, c, pt) in enumerate(zip(xs2, col_lines, point_grid[i])):
-            # distinct lines through a common point meet in it alone
-            if r.q == c.q or not (r.contains(pt) and c.contains(pt)):
-                fail(
-                    f"row {i} and column {j} do not meet exactly in the "
-                    f"product point {pt}",
-                    witness=(p, p2),
-                )
     return GridResult3(
         points=products,
-        row_lines=row_lines,
-        col_lines=col_lines,
+        row_lines=tuple(point_line_product_p3(p, line2) for p in xs),
+        col_lines=tuple(point_line_product_p3(p2, line) for p2 in xs2),
         point_grid=point_grid,
     )
 
@@ -368,10 +358,10 @@ class Quadric3:
 
     def contains_line(self, line: Line3) -> bool:
         # a degree-2 form vanishing at three points of a line vanishes
-        # on the whole line
+        # on the whole line; the basis points are independent, so their
+        # sum is a third point
         b1, b2 = line.basis_points()
-        third = sampling.combine([b1, b2], (1, 1))
-        pts = [b1, b2] + ([third] if third is not None else [])
+        pts = [b1, b2, sampling.combine([b1, b2], (1, 1))]
         return all(self.form.vanishes_at(p) for p in pts)
 
     def __eq__(self, other):
@@ -446,9 +436,10 @@ def generic_plane_pair(line: Line3) -> Line3:
     """Replace the plane pair of a line by one whose duals have full
     support, searching the pencil through the line.
 
-    Each coordinate rules out at most one ratio, so a fixed list of
-    small weights always contains two suitable independent planes, as
-    long as no coordinate point lies on the line.
+    Each coordinate rules out at most one ratio, so the twelve distinct
+    ratios of a fixed list of small weights always give at least eight
+    suitable planes, pairwise independent, as long as no coordinate
+    point lies on the line.
     """
     if line.meets_coordinate_points():
         raise StratumError(
@@ -456,14 +447,12 @@ def generic_plane_pair(line: Line3) -> Line3:
             "has a zero coefficient"
         )
     a, b = line.duals
-    good = []
-    for lam, mu in sampling.FIXED_WEIGHTS:
-        coords = [lam * x + mu * y for x, y in zip(a.coords, b.coords)]
-        if all(coords):
-            good.append(Hyperplane(coords))
-            if len(good) == 2:
-                return Line3(good[0], good[1])
-    raise SamplingError("pencil search exhausted without two full-support planes")
+    pencil = (
+        [lam * x + mu * y for x, y in zip(a.coords, b.coords)]
+        for lam, mu in sampling.FIXED_WEIGHTS
+    )
+    planes = (Hyperplane(coords) for coords in pencil if all(coords))
+    return Line3(next(planes), next(planes))
 
 
 def variety_product_interpolate(

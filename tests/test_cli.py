@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import runpy
 import shutil
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hada import linalg
 from hada.cli import MAX_RANDOM_SIZE, main
 from hada.fixtures import fixtures_dir, replay_fixtures
-from hada.instances import MAX_PROFILE_POINTS, parse_instance
+from hada.ideals import degree_bounded_ideal
+from hada.instances import MAX_PROFILE_POINTS, parse_instance, parse_instance_dict
 from hada.space import MAX_IMPLICIT_DEGREE
 
 GRID_DOC = {
@@ -272,6 +276,32 @@ def test_verify_refuses_profile_checks_beyond_the_cap(capsys, tmp_path, no_elimi
     assert f"profile questions take at most {MAX_PROFILE_POINTS}" in err
 
 
+@pytest.mark.parametrize("degree", [-1, MAX_IMPLICIT_DEGREE + 1, 120])
+def test_verify_refuses_degree_forms_beyond_the_cap(capsys, tmp_path, no_elimination, degree):
+    check = {"op": "degree_forms", "args": {"set": "X", "degree": degree}, "expect": {}}
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps({"instance": GRID_DOC, "checks": [check]}))
+    rc = main(["verify", "--fixtures", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"input error: malformed fixture {path}: degree must be between 0 and "
+        f"{MAX_IMPLICIT_DEGREE}, got {degree}\n"
+    )
+
+
+def test_verify_answers_degree_forms_at_the_cap(capsys, tmp_path):
+    xs = parse_instance_dict(GRID_DOC).point_set("X")
+    checks = [
+        {"op": "degree_forms", "args": {"set": "X", "degree": degree},
+         "expect": {"forms": [list(f.coefficient_vector())
+                              for f in degree_bounded_ideal(xs, degree)]}}
+        for degree in (0, MAX_IMPLICIT_DEGREE)
+    ]
+    (tmp_path / "degree.json").write_text(json.dumps({"instance": GRID_DOC, "checks": checks}))
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "PASS degree\n1 fixtures, 0 failing checks\n"
+
+
 def test_largest_random_grid_is_within_the_profile_cap(capsys, tmp_path, no_elimination):
     # the 12 x 12 grid that `random` writes at its size cap stays answerable
     path = tmp_path / "largest.json"
@@ -494,6 +524,22 @@ def test_verify_check_raising_a_hada_error_fails_that_check(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_verify_replays_subspace_and_quadric_kinds(tmp_path, capsys):
+    instance = {**P3_DOC, "lines": {**P3_DOC["lines"], "A": [1, 0, 0, 0], "B": [0, 1, 0, 0]}}
+    checks = [
+        {"op": "hyperplane_product", "args": {"left": "A", "right": "B"},
+         "expect": {"kind": "subspace", "planes": [[1, 0, 0, 0], [0, 1, 0, 0]]}},
+        # ten quadrics less three conditions leave a 7-dimensional space
+        {"op": "quadric_through", "args": {"set": "X"}, "expect": {"kind": "non-unique"}},
+    ]
+    (tmp_path / "kinds.json").write_text(json.dumps({"instance": instance, "checks": checks}))
+    summary = replay_fixtures(tmp_path)
+    assert [(o.op, o.ok) for o in summary.outcomes] == [
+        ("hyperplane_product", True),
+        ("quadric_through", True),
+    ]
+
+
 def test_verify_empty_directory(tmp_path, capsys):
     rc = main(["verify", "--fixtures", str(tmp_path)])
     err = capsys.readouterr().err
@@ -522,6 +568,46 @@ def test_text_report_renders(capsys, grid_file):
     out = capsys.readouterr().out
     assert rc == 0
     assert "values: [1, 2, 3, 3]" in out
+
+
+def test_text_report_nests_dicts_in_lists(capsys, tmp_path):
+    # a P^3 grid lists its lines as plane pairs: dicts inside a list
+    doc = {**P3_DOC, "points": {"X": [[-2, 1, 1, 1]], "Xp": [[-1, 2, 2, 1]]}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["grid", "-i", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[:-1] == [
+        "command: grid",
+        "backend: python",
+        "results:",
+        "  condition: True",
+        "  count: 1",
+        "  points:",
+        "    - [2, 2, 2, 1]",
+        "  row_lines:",
+        "    -",
+        "      H: [1, -4, 4, -2]",
+        "      K: [1, -2, -1, 4]",
+        "  col_lines:",
+        "    -",
+        "      H: [2, 1, -1, -4]",
+        "      K: [2, -2, 1, -2]",
+    ]
+    assert lines[-1].startswith("elapsed_ms: ")
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    argv = ["hada", "classify", "--point", "0:1:1", "--line", "1:1:1", "--json"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with warnings.catch_warnings():
+        # hada.cli is imported already; running it again is the point
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("hada.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["results"]["line"] == [1, 0, 0]
 
 
 # --- whole reports, one per branch of each command ----------------------

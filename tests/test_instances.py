@@ -69,8 +69,20 @@ def test_zero_over_zero_rejected():
             {"space": 2, "points": {"X": [[1, 2, 3], [1, 1]]}},
             "points.X[1]: expected 3 coordinates",
         ),
+        (
+            {"space": 2, "lines": {"L": [0, 0, 0]}},
+            "lines.L: all coordinates are zero",
+        ),
+        (
+            {"space": 2, "points": {"X": [[1, 2, 3], [0, 0, 0]]}},
+            "points.X[1]: all coordinates are zero",
+        ),
+        (
+            {"space": 2, "points": {"X": []}},
+            "points.X: expected a nonempty list of points",
+        ),
     ],
-    ids=["point", "line", "plane-pair", "length"],
+    ids=["point", "line", "plane-pair", "length", "zero-line", "zero-point", "empty-set"],
 )
 def test_each_location_is_named_once(doc, message):
     with pytest.raises(InstanceError) as info:

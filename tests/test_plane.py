@@ -6,6 +6,7 @@ import pytest
 
 from hada.errors import (
     ArrangementError,
+    DimensionMismatch,
     GridConditionError,
     HadaError,
     MembershipError,
@@ -29,6 +30,7 @@ from hada.projective import (
     PointSet,
     ProjPoint,
     hadamard_points,
+    hyperplane_product,
 )
 from support import (
     brute_products,
@@ -80,6 +82,17 @@ class TestPointLineProduct:
             line = random_fuzz_line(rng)
             check_point_line_outcome(q, line, point_line_product_p2(q, line))
 
+    def test_only_plane_operands(self):
+        with pytest.raises(DimensionMismatch, match="specific to the plane"):
+            point_line_product_p2(ProjPoint([1, 1, 1, 1]), Hyperplane([1, 2, 3]))
+
+
+def test_line_through_needs_two_points():
+    p, q = ProjPoint([1, 1, 1]), ProjPoint([3, 1, 2])
+    assert line_through(p, q) == Hyperplane([1, 1, -2])
+    with pytest.raises(HadaError, match="points coincide"):
+        line_through(p, p)
+
 
 class TestLineStrata:
     def test_three_marked_points(self):
@@ -111,6 +124,10 @@ class TestLineStrata:
                 for j in range(i + 1, 3):
                     minor = p.coords[i] * q.coords[j] - p.coords[j] * q.coords[i]
                     assert minor != 0
+
+    def test_only_for_lines_off_the_coordinate_points(self):
+        with pytest.raises(StratumError, match="contains a coordinate point"):
+            line_delta1_points(Hyperplane([0, 1, 1]))
 
 
 class TestIncidence:
@@ -231,6 +248,38 @@ class TestArrangement:
         with pytest.raises(ArrangementError):
             collinear_set_line_product(xs, Hyperplane([1, 0, 0]), carrier)
 
+    def test_carrier_must_avoid_the_coordinate_points(self):
+        xs = PointSet.from_coords([[1, 1, 1]])
+        with pytest.raises(StratumError, match="carrier line contains"):
+            collinear_set_line_product(xs, Hyperplane([2, 3, 5]), Hyperplane([0, 1, -1]))
+
+    def test_shape_facts_of_the_classification(self):
+        # the shape facts the arrangement relies on without checking: on
+        # a carrier whose dual has full support, subsets that include its
+        # three points with a zero coordinate, times lines of every level,
+        # never give an undefined product; and unless the line is a
+        # coordinate line the product lines are pairwise distinct, at most
+        # one point is isolated, and it lies on none of the lines
+        rng = random.Random(151)
+        for _ in range(200):
+            carrier = Hyperplane(random_point_with_level(rng, 2))
+            marked = list(line_delta1_points(carrier))
+            others = [p for p in line_samples(carrier, 6) if p.delta_level == 2]
+            xs = PointSet(rng.sample(marked + others, rng.randint(1, 3 + len(others))))
+            line = random_fuzz_line(rng)
+            outcomes = [point_line_product_p2(p, line) for p in xs]
+            assert all(o.kind != "undefined" for o in outcomes)
+            if line.dual.delta_level == 0:
+                continue
+            lines = [o.line for o in outcomes if o.kind == "line"]
+            points = [o.point for o in outcomes if o.kind == "point"]
+            assert len(set(lines)) == len(lines)
+            assert len(points) <= 1
+            assert not any(l.contains(pt) for l in lines for pt in points)
+            arr = collinear_set_line_product(xs, line, carrier)
+            assert set(arr.lines) == set(lines) and len(arr.lines) == len(lines)
+            assert arr.isolated_point == (points[0] if points else None)
+
 
 GRID_L = Hyperplane([3, 1, -30])
 GRID_LP = Hyperplane([67, -6, -110])
@@ -276,6 +325,11 @@ class TestGridCondition:
         off = PointSet.from_coords([[1, 1, 1]])
         with pytest.raises(MembershipError, match=r"\[1:1:1\]"):
             grid_condition(off, GRID_XP, GRID_L, GRID_LP)
+        # [1:1:1] lies on both lines
+        shared = PointSet.from_coords([[1, 1, 1]])
+        line, line2 = Hyperplane([1, 1, -2]), Hyperplane([1, -3, 2])
+        with pytest.raises(HadaError, match=r"point \[1:1:1\] belongs to both sets"):
+            grid_condition(shared, shared, line, line2)
 
 
 class TestGridProduct:
@@ -308,6 +362,11 @@ class TestGridProduct:
             xs, ys = generic_collinear_sample(line, line2, 2, 3, seed)
             g = grid_product_p2(xs, ys, line, line2)
             assert g.points == brute_products(xs, ys)
+            # the grid facts grid_product_p2 relies on without checking
+            assert len(g.points) == 6
+            for p in g.points:
+                assert sum(l.contains(p) for l in g.row_lines) == 1
+                assert sum(l.contains(p) for l in g.col_lines) == 1
 
     def test_collision_raises_with_witness(self):
         line = Hyperplane([1, 1, -2])
@@ -371,6 +430,49 @@ class TestCollinearity:
         rep = product_collinearity_check(xs, ys, line)
         assert rep.collinear
         assert rep.containing_line == Hyperplane([1, 0, 0])
+
+    def test_points_must_lie_on_the_line(self):
+        xs = PointSet.from_coords([[1, 1, 1]])
+        with pytest.raises(MembershipError, match=r"point \[1:1:1\] is not on the line"):
+            product_collinearity_check(xs, xs, Hyperplane([1, 2, 3]))
+
+    def test_all_products_undefined(self):
+        # [0:1:0] and [0:0:1] on x0 = 0 have no common support
+        line = Hyperplane([1, 0, 0])
+        rep = product_collinearity_check(
+            PointSet.from_coords([[0, 1, 0]]), PointSet.from_coords([[0, 0, 1]]), line
+        )
+        assert rep.products is None and rep.undefined_pairs == 1
+        assert rep.collinear and rep.containing_line == line
+
+    def test_one_point_times_a_generic_line_is_collinear(self):
+        # multiplication by a point without zeros maps the line onto
+        # another line
+        line = Hyperplane([1, 1, -2])
+        xs = PointSet.from_coords([[7, 1, 4]])
+        ys = PointSet.from_coords([[1, 1, 1], [3, 1, 2], [5, 1, 3]])
+        rep = product_collinearity_check(xs, ys, line)
+        assert rep.collinear and not rep.predicate_applies
+        assert len(rep.products) == 3
+        assert all(rep.containing_line.contains(p) for p in rep.products)
+        assert rep.containing_line == point_line_product_p2(xs.points[0], line).line
+
+    def test_self_product_holds_every_product(self):
+        # what product_collinearity_check relies on without checking: a
+        # line through a coordinate point squares to a line that contains
+        # every product of two of its points
+        rng = random.Random(157)
+        for _ in range(40):
+            line = Hyperplane(random_point_with_level(rng, rng.randint(0, 1)))
+            square = hyperplane_product(line, line)
+            pts = line_samples(line, 8)
+            for p in pts:
+                for q in pts:
+                    r = hadamard_points(p, q)
+                    if r is not UNDEFINED:
+                        assert square.contains(r), (line, p, q)
+            rep = product_collinearity_check(PointSet(pts[:3]), PointSet(pts[3:]), line)
+            assert rep.collinear and rep.containing_line == square
 
     def test_generic_line_not_collinear(self):
         line = Hyperplane([1, 1, -2])

@@ -102,6 +102,7 @@ class TestHadamardPoints:
 
     def test_undefined(self):
         assert hadamard_points(ProjPoint([0, 1, 0]), ProjPoint([1, 0, 1])) is UNDEFINED
+        assert repr(UNDEFINED) == "Undefined"
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -134,6 +135,7 @@ class TestPointHyperplaneProduct:
     def test_coefficient_division(self):
         got = point_hyperplane_product(ProjPoint([1, 2, 3]), Hyperplane([6, 6, 6]))
         assert got == Hyperplane([6, 3, 2])
+        assert got.coefficients == got.dual.coords == (6, 3, 2)
 
     def test_injectivity(self):
         rng = random.Random(23)
@@ -292,6 +294,12 @@ class TestPointSet:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch, match="mixed ambient dimension"):
             PointSet([ProjPoint([1, 2, 3]), ProjPoint([1, 2, 3, 4])])
+
+    def test_equality_ignores_order_and_other_types(self):
+        xs = PointSet.from_coords([[1, 1, 1], [1, 2, 3]])
+        assert xs == PointSet.from_coords([[1, 2, 3], [1, 1, 1]])
+        assert xs.__eq__(xs.points) is NotImplemented
+        assert xs != xs.points
 
     def test_dedupe_and_products(self):
         xs = PointSet.from_coords([[1, 1, 1], [1, 2, 3]])

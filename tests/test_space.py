@@ -1,12 +1,15 @@
 """Lines, rank certificates, grids, quadrics and interpolation in P^3."""
 
+import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from hada.errors import (
+    DimensionMismatch,
     GridConditionError,
     HadaError,
     MembershipError,
@@ -71,6 +74,14 @@ class TestLine3:
         assert not L_C.avoids_two_zero_locus()
         assert L_B.avoids_two_zero_locus()
 
+    def test_planes_of_space_only(self):
+        with pytest.raises(DimensionMismatch, match="plane pair must live in P\\^3"):
+            Line3(Hyperplane([1, 2, 3]), Hyperplane([1, 1, 1]))
+
+    def test_equality_with_other_types_is_not_implemented(self):
+        assert L_A.__eq__(L_A.h) is NotImplemented
+        assert L_A != L_A.h
+
 
 class TestPointLineProduct3:
     def test_identity(self):
@@ -108,6 +119,8 @@ class TestPointLineProduct3:
     def test_stratum_check(self):
         with pytest.raises(StratumError):
             point_line_product_p3(ProjPoint([0, 1, 1, 1]), L_A)
+        with pytest.raises(DimensionMismatch, match="point must live in P\\^3"):
+            point_line_product_p3(ProjPoint([1, 1, 1]), L_A)
 
 
 class TestRankCondition:
@@ -132,6 +145,16 @@ class TestRankCondition:
     def test_membership_enforced(self):
         with pytest.raises(MembershipError):
             rank_condition(L_A, L_B, ProjPoint([1, 1, 1, 1]), X_B.points[0])
+
+    def test_zero_coordinates_rejected(self):
+        planar = Line3(Hyperplane([0, 1, 0, -1]), Hyperplane([14, 0, -27, 10]))
+        with pytest.raises(StratumError, match=r"first line: plane dual \[0:1:0:-1\]"):
+            rank_condition(planar, L_B, X_A.points[0], X_B.points[0])
+        # a basis point of L_A has a zero where the other one does not
+        zero = L_A.basis_points()[0]
+        assert L_A.contains(zero) and zero.delta_level < 3
+        with pytest.raises(StratumError, match=re.escape(f"point {zero} has a zero")):
+            rank_condition(L_A, L_B, zero, X_B.points[0])
 
 
 class TestGrid3:
@@ -171,6 +194,41 @@ class TestGrid3:
         assert exc.value.products is not None
         assert len(exc.value.products) == 25  # the relaxed instance is still a
         assert exc.value.expected == 25  # full-size product set
+
+    def test_point_hypotheses_name_the_witness(self):
+        off = ProjPoint([1, 1, 1, 1])
+        zero = L_A.basis_points()[0]
+        # two lines through [1:1:1:1] whose plane duals have no zero
+        meet = Line3(Hyperplane([1, 1, 1, -3]), Hyperplane([1, 2, -1, -2]))
+        meet2 = Line3(Hyperplane([1, -1, 2, -2]), Hyperplane([2, 1, 1, -4]))
+        cases = [
+            (L_A, L_B, off, X_B.points[0], f"first set: point {off} is off its line"),
+            (L_A, L_B, zero, X_B.points[0], f"first set: point {zero} has a zero coordinate"),
+            (meet, meet2, off, off, f"point {off} belongs to both sets"),
+        ]
+        for line, line2, p, p2, message in cases:
+            xs, xs2 = PointSet([p]), PointSet([p2])
+            with pytest.raises(GridConditionError) as exc:
+                grid_product_p3(xs, xs2, line, line2)
+            assert str(exc.value) == message
+            assert exc.value.witness == p
+            assert exc.value.products == pairwise_products(xs, xs2)[0]
+
+    def test_grid_facts_on_seeded_and_strata_meeting_grids(self):
+        # what grid_product_p3 relies on without checking: |X| |X'| products,
+        # pairwise distinct row lines and column lines, and each row line
+        # meeting each column line in its product point alone
+        grids = [generic_skew_sample(3, 4, 700 + k) for k in range(6)]
+        x_c = PointSet.from_coords([[4, -4, 3, 1], [6, -4, 1, 1], [5, -4, 2, 1]])
+        grids.append((L_C, L_B, x_c, X_B))
+        for line, line2, xs, xs2 in grids:
+            g = grid_product_p3(xs, xs2, line, line2)
+            assert len(g.points) == len(xs) * len(xs2)
+            assert len(set(g.row_lines)) == len(xs)
+            assert len(set(g.col_lines)) == len(xs2)
+            for i, r in enumerate(g.row_lines):
+                for j, c in enumerate(g.col_lines):
+                    assert line_intersection(r, c) == g.point_at(i, j)
 
     def test_all_undefined_products_raise_the_pairwise_error(self):
         xs = PointSet.from_coords([[1, 0, 0, 0], [1, 1, 0, 0]])
@@ -254,6 +312,12 @@ class TestQuadric:
         q = Quadric3(HomogeneousForm(4, {(1, 1, 0, 0): 3, (0, 0, 2, 0): 4}))
         assert repr(q) == "Quadric3(3*x0*x1 + 4*x2^2)"
 
+    def test_equality_compares_forms(self):
+        form = HomogeneousForm(4, {(1, 1, 0, 0): 3, (0, 0, 2, 0): 4})
+        assert Quadric3(form) == Quadric3(form)
+        assert Quadric3(form).__eq__(form) is NotImplemented
+        assert Quadric3(form) != form
+
     @pytest.mark.parametrize(
         "form",
         [
@@ -288,6 +352,19 @@ class TestRulingCheck:
         q = quadric_through(g.points)
         rep = ruling_check(q, (g.row_lines[0],) * 2, g.col_lines)
         assert any("not disjoint" in v or "coincide" in v for v in rep.violations)
+
+    def test_every_violation_is_named(self):
+        g = self.grid()
+        q = quadric_through(g.points)
+        assert not q.contains_line(L_A)
+        assert ruling_check(q, (L_A,), ()).violations == (
+            "row line 0 does not lie on the quadric",
+        )
+        r0, r1 = g.row_lines[:2]
+        assert ruling_check(q, (r0,), (r1, r0)).violations == (
+            "row 0 and column 0 do not meet",
+            "row 0 and column 1 coincide",
+        )
 
     def test_degenerate_quadric_reported(self):
         q = Quadric3(HomogeneousForm(4, {(2, 0, 0, 0): 1}))
@@ -591,6 +668,41 @@ class TestGenericSkewSample:
         b = generic_skew_sample(3, 3, 17)
         assert a[0] == b[0] and a[1] == b[1]
         assert a[2] == b[2] and a[3] == b[3]
+
+    def test_sampled_points_avoid_zeros_and_repeats(self, monkeypatch):
+        # each acceptance test refuses the kernel basis points, which carry
+        # a zero coordinate, and every point drawn before it
+        real = sampling.sample_point
+        drawn = []
+
+        def spy(rng, basis, accept):
+            assert not any(accept(p) for p in [*basis, *drawn])
+            drawn.append(real(rng, basis, accept))
+            return drawn[-1]
+
+        monkeypatch.setattr(sampling, "sample_point", spy)
+        line, line2, xs, xs2 = generic_skew_sample(2, 3, 29)
+        assert drawn == [*xs, *xs2]
+
+    def test_equal_planes_exhaust_the_line_search(self, monkeypatch):
+        monkeypatch.setattr(sampling, "nonzero_int", lambda rng, bound: 1)
+        with pytest.raises(SamplingError, match="no generic line found"):
+            generic_skew_sample(1, 1, 0)
+
+    def test_equal_lines_exhaust_the_instance_search(self, monkeypatch):
+        # every line drawn is L_A, so the two lines never differ
+        draws = itertools.cycle([*L_A.h.dual.coords, *L_A.k.dual.coords])
+        monkeypatch.setattr(sampling, "nonzero_int", lambda rng, bound: next(draws))
+        with pytest.raises(SamplingError, match="no generic instance found"):
+            generic_skew_sample(1, 1, 0)
+
+    def test_failed_point_sampling_exhausts_the_instance_search(self, monkeypatch):
+        def give_up(rng, basis, accept):
+            raise SamplingError("no acceptable point")
+
+        monkeypatch.setattr(sampling, "sample_point", give_up)
+        with pytest.raises(SamplingError, match="no generic instance found"):
+            generic_skew_sample(1, 1, 0)
 
     def test_hypotheses_hold(self):
         line, line2, xs, xs2 = generic_skew_sample(3, 4, 23)
