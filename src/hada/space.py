@@ -147,10 +147,6 @@ class Line3:
             self._basis = (points[0], points[1])
         return self._basis
 
-    def canonical_key(self):
-        """Key identifying the line independently of the plane pair."""
-        return self.q
-
     def meets_coordinate_points(self) -> bool:
         a, b = self.h.dual.coords, self.k.dual.coords
         return any(a[i] == 0 and b[i] == 0 for i in range(4))

@@ -593,7 +593,7 @@ class TestPluckerMatchesElimination:
             else:
                 assert got is want or got == want
             kinds[meeting_kind(got)] += 1
-            assert (l1.canonical_key() == l2.canonical_key()) == (
+            assert (l1.q == l2.q) == (
                 rref_line_key(l1) == rref_line_key(l2)
             )
             assert (l1 == l2) == (meeting_kind(got) == "equal")

@@ -3,9 +3,7 @@
 Runs the tier-1 suite (``tests/``) in this process under a
 ``sys.settrace`` line tracer and prints every statement of
 ``src/hada/*.py`` whose first line never ran, as ``module:line``
-followed by that line of source, and then a per-module count.  A
-statement whose first line carries a ``# unreachable: <reason>``
-comment is not listed; the summary counts those separately.
+followed by that line of source, and then a per-module count.
 Standard library only; it is about four times slower than the
 untraced suite, which is why the suite does not collect it.
 
@@ -18,19 +16,17 @@ Usage, from the repository root::
     python tools/unexecuted.py [extra pytest arguments]
 
 It exits with pytest's status when the suite fails, so a failing suite
-is not mistaken for a clean list; otherwise with 1 when a listed
-statement is left, and 0 when every statement ran or is marked.
+is not mistaken for a clean list; otherwise with 1 when a statement
+never ran, and 0 when every statement ran.
 """
 
 import ast
-import re
 import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hada"
-MARK = re.compile(r"#\s*unreachable:\s*\S")
 
 
 def code_lines(code):
@@ -71,21 +67,16 @@ def main(argv):
         sys.settrace(None)
 
     counts = Counter()
-    marked = 0
     for name, path in files.items():
         source = path.read_text().splitlines()
         for line in sorted(statement_lines(path) - hits[name]):
-            if MARK.search(source[line - 1]):
-                marked += 1
-                continue
             print(f"{path.stem}:{line}  {source[line - 1].strip()}")
             counts[path.stem] += 1
     total = sum(len(statement_lines(path)) for path in files.values())
     for module, count in counts.most_common():
         print(f"# {module}: {count}")
     left = sum(counts.values())
-    print(f"# {left} of {total} statements never ran unmarked; "
-          f"{marked} more never ran, marked unreachable")
+    print(f"# {left} of {total} statements never ran")
     return int(status) or int(left > 0)
 
 
