@@ -11,9 +11,10 @@ operation, gives a check ``args`` that is not an object, or gives a
 check a missing argument, a name its instance lacks, a name that is not
 a string, a ``product_of`` that is not two names, a ``degree`` that is
 not an integer, a ``degree_forms`` degree outside 0 to
-``hada.space.MAX_IMPLICIT_DEGREE``, or a profile check (hilbert, ci,
-generators, hf_product, whose two factors count too) of a set with more
-than ``hada.instances.MAX_PROFILE_POINTS`` points, raise InstanceError
+``hada.space.MAX_IMPLICIT_DEGREE`` or an ``implicitize`` degree outside
+1 to it, or a profile check (hilbert, ci, generators, hf_product, whose
+two factors count too) of a set with more than
+``hada.instances.MAX_PROFILE_POINTS`` points, raise InstanceError
 naming the file.  A check whose operation raises any other HadaError
 is a failing check.
 """
@@ -65,10 +66,14 @@ def _profile_set(inst: Instance, args):
     return inst.profile_set(args.get("set"), args.get("product_of"))
 
 
-def _degree(args) -> int:
+def _degree(args, low: int) -> int:
     degree = args["degree"]
     if not isinstance(degree, int) or isinstance(degree, bool):
         raise InstanceError(f"degree must be an integer, got {degree!r}")
+    if not low <= degree <= MAX_IMPLICIT_DEGREE:
+        raise InstanceError(
+            f"degree must be between {low} and {MAX_IMPLICIT_DEGREE}, got {degree}"
+        )
     return degree
 
 
@@ -146,18 +151,13 @@ def _check_implicitize(inst, args):
     forms = variety_product_interpolate(
         inst.line3(args["line"]),
         inst.line3(args["line2"]),
-        _degree(args),
+        _degree(args, 1),
     )
     return {"forms": [list(f.coefficient_vector()) for f in forms]}
 
 
 def _check_degree_forms(inst, args):
-    degree = _degree(args)
-    if not 0 <= degree <= MAX_IMPLICIT_DEGREE:
-        raise InstanceError(
-            f"degree must be between 0 and {MAX_IMPLICIT_DEGREE}, got {degree}"
-        )
-    forms = degree_bounded_ideal(_resolve_set(inst, args), degree)
+    forms = degree_bounded_ideal(_resolve_set(inst, args), _degree(args, 0))
     return {"forms": [list(f.coefficient_vector()) for f in forms]}
 
 

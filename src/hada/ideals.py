@@ -8,7 +8,29 @@ matrix is the definition.
 
 Questions about a whole profile (``hilbert_profile``,
 ``generator_profile``, ``ci_verdict``, ``hf_product_check``) share one
-per-set degree ladder, read off a single forward elimination:
+per-set degree ladder, built in the linear span of the set.  A set X of
+P^n whose coordinate matrix has rank r spans a linear space V of
+dimension r - 1, cut out by n + 1 - r independent linear forms L.  The
+r pivot columns of an echelon form of that matrix hold a triangular
+block of full rank, so keeping only those coordinates maps V
+isomorphically onto P^(r-1) and X onto a set X' that spans it.  Then
+R/(L) is a polynomial ring in r variables, this isomorphism identifies
+it with the coordinate ring of P^(r-1), and I_X = (L) + I' with I' the
+ideal of X' lifted.  So R/I_X and the ring of X' in P^(r-1) are the
+same graded ring (the coordinate ring of X does not depend on the
+linear space it is embedded in; Eisenbud, *The Geometry of Syzygies*,
+2005, ch. 4): HF, tau and every Z_t below are those of X'.  Its
+minimal generators are the n + 1 - r linear forms L and lifts of the
+minimal generators of I', which has no linear form because X' spans
+P^(r-1); so the counts of X are those of X' plus n + 1 - r in degree 1.
+Most sets span P^n, and a GF(p) certificate says so without an exact
+elimination: rank mod p = n + 1 of the |X| x (n + 1) coordinate matrix
+is at most the rank over Q.  Only when it fails is that small matrix
+eliminated exactly, and a set that spans after all keeps every
+coordinate.
+
+The ladder is read off a single forward elimination (n, from here on,
+is the dimension of the span):
 
 * choose l = x0 + c*x1 + ... + c^n*xn with the least c >= 0 for which
   l vanishes at no point.  Each point rules out at most n values of c.
@@ -107,12 +129,12 @@ reaches |X|: its first differences are the h-vector of the Artinian
 reduction R/(I, l), a standard graded algebra, which has no internal
 zeros (once it is zero in degree t it is zero above, as it is generated
 in degree 1).  So tau <= |X| - 1.  The ladder still stores
-HF(tau + 1) from one rank of the full E_(tau+1) (certified modulo a
-prime when its entries are that wide), although that rank is |X|: the
-l-divisible columns of E_(tau+1) are D * E_tau with D invertible.  The
-benchmark's tracer test (``perfbench/tests/test_perfbench.py``)
-asserts the shape of that rank, so dropping it waits for a change to
-the benchmark.
+HF(tau + 1) from one rank of the full E_(tau+1) of the set in its span
+(certified modulo a prime when its entries are that wide), although
+that rank is |X|: the l-divisible columns of E_(tau+1) are D * E_tau
+with D invertible.  The benchmark's tracer test
+(``perfbench/tests/test_perfbench.py``) asserts the shape of that
+rank, so dropping it waits for a change to the benchmark.
 
 Single-degree questions (``hilbert_function``, ``ideal_dimension``,
 ``degree_bounded_ideal``) eliminate E_t of the given points directly.
@@ -193,14 +215,15 @@ def _linear_form_value(c: int, coords) -> int:
     return sum(c**i * x for i, x in enumerate(coords))
 
 
-def _linear_form_parameter(points: PointSet) -> int:
-    """Least c >= 0 such that l_c vanishes at no point of the set.
+def _linear_form_parameter(coords) -> int:
+    """Least c >= 0 such that l_c vanishes at none of the points, given
+    by their coordinates.
 
     l_c(p) is a nonzero polynomial of degree at most n in c, so each
     point rules out at most n values and the search stops by n*|X|.
     """
     c = 0
-    while any(_linear_form_value(c, p.coords) == 0 for p in points):
+    while any(_linear_form_value(c, p) == 0 for p in coords):
         c += 1
     return c
 
@@ -209,6 +232,10 @@ def _linear_form_parameter(points: PointSet) -> int:
 class _Ladder:
     """The degree ladder of a point set, read off one elimination.
 
+    The ladder lives in the span of the set: ``dim`` is its projective
+    dimension r - 1, and ``linear`` = n + 1 - r counts the independent
+    linear forms that vanish on the set in its ambient P^n.  The rows
+    and columns below are those of the set in P^(r-1).
     ``values[t]`` is HF(t) for t = 0 .. tau + 1, where ``tau`` is the
     least degree whose value reaches the cardinality.  ``reduced[t]``
     holds the rows of Z_t, whose kernel is J_t, each primitive (a slice
@@ -221,6 +248,8 @@ class _Ladder:
     """
 
     cardinality: int
+    dim: int
+    linear: int
     values: tuple[int, ...]
     tau: int
     reduced: tuple[list, ...]
@@ -271,12 +300,34 @@ def _modular_degree(lvalues, tails) -> Optional[int]:
     return t
 
 
+def _span_coordinates(points: PointSet):
+    """The coordinates of the points in their linear span, and its
+    projective dimension r - 1.
+
+    A set of at least n + 1 points whose coordinate matrix has rank
+    n + 1 modulo ``_elim._PRIME`` spans P^n and keeps its coordinates.
+    Otherwise the exact echelon of that matrix gives its rank r and
+    pivot columns, and each point keeps its pivot coordinates: the
+    echelon rows are triangular there, so this projection is injective
+    on the span.  For a set that spans after all, every column is a
+    pivot and nothing changes.
+    """
+    n = points.ambient_dim
+    coords = [p.coords for p in points]
+    if len(coords) > n and _elim._full_rank_mod_prime(coords, n + 1):
+        return coords, n
+    rank, pivots, _ = _elim.echelon(coords, n + 1)
+    return [tuple(p[j] for j in pivots) for p in coords], rank - 1
+
+
 def _ladder(points: PointSet) -> _Ladder:
     """The degree ladder of the set, eliminated on first use and then
     read from the set.
 
-    One forward echelon of E_d in l-coordinates, d >= tau, gives HF(t),
-    Z_t and the free columns of Z_t for every t <= tau, as the module
+    The ladder is built in the span of the set (``_span_coordinates``),
+    P^(r-1), which the module docstring shows changes no answer.  One
+    forward echelon of E_d in l-coordinates, d >= tau, gives HF(t), Z_t
+    and the free columns of Z_t for every t <= tau, as the module
     docstring describes.  Each row of Z_t is stored primitive; dividing
     a row by a constant keeps the row space, so J_t does not change.
     ``_modular_degree`` picks d; when it cannot decide, d starts at the
@@ -287,20 +338,20 @@ def _ladder(points: PointSet) -> _Ladder:
     """
     if points._ladder is not None:
         return points._ladder
-    n = points.ambient_dim
-    card = len(points)
-    c = _linear_form_parameter(points)
+    coords, n = _span_coordinates(points)
+    card = len(coords)
+    c = _linear_form_parameter(coords)
     # x0 -> l is unimodular (triangular, unit diagonal): ranks are kept and
     # l becomes the first variable
-    lvalues = [_linear_form_value(c, p.coords) for p in points]
-    tails = [p.coords[1:] for p in points]
-    coords = [(lp,) + tail for lp, tail in zip(lvalues, tails)]
+    lvalues = [_linear_form_value(c, p) for p in coords]
+    tails = [p[1:] for p in coords]
+    lcoords = [(lp,) + tail for lp, tail in zip(lvalues, tails)]
     d = _modular_degree(lvalues, tails)
     if d is None:
         d = next(t for t in range(card) if comb(t + n, n) >= card)
     while True:
         rank, pivots, rows = linalg.echelon_of(
-            _evaluation_matrix(coords, n + 1, d), comb(d + n, n)
+            _evaluation_matrix(lcoords, n + 1, d), comb(d + n, n)
         )
         if rank == card:
             break
@@ -321,9 +372,13 @@ def _ladder(points: PointSet) -> _Ladder:
         if hi == card:
             break
         lo, start = hi, end
-    values.append(hilbert_function(points, t + 1))
+    values.append(
+        linalg.rank_of(_evaluation_matrix(coords, n + 1, t + 1), comb(t + 1 + n, n))
+    )
     points._ladder = _Ladder(
         cardinality=card,
+        dim=n,
+        linear=points.ambient_dim - n,
         values=tuple(values),
         tau=t,
         reduced=tuple(reduced),
@@ -581,14 +636,17 @@ def _span_rank(ladder: _Ladder, n: int, t: int, free_t) -> int:
     return linalg.rank_of(rows, len(free_t))
 
 
-def _generator_counts(ladder: _Ladder, n: int) -> tuple[int, ...]:
+def _generator_counts(ladder: _Ladder) -> tuple[int, ...]:
     """New minimal generators in degrees 0 .. tau + 1, counted once per
     ladder and stored on it.
 
-    The count in degree t is |F_t| minus the rank of S_1 * J_(t-1),
-    with F_t the free columns of Z_t (all of S_(tau+1) at t = tau + 1).
-    Each step below runs only in the degrees the ones before leave open;
-    the module docstring gives the arguments:
+    The counts are those of the set in its span, P^n with n =
+    ``ladder.dim``, plus the ``ladder.linear`` linear forms that cut out
+    the span, in degree 1.  In the span, the count in degree t is |F_t|
+    minus the rank of S_1 * J_(t-1), with F_t the free columns of Z_t
+    (all of S_(tau+1) at t = tau + 1).  Each step below runs only in the
+    degrees the ones before leave open; the module docstring gives the
+    arguments:
 
     * the bound b(t) = |F_t| - |S_1 * F_(t-1)| caps each count with no
       elimination, since F_t is the degree-t part of in(J).  A degree
@@ -605,6 +663,7 @@ def _generator_counts(ladder: _Ladder, n: int) -> tuple[int, ...]:
     """
     if ladder.generators is not None:
         return ladder.generators
+    n = ladder.dim
     top = ladder.tau + 1
     free = ladder.free + (tuple(range(len(_s_monomials(n, top)))),)
     counts = [len(free[0])]
@@ -622,6 +681,7 @@ def _generator_counts(ladder: _Ladder, n: int) -> tuple[int, ...]:
             break
         if counts[t]:
             counts[t] = len(free[t]) - _span_rank(ladder, n, t, free[t])
+    counts[1] += ladder.linear
     ladder.generators = tuple(counts)
     return ladder.generators
 
@@ -642,7 +702,7 @@ def generator_profile(points: PointSet, max_degree: Optional[int] = None):
     ladder = _ladder(points)
     if max_degree is None:
         max_degree = ladder.tau + 1
-    counts = _generator_counts(ladder, n)
+    counts = _generator_counts(ladder)
     entries = tuple(
         GeneratorDegree(
             degree=t,

@@ -33,13 +33,11 @@ def solution_basis(dual_rows, ncols):
 
 
 def combine(basis, weights):
-    """Integer combination of basis points, or None when it vanishes."""
+    """Integer combination of basis points; HadaError when it vanishes."""
     coords = [0] * len(basis[0].coords)
     for w, b in zip(weights, basis):
         for i, x in enumerate(b.coords):
             coords[i] += w * x
-    if not any(coords):
-        return None
     return ProjPoint(coords)
 
 

@@ -183,12 +183,13 @@ def span_rank_generators(points: PointSet, max_degree: int):
 def exact_span_counts(points: PointSet):
     """Generator counts in R/(l) read off the set's degree ladder with
     every span eliminated: dim J_t minus the exact rank of S_1 * J_(t-1)
-    on all the monomials of S_t, for t = 0 .. tau + 1.  The reference
-    for the staircase bound, the Krull stop and the remainder
-    certificate of ``ideals._generator_counts``, which it shares only
-    the ladder with."""
+    on all the monomials of S_t, for t = 0 .. tau + 1, in the ladder's
+    own P^n, plus the linear forms that cut out that span in degree 1.
+    The reference for the staircase bound, the Krull stop and the
+    remainder certificate of ``ideals._generator_counts``, which it
+    shares only the ladder with."""
     ladder = ideals._ladder(points)
-    nvars = points.ambient_dim + 1
+    nvars = ladder.dim + 1
     counts = []
     kernel, prev_monos = [], ()
     for t in range(ladder.tau + 2):
@@ -208,6 +209,7 @@ def exact_span_counts(points: PointSet):
         counts.append(len(monos) - h - rank)
         if t <= ladder.tau:
             kernel, prev_monos = _elim.nullspace(ladder.reduced[t], len(monos)), monos
+    counts[1] += ladder.linear
     return tuple(counts)
 
 
@@ -227,7 +229,7 @@ def line_samples(line: Hyperplane, count: int = 12):
     seen = set()
     for w in sampling.FIXED_WEIGHTS[:count]:
         p = sampling.combine(basis, w)
-        if p is not None and p.coords not in seen:
+        if p.coords not in seen:
             seen.add(p.coords)
             out.append(p)
     return out

@@ -289,6 +289,23 @@ def test_verify_refuses_degree_forms_beyond_the_cap(capsys, tmp_path, no_elimina
     )
 
 
+@pytest.mark.parametrize("degree", [0, MAX_IMPLICIT_DEGREE + 1])
+def test_verify_refuses_implicitize_beyond_the_cap(capsys, tmp_path, no_elimination, degree):
+    # as ``hada implicitize --degree`` does, exit 2 before any elimination
+    # instead of a failing check
+    check = {"op": "implicitize", "args": {"line": "L", "line2": "Lp", "degree": degree},
+             "expect": {}}
+    path = tmp_path / "implicitize.json"
+    path.write_text(json.dumps({"instance": P3_DOC, "checks": [check]}))
+    rc = main(["verify", "--fixtures", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        f"input error: malformed fixture {path}: degree must be between 1 and "
+        f"{MAX_IMPLICIT_DEGREE}, got {degree}\n"
+    )
+
+
 def test_verify_answers_degree_forms_at_the_cap(capsys, tmp_path):
     xs = parse_instance_dict(GRID_DOC).point_set("X")
     checks = [

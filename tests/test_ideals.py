@@ -62,7 +62,7 @@ GRID3 = pairwise_products(
     PointSet.from_coords([[-1, 2, 2, 1], [11, -8, -2, 1], [-7, 7, 4, 1]]),
 )[0]
 
-PLANAR25 = pairwise_products(
+PLANAR_FACTORS = (
     PointSet.from_coords(
         [[1, 4, 2, 4], [8, 5, 6, 5], [37, 40, 34, 40], [9, 9, 8, 9], [65, 98, 70, 98]]
     ),
@@ -70,7 +70,8 @@ PLANAR25 = pairwise_products(
         [[2, 5, 2, 5], [3, 2, 3, 3], [24, 27, 24, 33], [13, 16, 13, 19],
          [130, 127, 130, 163]]
     ),
-)[0]
+)
+PLANAR25 = pairwise_products(*PLANAR_FACTORS)[0]
 
 
 class TestHilbertFunction:
@@ -306,14 +307,36 @@ def generator_entries(profile):
     return [(e.degree, e.ideal_dim, e.new_generators) for e in profile.entries]
 
 
+def full_ring_answers(points):
+    """The Hilbert profile, the generator entries through tau + 1 and the
+    CI verdict of the set, from Fraction ranks in the full ring: the
+    oracle counts x_i * I_(t-1) in R, not in R/(l), and never leaves the
+    ambient P^n."""
+    n = points.ambient_dim
+    values = frac_hilbert_values(points)
+    tau = len(values) - 2
+    h_vector = [values[0]] + [values[t] - values[t - 1] for t in range(1, tau + 1)]
+    profile = HilbertProfile(tuple(values), tau, tuple(h_vector), len(points))
+    entries = span_rank_generators(points, tau + 1)
+    total = sum(new for _, _, new in entries)
+    witness = tuple(t for t, _, new in entries for _ in range(new))
+    if total == n:
+        verdict = CIVerdict("CI", n, total, witness)
+    else:
+        reason = f"{total} minimal generators exceed the codimension {n}"
+        if h_vector != h_vector[::-1]:
+            reason += "; h-vector is not symmetric"
+        verdict = CIVerdict("NotCI", n, total, witness, reason)
+    return profile, entries, verdict
+
+
 def test_ladder_matches_full_ring_oracle():
     # the ladder counts generators in R/(l); the oracle counts x_i * I_(t-1)
     # in the full ring with Fraction ranks
     x0_vanishes = needs_c = 0
     for points, extra in seeded_point_sets(120, 8080):
-        n = points.ambient_dim
-        values = frac_hilbert_values(points)
-        tau = len(values) - 2
+        profile, entries, verdict = full_ring_answers(points)
+        tau = profile.tau
 
         # an explicit bound below, at or above tau + 1, asked first of a
         # fresh copy so that a bounded call fills its stored ladder, which
@@ -325,27 +348,83 @@ def test_ladder_matches_full_ring_oracle():
         )
         assert (ci_verdict(points, d).kind == "Unknown") == (d < tau + 1)
 
-        h_vector = [values[0]] + [values[t] - values[t - 1] for t in range(1, tau + 1)]
-        assert hilbert_profile(points) == HilbertProfile(
-            tuple(values), tau, tuple(h_vector), len(points)
-        )
-
-        expected = span_rank_generators(points, tau + 1)
-        assert generator_entries(generator_profile(points)) == expected
-        total = sum(new for _, _, new in expected)
-        witness = tuple(t for t, _, new in expected for _ in range(new))
-        if total == n:
-            verdict = CIVerdict("CI", n, total, witness)
-        else:
-            reason = f"{total} minimal generators exceed the codimension {n}"
-            if h_vector != h_vector[::-1]:
-                reason += "; h-vector is not symmetric"
-            verdict = CIVerdict("NotCI", n, total, witness, reason)
+        assert hilbert_profile(points) == profile
+        assert generator_entries(generator_profile(points)) == entries
         assert ci_verdict(points) == verdict
 
         x0_vanishes += any(p.coords[0] == 0 for p in points)
-        needs_c += _linear_form_parameter(points) >= 1
+        needs_c += _linear_form_parameter(ideals._span_coordinates(points)[0]) >= 1
     assert x0_vanishes >= 30 and needs_c >= 30
+
+
+def points_in_span(rng, n, r, size):
+    """``size`` points of a random (r - 1)-dimensional linear space of
+    P^n, none with a zero coordinate."""
+    while True:
+        basis = [[rng.randint(-5, 5) for _ in range(n + 1)] for _ in range(r)]
+        if frac_rank(basis, n + 1) == r:
+            break
+    rows = []
+    while len(rows) < size:
+        weights = [rng.randint(-6, 6) for _ in range(r)]
+        row = [sum(w * b[j] for w, b in zip(weights, basis)) for j in range(n + 1)]
+        if all(row) and all(frac_rank([row, other], n + 1) == 2 for other in rows):
+            rows.append(row)
+    return PointSet.from_coords(rows)
+
+
+def degenerate_sets():
+    """Sets that do not span their P^n, with the dimension of their span:
+    collinear sets of P^2 and P^3, the 3 x 3 part of the planar CI of
+    P^3, single points, and random points of random lines and planes."""
+    for m in (2, 5):
+        yield collinear_points(m, 2), 1
+        yield collinear_points(m, 3), 1
+    yield pairwise_products(*(PointSet(f.points[:3]) for f in PLANAR_FACTORS))[0], 2
+    yield PointSet.from_coords([[2, 3, 5]]), 0
+    yield PointSet.from_coords([[3, -5, 7, 11]]), 0
+    rng = random.Random(2424)
+    for n, r, size in ((2, 2, 4), (3, 2, 5), (3, 3, 4), (3, 3, 7)):
+        yield points_in_span(rng, n, r, size), r - 1
+
+
+def test_degenerate_sets_match_full_ring_oracle():
+    # the ladder of a set in a line or plane is built in that span; the
+    # oracle stays in the ambient P^n, linear forms included
+    for points, span in degenerate_sets():
+        profile, entries, verdict = full_ring_answers(points)
+        points = PointSet(points.points)
+        ladder = ideals._ladder(points)
+        assert (ladder.dim, ladder.linear) == (span, points.ambient_dim - span)
+        assert hilbert_profile(points) == profile
+        assert generator_entries(generator_profile(points)) == entries
+        assert entries[1][2] >= ladder.linear
+        assert ci_verdict(points) == verdict
+
+
+def test_small_prime_certificate_fails_on_a_spanning_set(monkeypatch):
+    # modulo 2 every coordinate of these points is 1, so the span
+    # certificate fails; the exact echelon of the 6 x 4 coordinate matrix
+    # then finds rank 4, and the ladder stays in P^3 with the same answers
+    points = PointSet.from_coords(
+        [[1, 1, 1, 1], [1, 3, 1, 1], [1, 1, 3, 1], [1, 1, 1, 3], [3, 1, 1, 1], [1, 3, 5, 7]]
+    )
+    expected = full_ring_answers(points)
+    shapes = []
+    original = _elim.echelon
+
+    def spy(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(_elim, "echelon", spy)
+    monkeypatch.setattr(_elim, "_PRIME", 2)
+    fresh = PointSet(points.points)
+    assert not _elim._full_rank_mod_prime([p.coords for p in fresh], 4)
+    answers = (hilbert_profile(fresh), generator_entries(generator_profile(fresh)), ci_verdict(fresh))
+    assert answers == expected
+    assert shapes[0] == (6, 4)
+    assert (fresh._ladder.dim, fresh._ladder.linear) == (3, 0)
 
 
 def spy_linalg(monkeypatch):
@@ -387,19 +466,25 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
     calls = spy_linalg(monkeypatch)
     assert ci_verdict(points).witness_degrees == (1, 5, 5)
 
-    tau, n = 8, 3
-    # one echelon of the full E_tau serves every degree of the ladder and
-    # one rank confirms HF(tau + 1).  The generator counts take no kernel
-    # and no span rank: the staircase bound is (0, 1, 0, 0, 0, 2, 1, 1, 1, 1),
-    # one remainder mod p in each of degrees 6 .. tau + 1 lowers it to 0
-    # there, and the bounds then sum to n
+    # the set spans a plane of P^3, so its ladder is built in P^2: one
+    # echelon of the full E_tau there serves every degree and one rank
+    # confirms HF(tau + 1).  The generator counts take no kernel and no
+    # span rank: the staircase bound in the plane is
+    # (0, 0, 0, 0, 0, 2, 1, 1, 1, 1), one remainder mod p in each of
+    # degrees 6 .. tau + 1 lowers it to 0 there, the bounds then sum to
+    # n = 2, and the plane's linear form adds one generator in degree 1
+    tau, n = 8, 2
     assert calls == [
         ("echelon_of", 25, comb(tau + n, n)),
         ("rank_of", 25, comb(tau + 1 + n, n)),
-    ] == [("echelon_of", 25, 165), ("rank_of", 25, 220)]
+    ] == [("echelon_of", 25, 45), ("rank_of", 25, 55)]
 
 
 def test_one_ladder_serves_every_profile_question(monkeypatch):
+    # the grid spans P^3, so it keeps its coordinates: the span certificate
+    # is one pass mod p outside ``linalg``.  One echelon of E_tau and one
+    # rank of E_(tau+1) serve all three questions; the generator counts
+    # add one kernel of Z_tau and one span rank at tau + 1
     _, _, xs, xs2 = generic_skew_sample(5, 5, 4242)
     points = pairwise_products(xs, xs2)[0]
     calls = spy_linalg(monkeypatch)
@@ -409,11 +494,13 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
 
     tau, n = prof.tau, 3
     assert (tau, gens.max_degree, verdict.kind) == (4, 5, "NotCI")
-    echelons = [c for c in calls if c[0] == "echelon_of"]
-    assert echelons == [("echelon_of", 25, comb(tau + n, n))]
-    full = [c for c in calls if c[0] != "echelon_of" and c[1:] in evaluation_shapes(points, tau + 1)]
-    assert full == [("rank_of", 25, comb(tau + 1 + n, n))]
-    assert calls[:2] == echelons + full
+    assert (points._ladder.dim, points._ladder.linear) == (n, 0)
+    assert calls == [
+        ("echelon_of", 25, comb(tau + n, n)),
+        ("rank_of", 25, comb(tau + 1 + n, n)),
+        ("kernel_basis", 9, 15),
+        ("rank_of", 18, 21),
+    ]
 
 
 def test_second_generator_question_eliminates_nothing(monkeypatch):
@@ -434,11 +521,12 @@ def test_second_generator_question_eliminates_nothing(monkeypatch):
 
 def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
     # the ladder eliminates one matrix: the plain degree-tau evaluation
-    # matrix of the points in l-coordinates (l(p), p1, ..., pn).  Its
-    # leading C(t + n, n) columns are diag(l(p))^(tau - t) * E_t, so the
-    # pivots left of them count HF(t), which the Fraction oracle
-    # confirms.  The last set has a zero in every coordinate, so l is
-    # not x0 there
+    # matrix of the points in l-coordinates (l(p), p1, ..., pn), taken in
+    # their span: the pivot coordinates of the Fraction RREF of the
+    # coordinate matrix, so n = 2 for the planar set.  Its leading
+    # C(t + n, n) columns are diag(l(p))^(tau - t) * E_t, so the pivots
+    # left of them count HF(t), which the Fraction oracle confirms.  The
+    # last set has a zero in every coordinate, so l is not x0 there
     received = []
     original = linalg.echelon_of
 
@@ -452,11 +540,15 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         [[0, 1, 1, 1], [1, 0, 2, 1], [1, 3, 0, 1], [2, 1, 1, 0], [1, 2, 3, 4], [3, -1, 2, 5]]
     )
     sets = (pairwise_products(xs, xs2)[0], PointSet(PLANAR25.points), no_zero_free_coordinate)
+    spans = []
     for points in sets:
-        n = points.ambient_dim
-        c = _linear_form_parameter(points)
+        rank, span_pivots, _ = frac_rref([p.coords for p in points], points.ambient_dim + 1)
+        n = rank - 1
+        spans.append(n)
+        span = [tuple(p.coords[j] for j in span_pivots) for p in points]
+        c = _linear_form_parameter(span)
         assert (c > 0) == (points is no_zero_free_coordinate)
-        coords = [(_linear_form_value(c, p.coords),) + p.coords[1:] for p in points]
+        coords = [(_linear_form_value(c, p),) + p[1:] for p in span]
         received.clear()
         prof = hilbert_profile(points)
         assert len(received) == 1
@@ -467,6 +559,7 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         assert [sum(j < comb(t + n, n) for j in pivots) for t in range(prof.tau + 1)] == list(
             frac_hilbert_values(points)[: prof.tau + 1]
         )
+    assert spans == [3, 2, 3]
 
 
 def test_span_ranks_take_dim_j_columns(monkeypatch):
@@ -516,8 +609,10 @@ def test_span_ranks_take_dim_j_columns(monkeypatch):
 
 
 def test_collinear_points_eliminate_no_span(monkeypatch):
-    # the staircase bound (0, 2, 0, ..., 0, 1) sums to n = 3, so the Krull
-    # stop settles every count: no remainder mod p, no kernel, no span rank
+    # the ladder of a line's points is built in P^1, where the staircase
+    # bound (0, 0, ..., 0, 1) sums to n = 1, so the Krull stop settles
+    # every count: no remainder mod p, no kernel, no span rank.  The two
+    # linear forms that cut out the line are the degree-1 generators
     points = collinear_points(20)
     remainders = []
     original = ideals._independent_remainders
@@ -526,18 +621,20 @@ def test_collinear_points_eliminate_no_span(monkeypatch):
     )
     calls = spy_linalg(monkeypatch)
     assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 1, 20))
-    tau, n = 19, 3
+    tau, n = 19, 1
     assert calls == [
         ("echelon_of", 20, comb(tau + n, n)),
         ("rank_of", 20, comb(tau + 1 + n, n)),
-    ]
+    ] == [("echelon_of", 20, 20), ("rank_of", 20, 21)]
     assert remainders == []
 
 
 def oracle_sets():
     """Every point set of the bundled fixtures and the products of each
     pair of them, the ladder oracle's sets, and random, collinear, grid and
-    skew-grid sets in P^2 and P^3."""
+    skew-grid sets in P^2 and P^3.  The 2 x 3 grid of the affine plane
+    reduces to the monomial ideal (x1^2, x2^3), so its staircase bound is
+    exact before any degree is tried."""
     for path in sorted(fixtures_dir().glob("*.json")):
         inst = parse_instance_dict(json.loads(path.read_text())["instance"])
         names = sorted(inst.point_sets)
@@ -562,6 +659,7 @@ def oracle_sets():
         line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
         xs, xs2 = generic_collinear_sample(line, line2, a, b, 1800 + 10 * a + b)
         yield grid_product_p2(xs, xs2, line, line2).points
+    yield PointSet.from_coords([[1, i, j] for i in range(2) for j in range(3)])
     yield from (GRID2, GRID3, PLANAR25)
 
 
@@ -575,7 +673,7 @@ def test_generator_counts_equal_exact_span_counts():
     kinds = set()
     for points, expected in oracle_counts():
         points = PointSet(points.points)
-        counts = ideals._generator_counts(ideals._ladder(points), points.ambient_dim)
+        counts = ideals._generator_counts(ideals._ladder(points))
         assert counts == expected, points
         kinds.add(sum(counts) == points.ambient_dim)
     assert kinds == {True, False}
@@ -599,11 +697,12 @@ def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
     for points, counts in cases:
         exact_degrees.append([])
         fresh = PointSet(points.points)
-        assert ideals._generator_counts(ideals._ladder(fresh), fresh.ambient_dim) == counts
+        assert ideals._generator_counts(ideals._ladder(fresh)) == counts
     if prime == 2:
         # GRID2 and PLANAR25, the last sets: every degree that the staircase
-        # and the Krull stop leave open
-        assert exact_degrees[-3:] == [[4, 5, 6], [3], [5, 6, 7, 8, 9]]
+        # and the Krull stop leave open.  PLANAR25's ladder is built in its
+        # plane, where Z_4 has no free column, so degree 5 has no span
+        assert exact_degrees[-3:] == [[4, 5, 6], [3], [6, 7, 8, 9]]
 
 
 def test_hf_product_check_reads_stored_factor_ladders(monkeypatch):
@@ -634,12 +733,17 @@ def test_unknown_ci_verdict_counts_no_generators(monkeypatch):
 def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
     # the modular pass cannot decide either set: two points of the first
     # agree mod p (2**61 = 1), and l = x0 vanishes mod p at a point of the
-    # second.  The ladder then eliminates E_d exactly from the least d
-    # with |X| monomials (d = 2 for both) up to tau; answers must match
-    # the Fraction oracles
+    # second.  Each set is five points of a line and one point off it, so
+    # it spans P^2 and its ladder stays there.  The ladder then eliminates
+    # E_d exactly from the least d with |X| monomials (d = 2 for both) up
+    # to tau = 4; answers must match the Fraction oracles
     p = _elim._PRIME
-    agree_mod_p = PointSet.from_coords([[1, 1, 2], [1, 2**61, 2], [1, 3, 2], [1, 5, 2]])
-    l_vanishes_mod_p = PointSet.from_coords([[p, 1, 2], [1, 1, 2], [2, 1, 2], [3, 1, 2], [4, 1, 2]])
+    agree_mod_p = PointSet.from_coords(
+        [[1, 1, 0], [1, 2**61, 0], [1, 3, 0], [1, 5, 0], [1, 7, 0], [1, 1, 1]]
+    )
+    l_vanishes_mod_p = PointSet.from_coords(
+        [[p, 1, 2], [1, 1, 2], [2, 1, 2], [3, 1, 2], [4, 1, 2], [1, 0, 1]]
+    )
     passes = []
     original = ideals._modular_degree
 
@@ -653,7 +757,7 @@ def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
         n, card = points.ambient_dim, len(points)
         values = frac_hilbert_values(points)
         tau = len(values) - 2
-        assert tau == card - 1
+        assert (n, card, tau) == (2, 6, 4)
         calls.clear()
         prof = hilbert_profile(points)
         assert prof.values == tuple(values) and prof.tau == tau
@@ -662,14 +766,21 @@ def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
         ]
         expected = span_rank_generators(points, tau + 1)
         assert generator_entries(generator_profile(points)) == expected
-        assert [new for _, _, new in expected] == [0, 1] + [0] * (tau - 1) + [1]
-        assert ci_verdict(points) == CIVerdict("CI", n, 2, (1, card))
+        # the line's form times the two linear forms through the point off
+        # it, and a quintic through all six points
+        assert [new for _, _, new in expected] == [0, 0, 2, 0, 0, 1]
+        assert ci_verdict(points) == CIVerdict(
+            "NotCI", n, 3, (2, 2, 5),
+            "3 minimal generators exceed the codimension 2; h-vector is not symmetric",
+        )
     assert passes == [None, None]
 
 
 def test_any_degree_at_least_tau_gives_the_same_ladder(monkeypatch):
-    # the prime only picks d; eliminating a larger E_d must answer alike
+    # the prime only picks d; eliminating a larger E_d must answer alike.
+    # The ladder of the collinear set is built in P^1
     sets = [GRID2, GRID3, collinear_points(4)]
+    spans = [2, 3, 1]
     answers = [
         (hilbert_profile(s), generator_profile(s), ci_verdict(s))
         for s in (PointSet(points.points) for points in sets)
@@ -677,10 +788,10 @@ def test_any_degree_at_least_tau_gives_the_same_ladder(monkeypatch):
     original = ideals._modular_degree
     monkeypatch.setattr(ideals, "_modular_degree", lambda *args: original(*args) + 2)
     calls = spy_linalg(monkeypatch)
-    for points, expected in zip(sets, answers):
+    for points, n, expected in zip(sets, spans, answers):
         fresh = PointSet(points.points)
         assert (hilbert_profile(fresh), generator_profile(fresh), ci_verdict(fresh)) == expected
-        n, d = points.ambient_dim, expected[0].tau + 2
+        d = expected[0].tau + 2
         assert calls[0] == ("echelon_of", len(points), comb(d + n, n))
         calls.clear()
 

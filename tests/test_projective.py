@@ -162,9 +162,10 @@ class TestPointHyperplaneProduct:
                 h = Hyperplane([sampling.nonzero_int(rng, 12) for _ in range(dim + 1)])
                 p = ProjPoint([sampling.nonzero_int(rng, 12) for _ in range(dim + 1)])
                 basis = sampling.solution_basis([h.dual.coords], dim + 1)
-                q = sampling.combine(basis, [rng.randint(-9, 9) for _ in basis])
-                if q is None:
+                weights = [rng.randint(-9, 9) for _ in basis]
+                if not any(weights):
                     continue
+                q = sampling.combine(basis, weights)
                 prod = hadamard_points(p, q)
                 if prod is UNDEFINED:
                     continue
@@ -258,10 +259,11 @@ class TestHyperplaneProduct:
             bh = sampling.solution_basis([h.dual.coords], 4)
             bk = sampling.solution_basis([k.dual.coords], 4)
             for _ in range(10):
-                p = sampling.combine(bh, [rng.randint(-5, 5) for _ in bh])
-                q = sampling.combine(bk, [rng.randint(-5, 5) for _ in bk])
-                if p is None or q is None:
+                wh = [rng.randint(-5, 5) for _ in bh]
+                wk = [rng.randint(-5, 5) for _ in bk]
+                if not any(wh) or not any(wk):
                     continue
+                p, q = sampling.combine(bh, wh), sampling.combine(bk, wk)
                 r = hadamard_points(p, q)
                 if r is not UNDEFINED:
                     assert prod.contains(r)

@@ -5,14 +5,15 @@ import random
 import pytest
 
 from hada import sampling
-from hada.errors import SamplingError
+from hada.errors import HadaError, SamplingError
 from hada.projective import ProjPoint
 
 BASIS = sampling.solution_basis([[1, 1, -2]], 3)
 
 
 def test_combine_of_zero_weights_is_no_point():
-    assert sampling.combine(BASIS, (0, 0)) is None
+    with pytest.raises(HadaError, match="all coordinates are zero"):
+        sampling.combine(BASIS, (0, 0))
     assert sampling.combine(BASIS, (1, 1)) == ProjPoint(
         [x + y for x, y in zip(BASIS[0].coords, BASIS[1].coords)]
     )

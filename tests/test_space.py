@@ -106,8 +106,6 @@ class TestPointLineProduct3:
         prods = []
         for w in sampling.FIXED_WEIGHTS:
             s = sampling.combine(basis, w)
-            if s is None:
-                continue
             r = hadamard_points(p, s)
             if r is not UNDEFINED:
                 prods.append(r)
@@ -617,7 +615,7 @@ class TestPluckerMatchesElimination:
             out = []
             for w in sampling.FIXED_WEIGHTS:
                 p = sampling.combine(basis, w)
-                if p is not None and p.delta_level == 3:
+                if p.delta_level == 3:
                     out.append(p)
             return out[:3]
 
