@@ -29,8 +29,8 @@ is at most the rank over Q.  Only when it fails is that small matrix
 eliminated exactly, and a set that spans after all keeps every
 coordinate.
 
-The ladder is read off a single forward elimination (n, from here on,
-is the dimension of the span):
+The exact ladder is read off a single forward elimination (n, from
+here on, is the dimension of the span):
 
 * choose l = x0 + c*x1 + ... + c^n*xn with the least c >= 0 for which
   l vanishes at no point.  Each point rules out at most n values of c.
@@ -110,19 +110,67 @@ dependent divisor is dependent and is skipped.  The pass stops at the
 first degree of rank |X| mod p; rank mod p is at most rank over Q, so
 HF is |X| there and d >= tau.  It cannot decide when some l(p) vanishes
 mod p, or when a degree adds no column, which happens when two points
-agree mod p (none is added afterwards).  Then d starts at the least t with C(t+n, n) >= |X| and
-rises by one until the exact pivots reach |X|.  Every Hilbert value and
-every Z_t comes from the exact elimination; the prime only chooses which
-matrix it eliminates, so it cannot change an answer.
+agree mod p (none is added afterwards).  Then d starts at the least t
+with C(t+n, n) >= |X| and rises by one until the exact pivots reach |X|.
+
+Before that echelon, the ladder is certified from the pass when it can
+be: from the monomials the pass kept in each block (its pivot columns
+mod p; the rest of block t is F^p_t) and at most one exact kernel.  The
+modular Groebner pattern with exact verification (Arnold, *Modular
+algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
+2003) applies because the prefix ranks of E_d are squeezed from both
+sides:
+
+* rank mod p of every column prefix of E_d is at most its rank over Q
+  (the row scaling by l(p)^d is invertible mod p), so each prefix has
+  at most as many free columns over Q as mod p;
+* case (a): no block t <= d has a free column mod p.  Then HF(t) =
+  C(t+n, n), the ceiling, in every degree t <= d, so it is exact, tau =
+  d, every F_t is empty and J_tau = 0.  The counts are 0 through tau and
+  |S_(tau+1)| at tau + 1, with no elimination.  Collinear sets and the
+  2 x 2 skew grids take this path;
+* case (b): the staircase is generated in its initial degree alpha, the
+  first block with a free column, with no collisions.  For
+  alpha < t <= d + 1 the products u * m (u in S_(t-alpha), m in
+  F^p_alpha) must be pairwise distinct, and for t <= d equal F^p_t as a
+  set; this is set arithmetic on monomials, checked before any exact
+  work.  Then one exact ``kernel_basis`` of E_alpha in l-coordinates is
+  taken, and its free columns (the last nonzero entry of each RREF
+  kernel vector) must be exactly F^p_alpha, with none in an earlier
+  block;
+* why (b) is exact.  For f in that kernel, l^k * u * f is a kernel
+  vector of E_t, and its last nonzero column is u * lead(f), because the
+  column order is descending lex and lex is a monomial order.  These
+  leads cover every free column mod p of every prefix, one vector each,
+  so each prefix rank over Q is at most its rank mod p.  The ranks are
+  equal, the pivots over Q are those mod p, and HF, tau = d and
+  F_t = F^p_t are exact;
+* the counts of (b).  J_(alpha-1) = 0, so b(alpha) = |F_alpha| is exact;
+  for alpha < t <= tau, F_t = S_1 * F_(t-1) gives b(t) = 0.  The u * f
+  with u in S_(tau-alpha), f mod l, have distinct leads covering F_tau,
+  so they are a basis of J_tau, and S_1 * J_tau is spanned by the w * f
+  with w in S_(tau+1-alpha).  Their leads are distinct, so they are
+  independent and rank(S_1 * J_tau) = |S_(tau+1-alpha)| * |F_alpha| =
+  |S_1 * F_tau|: b(tau + 1) is exact too.  The counts are stored with
+  the ladder (plus the linear forms of the span in degree 1), and no
+  Z_t is kept.  Square skew grids of at least 3 x 3 points take this
+  path (alpha = 2, their quadric);
+* fallbacks.  When the pass cannot decide, when the set arithmetic
+  fails (planar-25 and the P^2 grids fail it at alpha + 1, random
+  points of P^2 with several free columns at alpha = tau fail it at
+  tau + 1) or when the kernel leads elsewhere, the exact echelon above
+  runs unchanged, from the pass's d.  Either way every answer is exact:
+  the prime chooses the path and the matrix, not an answer.
 
 The ladder of a set is built on the first profile question asked of
 it and stored on the ``PointSet``; later questions, bounded ones
 included, read the stored ladder.  The generator counts through
-tau + 1 are stored on the ladder by the first generator question, so a
-``ci_verdict`` after a ``generator_profile`` computes no kernel and no
-span rank again.  Storing both is safe: a ``PointSet`` is never
-mutated, and the Hilbert function and the generator counts do not
-depend on the order of the points.
+tau + 1 are stored on the ladder when it is certified, and otherwise by
+the first generator question, so a ``ci_verdict`` after a
+``generator_profile`` computes no kernel and no span rank again.
+Storing both is safe: a ``PointSet`` is never mutated, and the Hilbert
+function and the generator counts do not depend on the order of the
+points.
 
 The ladder needs no consistency checks.  HF rises strictly until it
 reaches |X|: its first differences are the h-vector of the Artinian
@@ -137,7 +185,13 @@ with D invertible.  The benchmark's tracer test
 rank, so dropping it waits for a change to the benchmark.
 
 Single-degree questions (``hilbert_function``, ``ideal_dimension``,
-``degree_bounded_ideal``) eliminate E_t of the given points directly.
+``degree_bounded_ideal``) eliminate E_t of the given points directly,
+with one exception: ``degree_bounded_ideal`` in degree alpha reads the
+kernel of E_alpha that a certified ladder took, when c = 0 and the set
+spans its P^n.  Then the l-coordinates are the set's own coordinates,
+E_alpha is the set's evaluation matrix, and the stored kernel is, bit
+for bit, the one a direct elimination gives.  So the quadric of a skew
+grid costs no elimination after a profile question.
 """
 
 from __future__ import annotations
@@ -145,6 +199,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Optional
 
@@ -237,14 +292,18 @@ class _Ladder:
     linear forms that vanish on the set in its ambient P^n.  The rows
     and columns below are those of the set in P^(r-1).
     ``values[t]`` is HF(t) for t = 0 .. tau + 1, where ``tau`` is the
-    least degree whose value reaches the cardinality.  ``reduced[t]``
-    holds the rows of Z_t, whose kernel is J_t, each primitive (a slice
-    of an echelon row keeps the common factors of the whole row, which
-    would only be carried and divided out again), and ``free[t]`` the
-    columns of Z_t that hold no pivot, for t <= tau.  ``generators[t]``
-    is the number of new minimal generators in degree t for
-    t = 0 .. tau + 1; it is counted on the first generator question
-    and None until then.
+    least degree whose value reaches the cardinality, and ``free[t]``
+    the columns of Z_t that hold no pivot, for t <= tau.  An exact
+    ladder keeps in ``reduced[t]`` the rows of Z_t, whose kernel is J_t,
+    each primitive (a slice of an echelon row keeps the common factors
+    of the whole row, which would only be carried and divided out
+    again).  A certified ladder eliminated no Z_t: ``reduced`` is None,
+    and its counts are stored from the start.  ``generators[t]`` is the
+    number of new minimal generators in degree t for t = 0 .. tau + 1;
+    an exact ladder counts them on the first generator question and
+    holds None until then.  ``lowest`` is (alpha, canonical kernel basis
+    of E_alpha) when a certified ladder eliminated that kernel in the
+    set's own coordinates, and None otherwise.
     """
 
     cardinality: int
@@ -252,24 +311,28 @@ class _Ladder:
     linear: int
     values: tuple[int, ...]
     tau: int
-    reduced: tuple[list, ...]
+    reduced: Optional[tuple[list, ...]]
     free: tuple[tuple[int, ...], ...]
     generators: Optional[tuple[int, ...]] = None
+    lowest: Optional[tuple[int, list]] = None
 
     def value(self, t: int) -> int:
         """HF(t) in any degree t >= 0."""
         return self.values[t] if t < len(self.values) else self.cardinality
 
 
-def _modular_degree(lvalues, tails) -> Optional[int]:
-    """Least t with rank E_t = |X| modulo ``_elim._PRIME``, or None when
-    the prime cannot decide.
+def _modular_degree(lvalues, tails) -> Optional[tuple[int, list[set]]]:
+    """Least t with rank E_t = |X| modulo ``_elim._PRIME``, with the
+    monomials of S kept in each block 0 .. t, or None when the prime
+    cannot decide.
 
     Row p of E_t scaled by 1/l(p)^t holds the affine monomials of degree
     at most t in y = (p1, ..., pn)/l(p), so each degree appends columns.
     A monomial with a dependent divisor y^a / y_i is dependent and is
-    skipped.  None means some l(p) vanishes mod p, or a degree added no
-    column, after which none ever does (two points agree mod p).
+    skipped.  The kept monomials of block s are its pivot columns mod p,
+    and the rest of the block, the free columns mod p, is F^p_s.  None
+    means some l(p) vanishes mod p, or a degree added no column, after
+    which none ever does (two points agree mod p).
     """
     p = _elim._PRIME
     card, n = len(lvalues), len(tails[0])
@@ -280,6 +343,7 @@ def _modular_degree(lvalues, tails) -> Optional[int]:
     basis = _elim.ModBasis()
     basis.add([1] * card)
     kept = {(0,) * n: [1] * card}
+    standard = [set(kept)]
     t = 0
     while len(basis) < card:
         t += 1
@@ -297,7 +361,8 @@ def _modular_degree(lvalues, tails) -> Optional[int]:
         if not added:
             return None
         kept = added
-    return t
+        standard.append(set(added))
+    return t, standard
 
 
 def _span_coordinates(points: PointSet):
@@ -320,35 +385,63 @@ def _span_coordinates(points: PointSet):
     return [tuple(p[j] for j in pivots) for p in coords], rank - 1
 
 
-def _ladder(points: PointSet) -> _Ladder:
-    """The degree ladder of the set, eliminated on first use and then
-    read from the set.
+def _certified_ladder(lcoords, n: int, d: int, standard):
+    """HF(0 .. d), the free columns F_0 .. F_d and the generator counts in
+    degrees 0 .. d + 1 of the set in its span, read off the staircase of
+    the modular pass, with the exact basis (alpha, kernel of E_alpha) it
+    took, or None when a check fails.
 
-    The ladder is built in the span of the set (``_span_coordinates``),
-    P^(r-1), which the module docstring shows changes no answer.  One
-    forward echelon of E_d in l-coordinates, d >= tau, gives HF(t), Z_t
-    and the free columns of Z_t for every t <= tau, as the module
-    docstring describes.  Each row of Z_t is stored primitive; dividing
-    a row by a constant keeps the row space, so J_t does not change.
-    ``_modular_degree`` picks d; when it cannot decide, d starts at the
-    least degree with at least |X| monomials and rises until the exact
-    rank is |X|.  HF(tau + 1) is then read off a rank of the full
-    E_(tau+1); the module docstring says why that is |X| and why the
-    rank stays for now.
+    ``standard[s]`` holds the monomials of block s that ``_modular_degree``
+    kept, d its degree.  Case (a): no block has a free column mod p, so
+    nothing is eliminated.  Case (b): alpha is the first block with a
+    free column; the products of S_(t-alpha) with F^p_alpha must be
+    pairwise distinct for alpha < t <= d + 1 and equal F^p_t for t <= d,
+    and then the one exact kernel of E_alpha in l-coordinates must lead
+    at F^p_alpha and nowhere else.  The module docstring shows why every
+    value returned is then exact.
     """
-    if points._ladder is not None:
-        return points._ladder
-    coords, n = _span_coordinates(points)
-    card = len(coords)
-    c = _linear_form_parameter(coords)
-    # x0 -> l is unimodular (triangular, unit diagonal): ranks are kept and
-    # l becomes the first variable
-    lvalues = [_linear_form_value(c, p) for p in coords]
-    tails = [p[1:] for p in coords]
-    lcoords = [(lp,) + tail for lp, tail in zip(lvalues, tails)]
-    d = _modular_degree(lvalues, tails)
-    if d is None:
-        d = next(t for t in range(card) if comb(t + n, n) >= card)
+    free = [
+        tuple(j for j, e in enumerate(_s_monomials(n, t)) if e[1:] not in standard[t])
+        for t in range(d + 1)
+    ]
+    values = list(accumulate(len(block) for block in standard))
+    top = len(_s_monomials(n, d + 1))
+    alpha = next((t for t in range(d + 1) if free[t]), None)
+    if alpha is None:
+        return values, free, (0,) * (d + 1) + (top,), None
+    block = monomials(n, alpha)
+    base = [block[j] for j in free[alpha]]
+    for t in range(alpha + 1, d + 2):
+        products = [
+            tuple(a + b for a, b in zip(u, m)) for u in monomials(n, t - alpha) for m in base
+        ]
+        if len(set(products)) < len(products):
+            return None
+        if t <= d and set(products) != {monomials(n, t)[j] for j in free[t]}:
+            return None
+    kernel = linalg.kernel_basis(
+        _evaluation_matrix(lcoords, n + 1, alpha), comb(alpha + n, n)
+    )
+    offset = comb(alpha - 1 + n, n)
+    leads = [max(j for j, x in enumerate(v) if x) for v in kernel]
+    if leads != [offset + j for j in free[alpha]]:
+        return None
+    counts = [0] * (d + 2)
+    counts[alpha] = len(base)
+    # the loop ended at t = d + 1: ``products`` is S_(d+1-alpha) * F_alpha
+    counts[d + 1] = top - len(products)
+    return values, free, tuple(counts), (alpha, kernel)
+
+
+def _exact_ladder(lcoords, n: int, d: int):
+    """HF(0 .. tau), Z_0 .. Z_tau and the free columns of each Z_t, read
+    off one forward echelon of E_d in l-coordinates, with d rising from
+    the given degree until the rank is |X|.
+
+    Each row of Z_t is stored primitive; dividing a row by a constant
+    keeps the row space, so J_t does not change.
+    """
+    card = len(lcoords)
     while True:
         rank, pivots, rows = linalg.echelon_of(
             _evaluation_matrix(lcoords, n + 1, d), comb(d + n, n)
@@ -372,17 +465,65 @@ def _ladder(points: PointSet) -> _Ladder:
         if hi == card:
             break
         lo, start = hi, end
+    return values, tuple(reduced), free
+
+
+def _ladder(points: PointSet) -> _Ladder:
+    """The degree ladder of the set, built on first use and then read
+    from the set.
+
+    The ladder is built in the span of the set (``_span_coordinates``),
+    P^(r-1), which the module docstring shows changes no answer.
+    ``_modular_degree`` finds d and the staircase mod p, and
+    ``_certified_ladder`` tries to certify HF, tau, the free columns and
+    the generator counts from them with at most one exact kernel, that of
+    E_alpha.  When it cannot decide or a check fails, one forward echelon
+    of E_d in l-coordinates gives HF(t), Z_t and the free columns of Z_t
+    for every t <= tau (``_exact_ladder``); d is the pass's degree or,
+    when the pass cannot decide, the least degree with at least |X|
+    monomials.  Either way HF(tau + 1) is then read off a rank of the
+    full E_(tau+1); the module docstring says why that is |X| and why
+    the rank stays for now.  A certified kernel of E_alpha is kept for
+    ``degree_bounded_ideal`` when l-coordinates are the set's own (c = 0
+    and the set spans its P^n).
+    """
+    if points._ladder is not None:
+        return points._ladder
+    coords, n = _span_coordinates(points)
+    card = len(coords)
+    c = _linear_form_parameter(coords)
+    # x0 -> l is unimodular (triangular, unit diagonal): ranks are kept and
+    # l becomes the first variable
+    lvalues = [_linear_form_value(c, p) for p in coords]
+    tails = [p[1:] for p in coords]
+    lcoords = [(lp,) + tail for lp, tail in zip(lvalues, tails)]
+    linear = points.ambient_dim - n
+    found = _modular_degree(lvalues, tails)
+    certified = found and _certified_ladder(lcoords, n, *found)
+    if certified:
+        values, free, counts, lowest = certified
+        reduced = None
+        generators = (counts[0], counts[1] + linear) + counts[2:]
+        if c or linear:
+            lowest = None
+    else:
+        d = found[0] if found else next(t for t in range(card) if comb(t + n, n) >= card)
+        values, reduced, free = _exact_ladder(lcoords, n, d)
+        generators = lowest = None
+    tau = len(values) - 1
     values.append(
-        linalg.rank_of(_evaluation_matrix(coords, n + 1, t + 1), comb(t + 1 + n, n))
+        linalg.rank_of(_evaluation_matrix(coords, n + 1, tau + 1), comb(tau + 1 + n, n))
     )
     points._ladder = _Ladder(
         cardinality=card,
         dim=n,
-        linear=points.ambient_dim - n,
+        linear=linear,
         values=tuple(values),
-        tau=t,
-        reduced=tuple(reduced),
+        tau=tau,
+        reduced=reduced,
         free=tuple(free),
+        generators=generators,
+        lowest=lowest,
     )
     return points._ladder
 
@@ -465,12 +606,20 @@ def ideal_dimension(points: PointSet, t: int) -> int:
 
 
 def degree_bounded_ideal(points: PointSet, t: int):
-    """Canonical basis of the degree-t forms vanishing on the set."""
+    """Canonical basis of the degree-t forms vanishing on the set.
+
+    The kernel of E_t of the points, or, when the set's stored ladder was
+    certified with the kernel of E_t in the set's own coordinates
+    (``_Ladder.lowest``), that same kernel read from it.
+    """
     if t < 0:
         raise HadaError("degree must be nonnegative")
     nvars = points.ambient_dim + 1
-    monos = monomials(nvars, t)
-    kernel = linalg.kernel_basis(evaluation_rows(points, t), len(monos))
+    ladder = points._ladder
+    if ladder is not None and ladder.lowest is not None and ladder.lowest[0] == t:
+        kernel = ladder.lowest[1]
+    else:
+        kernel = linalg.kernel_basis(evaluation_rows(points, t), len(monomials(nvars, t)))
     return [HomogeneousForm.from_vector(nvars, t, v) for v in kernel]
 
 
@@ -638,7 +787,7 @@ def _span_rank(ladder: _Ladder, n: int, t: int, free_t) -> int:
 
 def _generator_counts(ladder: _Ladder) -> tuple[int, ...]:
     """New minimal generators in degrees 0 .. tau + 1, counted once per
-    ladder and stored on it.
+    ladder and stored on it (a certified ladder is built with them).
 
     The counts are those of the set in its span, P^n with n =
     ``ladder.dim``, plus the ``ladder.linear`` linear forms that cut out

@@ -33,12 +33,15 @@ def frac_rref(rows, ncols):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        m[rank] = [x / pv for x in m[rank]]
+        # every row from ``rank`` on is zero left of column c: those columns
+        # were cleared as pivots or held no entry below the pivot rows
+        row = m[rank]
+        pv = row[c]
+        row[c:] = [x / pv for x in row[c:]]
         for i in range(len(m)):
             if i != rank and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+                m[i][c:] = [a - f * b if b else a for a, b in zip(m[i][c:], row[c:])]
         pivots.append(c)
         rank += 1
     return rank, pivots, m[:rank]
@@ -120,12 +123,28 @@ def ref_evaluation_matrix(coords, nvars, degree):
 
 
 def frac_rank(rows, ncols):
-    return frac_rref(rows, ncols)[0]
+    """Rank by forward Gaussian elimination over Fraction: the rows below
+    each pivot are cleared, the rows above it are left as they are."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        row = m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] / row[c]
+                m[i][c:] = [a - f * b if b else a for a, b in zip(m[i][c:], row[c:])]
+        rank += 1
+    return rank
 
 
-def frac_kernel(rows, ncols):
-    """Kernel basis read off the Fraction RREF, one vector per free column."""
-    _, pivots, red = frac_rref(rows, ncols)
+def rref_kernel(rref, ncols):
+    """Kernel basis read off a ``frac_rref`` result, one vector per free
+    column."""
+    _, pivots, red = rref
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -153,17 +172,24 @@ def frac_hilbert_values(points: PointSet):
     return values
 
 
-def span_rank_generators(points: PointSet, max_degree: int):
+def span_rank_generators(points: PointSet, max_degree=None):
     """Minimal generator counts in the full polynomial ring, degree by
     degree: ``(t, dim I_t, dim I_t - rank of x_i * I_(t-1))``, every rank
-    and kernel taken by ``frac_rref``."""
+    and kernel taken by ``frac_rref``, for t = 0 .. ``max_degree``, or
+    through tau + 1, the degree after HF first reaches |X|, when it is
+    None."""
     nvars = points.ambient_dim + 1
     out = []
     prev_kernel, prev_monos = [], ()
-    for t in range(max_degree + 1):
+    t = 0
+    while max_degree is None or t <= max_degree:
         monos = monomials(nvars, t)
         rows = [[evaluate_monomial(e, p.coords) for e in monos] for p in points]
-        dim_t = len(monos) - frac_rank(rows, len(monos))
+        last = t == max_degree or (
+            max_degree is None and t and len(prev_monos) - len(prev_kernel) == len(points)
+        )
+        rref = None if last else frac_rref(rows, len(monos))
+        dim_t = len(monos) - (frac_rank(rows, len(monos)) if last else rref[0])
         span_rows = []
         index_of = {e: i for i, e in enumerate(monos)}
         for v in prev_kernel:
@@ -176,28 +202,38 @@ def span_rank_generators(points: PointSet, max_degree: int):
                         row[index_of[tuple(e)]] += coeff
                 span_rows.append(row)
         out.append((t, dim_t, dim_t - frac_rank(span_rows, len(monos))))
-        prev_kernel, prev_monos = frac_kernel(rows, len(monos)), monos
+        if last:
+            break
+        prev_kernel, prev_monos = rref_kernel(rref, len(monos)), monos
+        t += 1
     return out
 
 
 def exact_span_counts(points: PointSet):
-    """Generator counts in R/(l) read off the set's degree ladder with
-    every span eliminated: dim J_t minus the exact rank of S_1 * J_(t-1)
-    on all the monomials of S_t, for t = 0 .. tau + 1, in the ladder's
-    own P^n, plus the linear forms that cut out that span in degree 1.
-    The reference for the staircase bound, the Krull stop and the
-    remainder certificate of ``ideals._generator_counts``, which it
-    shares only the ladder with."""
-    ladder = ideals._ladder(points)
-    nvars = ladder.dim + 1
+    """Generator counts in R/(l) with every span eliminated: dim J_t minus
+    the exact rank of S_1 * J_(t-1) on all the monomials of S_t, for
+    t = 0 .. tau + 1, in the set's span P^n, plus the linear forms that
+    cut out that span in degree 1.  J_t, the image of I_t in S_t, is
+    spanned by the l-free part (the last columns) of the kernel vectors
+    of E_t in l-coordinates, and it is all of S_t from tau + 1 on, the
+    degree after E_t first has rank |X|.  Only the span coordinates and
+    l are shared with ``ideals``, none of its ladder: this is the
+    reference for the staircase bound, the Krull stop, the remainder
+    certificate and the certified counts of the ladder."""
+    coords, n = ideals._span_coordinates(points)
+    c = ideals._linear_form_parameter(coords)
+    lcoords = [(ideals._linear_form_value(c, p),) + tuple(p[1:]) for p in coords]
+    nvars = n + 1
     counts = []
-    kernel, prev_monos = [], ()
-    for t in range(ladder.tau + 2):
-        monos = [e for e in monomials(nvars, t) if e[0] == 0]
-        h = ladder.values[t] - (ladder.values[t - 1] if t else 0)
+    span, prev_monos = [], ()
+    t = rank_e = 0
+    while True:
+        all_monos = monomials(nvars, t)
+        monos = [e for e in all_monos if e[0] == 0]
+        start = len(all_monos) - len(monos)
         index_of = {e: i for i, e in enumerate(monos)}
         rows = []
-        for v in kernel:
+        for v in span:
             for var in range(1, nvars):
                 row = [0] * len(monos)
                 for coeff, expo in zip(v, prev_monos):
@@ -206,10 +242,16 @@ def exact_span_counts(points: PointSet):
                     row[index_of[tuple(e)]] += coeff
                 rows.append(row)
         rank = _elim.echelon(rows, len(monos))[0] if rows else 0
-        counts.append(len(monos) - h - rank)
-        if t <= ladder.tau:
-            kernel, prev_monos = _elim.nullspace(ladder.reduced[t], len(monos)), monos
-    counts[1] += ladder.linear
+        if rank_e == len(coords):
+            counts.append(len(monos) - rank)
+            break
+        kernel = _elim.nullspace(ref_evaluation_matrix(lcoords, nvars, t), len(all_monos))
+        rank_e = len(all_monos) - len(kernel)
+        span = [v[start:] for v in kernel]
+        counts.append((_elim.echelon(span, len(monos))[0] if span else 0) - rank)
+        prev_monos = monos
+        t += 1
+    counts[1] += points.ambient_dim - n
     return tuple(counts)
 
 

@@ -3,6 +3,7 @@
 import functools
 import json
 import random
+from collections import Counter
 from math import comb, gcd
 
 import pytest
@@ -30,7 +31,7 @@ from hada.ideals import (
 from hada.instances import parse_instance_dict
 from hada.plane import generic_collinear_sample, grid_product_p2
 from hada.projective import Hyperplane, PointSet, ProjPoint, pairwise_products
-from hada.space import Line3, generic_skew_sample
+from hada.space import Line3, generic_skew_sample, quadric_through
 from support import (
     exact_span_counts,
     frac_hilbert_values,
@@ -72,6 +73,33 @@ PLANAR_FACTORS = (
     ),
 )
 PLANAR25 = pairwise_products(*PLANAR_FACTORS)[0]
+
+
+def skew_grid(a, seed, b=None):
+    """The a x b (a x a by default) product of a seeded generic skew pair."""
+    _, _, xs, xs2 = generic_skew_sample(a, b or a, seed)
+    return pairwise_products(xs, xs2)[0]
+
+
+def with_point(points, coords=(1, 2, 3, 5)):
+    return PointSet(points.points + (ProjPoint(list(coords)),))
+
+
+def collinear_defeating_prime(m):
+    """m points of a line of P^3, two of which agree modulo 2**61 - 1
+    (2**61 = 1 there), so the modular pass cannot decide."""
+    coords = [[1, i, 2 * i, 3 * i] for i in range(1, m)]
+    return PointSet.from_coords(coords + [[1, 2**61, 2**62, 3 * 2**61]])
+
+
+def ladder_path(points):
+    """The path the set's stored ladder took: "exact", or certified from
+    the staircase mod p, as "ceiling" (no free column up to tau) or
+    "staircase" (generated in the initial degree)."""
+    ladder = ideals._ladder(points)
+    if ladder.reduced is not None:
+        return "exact"
+    return "staircase" if any(ladder.free) else "ceiling"
 
 
 class TestHilbertFunction:
@@ -313,11 +341,11 @@ def full_ring_answers(points):
     oracle counts x_i * I_(t-1) in R, not in R/(l), and never leaves the
     ambient P^n."""
     n = points.ambient_dim
-    values = frac_hilbert_values(points)
+    entries = span_rank_generators(points)
+    values = [comb(t + n, n) - dim for t, dim, _ in entries]
     tau = len(values) - 2
     h_vector = [values[0]] + [values[t] - values[t - 1] for t in range(1, tau + 1)]
     profile = HilbertProfile(tuple(values), tau, tuple(h_vector), len(points))
-    entries = span_rank_generators(points, tau + 1)
     total = sum(new for _, _, new in entries)
     witness = tuple(t for t, _, new in entries for _ in range(new))
     if total == n:
@@ -481,26 +509,38 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
 
 
 def test_one_ladder_serves_every_profile_question(monkeypatch):
-    # the grid spans P^3, so it keeps its coordinates: the span certificate
-    # is one pass mod p outside ``linalg``.  One echelon of E_tau and one
-    # rank of E_(tau+1) serve all three questions; the generator counts
-    # add one kernel of Z_tau and one span rank at tau + 1
-    _, _, xs, xs2 = generic_skew_sample(5, 5, 4242)
-    points = pairwise_products(xs, xs2)[0]
-    calls = spy_linalg(monkeypatch)
-    prof = hilbert_profile(points)
-    gens = generator_profile(points)
-    verdict = ci_verdict(points)
-
-    tau, n = prof.tau, 3
-    assert (tau, gens.max_degree, verdict.kind) == (4, 5, "NotCI")
-    assert (points._ladder.dim, points._ladder.linear) == (n, 0)
-    assert calls == [
-        ("echelon_of", 25, comb(tau + n, n)),
-        ("rank_of", 25, comb(tau + 1 + n, n)),
-        ("kernel_basis", 9, 15),
-        ("rank_of", 18, 21),
-    ]
+    # both sets span P^3, so they keep their coordinates: the span
+    # certificate is one pass mod p outside ``linalg``.  The 5 x 5 skew
+    # grid is certified from the staircase mod p: one kernel of E_alpha
+    # (alpha = 2, its quadric) and one rank of E_(tau+1) serve all three
+    # questions.  With one point more it takes the exact path: one
+    # echelon of E_tau and one rank of E_(tau+1) serve all three
+    # questions, and the generator counts add one kernel of Z_tau and
+    # one span rank at tau + 1
+    grid = skew_grid(5, 4242)
+    tau, n = 4, 3
+    expected = {
+        "staircase": [
+            ("kernel_basis", 25, comb(2 + n, n)),
+            ("rank_of", 25, comb(tau + 1 + n, n)),
+        ],
+        "exact": [
+            ("echelon_of", 26, comb(tau + n, n)),
+            ("rank_of", 26, comb(tau + 1 + n, n)),
+            ("kernel_basis", 9, 15),
+            ("rank_of", 18, 21),
+        ],
+    }
+    for points, path in ((grid, "staircase"), (with_point(grid), "exact")):
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            prof = hilbert_profile(points)
+            gens = generator_profile(points)
+            verdict = ci_verdict(points)
+        assert (prof.tau, gens.max_degree, verdict.kind) == (tau, 5, "NotCI")
+        assert (points._ladder.dim, points._ladder.linear) == (n, 0)
+        assert ladder_path(points) == path
+        assert calls == expected[path]
 
 
 def test_second_generator_question_eliminates_nothing(monkeypatch):
@@ -520,26 +560,36 @@ def test_second_generator_question_eliminates_nothing(monkeypatch):
 
 
 def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
-    # the ladder eliminates one matrix: the plain degree-tau evaluation
-    # matrix of the points in l-coordinates (l(p), p1, ..., pn), taken in
-    # their span: the pivot coordinates of the Fraction RREF of the
-    # coordinate matrix, so n = 2 for the planar set.  Its leading
+    # an exact ladder eliminates one matrix: the plain degree-tau
+    # evaluation matrix of the points in l-coordinates (l(p), p1, ..., pn),
+    # taken in their span: the pivot coordinates of the Fraction RREF of
+    # the coordinate matrix, so n = 2 for the planar set.  Its leading
     # C(t + n, n) columns are diag(l(p))^(tau - t) * E_t, so the pivots
     # left of them count HF(t), which the Fraction oracle confirms.  The
-    # last set has a zero in every coordinate, so l is not x0 there
+    # last set has a zero in every coordinate, so l is not x0 there.  The
+    # skew grid alone is certified: it eliminates no echelon, and its one
+    # kernel is of E_2 in its own coordinates, which are its l-coordinates
     received = []
-    original = linalg.echelon_of
+    kernels = []
 
-    def spy(rows, ncols):
-        received.append(([list(r) for r in rows], ncols))
-        return original(rows, ncols)
+    def spy(name, log):
+        original = getattr(linalg, name)
 
-    monkeypatch.setattr(linalg, "echelon_of", spy)
-    _, _, xs, xs2 = generic_skew_sample(5, 5, 4545)
+        def wrapped(rows, ncols):
+            log.append(([list(r) for r in rows], ncols))
+            return original(rows, ncols)
+
+        monkeypatch.setattr(linalg, name, wrapped)
+
+    spy("echelon_of", received)
+    spy("kernel_basis", kernels)
+    grid = skew_grid(5, 4545)
+    hilbert_profile(grid)
+    assert received == [] and kernels == [(evaluation_rows(grid, 2), 10)]
     no_zero_free_coordinate = PointSet.from_coords(
         [[0, 1, 1, 1], [1, 0, 2, 1], [1, 3, 0, 1], [2, 1, 1, 0], [1, 2, 3, 4], [3, -1, 2, 5]]
     )
-    sets = (pairwise_products(xs, xs2)[0], PointSet(PLANAR25.points), no_zero_free_coordinate)
+    sets = (with_point(grid), PointSet(PLANAR25.points), no_zero_free_coordinate)
     spans = []
     for points in sets:
         rank, span_pivots, _ = frac_rref([p.coords for p in points], points.ambient_dim + 1)
@@ -564,30 +614,40 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
 
 def test_span_ranks_take_dim_j_columns(monkeypatch):
     # a span rank runs only in a degree that the staircase bound, the
-    # remainders mod p and the Krull stop leave open: on these sets only
-    # at tau + 1 of the two not-CI grids, where |F_(tau+1)| > n * |F_tau|.
-    # It takes one kernel of Z_tau, and its rank has one row per variable
-    # of S and basis vector of J_tau and the dim J_(tau+1) columns of S;
-    # with fewer rows than columns it may certify a full row rank mod p.
-    # No remainder mod p is tried there, nor anywhere else on those grids
+    # remainders mod p and the Krull stop leave open: on these exact
+    # ladders only at tau + 1 of the two not-CI sets, a skew grid with one
+    # point more and a skew grid with one point less, where
+    # |F_(tau+1)| > n * |F_tau|.  It takes one kernel of Z_tau, and its
+    # rank has one row per variable of S and basis vector of J_tau and the
+    # dim J_(tau+1) columns of S; with fewer rows than columns it may
+    # certify a full row rank mod p.  No remainder mod p is tried there,
+    # nor anywhere else on those sets.  The skew grids themselves are
+    # certified with their counts, so their verdict makes no call at all
     remainders = []
     original = ideals._independent_remainders
     monkeypatch.setattr(
         ideals, "_independent_remainders", lambda *a: remainders.append(a[2]) or original(*a)
     )
-    _, _, xs, xs2 = generic_skew_sample(5, 5, 4646)
-    skew = pairwise_products(xs, xs2)[0]
+    skew = skew_grid(5, 4646)
+    for points in (PointSet(skew.points), PointSet(GRID3.points)):
+        hilbert_profile(points)
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            assert ci_verdict(points).kind == "NotCI"
+        assert ladder_path(points) == "staircase"
+        assert calls == remainders == []
     sets = (
         (PointSet(PLANAR25.points), False),
-        (PointSet(skew.points), True),
+        (with_point(skew), True),
         (PointSet(GRID2.points), False),
-        (PointSet(GRID3.points), True),
+        (PointSet(GRID3.points[:-1]), True),
         (PointSet.from_coords([[1, 2, 3]]), False),
     )
     made = []
     for points, open_at_top in sets:
         n = points.ambient_dim
         prof = hilbert_profile(points)
+        assert ladder_path(points) == ("ceiling" if len(points) == 1 else "exact")
         tau = prof.tau
         dims = j_dims(n, prof.values, tau + 1)
         remainders.clear()
@@ -605,27 +665,42 @@ def test_span_ranks_take_dim_j_columns(monkeypatch):
         if open_at_top:
             assert n * dims[tau] < dims[tau + 1]
         made.append(calls)
-    assert made[3] == [("kernel_basis", 5, 6), ("rank_of", 3, 10)]
+    assert made[3] == [("kernel_basis", 4, 6), ("rank_of", 6, 10)]
 
 
 def test_collinear_points_eliminate_no_span(monkeypatch):
-    # the ladder of a line's points is built in P^1, where the staircase
-    # bound (0, 0, ..., 0, 1) sums to n = 1, so the Krull stop settles
-    # every count: no remainder mod p, no kernel, no span rank.  The two
-    # linear forms that cut out the line are the degree-1 generators
-    points = collinear_points(20)
+    # the ladder of a line's points is built in P^1.  There every block
+    # holds one monomial and the pass keeps each one up to tau, so HF
+    # meets the ceiling and the ladder is certified with no elimination
+    # but the rank of E_(tau+1): the counts (0, ..., 0, 1) are stored with
+    # it.  When two points agree mod p the pass cannot decide, and the
+    # exact ladder eliminates E_tau; there the staircase bound
+    # (0, 0, ..., 0, 1) sums to n = 1, so the Krull stop settles every
+    # count: no remainder mod p, no kernel, no span rank.  Either way the
+    # two linear forms that cut out the line are the degree-1 generators
     remainders = []
     original = ideals._independent_remainders
     monkeypatch.setattr(
         ideals, "_independent_remainders", lambda *a: remainders.append(a) or original(*a)
     )
     calls = spy_linalg(monkeypatch)
-    assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 1, 20))
     tau, n = 19, 1
-    assert calls == [
-        ("echelon_of", 20, comb(tau + n, n)),
-        ("rank_of", 20, comb(tau + 1 + n, n)),
-    ] == [("echelon_of", 20, 20), ("rank_of", 20, 21)]
+    expected = {
+        "ceiling": [("rank_of", 20, comb(tau + 1 + n, n))],
+        "exact": [
+            ("echelon_of", 20, comb(tau + n, n)),
+            ("rank_of", 20, comb(tau + 1 + n, n)),
+        ],
+    }
+    for points, path in (
+        (collinear_points(20), "ceiling"),
+        (collinear_defeating_prime(20), "exact"),
+    ):
+        calls.clear()
+        assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 1, 20))
+        assert ladder_path(points) == path
+        assert calls == expected[path]
+    assert expected["exact"] == [("echelon_of", 20, 20), ("rank_of", 20, 21)]
     assert remainders == []
 
 
@@ -670,20 +745,35 @@ def oracle_counts():
 
 
 def test_generator_counts_equal_exact_span_counts():
+    # on certified and exact ladders alike; the collinear sets meet the
+    # ceiling, the square skew grids of at least 3 x 3 points are
+    # certified from their staircase, and planar-25 and the P^2 grids take
+    # the exact path
     kinds = set()
+    paths = Counter()
     for points, expected in oracle_counts():
         points = PointSet(points.points)
         counts = ideals._generator_counts(ideals._ladder(points))
         assert counts == expected, points
         kinds.add(sum(counts) == points.ambient_dim)
+        paths[ladder_path(points)] += 1
     assert kinds == {True, False}
+    assert min(paths[path] for path in ("ceiling", "staircase", "exact")) >= 20
+    assert {ladder_path(collinear_points(m, dim)) for m in (1, 2, 3, 7, 12) for dim in (2, 3)} == {
+        "ceiling"
+    }
+    assert [ladder_path(skew_grid(m, 1700 + 11 * m)) for m in (3, 5)] == ["staircase"] * 2
+    assert {ladder_path(PointSet(s.points)) for s in (PLANAR25, GRID2)} == {"exact"}
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
 def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
     # modulo a small prime, pivot entries of Z_(t-1) vanish or the
     # remainders do (every combination is 0 mod 2), so the certificate
-    # settles less and the exact span ranks must give the same counts
+    # settles less and the exact span ranks must give the same counts.
+    # The pass decides less often too, or finds a staircase that fails a
+    # check, so sets certified modulo 2**61 - 1 fall back to the exact
+    # ladder, with the same values
     cases = oracle_counts()
     exact_degrees = []
     original = ideals._span_rank
@@ -692,16 +782,25 @@ def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
         exact_degrees[-1].append(t)
         return original(ladder, n, t, free_t)
 
+    ladders = [PointSet(points.points) for points, _ in cases]
+    values = [ideals._ladder(points).values for points in ladders]
+    certified = [ladder_path(points) != "exact" for points in ladders]
+    fallbacks = 0
     monkeypatch.setattr(ideals, "_span_rank", spy)
     monkeypatch.setattr(_elim, "_PRIME", prime)
-    for points, counts in cases:
+    for (points, counts), expected, was_certified in zip(cases, values, certified):
         exact_degrees.append([])
         fresh = PointSet(points.points)
         assert ideals._generator_counts(ideals._ladder(fresh)) == counts
+        assert fresh._ladder.values == expected
+        fallbacks += was_certified and ladder_path(fresh) == "exact"
+    assert fallbacks >= 50
     if prime == 2:
-        # GRID2 and PLANAR25, the last sets: every degree that the staircase
-        # and the Krull stop leave open.  PLANAR25's ladder is built in its
-        # plane, where Z_4 has no free column, so degree 5 has no span
+        # GRID2, GRID3 and PLANAR25, the last sets, whose passes cannot
+        # decide mod 2, so all three take the exact path: every degree that
+        # the staircase and the Krull stop leave open.  PLANAR25's ladder is
+        # built in its plane, where Z_4 has no free column, so degree 5 has
+        # no span
         assert exact_degrees[-3:] == [[4, 5, 6], [3], [6, 7, 8, 9]]
 
 
@@ -777,34 +876,166 @@ def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
 
 
 def test_any_degree_at_least_tau_gives_the_same_ladder(monkeypatch):
-    # the prime only picks d; eliminating a larger E_d must answer alike.
-    # The ladder of the collinear set is built in P^1
-    sets = [GRID2, GRID3, collinear_points(4)]
-    spans = [2, 3, 1]
+    # on the exact path the prime only picks d; eliminating a larger E_d
+    # must answer alike.  The ladder of the collinear set is built in P^1,
+    # and its pass cannot decide, so d starts at the least degree with
+    # |X| monomials.  The certified sets, a skew grid and collinear
+    # points whose pass decides, eliminate no echelon at all
+    sets = [
+        GRID2, PointSet(GRID3.points[:-1]), collinear_defeating_prime(4), GRID3, collinear_points(4)
+    ]
+    spans = [2, 3, 1, 3, 1]
     answers = [
         (hilbert_profile(s), generator_profile(s), ci_verdict(s))
         for s in (PointSet(points.points) for points in sets)
     ]
-    original = ideals._modular_degree
-    monkeypatch.setattr(ideals, "_modular_degree", lambda *args: original(*args) + 2)
+    original = ideals._exact_ladder
+    monkeypatch.setattr(ideals, "_exact_ladder", lambda lcoords, n, d: original(lcoords, n, d + 2))
     calls = spy_linalg(monkeypatch)
     for points, n, expected in zip(sets, spans, answers):
         fresh = PointSet(points.points)
         assert (hilbert_profile(fresh), generator_profile(fresh), ci_verdict(fresh)) == expected
-        d = expected[0].tau + 2
-        assert calls[0] == ("echelon_of", len(points), comb(d + n, n))
+        if ladder_path(fresh) == "exact":
+            d = expected[0].tau + 2
+            assert calls[0] == ("echelon_of", len(points), comb(d + n, n))
+        else:
+            assert "echelon_of" not in {name for name, _, _ in calls}
         calls.clear()
+    paths = [ladder_path(PointSet(s.points)) for s in sets]
+    assert paths == ["exact"] * 3 + ["staircase", "ceiling"]
 
 
 def test_stored_ladder_rows_are_primitive():
     # a slice of an echelon row of E_d keeps the common factors of the
-    # whole row; on this 5x5 skew grid they reach hundreds of bits
-    _, _, xs, xs2 = generic_skew_sample(5, 5, 2000)
-    skew = pairwise_products(xs, xs2)[0]
-    for points in (skew, GRID2, GRID3, PLANAR25, collinear_points(6)):
+    # whole row; on this 5x5 skew grid with one point more they reach
+    # hundreds of bits.  Certified ladders store no rows
+    skew = skew_grid(5, 2000)
+    exact = (with_point(skew), GRID2, PointSet(GRID3.points[:-1]), PLANAR25,
+             collinear_defeating_prime(6))
+    for points in exact:
         ladder = ideals._ladder(PointSet(points.points))
         rows = [row for block in ladder.reduced for row in block]
         assert rows and all(gcd(*row) == 1 for row in rows)
+    for points in (skew, GRID3, collinear_points(6)):
+        assert ideals._ladder(PointSet(points.points)).reduced is None
+
+
+def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
+    # a 5 x 5 skew grid is certified from its staircase mod p: the
+    # profile, generator, CI and quadric questions take one kernel of E_2
+    # (its quadric) and the rank of E_(tau+1), and the quadric, read from
+    # the stored kernel, equals the one eliminated directly on a copy
+    # with no ladder.  A second quadric question eliminates nothing.  The
+    # P^2 grids of the CI benchmark keep the exact path: one echelon and
+    # one rank each
+    grid = skew_grid(5, 4848)
+    direct = degree_bounded_ideal(PointSet(grid.points), 2)
+    calls = spy_linalg(monkeypatch)
+    hilbert_profile(grid)
+    generator_profile(grid)
+    ci_verdict(grid)
+    quadric = quadric_through(grid)
+    assert calls == [("kernel_basis", 25, 10), ("rank_of", 25, 56)]
+    assert quadric.form == direct[0] and len(direct) == 1
+    calls.clear()
+    assert quadric_through(grid) == quadric
+    assert calls == []
+    line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
+    for a, b, expected in ((5, 5, [(25, 45), (25, 55)]), (4, 5, [(20, 36), (20, 45)])):
+        xs, xs2 = generic_collinear_sample(line, line2, a, b, 1900 + 10 * a + b)
+        points = grid_product_p2(xs, xs2, line, line2).points
+        calls.clear()
+        assert ci_verdict(points).kind == "CI"
+        assert calls == [("echelon_of", *expected[0]), ("rank_of", *expected[1])]
+
+
+def certified_oracle_sets():
+    """Square skew grids of 2 x 2 to 5 x 5 points, three seeds each, a
+    4 x 4 grid with one point less, one point more and its 3 x 4
+    sub-grid, and random points of P^2 and P^3, whose Hilbert functions
+    are maximal, with the path each is expected to take."""
+    for m in (2, 3, 4, 5):
+        for seed in range(3):
+            yield skew_grid(m, 3100 + 10 * m + seed), "ceiling" if m == 2 else "staircase"
+    _, _, xs, xs2 = generic_skew_sample(4, 4, 3200)
+    grid = pairwise_products(xs, xs2)[0]
+    yield PointSet(grid.points[1:]), "exact"
+    yield with_point(grid), "exact"
+    yield pairwise_products(PointSet(xs.points[:3]), xs2)[0], "exact"
+    rng = random.Random(3300)
+    for n, size, path in ((2, 5, "staircase"), (2, 6, "ceiling"), (2, 7, "exact"),
+                          (2, 9, "staircase"), (3, 6, "exact"), (3, 8, "exact"),
+                          (3, 9, "staircase"), (3, 10, "ceiling"), (3, 11, "exact")):
+        rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(size)]
+        yield PointSet.from_coords(rows), path
+
+
+def test_certified_ladders_match_full_ring_oracle():
+    # every answer of a certified ladder, and of the sets near it that
+    # take the exact path, equals the Fraction oracle in the full ring,
+    # and ``degree_bounded_ideal`` in degrees 0 .. 3, which reads the
+    # stored kernel of E_alpha after a profile question, equals direct
+    # elimination on a copy with no ladder
+    for points, path in certified_oracle_sets():
+        assert len(PointSet.dedupe(points.points)) == len(points)
+        profile, entries, verdict = full_ring_answers(points)
+        direct = [degree_bounded_ideal(PointSet(points.points), t) for t in range(4)]
+        fresh = PointSet(points.points)
+        assert hilbert_profile(fresh) == profile
+        assert generator_entries(generator_profile(fresh)) == entries
+        assert ci_verdict(fresh) == verdict
+        assert ladder_path(fresh) == path, points
+        assert [degree_bounded_ideal(fresh, t) for t in range(4)] == direct
+        c = _linear_form_parameter(ideals._span_coordinates(fresh)[0])
+        assert (fresh._ladder.lowest is not None) == (path == "staircase" and c == 0)
+
+
+def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):
+    # the pass of GRID3 keeps all of block 2 but one monomial q, the
+    # quadric's lead.  Told instead that a second monomial g of block 2,
+    # prime to q, is free, the staircase passes the set arithmetic (the
+    # products of S_1 with {q, g} are distinct), but the one exact kernel
+    # of E_2 leads at q alone, so the exact ladder runs and every answer
+    # is the oracle's; the false staircase would give HF(2) = 8
+    points = PointSet(GRID3.points)
+    expected = full_ring_answers(points)
+    original = ideals._modular_degree
+
+    def false_staircase(*args):
+        d, standard = original(*args)
+        (q,) = set(monomials(3, 2)) - standard[2]
+        g = next(e for e in standard[2] if not any(a and b for a, b in zip(e, q)))
+        return d, standard[:2] + [standard[2] - {g}]
+
+    monkeypatch.setattr(ideals, "_modular_degree", false_staircase)
+    calls = spy_linalg(monkeypatch)
+    answers = (
+        hilbert_profile(points), generator_entries(generator_profile(points)), ci_verdict(points)
+    )
+    assert answers == expected
+    assert ladder_path(points) == "exact"
+    assert [name for name, _, _ in calls[:2]] == ["kernel_basis", "echelon_of"]
+
+
+def test_certified_sets_off_their_coordinates_eliminate_degree_bounded_ideal():
+    # the stored kernel of E_alpha is in l-coordinates of the span, which
+    # are the set's own only when c = 0 and the set spans its P^n.  Five
+    # points of P^2, one with x0 = 0 (so c >= 1), and five points of a
+    # plane of P^3 are both certified from their staircase (one conic,
+    # alpha = 2), store no kernel, and ``degree_bounded_ideal`` eliminates
+    # E_t of the given points
+    rng = random.Random(3400)
+    off_x0 = PointSet.from_coords([[0, 1, 2], [1, 3, -1], [2, -1, 4], [1, 5, 7], [3, 2, -5]])
+    in_plane = points_in_span(rng, 3, 3, 5)
+    for points, c, linear in ((off_x0, 2, 0), (in_plane, 0, 1)):
+        direct = [degree_bounded_ideal(PointSet(points.points), t) for t in range(4)]
+        fresh = PointSet(points.points)
+        hilbert_profile(fresh)
+        assert ladder_path(fresh) == "staircase"
+        assert _linear_form_parameter(ideals._span_coordinates(fresh)[0]) == c
+        assert (fresh._ladder.linear, fresh._ladder.lowest) == (linear, None)
+        assert [degree_bounded_ideal(fresh, t) for t in range(4)] == direct
+        assert generator_entries(generator_profile(fresh)) == span_rank_generators(points)
 
 
 def test_evaluation_matrix_matches_monomial_by_monomial_reference():
