@@ -63,11 +63,12 @@ evaluation matrix that confirms HF(tau + 1) = |X| in ``hada.ideals``,
 and there a generator count's span (Moeller & Buchberger, 1982, use
 the same lower bound by reduction).
 The degree ladder there also adds evaluation columns to a ``ModBasis``
-to choose the one degree it eliminates exactly; the choice decides no
-answer, since every value it reports comes from that exact
-elimination.  Its generator counts add remainders of shifted kernel
-vectors to a ``ModBasis``: each independent one raises a lower bound
-on the rank of a span, the same inequality again.
+to choose the one degree it eliminates exactly, or to read a staircase
+that one exact kernel then certifies; no answer rests on the prime
+alone.  Its generator counts add the shifted kernel vectors of
+a degree to one ``ModBasis``: its rank is a lower bound on the rank of
+their span, the same inequality again, and exact when it reaches the
+rows or the columns.
 
 ``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
 the frontend every other module calls.

@@ -9,11 +9,11 @@ directory that is missing or holds no fixture, and a fixture file that
 is not valid JSON, lacks its instance or checks, names an unknown
 operation, gives a check ``args`` that is not an object, or gives a
 check a missing argument, a name its instance lacks, a name that is not
-a string, a ``product_of`` that is not two names, a ``degree`` that is
-not an integer, a ``degree_forms`` degree outside 0 to
-``hada.space.MAX_IMPLICIT_DEGREE`` or an ``implicitize`` degree outside
-1 to it, or a profile check (hilbert, ci, generators, hf_product, whose
-two factors count too) of a set with more than
+a string, a ``product_of`` that is not two names or that comes with a
+``set``, a ``degree`` that is not an integer, a ``degree_forms`` degree
+outside 0 to ``hada.space.MAX_IMPLICIT_DEGREE`` or an ``implicitize``
+degree outside 1 to it, or a profile check (hilbert, ci, generators,
+hf_product, whose two factors count too) of a set with more than
 ``hada.instances.MAX_PROFILE_POINTS`` points, raise InstanceError
 naming the file.  A check whose operation raises any other HadaError
 is a failing check.

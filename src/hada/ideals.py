@@ -78,26 +78,27 @@ eliminated exactly only in a degree that nothing cheaper decides:
   theorem).  Once the upper bounds sum to n, every one is exact.  This
   settles every degree of a collinear set, and of any set whose in(J)
   is a complete intersection, with no elimination;
-* the remainder certificate.  Z_(t-1) is in echelon form, so its RREF
-  over Q is U^(-1) * Z_(t-1), U the triangular block at its pivot
-  columns.  When no pivot entry vanishes modulo p = ``_elim._PRIME``,
-  that RREF mod p, and with it the kernel basis scaled to 1 at each free
-  column, is the reduction of the one over Q: a basis of J_(t-1) over
-  the integers localised at p.  The rank mod p of a matrix over that
-  ring is at most its rank over Q.  The shifts x_i * v_f lead at
-  x_i * f with entry 1, so one shift per monomial of S_1 * F_(t-1) is a
-  triangular set T of rank |S_1 * F_(t-1)|, and every combination of the
-  other shifts whose remainder against T is independent mod p of the
-  remainders before it adds one to that rank.  The certificate is not
-  tried where |F_t| > n * |F_(t-1)|: there the span has fewer rows than
-  columns, so the count is positive.  Remainders could lower its bound
-  but not settle it, and on the not-CI grids, where this happens at
-  tau + 1, they would only add cost;
+* the modular rank.  Z_(t-1) is in echelon form, so its RREF over Q is
+  U^(-1) * Z_(t-1), U the triangular block at its pivot columns.  When
+  no pivot entry vanishes modulo p = ``_elim._PRIME``, that RREF mod p,
+  and with it the kernel basis scaled to 1 at each free column, is the
+  reduction of the one over Q: a basis of J_(t-1) over the integers
+  localised at p.  The rank mod p of a matrix over that ring is at most
+  its rank over Q, and a rank that reaches the number of rows or of
+  columns is the rank over Q (Arnold's modular pattern, cited below).
+  So the shifts x_i * v_f of that basis go into one ``_elim.ModBasis``,
+  which stops once it holds |F_t| vectors: |F_t| minus its rank caps the
+  count (the bound stays the cap when a pivot vanishes mod p), and a
+  rank of min(n * |F_(t-1)|, |F_t|) settles the degree.  This settles
+  the full row rank at tau + 1 of a not-CI set whose span there has
+  fewer rows than columns;
 * the exact count.  A degree still open takes the exact kernel of
-  Z_(t-1) and the rank of its shifts.  That span lies in J_t = ker Z_t,
-  and Z_t is in echelon form, so its projection onto the free columns of
-  Z_t is injective: the rank is taken on those dim J_t columns alone,
-  by ``linalg.rank_of``.
+  Z_(t-1) and the rank of its shifts.  Either span lies in J_t =
+  ker Z_t, and Z_t is in echelon form, so its projection onto the free
+  columns of Z_t is injective: both ranks are taken on those dim J_t
+  columns alone, from the same shift rows, the exact one by
+  ``linalg.rank_of``.  Modulo 2^61 - 1 the tested sets reach it only
+  where the rank over Q itself is short of both rows and columns.
 
 The degree d is found modulo the prime p = ``_elim._PRIME``.  Scaling
 the row of p by 1/l(p)^d turns E_d into the affine monomials of degree
@@ -145,16 +146,18 @@ sides:
   so each prefix rank over Q is at most its rank mod p.  The ranks are
   equal, the pivots over Q are those mod p, and HF, tau = d and
   F_t = F^p_t are exact;
-* the counts of (b).  J_(alpha-1) = 0, so b(alpha) = |F_alpha| is exact;
-  for alpha < t <= tau, F_t = S_1 * F_(t-1) gives b(t) = 0.  The u * f
-  with u in S_(tau-alpha), f mod l, have distinct leads covering F_tau,
-  so they are a basis of J_tau, and S_1 * J_tau is spanned by the w * f
+* the bound is exact in (a) and (b).  In (a) J_tau = 0, so b(t) = 0
+  through tau and b(tau + 1) = |S_(tau+1)| are the counts.  In (b)
+  J_(alpha-1) = 0, so b(alpha) = |F_alpha| is exact; for
+  alpha < t <= tau, F_t = S_1 * F_(t-1) gives b(t) = 0.  The u * f with
+  u in S_(tau-alpha), f mod l, have distinct leads covering F_tau, so
+  they are a basis of J_tau, and S_1 * J_tau is spanned by the w * f
   with w in S_(tau+1-alpha).  Their leads are distinct, so they are
   independent and rank(S_1 * J_tau) = |S_(tau+1-alpha)| * |F_alpha| =
-  |S_1 * F_tau|: b(tau + 1) is exact too.  The counts are stored with
-  the ladder (plus the linear forms of the span in degree 1), and no
-  Z_t is kept.  Square skew grids of at least 3 x 3 points take this
-  path (alpha = 2, their quadric);
+  |S_1 * F_tau|: b(tau + 1) is exact too.  So a certified ladder keeps
+  no Z_t, and its counts are the bound, with no elimination.  Square
+  skew grids of at least 3 x 3 points take this path (alpha = 2, their
+  quadric);
 * fallbacks.  When the pass cannot decide, when the set arithmetic
   fails (planar-25 and the P^2 grids fail it at alpha + 1, random
   points of P^2 with several free columns at alpha = tau fail it at
@@ -164,10 +167,10 @@ sides:
 
 The ladder of a set is built on the first profile question asked of
 it and stored on the ``PointSet``; later questions, bounded ones
-included, read the stored ladder.  The generator counts through
-tau + 1 are stored on the ladder when it is certified, and otherwise by
-the first generator question, so a ``ci_verdict`` after a
-``generator_profile`` computes no kernel and no span rank again.
+included, read the stored ladder.  The first generator question counts
+the generators through tau + 1 and stores them on the ladder, so a
+``ci_verdict`` after a ``generator_profile`` computes no kernel and no
+span rank again.
 Storing both is safe: a ``PointSet`` is never mutated, and the Hilbert
 function and the generator counts do not depend on the order of the
 points.
@@ -297,13 +300,12 @@ class _Ladder:
     ladder keeps in ``reduced[t]`` the rows of Z_t, whose kernel is J_t,
     each primitive (a slice of an echelon row keeps the common factors
     of the whole row, which would only be carried and divided out
-    again).  A certified ladder eliminated no Z_t: ``reduced`` is None,
-    and its counts are stored from the start.  ``generators[t]`` is the
-    number of new minimal generators in degree t for t = 0 .. tau + 1;
-    an exact ladder counts them on the first generator question and
-    holds None until then.  ``lowest`` is (alpha, canonical kernel basis
-    of E_alpha) when a certified ladder eliminated that kernel in the
-    set's own coordinates, and None otherwise.
+    again).  A certified ladder eliminated no Z_t: ``reduced`` is None.
+    ``generators[t]`` is the number of new minimal generators in degree
+    t for t = 0 .. tau + 1, set by ``_generator_counts`` on the first
+    generator question and None until then.  ``lowest`` is (alpha,
+    canonical kernel basis of E_alpha) when a certified ladder eliminated
+    that kernel in the set's own coordinates, and None otherwise.
     """
 
     cardinality: int
@@ -386,10 +388,10 @@ def _span_coordinates(points: PointSet):
 
 
 def _certified_ladder(lcoords, n: int, d: int, standard):
-    """HF(0 .. d), the free columns F_0 .. F_d and the generator counts in
-    degrees 0 .. d + 1 of the set in its span, read off the staircase of
-    the modular pass, with the exact basis (alpha, kernel of E_alpha) it
-    took, or None when a check fails.
+    """HF(0 .. d) and the free columns F_0 .. F_d of the set in its span,
+    read off the staircase of the modular pass, with the exact basis
+    (alpha, kernel of E_alpha) it took (None in case (a)), or None when a
+    check fails.
 
     ``standard[s]`` holds the monomials of block s that ``_modular_degree``
     kept, d its degree.  Case (a): no block has a free column mod p, so
@@ -397,18 +399,19 @@ def _certified_ladder(lcoords, n: int, d: int, standard):
     free column; the products of S_(t-alpha) with F^p_alpha must be
     pairwise distinct for alpha < t <= d + 1 and equal F^p_t for t <= d,
     and then the one exact kernel of E_alpha in l-coordinates must lead
-    at F^p_alpha and nowhere else.  The module docstring shows why every
-    value returned is then exact.
+    at F^p_alpha and nowhere else; the products are checked up to
+    d + 1, where they make the staircase bound of ``_generator_counts``
+    exact.  The module docstring shows why every value returned is then
+    exact, and why the bound gives the counts.
     """
     free = [
         tuple(j for j, e in enumerate(_s_monomials(n, t)) if e[1:] not in standard[t])
         for t in range(d + 1)
     ]
     values = list(accumulate(len(block) for block in standard))
-    top = len(_s_monomials(n, d + 1))
     alpha = next((t for t in range(d + 1) if free[t]), None)
     if alpha is None:
-        return values, free, (0,) * (d + 1) + (top,), None
+        return values, free, None
     block = monomials(n, alpha)
     base = [block[j] for j in free[alpha]]
     for t in range(alpha + 1, d + 2):
@@ -426,11 +429,7 @@ def _certified_ladder(lcoords, n: int, d: int, standard):
     leads = [max(j for j, x in enumerate(v) if x) for v in kernel]
     if leads != [offset + j for j in free[alpha]]:
         return None
-    counts = [0] * (d + 2)
-    counts[alpha] = len(base)
-    # the loop ended at t = d + 1: ``products`` is S_(d+1-alpha) * F_alpha
-    counts[d + 1] = top - len(products)
-    return values, free, tuple(counts), (alpha, kernel)
+    return values, free, (alpha, kernel)
 
 
 def _exact_ladder(lcoords, n: int, d: int):
@@ -475,9 +474,10 @@ def _ladder(points: PointSet) -> _Ladder:
     The ladder is built in the span of the set (``_span_coordinates``),
     P^(r-1), which the module docstring shows changes no answer.
     ``_modular_degree`` finds d and the staircase mod p, and
-    ``_certified_ladder`` tries to certify HF, tau, the free columns and
-    the generator counts from them with at most one exact kernel, that of
-    E_alpha.  When it cannot decide or a check fails, one forward echelon
+    ``_certified_ladder`` tries to certify HF, tau and the free columns
+    from them with at most one exact kernel, that of E_alpha.  The
+    ladder holds no generator counts; ``_generator_counts`` sets them.
+    When it cannot decide or a check fails, one forward echelon
     of E_d in l-coordinates gives HF(t), Z_t and the free columns of Z_t
     for every t <= tau (``_exact_ladder``); d is the pass's degree or,
     when the pass cannot decide, the least degree with at least |X|
@@ -501,15 +501,14 @@ def _ladder(points: PointSet) -> _Ladder:
     found = _modular_degree(lvalues, tails)
     certified = found and _certified_ladder(lcoords, n, *found)
     if certified:
-        values, free, counts, lowest = certified
+        values, free, lowest = certified
         reduced = None
-        generators = (counts[0], counts[1] + linear) + counts[2:]
         if c or linear:
             lowest = None
     else:
         d = found[0] if found else next(t for t in range(card) if comb(t + n, n) >= card)
         values, reduced, free = _exact_ladder(lcoords, n, d)
-        generators = lowest = None
+        lowest = None
     tau = len(values) - 1
     values.append(
         linalg.rank_of(_evaluation_matrix(coords, n + 1, tau + 1), comb(tau + 1 + n, n))
@@ -522,7 +521,6 @@ def _ladder(points: PointSet) -> _Ladder:
         tau=tau,
         reduced=reduced,
         free=tuple(free),
-        generators=generators,
         lowest=lowest,
     )
     return points._ladder
@@ -678,14 +676,6 @@ def _shift_columns(n: int, t: int):
     return tuple(tables)
 
 
-def _positions(free, ncols):
-    """Index of each column in ``free``, -1 for the columns not in it."""
-    position = [-1] * ncols
-    for k, j in enumerate(free):
-        position[j] = k
-    return position
-
-
 def _modular_kernel(rows, free, ncols):
     """The RREF kernel of Z modulo ``_elim._PRIME``, or None when some
     pivot entry of Z vanishes mod p.
@@ -694,8 +684,8 @@ def _modular_kernel(rows, free, ncols):
     triangular block at the pivot columns, whose denominators divide the
     product of the pivot entries.  When none of them vanishes mod p the
     RREF mod p is the reduction of the RREF over Q, and so is the kernel
-    vector v_f of each free column f, scaled to 1 at f.  Vector f is
-    returned as its (pivot column, entry) pairs with a nonzero entry.
+    vector v_f of each free column f, scaled to 1 at f.  The vectors are
+    returned dense, one per free column, in the order of ``free``.
     """
     p = _elim._PRIME
     free_set = set(free)
@@ -713,81 +703,58 @@ def _modular_kernel(rows, free, ncols):
             q = row_i[c]
             if q:
                 row_i[c:] = [(x - q * y) % p for x, y in zip(row_i[c:], row_k[c:])]
-    return [[(c, -row[f] % p) for row, c in zip(red, pivots) if row[f]] for f in free]
+    kernel = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(red, pivots):
+            v[c] = -row[f] % p
+        kernel.append(v)
+    return kernel
 
 
-def _independent_remainders(ladder: _Ladder, n: int, t: int, free_t, need: int) -> int:
-    """A lower bound, at most ``need``, on rank(S_1 * J_(t-1)) minus
-    |S_1 * F_(t-1)|, found modulo ``_elim._PRIME``; 0 when some pivot
-    entry of Z_(t-1) vanishes mod p.
+def _shift_rows(basis, n: int, t: int, free_t):
+    """The rows x_i * v of S_1 * span(basis), for each vector v of a basis
+    of J_(t-1) and each variable x_i of S, on the columns ``free_t`` of
+    Z_t, where the projection from J_t is injective."""
+    position = [-1] * len(_s_monomials(n, t))
+    for k, j in enumerate(free_t):
+        position[j] = k
+    tables = _shift_columns(n, t)
+    for v in basis:
+        for table in tables:
+            row = [0] * len(free_t)
+            for j, coeff in enumerate(v):
+                if coeff and position[table[j]] >= 0:
+                    row[position[table[j]]] = coeff
+            yield row
 
-    The shifts x_i * v_f of the kernel vectors of Z_(t-1) mod p are
-    taken on the columns ``free_t`` of Z_t.  x_i * v_f leads at x_i * f,
-    with entry 1, so one shift per monomial of S_1 * F_(t-1) gives a
-    triangular set T of independent vectors.  Deterministic combinations
-    of the other shifts are reduced against T, one at a time, and their
-    remainders, which vanish at the leads of T, are added to a
-    ``ModBasis``; the count stops at the first dependent remainder or at
-    ``need``.  Each one found raises the rank mod p, which is at most
-    the rank over Q.
-    """
-    p = _elim._PRIME
-    prev = ladder.free[t - 1]
-    kernel = _modular_kernel(ladder.reduced[t - 1], prev, len(_s_monomials(n, t - 1)))
+
+def _modular_rank(ladder: _Ladder, n: int, t: int, free_t) -> int:
+    """Rank of S_1 * J_(t-1) modulo ``_elim._PRIME``, at most its rank
+    over Q; 0 when some pivot entry of Z_(t-1) vanishes mod p.  The shift
+    rows go into one ``ModBasis`` until it holds |F_t| vectors."""
+    kernel = _modular_kernel(
+        ladder.reduced[t - 1], ladder.free[t - 1], len(_s_monomials(n, t - 1))
+    )
     if kernel is None:
         return 0
-    position = _positions(free_t, len(_s_monomials(n, t)))
-    triangular = {}
-    others = []
-    for f, tail in zip(prev, kernel):
-        for table in _shift_columns(n, t):
-            lead = position[table[f]]
-            rest = [(position[table[c]], v) for c, v in tail if position[table[c]] >= 0]
-            if lead in triangular:
-                others.append([(lead, 1)] + rest)
-            else:
-                triangular[lead] = rest
-    leads = sorted(triangular, reverse=True)
-    outside = [k for k in range(len(free_t)) if k not in triangular]
     basis = _elim.ModBasis()
-    for g in range(2, 2 + need):
-        w = [0] * len(free_t)
-        c = 1
-        for shift in others:
-            c = c * g % p
-            for k, v in shift:
-                w[k] += c * v
-        # the leads of T, last column first: a subtraction touches only
-        # columns left of its lead
-        for lead in leads:
-            x = w[lead] % p
-            if x:
-                for k, v in triangular[lead]:
-                    w[k] -= x * v
-        if not basis.add([w[k] for k in outside]) or len(basis) == need:
+    for row in _shift_rows(kernel, n, t, free_t):
+        if basis.add(row) and len(basis) == len(free_t):
             break
     return len(basis)
 
 
 def _span_rank(ladder: _Ladder, n: int, t: int, free_t) -> int:
-    """Exact rank of S_1 * J_(t-1), taken on the columns ``free_t`` of
-    Z_t, where the projection from J_t is injective."""
-    position = _positions(free_t, len(_s_monomials(n, t)))
-    tables = _shift_columns(n, t)
-    rows = []
-    for v in linalg.kernel_basis(ladder.reduced[t - 1], len(_s_monomials(n, t - 1))):
-        for table in tables:
-            row = [0] * len(free_t)
-            for j, coeff in enumerate(v):
-                if coeff and position[table[j]] >= 0:
-                    row[position[table[j]]] += coeff
-            rows.append(row)
-    return linalg.rank_of(rows, len(free_t))
+    """Exact rank of S_1 * J_(t-1), from the exact kernel of Z_(t-1)."""
+    kernel = linalg.kernel_basis(ladder.reduced[t - 1], len(_s_monomials(n, t - 1)))
+    return linalg.rank_of(list(_shift_rows(kernel, n, t, free_t)), len(free_t))
 
 
 def _generator_counts(ladder: _Ladder) -> tuple[int, ...]:
     """New minimal generators in degrees 0 .. tau + 1, counted once per
-    ladder and stored on it (a certified ladder is built with them).
+    ladder and stored on it.
 
     The counts are those of the set in its span, P^n with n =
     ``ladder.dim``, plus the ``ladder.linear`` linear forms that cut out
@@ -799,14 +766,15 @@ def _generator_counts(ladder: _Ladder) -> tuple[int, ...]:
 
     * the bound b(t) = |F_t| - |S_1 * F_(t-1)| caps each count with no
       elimination, since F_t is the degree-t part of in(J).  A degree
-      with b(t) = 0 or F_(t-1) empty (no span) is settled;
+      with b(t) = 0 or F_(t-1) empty (no span) is settled, and so is
+      every degree of a certified ladder (``reduced`` is None), where the
+      bound is exact;
     * J needs at least n generators (Krull), so once the upper bounds
       sum to n every one is exact;
-    * where |F_t| <= n * |F_(t-1)|, ``_independent_remainders`` raises
-      the rank mod p by the remainders it finds independent, which
-      lowers the bound by as much: the kernel of Z_(t-1) mod p reduces a
-      basis of J_(t-1) when no pivot entry of Z_(t-1) vanishes mod p,
-      and rank mod p is at most rank over Q;
+    * ``_modular_rank`` lowers the bound to |F_t| minus the rank mod p,
+      which is at most the rank over Q.  A rank mod p equal to
+      min(n * |F_(t-1)|, |F_t|), the most the span's rows and columns
+      allow, is the rank over Q and settles the degree;
     * a degree still open, while the bounds exceed n, takes the exact
       span rank (``_span_rank``).
     """
@@ -819,17 +787,23 @@ def _generator_counts(ladder: _Ladder) -> tuple[int, ...]:
     for t in range(1, top + 1):
         leads = {table[f] for table in _shift_columns(n, t) for f in free[t - 1]}
         counts.append(len(free[t]) - len(leads))
-    unsettled = [t for t in range(1, top + 1) if counts[t] and free[t - 1]]
+    unsettled = [
+        t
+        for t in range(1, top + 1)
+        if ladder.reduced is not None and counts[t] and free[t - 1]
+    ]
+    exact = []
     for t in unsettled:
         if sum(counts) == n:
             break
-        if len(free[t]) <= n * len(free[t - 1]):
-            counts[t] -= _independent_remainders(ladder, n, t, free[t], counts[t])
-    for t in unsettled:
+        rank = _modular_rank(ladder, n, t, free[t])
+        counts[t] = min(counts[t], len(free[t]) - rank)
+        if rank < min(n * len(free[t - 1]), len(free[t])):
+            exact.append(t)
+    for t in exact:
         if sum(counts) == n:
             break
-        if counts[t]:
-            counts[t] = len(free[t]) - _span_rank(ladder, n, t, free[t])
+        counts[t] = len(free[t]) - _span_rank(ladder, n, t, free[t])
     counts[1] += ladder.linear
     ladder.generators = tuple(counts)
     return ladder.generators

@@ -62,7 +62,12 @@ class Instance:
 
     def point_set_of(self, name=None, product_of=None) -> PointSet:
         """The point set called ``name`` or, when ``name`` is None, the
-        product set of the two point sets named in ``product_of``."""
+        product set of the two point sets named in ``product_of``; naming
+        both is refused."""
+        if name is not None and product_of is not None:
+            raise InstanceError(
+                f"name a point set or a product, not both: {name!r} and {product_of!r}"
+            )
         if name is not None:
             return self.point_set(name)
         if not isinstance(product_of, (list, tuple)) or len(product_of) != 2:

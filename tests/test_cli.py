@@ -399,6 +399,14 @@ def test_product_needs_exactly_two_names(capsys, p3_file, command, product):
     assert "exactly two names" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["hilbert", "quadric", "ci"])
+def test_set_and_product_together_is_input_error(capsys, p3_file, command):
+    rc = main([command, "-i", p3_file, "--set", "X", "--product", "X,Xp"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "not both" in err and "Traceback" not in err
+
+
 def test_random_is_deterministic(capsys):
     rc, rep1 = run_json(capsys, ["random", "--space", "3", "--m", "3", "--seed", "7"])
     assert rc == 0
@@ -482,12 +490,13 @@ def test_verify_non_object_args_is_input_error(tmp_path, capsys, args):
         (GRID_DOC, "ci", {"product_of": 5}),
         (GRID_DOC, "hilbert", {"set": ["X"]}),
         (GRID_DOC, "hilbert", {"set": "Y"}),
+        (GRID_DOC, "ci", {"set": "X", "product_of": ["X", "Xp"]}),
         (GRID_DOC, "degree_forms", {"set": "X", "degree": "2"}),
         (GRID_DOC, "degree_forms", {"set": "X", "degree": True}),
         (P3_DOC, "implicitize", {"line": "L", "line2": "Lp", "degree": 2.0}),
     ],
-    ids=["one-name", "number-pair", "list-name", "unknown-name", "string-degree",
-         "bool-degree", "float-degree"],
+    ids=["one-name", "number-pair", "list-name", "unknown-name", "set-and-product",
+         "string-degree", "bool-degree", "float-degree"],
 )
 def test_verify_malformed_check_args_is_input_error(tmp_path, capsys, instance, op, args):
     doc = {"instance": instance, "checks": [{"op": op, "args": args, "expect": {}}]}

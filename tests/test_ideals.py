@@ -479,6 +479,23 @@ def evaluation_shapes(points, top):
     return {(len(points), comb(t + n, n)) for t in range(top + 1)}
 
 
+def spy_span_ranks(monkeypatch, name):
+    """Record (t, rows, columns, rank) of every call of ``ideals.<name>``,
+    ``_modular_rank`` or ``_span_rank``: the span S_1 * J_(t-1) has
+    n * dim J_(t-1) rows and is taken on the dim J_t free columns of
+    Z_t."""
+    ranks = []
+    original = getattr(ideals, name)
+
+    def spy(ladder, n, t, free_t):
+        rank = original(ladder, n, t, free_t)
+        ranks.append((t, n * len(ladder.free[t - 1]), len(free_t), rank))
+        return rank
+
+    monkeypatch.setattr(ideals, name, spy)
+    return ranks
+
+
 def j_dims(n, values, top):
     """dim J_t for t = 0 .. top: the degree-t monomials of S minus the
     t-th entry of the h-vector (zero above tau)."""
@@ -613,21 +630,18 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
 
 
 def test_span_ranks_take_dim_j_columns(monkeypatch):
-    # a span rank runs only in a degree that the staircase bound, the
-    # remainders mod p and the Krull stop leave open: on these exact
-    # ladders only at tau + 1 of the two not-CI sets, a skew grid with one
-    # point more and a skew grid with one point less, where
-    # |F_(tau+1)| > n * |F_tau|.  It takes one kernel of Z_tau, and its
-    # rank has one row per variable of S and basis vector of J_tau and the
-    # dim J_(tau+1) columns of S; with fewer rows than columns it may
-    # certify a full row rank mod p.  No remainder mod p is tried there,
-    # nor anywhere else on those sets.  The skew grids themselves are
-    # certified with their counts, so their verdict makes no call at all
-    remainders = []
-    original = ideals._independent_remainders
-    monkeypatch.setattr(
-        ideals, "_independent_remainders", lambda *a: remainders.append(a[2]) or original(*a)
-    )
+    # a span rank is taken only in a degree that the staircase bound and
+    # the Krull stop leave open: first modulo p, on the dim J_t free
+    # columns of Z_t, with one row per variable of S and basis vector of
+    # J_(t-1).  A rank mod p that reaches the rows or the columns is exact
+    # and settles the degree; planar-25 and GRID2 are settled so, and so is
+    # tau + 1 of GRID3 minus a point, a not-CI set whose span there has
+    # fewer rows than columns, at its full row rank.  Only the skew grid
+    # with one point more keeps its degree tau + 1 open (rank 10 of 18
+    # rows, also over Q) and eliminates it exactly: one kernel of Z_tau
+    # and one rank on the same rows and columns.  The skew grids
+    # themselves are certified, so their verdict makes no call at all
+    ranks = spy_span_ranks(monkeypatch, "_modular_rank")
     skew = skew_grid(5, 4646)
     for points in (PointSet(skew.points), PointSet(GRID3.points)):
         hilbert_profile(points)
@@ -635,12 +649,12 @@ def test_span_ranks_take_dim_j_columns(monkeypatch):
             calls = spy_linalg(patch)
             assert ci_verdict(points).kind == "NotCI"
         assert ladder_path(points) == "staircase"
-        assert calls == remainders == []
+        assert calls == ranks == []
     sets = (
         (PointSet(PLANAR25.points), False),
         (with_point(skew), True),
         (PointSet(GRID2.points), False),
-        (PointSet(GRID3.points[:-1]), True),
+        (PointSet(GRID3.points[:-1]), False),
         (PointSet.from_coords([[1, 2, 3]]), False),
     )
     made = []
@@ -650,39 +664,38 @@ def test_span_ranks_take_dim_j_columns(monkeypatch):
         assert ladder_path(points) == ("ceiling" if len(points) == 1 else "exact")
         tau = prof.tau
         dims = j_dims(n, prof.values, tau + 1)
-        remainders.clear()
+        ranks.clear()
         with monkeypatch.context() as patch:
             calls = spy_linalg(patch)
             verdict = ci_verdict(points)
-        assert (verdict.kind == "NotCI") == open_at_top
-        if open_at_top:
-            assert remainders == []
+        m = ideals._ladder(points).dim  # PLANAR25 is counted in its plane
+        span_dims = j_dims(m, prof.values, tau + 1) if m else []
+        assert all(
+            (rows, cols) == (m * span_dims[t - 1], span_dims[t]) for t, rows, cols, _ in ranks
+        )
+        settled = [rank == min(rows, cols) for _, rows, cols, rank in ranks]
+        assert settled == [True] * (len(ranks) - open_at_top) + [False] * open_at_top
         expected = [
             ("kernel_basis", prof.h_vector[tau], comb(tau + n - 1, n - 1)),
             ("rank_of", n * dims[tau], dims[tau + 1]),
         ]
         assert calls == (expected if open_at_top else [])
-        if open_at_top:
-            assert n * dims[tau] < dims[tau + 1]
-        made.append(calls)
-    assert made[3] == [("kernel_basis", 4, 6), ("rank_of", 6, 10)]
+        made.append(ranks[:])
+    assert made[1] == [(5, 18, 21, 10)]
+    assert made[3] == [(3, 6, 10, 6)] and made[4] == []
 
 
 def test_collinear_points_eliminate_no_span(monkeypatch):
     # the ladder of a line's points is built in P^1.  There every block
     # holds one monomial and the pass keeps each one up to tau, so HF
     # meets the ceiling and the ladder is certified with no elimination
-    # but the rank of E_(tau+1): the counts (0, ..., 0, 1) are stored with
-    # it.  When two points agree mod p the pass cannot decide, and the
-    # exact ladder eliminates E_tau; there the staircase bound
+    # but the rank of E_(tau+1), and its staircase bound gives the counts
+    # (0, ..., 0, 1).  When two points agree mod p the pass cannot decide,
+    # and the exact ladder eliminates E_tau; there the staircase bound
     # (0, 0, ..., 0, 1) sums to n = 1, so the Krull stop settles every
-    # count: no remainder mod p, no kernel, no span rank.  Either way the
-    # two linear forms that cut out the line are the degree-1 generators
-    remainders = []
-    original = ideals._independent_remainders
-    monkeypatch.setattr(
-        ideals, "_independent_remainders", lambda *a: remainders.append(a) or original(*a)
-    )
+    # count: no rank mod p, no kernel, no span rank.  Either way the two
+    # linear forms that cut out the line are the degree-1 generators
+    ranks = spy_span_ranks(monkeypatch, "_modular_rank")
     calls = spy_linalg(monkeypatch)
     tau, n = 19, 1
     expected = {
@@ -701,7 +714,7 @@ def test_collinear_points_eliminate_no_span(monkeypatch):
         assert ladder_path(points) == path
         assert calls == expected[path]
     assert expected["exact"] == [("echelon_of", 20, 20), ("rank_of", 20, 21)]
-    assert remainders == []
+    assert ranks == []
 
 
 def oracle_sets():
@@ -744,20 +757,29 @@ def oracle_counts():
     return [(points, exact_span_counts(PointSet(points.points))) for points in oracle_sets()]
 
 
-def test_generator_counts_equal_exact_span_counts():
+def test_generator_counts_equal_exact_span_counts(monkeypatch):
     # on certified and exact ladders alike; the collinear sets meet the
     # ceiling, the square skew grids of at least 3 x 3 points are
     # certified from their staircase, and planar-25 and the P^2 grids take
-    # the exact path
+    # the exact path.  Modulo 2**61 - 1 the rank of every open span is its
+    # rank over Q on these sets, so a span is eliminated exactly only
+    # where that rank is below both its rows and its columns: in 5 of the
+    # 179 sets, the unequal skew grids among them
+    spans = spy_span_ranks(monkeypatch, "_span_rank")
     kinds = set()
     paths = Counter()
+    reached = 0
     for points, expected in oracle_counts():
         points = PointSet(points.points)
+        spans.clear()
         counts = ideals._generator_counts(ideals._ladder(points))
         assert counts == expected, points
+        assert all(rank < min(rows, cols) for _, rows, cols, rank in spans), points
+        reached += bool(spans)
         kinds.add(sum(counts) == points.ambient_dim)
         paths[ladder_path(points)] += 1
     assert kinds == {True, False}
+    assert reached == 5
     assert min(paths[path] for path in ("ceiling", "staircase", "exact")) >= 20
     assert {ladder_path(collinear_points(m, dim)) for m in (1, 2, 3, 7, 12) for dim in (2, 3)} == {
         "ceiling"
@@ -768,9 +790,9 @@ def test_generator_counts_equal_exact_span_counts():
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
 def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
-    # modulo a small prime, pivot entries of Z_(t-1) vanish or the
-    # remainders do (every combination is 0 mod 2), so the certificate
-    # settles less and the exact span ranks must give the same counts.
+    # modulo a small prime, pivot entries of Z_(t-1) vanish or the shift
+    # ranks fall short, so the ranks mod p settle less and the exact span
+    # ranks must give the same counts.
     # The pass decides less often too, or finds a staircase that fails a
     # check, so sets certified modulo 2**61 - 1 fall back to the exact
     # ladder, with the same values
@@ -798,10 +820,79 @@ def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
     if prime == 2:
         # GRID2, GRID3 and PLANAR25, the last sets, whose passes cannot
         # decide mod 2, so all three take the exact path: every degree that
-        # the staircase and the Krull stop leave open.  PLANAR25's ladder is
-        # built in its plane, where Z_4 has no free column, so degree 5 has
-        # no span
-        assert exact_degrees[-3:] == [[4, 5, 6], [3], [6, 7, 8, 9]]
+        # the staircase, the Krull stop and the rank mod 2 leave open.
+        # PLANAR25's ladder is built in its plane, where Z_4 has no free
+        # column, so degree 5 has no span, and degree 6 has full rank mod 2
+        assert exact_degrees[-3:] == [[4, 5, 6], [3], [7, 8, 9]]
+
+
+def test_full_row_rank_mod_p_settles_the_top_span(monkeypatch):
+    # at tau + 1 of a not-CI set the span S_1 * J_tau may have fewer rows
+    # than columns.  Where its rank mod p is that row count, the count is
+    # exact with no ``_span_rank``: in GRID3 minus a point and at least 19
+    # oracle sets.  A skew grid with one point more has such a span
+    # too (18 x 21), but its rank is 10 over Q, so it takes the exact rank,
+    # which equals the rank mod p
+    ranks = spy_span_ranks(monkeypatch, "_modular_rank")
+    spans = spy_span_ranks(monkeypatch, "_span_rank")
+    settled = []
+    grid3_less = PointSet(GRID3.points[:-1])
+    cases = oracle_counts() + [
+        (points, exact_span_counts(PointSet(points.points)))
+        for points in (grid3_less, with_point(skew_grid(5, 4747)))
+    ]
+    for points, expected in cases:
+        fresh = PointSet(points.points)
+        ranks.clear()
+        spans.clear()
+        assert ideals._generator_counts(ideals._ladder(fresh)) == expected
+        top = fresh._ladder.tau + 1
+        wide = [r for r in ranks if r[0] == top and r[1] < r[2]]
+        if wide and wide[0][3] == wide[0][1]:
+            assert sum(expected) > points.ambient_dim and spans == []
+            settled.append(points)
+    assert len(settled) >= 20 and settled[-1] is grid3_less
+    # the last case is the skew grid with one point more
+    assert wide == [(5, 18, 21, 10)] and spans == wide
+
+
+def test_no_modular_kernel_falls_back_to_exact_span_ranks(monkeypatch):
+    # with no kernel mod p the ranks mod p are 0, so every degree that the
+    # staircase bound and the Krull stop leave open takes the exact span
+    # rank, and the counts are the same
+    spans = spy_span_ranks(monkeypatch, "_span_rank")
+    monkeypatch.setattr(ideals, "_modular_kernel", lambda *args: None)
+    reached = 0
+    for points, expected in oracle_counts():
+        spans.clear()
+        fresh = PointSet(points.points)
+        assert ideals._generator_counts(ideals._ladder(fresh)) == expected
+        reached += bool(spans)
+    assert reached >= 50
+    spans.clear()
+    points = PointSet(PLANAR25.points)
+    assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 5, 5))
+    assert [t for t, *_ in spans] == [6, 7, 8, 9]
+
+
+def test_certified_ladders_count_with_no_elimination(monkeypatch):
+    # a certified ladder stores no Z_t and no counts: its staircase bound
+    # is exact (the module docstring's cases (a) and (b)), so counting
+    # takes no rank mod p and makes no ``linalg`` call
+    ranks = spy_span_ranks(monkeypatch, "_modular_rank")
+    certified = Counter()
+    for points, expected in oracle_counts():
+        fresh = PointSet(points.points)
+        ladder = ideals._ladder(fresh)
+        if ladder.reduced is not None:
+            continue
+        assert ladder.generators is None
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            assert ideals._generator_counts(ladder) == expected
+        assert calls == ranks == []
+        certified[sum(expected) == points.ambient_dim] += 1
+    assert min(certified[True], certified[False]) >= 5
 
 
 def test_hf_product_check_reads_stored_factor_ladders(monkeypatch):

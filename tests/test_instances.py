@@ -193,3 +193,13 @@ def test_parsed_sets_and_lines_serve_as_keys():
     assert len({inst.point_set("X"), inst.point_set("Y")}) == 1
     assert repr(inst.point_set("Y")) == "{[0:1:0:1], [1:2:3:4]}"
     assert repr(inst.line3("L")) == "Line3({1*x0-1*x1+1*x2+2*x3=0}, {1*x0+2*x1-1*x2+1*x3=0})"
+
+
+def test_point_set_of_refuses_a_name_and_a_product():
+    inst = parse_instance_dict(GRID_DOC)
+    assert len(inst.point_set_of("X")) == 3
+    assert len(inst.point_set_of(product_of=["X", "Xp"])) == 12
+    with pytest.raises(InstanceError, match="not both"):
+        inst.point_set_of("X", ["X", "Xp"])
+    with pytest.raises(InstanceError, match="not both"):
+        inst.profile_set("X", ["X", "Xp"])
