@@ -35,16 +35,19 @@ precision comes for free.  Two elimination strategies are combined:
 There is one forward pass.  ``echelon`` runs the primary path and, if
 the guard trips, the fallback on the same input; rank and pivots do not
 depend on the path taken, the echelon rows do.  ``rank`` falls back on
-its first component, and the degree ladder in ``hada.ideals`` reads all
-three.  ``rref`` is ``echelon`` followed by a back substitution that
+its first component, and the degree ladder in ``hada.ideals`` reads the
+pivots.  ``rref`` is ``echelon`` followed by a back substitution that
 clears above every pivot, last pivot first.  It needs no second guard:
 each row it builds is, up to its content, a vector of minors of the
 echelon rows, which the guard or Bareiss already keep polynomially
 sized (``_back_substitute`` gives the argument; Nakos, Turner &
 Williams, SIGSAM Bull. 31, 1997, for the fraction-free background).
 Its result is the unique primitive-integer RREF with positive pivots,
-whichever path ``echelon`` took, and ``nullspace`` reads its kernel
-basis off that form.
+whichever path ``echelon`` took.  ``nullspace`` needs only one column of
+it per free column: it back-substitutes that column alone through the
+echelon rows, and the vector it builds stays primitive, so it is the
+primitive RREF kernel vector itself and its entries are bounded as
+``rref``'s are.
 
 ``rank`` first tries a modular certificate.  Reducing the entries mod
 the prime p = 2**61 - 1 is a ring map, so the rank mod p is at most the
@@ -59,21 +62,22 @@ wide one) into a ``ModBasis``, the one GF(p) routine here: an echelon
 basis that reduces each vector mod p only when it is added, so the
 walk stops at min(nrows, ncols) independent vectors without touching
 the rest.  Full-rank matrices with wide entries are common here: the
-evaluation matrix that confirms HF(tau + 1) = |X| in ``hada.ideals``,
-and there a generator count's span (Moeller & Buchberger, 1982, use
-the same lower bound by reduction).
-The degree ladder there also adds evaluation columns to a ``ModBasis``
-to choose the one degree it eliminates exactly, or to read a staircase
-that one exact kernel then certifies; no answer rests on the prime
-alone.  Its generator counts add the shifted kernel vectors of
-a degree to one ``ModBasis``: its rank is a lower bound on the rank of
-their span, the same inequality again, and exact when it reaches the
-rows or the columns.
+evaluation matrix that confirms HF(tau + 1) = |X| in ``hada.ideals``
+(Moeller & Buchberger, 1982, use the same lower bound by reduction).
+The degree ladder there adds evaluation columns to a ``ModBasis`` to
+find HF mod p, a lower bound, and the multiples of its exact forms to
+others, to bound HF from above and to count generators by the same
+inequality, exact when a rank reaches the rows or the columns; no
+answer rests on the prime alone.  ``ModBasis.solve`` writes a vector
+of its span as a combination of the vectors it kept, which gives the
+kernel mod p of the columns the ladder's pass rejected or never added,
+in the ladder's column order.
 
 ``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
 the frontend every other module calls.
 """
 
+from bisect import bisect_left
 from math import gcd
 
 # the modulus of the rank certificate in ``rank``, a Mersenne prime
@@ -230,32 +234,67 @@ class ModBasis:
     entries mod p once at the end: an entry starts below p, and each of
     the k stored rows subtracts less than p**2, so it stays below
     (k + 1) * p**2 in absolute value.
+
+    Each kept vector also keeps the multipliers of its reduction and the
+    inverse of its pivot, so ``solve`` can write a vector of the span as
+    a combination of the kept vectors, in the order they were kept.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "steps")
 
     def __init__(self):
         self.rows = []
+        self.steps = []
 
     def __len__(self):
         return len(self.rows)
+
+    def _reduce(self, vector):
+        """The vector reduced by the basis, mod p, and the multiplier of
+        each stored row."""
+        p = _PRIME
+        v = [x % p for x in vector]
+        multipliers = []
+        for j, tail in self.rows:
+            c = v[j] % p
+            multipliers.append(c)
+            if c:
+                v[j:] = [x - c * y for x, y in zip(v[j:], tail)]
+        return [x % p for x in v], multipliers
 
     def add(self, vector) -> bool:
         """Keep the vector if it is independent of the basis mod p;
         return whether it was kept."""
         p = _PRIME
-        v = [x % p for x in vector]
-        for j, tail in self.rows:
-            c = v[j] % p
-            if c:
-                v[j:] = [x - c * y for x, y in zip(v[j:], tail)]
-        v = [x % p for x in v]
+        v, multipliers = self._reduce(vector)
         j = next((j for j, x in enumerate(v) if x), -1)
         if j < 0:
             return False
         inv = pow(v[j], -1, p)
         self.rows.append((j, [x * inv % p for x in v[j:]]))
+        self.steps.append((inv, multipliers))
         return True
+
+    def solve(self, vector):
+        """Coefficients a_i, one per kept vector w_i in the order kept,
+        with vector = sum of a_i * w_i mod p; the vector must lie in the
+        span.
+
+        It reduces to sum of c_i * row_i, and row i was kept as
+        inv_i * (w_i - sum over h < i of m_ih * row_h), with m_ih the
+        multipliers of its own reduction.  So the last row's coefficient
+        gives a_i = c_i * inv_i, and a_i * m_ih moves onto each earlier
+        row.  Its kernel vector, with -a_i at w_i and 1 at the vector, is
+        the one relation among the kept vectors and it.
+        """
+        p = _PRIME
+        coeffs = self._reduce(vector)[1]
+        for i in range(len(coeffs) - 1, -1, -1):
+            inv, multipliers = self.steps[i]
+            a = coeffs[i] = coeffs[i] * inv % p
+            if a:
+                coeffs[:i] = [(x - a * m) % p for x, m in zip(coeffs, multipliers)]
+        return coeffs
 
 
 def _full_rank_mod_prime(rows, ncols):
@@ -342,27 +381,38 @@ def rref(rows, ncols):
 def nullspace(rows, ncols):
     """Primitive integer basis of the right kernel.
 
-    One basis vector per free column, ordered by free column index;
-    the free-column entry of each vector is positive.  An empty matrix
-    yields the standard basis.
+    One basis vector per free column f, ordered by f: the kernel vector
+    that is zero at every other free column and positive at f, made
+    primitive.  The pivot columns are independent, so it is unique: it
+    is the RREF kernel vector, whichever path ``echelon`` took.  It is
+    read off the echelon rows by back substitution alone, from the last
+    pivot left of f to the first, with no ``rref`` of the whole matrix.
+    Row i, with pivot entry p, fixes the entry at its pivot from the sum
+    s of its other terms: when p does not divide s the vector is scaled
+    by p / g, g = gcd(s, p), and the entry is -s / g.  The vector stays
+    primitive: the part right of the pivot is a multiple of the last
+    (primitive) vector, p / g is the least factor that keeps the entry
+    an integer, and gcd(s / g, p / g) = 1.  An empty matrix yields the
+    standard basis.
     """
-    rk, pivots, red = rref(rows, ncols)
+    _, pivots, rows = echelon(rows, ncols)
     pivot_set = set(pivots)
     basis = []
-    lcm_piv = 1
-    for i in range(rk):
-        p = red[i][pivots[i]]
-        lcm_piv = lcm_piv * p // gcd(lcm_piv, p)
     for f in range(ncols):
         if f in pivot_set:
             continue
         v = [0] * ncols
-        v[f] = lcm_piv
-        for i in range(rk):
-            entry = red[i][f]
-            if entry:
-                v[pivots[i]] = -entry * (lcm_piv // red[i][pivots[i]])
-        basis.append(tuple(_primitive(v)))
+        v[f] = 1
+        for i in range(bisect_left(pivots, f) - 1, -1, -1):
+            row, c = rows[i], pivots[i]
+            s = sum(x * y for x, y in zip(row[c + 1 : f + 1], v[c + 1 : f + 1]))
+            if s:
+                p = row[c]
+                g = gcd(s, p)
+                if p != g:
+                    v[c + 1 : f + 1] = [x * (p // g) for x in v[c + 1 : f + 1]]
+                v[c] = -s // g
+        basis.append(tuple(-x for x in v) if v[f] < 0 else tuple(v))
     return basis
 
 

@@ -348,13 +348,6 @@ class GridResult:
     col_lines: tuple[Hyperplane, ...]
     ci_witness: tuple[HomogeneousForm, HomogeneousForm]
 
-    def point_at(self, i: int, j: int) -> ProjPoint:
-        """Intersection of row line i with column line j."""
-        (v,) = linalg.kernel_basis(
-            [self.row_lines[i].dual.coords, self.col_lines[j].dual.coords], 3
-        )
-        return ProjPoint(v)
-
 
 def grid_product_p2(
     xs: PointSet, xs2: PointSet, line: Hyperplane, line2: Hyperplane

@@ -256,9 +256,6 @@ class GridResult3:
     col_lines: tuple[Line3, ...]
     point_grid: tuple[tuple[ProjPoint, ...], ...]
 
-    def point_at(self, i: int, j: int) -> ProjPoint:
-        return self.point_grid[i][j]
-
 
 def grid_product_p3(
     xs: PointSet, xs2: PointSet, line: Line3, line2: Line3

@@ -218,8 +218,7 @@ def exact_span_counts(points: PointSet):
     of E_t in l-coordinates, and it is all of S_t from tau + 1 on, the
     degree after E_t first has rank |X|.  Only the span coordinates and
     l are shared with ``ideals``, none of its ladder: this is the
-    reference for the staircase bound, the Krull stop, the remainder
-    certificate and the certified counts of the ladder."""
+    reference for the ladder's counts, whichever ranks settle them."""
     coords, n = ideals._span_coordinates(points)
     c = ideals._linear_form_parameter(coords)
     lcoords = [(ideals._linear_form_value(c, p),) + tuple(p[1:]) for p in coords]
@@ -328,6 +327,13 @@ def brute_products(xs: PointSet, ys: PointSet):
 
 # Line questions in P^3 by elimination on the stacked plane duals: the
 # references for the Plücker closed forms of ``hada.space``.
+
+
+def plane_grid_meet(grid, i, j):
+    """Intersection of row line i with column line j of a P^2 grid, from
+    the kernel of their two duals."""
+    (v,) = linalg.kernel_basis([grid.row_lines[i].dual.coords, grid.col_lines[j].dual.coords], 3)
+    return ProjPoint(v)
 
 
 def kernel_line_intersection(l1, l2):

@@ -43,6 +43,7 @@ from hada.space import (
 from support import (
     brute_products,
     check_point_line_outcome,
+    plane_grid_meet,
     random_fuzz_line,
     random_point_with_level,
 )
@@ -186,7 +187,7 @@ def test_criterion_07_ruling_suite():
             for i in range(len(g.row_lines)):
                 for j in range(len(g.col_lines)):
                     meet = line_intersection(g.row_lines[i], g.col_lines[j])
-                    assert meet == g.point_at(i, j)
+                    assert meet == g.point_grid[i][j]
     ok(7, "80 seeded generic instances: nondegenerate quadric, clean rulings")
 
 
@@ -227,7 +228,7 @@ def test_criterion_09_grid_oracle_equivalence():
         g = grid_product_p2(xs, ys, line, line2)
         assert g.points == brute_products(xs, ys)
         meets = [
-            g.point_at(i, j) for i in range(len(xs)) for j in range(len(ys))
+            plane_grid_meet(g, i, j) for i in range(len(xs)) for j in range(len(ys))
         ]
         assert PointSet.dedupe(sorted(meets, key=lambda p: p.coords)) == g.points
         built += 1

@@ -93,13 +93,28 @@ def collinear_defeating_prime(m):
 
 
 def ladder_path(points):
-    """The path the set's stored ladder took: "exact", or certified from
-    the staircase mod p, as "ceiling" (no free column up to tau) or
-    "staircase" (generated in the initial degree)."""
+    """The path the set's stored ladder took: "exact" (the echelon of
+    E_d), or squeezed between the pass mod p and the bound, as "ceiling"
+    (the bound met the pass with no exact kernel: HF is min(C(t+n, n),
+    |X|)) or "squeeze" (with the multiples of the exact forms of at least
+    one kernel)."""
     ladder = ideals._ladder(points)
-    if ladder.reduced is not None:
+    if ladder.exact:
         return "exact"
-    return "staircase" if any(ladder.free) else "ceiling"
+    return "squeeze" if ladder.kernels else "ceiling"
+
+
+def no_squeeze(patch):
+    """Make the squeeze of every pass fail, as a pass whose bound cannot
+    close would, so that every set takes the exact ladder: HF from the
+    echelon of E_d, d the pass's degree, and the counts from the same
+    loop on those values."""
+    original = ideals._squeeze_ladder
+
+    def squeeze(lcoords, n, values, found):
+        return None if found else original(lcoords, n, values, found)
+
+    patch.setattr(ideals, "_squeeze_ladder", squeeze)
 
 
 class TestHilbertFunction:
@@ -479,21 +494,21 @@ def evaluation_shapes(points, top):
     return {(len(points), comb(t + n, n)) for t in range(top + 1)}
 
 
-def spy_span_ranks(monkeypatch, name):
-    """Record (t, rows, columns, rank) of every call of ``ideals.<name>``,
-    ``_modular_rank`` or ``_span_rank``: the span S_1 * J_(t-1) has
-    n * dim J_(t-1) rows and is taken on the dim J_t free columns of
-    Z_t."""
-    ranks = []
-    original = getattr(ideals, name)
+def spy_mod_spans(monkeypatch):
+    """Record (rows, columns, rank mod p) of every span whose rank mod p
+    the ladder takes, in the order taken: the multiples M_t of the exact
+    forms in t = 0 .. tau, and the span at tau + 1.  A span with no row
+    is recorded with 0 columns."""
+    spans = []
+    original = ideals._mod_span
 
-    def spy(ladder, n, t, free_t):
-        rank = original(ladder, n, t, free_t)
-        ranks.append((t, n * len(ladder.free[t - 1]), len(free_t), rank))
-        return rank
+    def spy(rows):
+        span = original(rows)
+        spans.append((len(rows), len(rows[0]) if rows else 0, len(span)))
+        return span
 
-    monkeypatch.setattr(ideals, name, spy)
-    return ranks
+    monkeypatch.setattr(ideals, "_mod_span", spy)
+    return spans
 
 
 def j_dims(n, values, top):
@@ -511,44 +526,42 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
     calls = spy_linalg(monkeypatch)
     assert ci_verdict(points).witness_degrees == (1, 5, 5)
 
-    # the set spans a plane of P^3, so its ladder is built in P^2: one
-    # echelon of the full E_tau there serves every degree and one rank
-    # confirms HF(tau + 1).  The generator counts take no kernel and no
-    # span rank: the staircase bound in the plane is
-    # (0, 0, 0, 0, 0, 2, 1, 1, 1, 1), one remainder mod p in each of
-    # degrees 6 .. tau + 1 lowers it to 0 there, the bounds then sum to
-    # n = 2, and the plane's linear form adds one generator in degree 1
+    # the set spans a plane of P^3, so its ladder is built in P^2.  There
+    # the pass first keeps fewer than C(t + n, n) columns in degree 5, so
+    # one kernel of E_5 gives the two quintics; their multiples meet the
+    # pass in degrees 6 .. tau and settle every count mod p, at full rows
+    # (dim J_t columns at tau, all of S_9 at tau + 1).  One rank confirms
+    # HF(tau + 1), and the plane's linear form adds one generator in
+    # degree 1
     tau, n = 8, 2
     assert calls == [
-        ("echelon_of", 25, comb(tau + n, n)),
+        ("kernel_basis", 25, comb(5 + n, n)),
         ("rank_of", 25, comb(tau + 1 + n, n)),
-    ] == [("echelon_of", 25, 45), ("rank_of", 25, 55)]
+    ] == [("kernel_basis", 25, 21), ("rank_of", 25, 55)]
+    assert points._ladder.kernels == (5,)
 
 
 def test_one_ladder_serves_every_profile_question(monkeypatch):
     # both sets span P^3, so they keep their coordinates: the span
-    # certificate is one pass mod p outside ``linalg``.  The 5 x 5 skew
-    # grid is certified from the staircase mod p: one kernel of E_alpha
-    # (alpha = 2, its quadric) and one rank of E_(tau+1) serve all three
-    # questions.  With one point more it takes the exact path: one
-    # echelon of E_tau and one rank of E_(tau+1) serve all three
-    # questions, and the generator counts add one kernel of Z_tau and
-    # one span rank at tau + 1
+    # certificate is one pass mod p outside ``linalg``.  Both are squeezed
+    # between the pass and the multiples of exact forms, and the first
+    # question counts the generators too.  The 5 x 5 skew grid takes one
+    # kernel of E_2 (its quadric) and one rank of E_(tau+1) for all three
+    # questions.  With one point more the first kernel is of E_3 (three
+    # cubics), and S_2 times them at tau + 1, 18 rows on the 21 monomials
+    # of S_5, have rank 10 mod p: short of both, so that count takes one
+    # exact rank
     grid = skew_grid(5, 4242)
     tau, n = 4, 3
     expected = {
-        "staircase": [
-            ("kernel_basis", 25, comb(2 + n, n)),
-            ("rank_of", 25, comb(tau + 1 + n, n)),
-        ],
-        "exact": [
-            ("echelon_of", 26, comb(tau + n, n)),
-            ("rank_of", 26, comb(tau + 1 + n, n)),
-            ("kernel_basis", 9, 15),
+        25: [("kernel_basis", 25, comb(2 + n, n)), ("rank_of", 25, comb(tau + 1 + n, n))],
+        26: [
+            ("kernel_basis", 26, comb(3 + n, n)),
             ("rank_of", 18, 21),
+            ("rank_of", 26, comb(tau + 1 + n, n)),
         ],
     }
-    for points, path in ((grid, "staircase"), (with_point(grid), "exact")):
+    for points in (grid, with_point(grid)):
         with monkeypatch.context() as patch:
             calls = spy_linalg(patch)
             prof = hilbert_profile(points)
@@ -556,8 +569,8 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
             verdict = ci_verdict(points)
         assert (prof.tau, gens.max_degree, verdict.kind) == (tau, 5, "NotCI")
         assert (points._ladder.dim, points._ladder.linear) == (n, 0)
-        assert ladder_path(points) == path
-        assert calls == expected[path]
+        assert ladder_path(points) == "squeeze"
+        assert calls == expected[len(points)]
 
 
 def test_second_generator_question_eliminates_nothing(monkeypatch):
@@ -577,15 +590,17 @@ def test_second_generator_question_eliminates_nothing(monkeypatch):
 
 
 def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
-    # an exact ladder eliminates one matrix: the plain degree-tau
-    # evaluation matrix of the points in l-coordinates (l(p), p1, ..., pn),
-    # taken in their span: the pivot coordinates of the Fraction RREF of
-    # the coordinate matrix, so n = 2 for the planar set.  Its leading
-    # C(t + n, n) columns are diag(l(p))^(tau - t) * E_t, so the pivots
-    # left of them count HF(t), which the Fraction oracle confirms.  The
-    # last set has a zero in every coordinate, so l is not x0 there.  The
-    # skew grid alone is certified: it eliminates no echelon, and its one
-    # kernel is of E_2 in its own coordinates, which are its l-coordinates
+    # every matrix the ladder eliminates exactly is a plain evaluation
+    # matrix of the points in l-coordinates (l(p), p1, ..., pn), taken in
+    # their span: the pivot coordinates of the Fraction RREF of the
+    # coordinate matrix, so n = 2 for the planar set.  The squeeze takes
+    # the kernel of E_t in each of its kernel degrees, and the skew grid's
+    # one kernel is of E_2 in its own coordinates, which are its
+    # l-coordinates.  An exact ladder (here the squeeze is made to fail)
+    # eliminates E_tau once; the pivots left of its leading C(t + n, n)
+    # columns, diag(l(p))^(tau - t) * E_t, count HF(t), which the Fraction
+    # oracle confirms.  The last set has a zero in every coordinate, so l
+    # is not x0 there
     received = []
     kernels = []
 
@@ -608,6 +623,7 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
     )
     sets = (with_point(grid), PointSet(PLANAR25.points), no_zero_free_coordinate)
     spans = []
+    kernel_degrees = []
     for points in sets:
         rank, span_pivots, _ = frac_rref([p.coords for p in points], points.ambient_dim + 1)
         n = rank - 1
@@ -616,10 +632,18 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         c = _linear_form_parameter(span)
         assert (c > 0) == (points is no_zero_free_coordinate)
         coords = [(_linear_form_value(c, p),) + p[1:] for p in span]
-        received.clear()
-        prof = hilbert_profile(points)
+        kernels.clear()
+        fresh = PointSet(points.points)
+        hilbert_profile(fresh)
+        degrees = fresh._ladder.kernels
+        kernel_degrees.append(degrees)
+        assert received == []
+        assert kernels == [(_evaluation_matrix(coords, n + 1, t), comb(t + n, n)) for t in degrees]
+        with monkeypatch.context() as patch:
+            no_squeeze(patch)
+            prof = hilbert_profile(PointSet(points.points))
         assert len(received) == 1
-        rows, ncols = received[0]
+        rows, ncols = received.pop()
         assert ncols == comb(prof.tau + n, n)
         assert rows == _evaluation_matrix(coords, n + 1, prof.tau)
         pivots = frac_rref(rows, ncols)[1]
@@ -627,75 +651,59 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
             frac_hilbert_values(points)[: prof.tau + 1]
         )
     assert spans == [3, 2, 3]
+    # the last set meets the ceiling, but its count at tau + 1 is not
+    # settled mod p, so the exact rank there takes the kernel of E_tau
+    assert kernel_degrees == [(3,), (5,), (2,)]
 
 
 def test_span_ranks_take_dim_j_columns(monkeypatch):
-    # a span rank is taken only in a degree that the staircase bound and
-    # the Krull stop leave open: first modulo p, on the dim J_t free
-    # columns of Z_t, with one row per variable of S and basis vector of
-    # J_(t-1).  A rank mod p that reaches the rows or the columns is exact
-    # and settles the degree; planar-25 and GRID2 are settled so, and so is
-    # tau + 1 of GRID3 minus a point, a not-CI set whose span there has
-    # fewer rows than columns, at its full row rank.  Only the skew grid
-    # with one point more keeps its degree tau + 1 open (rank 10 of 18
-    # rows, also over Q) and eliminates it exactly: one kernel of Z_tau
-    # and one rank on the same rows and columns.  The skew grids
-    # themselves are certified, so their verdict makes no call at all
-    ranks = spy_span_ranks(monkeypatch, "_modular_rank")
+    # the count in degree t is dim J_t minus the rank of S_1 * J_(t-1),
+    # which the multiples M_t of the exact forms span (at tau + 1 of a set
+    # with new generators in degree tau, the shifts of a basis of J_tau
+    # mod p): one row per form and monomial, on the |S_t| columns.  A rank
+    # mod p that reaches the rows or dim J_t is exact and settles the
+    # count, and so it does for every set here but the skew grid with one
+    # point more: S_2 times its three cubics, 18 rows on the 21 columns of
+    # S_5, have rank 10 mod p, also over Q, and that count takes one exact
+    # rank on the same rows.  Every set counts with its first question,
+    # so a verdict after a profile makes no call at all
+    spans = spy_mod_spans(monkeypatch)
     skew = skew_grid(5, 4646)
-    for points in (PointSet(skew.points), PointSet(GRID3.points)):
-        hilbert_profile(points)
-        with monkeypatch.context() as patch:
-            calls = spy_linalg(patch)
-            assert ci_verdict(points).kind == "NotCI"
-        assert ladder_path(points) == "staircase"
-        assert calls == ranks == []
-    sets = (
-        (PointSet(PLANAR25.points), False),
-        (with_point(skew), True),
-        (PointSet(GRID2.points), False),
-        (PointSet(GRID3.points[:-1]), False),
-        (PointSet.from_coords([[1, 2, 3]]), False),
-    )
+    sets = (skew, with_point(skew), GRID3, PointSet(GRID3.points[:-1]), PLANAR25, GRID2,
+            PointSet.from_coords([[1, 2, 3]]))
     made = []
-    for points, open_at_top in sets:
-        n = points.ambient_dim
-        prof = hilbert_profile(points)
-        assert ladder_path(points) == ("ceiling" if len(points) == 1 else "exact")
-        tau = prof.tau
-        dims = j_dims(n, prof.values, tau + 1)
-        ranks.clear()
+    for points in (PointSet(s.points) for s in sets):
+        spans.clear()
         with monkeypatch.context() as patch:
             calls = spy_linalg(patch)
-            verdict = ci_verdict(points)
-        m = ideals._ladder(points).dim  # PLANAR25 is counted in its plane
-        span_dims = j_dims(m, prof.values, tau + 1) if m else []
-        assert all(
-            (rows, cols) == (m * span_dims[t - 1], span_dims[t]) for t, rows, cols, _ in ranks
-        )
-        settled = [rank == min(rows, cols) for _, rows, cols, rank in ranks]
-        assert settled == [True] * (len(ranks) - open_at_top) + [False] * open_at_top
-        expected = [
-            ("kernel_basis", prof.h_vector[tau], comb(tau + n - 1, n - 1)),
-            ("rank_of", n * dims[tau], dims[tau + 1]),
+            prof = hilbert_profile(points)
+        m = points._ladder.dim  # PLANAR25 is counted in its plane
+        dims = j_dims(m, prof.values, prof.tau + 1) if m else [0, 0]
+        assert len(spans) == prof.tau + 2
+        assert all(cols == comb(t + m - 1, m - 1) for t, (rows, cols, _) in enumerate(spans) if rows)
+        open_spans = [
+            (rows, cols) for (rows, cols, rank), dim in zip(spans, dims) if rank < min(rows, dim)
         ]
-        assert calls == (expected if open_at_top else [])
-        made.append(ranks[:])
-    assert made[1] == [(5, 18, 21, 10)]
-    assert made[3] == [(3, 6, 10, 6)] and made[4] == []
+        assert [c[1:] for c in calls if c[0] == "rank_of"][:-1] == open_spans
+        made.append(open_spans)
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            ci_verdict(points)
+        assert calls == []
+    assert made == [[], [(18, 21)], [], [], [], [], []]
+    assert spans == [(0, 0, 0), (0, 0, 0)]
 
 
 def test_collinear_points_eliminate_no_span(monkeypatch):
     # the ladder of a line's points is built in P^1.  There every block
     # holds one monomial and the pass keeps each one up to tau, so HF
-    # meets the ceiling and the ladder is certified with no elimination
-    # but the rank of E_(tau+1), and its staircase bound gives the counts
-    # (0, ..., 0, 1).  When two points agree mod p the pass cannot decide,
-    # and the exact ladder eliminates E_tau; there the staircase bound
-    # (0, 0, ..., 0, 1) sums to n = 1, so the Krull stop settles every
-    # count: no rank mod p, no kernel, no span rank.  Either way the two
-    # linear forms that cut out the line are the degree-1 generators
-    ranks = spy_span_ranks(monkeypatch, "_modular_rank")
+    # meets the ceiling with no elimination but the rank of E_(tau+1).
+    # When two points agree mod p the pass cannot decide, and the exact
+    # ladder eliminates E_tau.  Either way J_t = 0 through tau, so no form
+    # is found and no span has a row: the counts are (0, ..., 0, 1), with
+    # no kernel and no span rank, and the two linear forms that cut out
+    # the line are the degree-1 generators
+    spans = spy_mod_spans(monkeypatch)
     calls = spy_linalg(monkeypatch)
     tau, n = 19, 1
     expected = {
@@ -714,15 +722,15 @@ def test_collinear_points_eliminate_no_span(monkeypatch):
         assert ladder_path(points) == path
         assert calls == expected[path]
     assert expected["exact"] == [("echelon_of", 20, 20), ("rank_of", 20, 21)]
-    assert ranks == []
+    assert {rows for rows, _, _ in spans} == {0}
 
 
 def oracle_sets():
     """Every point set of the bundled fixtures and the products of each
     pair of them, the ladder oracle's sets, and random, collinear, grid and
     skew-grid sets in P^2 and P^3.  The 2 x 3 grid of the affine plane
-    reduces to the monomial ideal (x1^2, x2^3), so its staircase bound is
-    exact before any degree is tried."""
+    reduces to the monomial ideal (x1^2, x2^3), a complete intersection
+    of forms of two degrees."""
     for path in sorted(fixtures_dir().glob("*.json")):
         inst = parse_instance_dict(json.loads(path.read_text())["instance"])
         names = sorted(inst.point_sets)
@@ -757,84 +765,97 @@ def oracle_counts():
     return [(points, exact_span_counts(PointSet(points.points))) for points in oracle_sets()]
 
 
+def spy_squeeze_ranks(monkeypatch):
+    """Record, per call of ``ideals._squeeze_ladder``, the (rows,
+    columns) of every exact rank it takes: those of the counts the
+    ranks mod p leave open."""
+    ranks = []
+    original = ideals._squeeze_ladder
+
+    def spy(*args):
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            result = original(*args)
+        ranks.append([c[1:] for c in calls if c[0] == "rank_of"])
+        return result
+
+    monkeypatch.setattr(ideals, "_squeeze_ladder", spy)
+    return ranks
+
+
 def test_generator_counts_equal_exact_span_counts(monkeypatch):
-    # on certified and exact ladders alike; the collinear sets meet the
-    # ceiling, the square skew grids of at least 3 x 3 points are
-    # certified from their staircase, and planar-25 and the P^2 grids take
-    # the exact path.  Modulo 2**61 - 1 the rank of every open span is its
-    # rank over Q on these sets, so a span is eliminated exactly only
-    # where that rank is below both its rows and its columns: in 5 of the
-    # 179 sets, the unequal skew grids among them
-    spans = spy_span_ranks(monkeypatch, "_span_rank")
+    # on squeezed and exact ladders alike.  Modulo 2**61 - 1 every pass of
+    # the 179 sets decides and its bound meets it, so none takes the exact
+    # ladder.  The collinear sets and the 3 x 3 skew grids meet the
+    # ceiling; the larger square skew grids, planar-25 and the P^2 grids
+    # take the multiples of their exact forms.  A count is eliminated
+    # exactly only where its rank mod p is short of both its rows and its
+    # columns and the Krull stop does not settle it: in 5 of the sets,
+    # the unequal skew grids among them
+    ranks = spy_squeeze_ranks(monkeypatch)
     kinds = set()
     paths = Counter()
     reached = 0
     for points, expected in oracle_counts():
         points = PointSet(points.points)
-        spans.clear()
-        counts = ideals._generator_counts(ideals._ladder(points))
+        ranks.clear()
+        counts = ideals._ladder(points).generators
         assert counts == expected, points
-        assert all(rank < min(rows, cols) for _, rows, cols, rank in spans), points
-        reached += bool(spans)
+        reached += bool(ranks[0])
         kinds.add(sum(counts) == points.ambient_dim)
         paths[ladder_path(points)] += 1
     assert kinds == {True, False}
     assert reached == 5
-    assert min(paths[path] for path in ("ceiling", "staircase", "exact")) >= 20
+    assert paths["exact"] == 0 and min(paths["ceiling"], paths["squeeze"]) >= 15
     assert {ladder_path(collinear_points(m, dim)) for m in (1, 2, 3, 7, 12) for dim in (2, 3)} == {
         "ceiling"
     }
-    assert [ladder_path(skew_grid(m, 1700 + 11 * m)) for m in (3, 5)] == ["staircase"] * 2
-    assert {ladder_path(PointSet(s.points)) for s in (PLANAR25, GRID2)} == {"exact"}
+    assert [ladder_path(skew_grid(m, 1700 + 11 * m)) for m in (3, 5)] == ["ceiling", "squeeze"]
+    assert {ladder_path(PointSet(s.points)) for s in (PLANAR25, GRID2)} == {"squeeze"}
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
 def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
-    # modulo a small prime, pivot entries of Z_(t-1) vanish or the shift
-    # ranks fall short, so the ranks mod p settle less and the exact span
-    # ranks must give the same counts.
-    # The pass decides less often too, or finds a staircase that fails a
-    # check, so sets certified modulo 2**61 - 1 fall back to the exact
-    # ladder, with the same values
+    # modulo a small prime the pass decides less often, or claims values
+    # that the squeeze cannot meet, so sets squeezed modulo 2**61 - 1 fall
+    # back to the exact ladder, with the same values; and the ranks mod p
+    # of the spans fall short more often, so the exact ranks must give
+    # the same counts
     cases = oracle_counts()
-    exact_degrees = []
-    original = ideals._span_rank
-
-    def spy(ladder, n, t, free_t):
-        exact_degrees[-1].append(t)
-        return original(ladder, n, t, free_t)
-
     ladders = [PointSet(points.points) for points, _ in cases]
     values = [ideals._ladder(points).values for points in ladders]
-    certified = [ladder_path(points) != "exact" for points in ladders]
-    fallbacks = 0
-    monkeypatch.setattr(ideals, "_span_rank", spy)
+    squeezed = [ladder_path(points) != "exact" for points in ladders]
     monkeypatch.setattr(_elim, "_PRIME", prime)
-    for (points, counts), expected, was_certified in zip(cases, values, certified):
-        exact_degrees.append([])
+    ranks = spy_squeeze_ranks(monkeypatch)
+    fallbacks = exact_ranks = 0
+    shapes = []
+    for (points, counts), expected, was_squeezed in zip(cases, values, squeezed):
+        ranks.clear()
         fresh = PointSet(points.points)
-        assert ideals._generator_counts(ideals._ladder(fresh)) == counts
+        assert ideals._ladder(fresh).generators == counts
         assert fresh._ladder.values == expected
-        fallbacks += was_certified and ladder_path(fresh) == "exact"
-    assert fallbacks >= 50
+        fallbacks += was_squeezed and ladder_path(fresh) == "exact"
+        exact_ranks += any(ranks)
+        shapes.append([shape for call in ranks for shape in call])
+    assert fallbacks >= 50 and exact_ranks >= 20
     if prime == 2:
         # GRID2, GRID3 and PLANAR25, the last sets, whose passes cannot
-        # decide mod 2, so all three take the exact path: every degree that
-        # the staircase, the Krull stop and the rank mod 2 leave open.
-        # PLANAR25's ladder is built in its plane, where Z_4 has no free
-        # column, so degree 5 has no span, and degree 6 has full rank mod 2
-        assert exact_degrees[-3:] == [[4, 5, 6], [3], [7, 8, 9]]
+        # decide mod 2, take the exact path.  Mod 2 the multiples of their
+        # exact forms still settle some counts: GRID3's shifts of J_2 have
+        # full row rank, GRID2 takes one exact rank, at tau + 1 = 6, and
+        # PLANAR25, in its plane, two, in degrees 7 and tau + 1 = 9
+        assert shapes[-3:] == [[(7, 7)], [], [(6, 8), (13, 10)]]
 
 
 def test_full_row_rank_mod_p_settles_the_top_span(monkeypatch):
     # at tau + 1 of a not-CI set the span S_1 * J_tau may have fewer rows
     # than columns.  Where its rank mod p is that row count, the count is
-    # exact with no ``_span_rank``: in GRID3 minus a point and at least 19
-    # oracle sets.  A skew grid with one point more has such a span
-    # too (18 x 21), but its rank is 10 over Q, so it takes the exact rank,
+    # exact with no exact rank: in GRID3 minus a point and at least 19
+    # oracle sets.  A skew grid with one point more has such a span too
+    # (18 x 21), but its rank is 10 over Q, so it takes the exact rank,
     # which equals the rank mod p
-    ranks = spy_span_ranks(monkeypatch, "_modular_rank")
-    spans = spy_span_ranks(monkeypatch, "_span_rank")
+    spans = spy_mod_spans(monkeypatch)
+    ranks = spy_squeeze_ranks(monkeypatch)
     settled = []
     grid3_less = PointSet(GRID3.points[:-1])
     cases = oracle_counts() + [
@@ -843,54 +864,58 @@ def test_full_row_rank_mod_p_settles_the_top_span(monkeypatch):
     ]
     for points, expected in cases:
         fresh = PointSet(points.points)
-        ranks.clear()
         spans.clear()
-        assert ideals._generator_counts(ideals._ladder(fresh)) == expected
-        top = fresh._ladder.tau + 1
-        wide = [r for r in ranks if r[0] == top and r[1] < r[2]]
-        if wide and wide[0][3] == wide[0][1]:
-            assert sum(expected) > points.ambient_dim and spans == []
+        ranks.clear()
+        assert ideals._ladder(fresh).generators == expected
+        rows, cols, rank = top = spans[-1]
+        if rows < cols and rank == rows:
+            assert sum(expected) > points.ambient_dim and ranks == [[]]
             settled.append(points)
     assert len(settled) >= 20 and settled[-1] is grid3_less
     # the last case is the skew grid with one point more
-    assert wide == [(5, 18, 21, 10)] and spans == wide
+    assert top == (18, 21, 10) and ranks == [[(18, 21)]]
 
 
 def test_no_modular_kernel_falls_back_to_exact_span_ranks(monkeypatch):
-    # with no kernel mod p the ranks mod p are 0, so every degree that the
-    # staircase bound and the Krull stop leave open takes the exact span
-    # rank, and the counts are the same
-    spans = spy_span_ranks(monkeypatch, "_span_rank")
-    monkeypatch.setattr(ideals, "_modular_kernel", lambda *args: None)
+    # with every rank mod p of a span patched to 0, the multiples settle
+    # nothing: every degree below tau with J_t nonzero takes the exact
+    # kernel of E_t, and every count that the Krull stop leaves open takes
+    # the exact rank of its span, and the counts are the same
+    monkeypatch.setattr(ideals, "_mod_span", lambda rows: _elim.ModBasis())
+    ranks = spy_squeeze_ranks(monkeypatch)
     reached = 0
     for points, expected in oracle_counts():
-        spans.clear()
+        ranks.clear()
         fresh = PointSet(points.points)
-        assert ideals._generator_counts(ideals._ladder(fresh)) == expected
-        reached += bool(spans)
+        assert ideals._ladder(fresh).generators == expected
+        reached += any(ranks)
     assert reached >= 50
-    spans.clear()
+    ranks.clear()
     points = PointSet(PLANAR25.points)
     assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 5, 5))
-    assert [t for t, *_ in spans] == [6, 7, 8, 9]
+    # in its plane: the multiples of the two quintics in degree 6, then
+    # of every form of J_6 and J_7 too (none is kept out mod p), and at
+    # tau + 1 the shifts of J_8
+    assert ranks == [[(4, 7), (14, 8), (32, 9), (16, 10)]]
 
 
 def test_certified_ladders_count_with_no_elimination(monkeypatch):
-    # a certified ladder stores no Z_t and no counts: its staircase bound
-    # is exact (the module docstring's cases (a) and (b)), so counting
-    # takes no rank mod p and makes no ``linalg`` call
-    ranks = spy_span_ranks(monkeypatch, "_modular_rank")
+    # a squeezed ladder stores no echelon rows, and it counts its
+    # generators when it is built, from the multiples of its exact forms
+    # (the module docstring's squeeze): a generator question then reads
+    # them, with no rank mod p and no ``linalg`` call
+    spans = spy_mod_spans(monkeypatch)
     certified = Counter()
     for points, expected in oracle_counts():
         fresh = PointSet(points.points)
         ladder = ideals._ladder(fresh)
-        if ladder.reduced is not None:
-            continue
-        assert ladder.generators is None
+        assert not ladder.exact and ladder.generators == expected
+        spans.clear()
         with monkeypatch.context() as patch:
             calls = spy_linalg(patch)
-            assert ideals._generator_counts(ladder) == expected
-        assert calls == ranks == []
+            generator_profile(fresh)
+            ci_verdict(fresh)
+        assert calls == spans == []
         certified[sum(expected) == points.ambient_dim] += 1
     assert min(certified[True], certified[False]) >= 5
 
@@ -914,10 +939,13 @@ def test_unknown_ci_verdict_counts_no_generators(monkeypatch):
     calls = spy_linalg(monkeypatch)
     assert ci_verdict(points, max_degree=2).kind == "Unknown"
     tau, n = 5, 2
+    # the squeeze takes the kernels of E_3 and E_4 (the cubic and the
+    # quartic of the 3 x 4 grid) and settles its counts mod p
     assert calls == [
-        ("echelon_of", 12, comb(tau + n, n)),
+        ("kernel_basis", 12, comb(3 + n, n)),
+        ("kernel_basis", 12, comb(4 + n, n)),
         ("rank_of", 12, comb(tau + 1 + n, n)),
-    ] == [("echelon_of", 12, 21), ("rank_of", 12, 28)]
+    ] == [("kernel_basis", 12, 10), ("kernel_basis", 12, 15), ("rank_of", 12, 28)]
 
 
 def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
@@ -968,10 +996,11 @@ def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
 
 def test_any_degree_at_least_tau_gives_the_same_ladder(monkeypatch):
     # on the exact path the prime only picks d; eliminating a larger E_d
-    # must answer alike.  The ladder of the collinear set is built in P^1,
-    # and its pass cannot decide, so d starts at the least degree with
-    # |X| monomials.  The certified sets, a skew grid and collinear
-    # points whose pass decides, eliminate no echelon at all
+    # must answer alike.  GRID2 and GRID3 minus a point take it here
+    # because the squeeze is made to fail; the ladder of the collinear set
+    # is built in P^1, and its pass cannot decide, so d starts at the
+    # least degree with |X| monomials.  The sets that meet the ceiling,
+    # GRID3 and collinear points whose pass decides, eliminate no echelon
     sets = [
         GRID2, PointSet(GRID3.points[:-1]), collinear_defeating_prime(4), GRID3, collinear_points(4)
     ]
@@ -983,42 +1012,62 @@ def test_any_degree_at_least_tau_gives_the_same_ladder(monkeypatch):
     original = ideals._exact_ladder
     monkeypatch.setattr(ideals, "_exact_ladder", lambda lcoords, n, d: original(lcoords, n, d + 2))
     calls = spy_linalg(monkeypatch)
-    for points, n, expected in zip(sets, spans, answers):
+    paths = []
+    for k, (points, n, expected) in enumerate(zip(sets, spans, answers)):
         fresh = PointSet(points.points)
-        assert (hilbert_profile(fresh), generator_profile(fresh), ci_verdict(fresh)) == expected
-        if ladder_path(fresh) == "exact":
+        with monkeypatch.context() as patch:
+            if k < 2:
+                no_squeeze(patch)
+            assert (hilbert_profile(fresh), generator_profile(fresh), ci_verdict(fresh)) == expected
+        paths.append(ladder_path(fresh))
+        if paths[-1] == "exact":
             d = expected[0].tau + 2
             assert calls[0] == ("echelon_of", len(points), comb(d + n, n))
         else:
             assert "echelon_of" not in {name for name, _, _ in calls}
         calls.clear()
-    paths = [ladder_path(PointSet(s.points)) for s in sets]
-    assert paths == ["exact"] * 3 + ["staircase", "ceiling"]
+    assert paths == ["exact"] * 3 + ["ceiling"] * 2
 
 
-def test_stored_ladder_rows_are_primitive():
-    # a slice of an echelon row of E_d keeps the common factors of the
-    # whole row; on this 5x5 skew grid with one point more they reach
-    # hundreds of bits.  Certified ladders store no rows
+def test_stored_ladder_rows_are_primitive(monkeypatch):
+    # a ladder stores no echelon rows: the exact path keeps HF alone and
+    # counts from exact kernels, as the squeeze does.  The rows its counts
+    # multiply are the exact forms, the block-t parts of kernel vectors,
+    # which keep common factors of the whole vector (up to 29 bits on
+    # these sets) and are made primitive.  This 5x5 skew grid with one
+    # point more and the other sets are squeezed, and the exact ladder
+    # (the squeeze made to fail, or a pass that cannot decide) takes
+    # kernels too: every form either takes is primitive
+    forms = []
+    original = ideals._exact_forms
+
+    def spy(*args):
+        basis = original(*args)
+        forms.extend(basis)
+        return basis
+
+    monkeypatch.setattr(ideals, "_exact_forms", spy)
     skew = skew_grid(5, 2000)
-    exact = (with_point(skew), GRID2, PointSet(GRID3.points[:-1]), PLANAR25,
-             collinear_defeating_prime(6))
-    for points in exact:
-        ladder = ideals._ladder(PointSet(points.points))
-        rows = [row for block in ladder.reduced for row in block]
-        assert rows and all(gcd(*row) == 1 for row in rows)
-    for points in (skew, GRID3, collinear_points(6)):
-        assert ideals._ladder(PointSet(points.points)).reduced is None
+    sets = (with_point(skew), GRID2, PointSet(GRID3.points[:-1]), PLANAR25, skew)
+    for points in sets:
+        assert not ideals._ladder(PointSet(points.points)).exact
+    squeezed = len(forms)
+    no_squeeze(monkeypatch)
+    for points in sets[:-1] + (collinear_defeating_prime(6),):
+        assert ideals._ladder(PointSet(points.points)).exact
+    assert 0 < squeezed < len(forms)
+    assert all(gcd(*v) == 1 for v in forms)
 
 
 def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
-    # a 5 x 5 skew grid is certified from its staircase mod p: the
-    # profile, generator, CI and quadric questions take one kernel of E_2
+    # a 5 x 5 skew grid is squeezed with one exact kernel: the
+    # profile, generator, CI and quadric questions take that kernel of E_2
     # (its quadric) and the rank of E_(tau+1), and the quadric, read from
     # the stored kernel, equals the one eliminated directly on a copy
     # with no ladder.  A second quadric question eliminates nothing.  The
-    # P^2 grids of the CI benchmark keep the exact path: one echelon and
-    # one rank each
+    # P^2 grids of the CI benchmark are squeezed too: a kernel in the
+    # degree of each of their two forms (one, for a square grid) and one
+    # rank
     grid = skew_grid(5, 4848)
     direct = degree_bounded_ideal(PointSet(grid.points), 2)
     calls = spy_linalg(monkeypatch)
@@ -1032,41 +1081,50 @@ def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
     assert quadric_through(grid) == quadric
     assert calls == []
     line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
-    for a, b, expected in ((5, 5, [(25, 45), (25, 55)]), (4, 5, [(20, 36), (20, 45)])):
+    for a, b, degrees, top in ((5, 5, [5], 8), (4, 5, [4, 5], 7)):
         xs, xs2 = generic_collinear_sample(line, line2, a, b, 1900 + 10 * a + b)
         points = grid_product_p2(xs, xs2, line, line2).points
         calls.clear()
         assert ci_verdict(points).kind == "CI"
-        assert calls == [("echelon_of", *expected[0]), ("rank_of", *expected[1])]
+        assert calls == [("kernel_basis", a * b, comb(t + 2, 2)) for t in degrees] + [
+            ("rank_of", a * b, comb(top + 3, 2))
+        ]
+
+
+def random_points(size, n, seed, bound):
+    """``size`` distinct points of P^n with coordinates drawn from
+    [-bound, bound] by ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(2 * size)]
+    return PointSet(PointSet.dedupe(ProjPoint(r) for r in rows if any(r)).points[:size])
 
 
 def certified_oracle_sets():
     """Square skew grids of 2 x 2 to 5 x 5 points, three seeds each, a
     4 x 4 grid with one point less, one point more and its 3 x 4
     sub-grid, and random points of P^2 and P^3, whose Hilbert functions
-    are maximal, with the path each is expected to take."""
+    are maximal, with the path each is expected to take: the 2 x 2 and
+    3 x 3 grids and the random sets meet the ceiling, the others are
+    squeezed with one or two kernels."""
     for m in (2, 3, 4, 5):
         for seed in range(3):
-            yield skew_grid(m, 3100 + 10 * m + seed), "ceiling" if m == 2 else "staircase"
+            yield skew_grid(m, 3100 + 10 * m + seed), "ceiling" if m <= 3 else "squeeze"
     _, _, xs, xs2 = generic_skew_sample(4, 4, 3200)
     grid = pairwise_products(xs, xs2)[0]
-    yield PointSet(grid.points[1:]), "exact"
-    yield with_point(grid), "exact"
-    yield pairwise_products(PointSet(xs.points[:3]), xs2)[0], "exact"
+    yield PointSet(grid.points[1:]), "squeeze"
+    yield with_point(grid), "squeeze"
+    yield pairwise_products(PointSet(xs.points[:3]), xs2)[0], "squeeze"
     rng = random.Random(3300)
-    for n, size, path in ((2, 5, "staircase"), (2, 6, "ceiling"), (2, 7, "exact"),
-                          (2, 9, "staircase"), (3, 6, "exact"), (3, 8, "exact"),
-                          (3, 9, "staircase"), (3, 10, "ceiling"), (3, 11, "exact")):
+    for n, size in ((2, 5), (2, 6), (2, 7), (2, 9), (3, 6), (3, 8), (3, 9), (3, 10), (3, 11)):
         rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(size)]
-        yield PointSet.from_coords(rows), path
+        yield PointSet.from_coords(rows), "ceiling"
 
 
 def test_certified_ladders_match_full_ring_oracle():
-    # every answer of a certified ladder, and of the sets near it that
-    # take the exact path, equals the Fraction oracle in the full ring,
-    # and ``degree_bounded_ideal`` in degrees 0 .. 3, which reads the
-    # stored kernel of E_alpha after a profile question, equals direct
-    # elimination on a copy with no ladder
+    # every answer of a squeezed ladder equals the Fraction oracle in the
+    # full ring, and ``degree_bounded_ideal`` in degrees 0 .. 3, which
+    # reads the stored kernel of E_alpha after a profile question, equals
+    # direct elimination on a copy with no ladder
     for points, path in certified_oracle_sets():
         assert len(PointSet.dedupe(points.points)) == len(points)
         profile, entries, verdict = full_ring_answers(points)
@@ -1078,25 +1136,97 @@ def test_certified_ladders_match_full_ring_oracle():
         assert ladder_path(fresh) == path, points
         assert [degree_bounded_ideal(fresh, t) for t in range(4)] == direct
         c = _linear_form_parameter(ideals._span_coordinates(fresh)[0])
-        assert (fresh._ladder.lowest is not None) == (path == "staircase" and c == 0)
+        assert (fresh._ladder.lowest is not None) == (path == "squeeze" and c == 0)
+
+
+@pytest.mark.parametrize("prime", [_elim._PRIME, 7, 13])
+def test_random_sets_match_full_ring_oracle(monkeypatch, prime):
+    # random points of P^2 and P^3 have maximal Hilbert functions, so the
+    # pass meets the ceiling min(C(t + n, n), |X|) and the squeeze takes
+    # no kernel.  J_tau is then the first nonzero J_t, and its count at
+    # tau + 1 takes the shifts of its basis mod p, read off the pass's
+    # kernel of E_tau mod p.  A small prime leaves more passes undecided
+    # (the exact ladder) and some of those counts short of both rows and
+    # columns: those take the exact kernel of E_tau and one exact rank
+    # (the seeds give each small prime at least one such set).  Every
+    # answer equals the Fraction oracle in the full ring
+    monkeypatch.setattr(_elim, "_PRIME", prime)
+    ranks = spy_squeeze_ranks(monkeypatch)
+    paths = Counter()
+    for k in range(30):
+        points = random_points(4 + k % 13, 2 + k % 2, 3620 + k, 9)
+        expected = full_ring_answers(points)
+        ranks.clear()
+        fresh = PointSet(points.points)
+        answers = (
+            hilbert_profile(fresh), generator_entries(generator_profile(fresh)), ci_verdict(fresh)
+        )
+        assert answers == expected, points
+        path = ladder_path(fresh)
+        paths[path, fresh._ladder.kernels == (fresh._ladder.tau,) and ranks[0] != []] += 1
+    if prime > 13:
+        assert paths == {("ceiling", False): 30}
+    else:
+        assert paths["ceiling", False] >= 5 and paths["squeeze", True] >= 1
+
+
+def test_random_points_of_the_plane_take_no_exact_elimination(monkeypatch):
+    # 60 random points of P^2 meet the ceiling up to tau = 10, so HF and
+    # tau are exact with no exact elimination.  J_t = 0 below tau, so the
+    # six forms of J_10 are new generators, and the 12 shifts of J_10 mod
+    # p, the reduction of the saturated integer kernel, have full rank
+    # mod p on the 12 monomials of S_11: no generator is new there.  The
+    # one linear algebra call left is the rank that confirms HF(tau + 1)
+    points = random_points(60, 2, 1, 50)
+    calls = spy_linalg(monkeypatch)
+    verdict = ci_verdict(points)
+    assert calls == [("rank_of", 60, comb(11 + 2, 2))]
+    assert points._ladder.tau == 10 and verdict.witness_degrees == (10,) * 6
+
+
+def test_ten_by_ten_plane_grid_takes_one_kernel(monkeypatch):
+    # a 10 x 10 grid of P^2 is a complete intersection of two forms of
+    # degree 10.  The pass first keeps fewer columns than the ceiling in
+    # degree 10; the kernel of E_10 there has dimension 2, and the
+    # multiples of the two forms meet the pass in every degree up to
+    # tau = 18, so nothing else is eliminated but the rank of E_19
+    line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
+    xs, xs2 = generic_collinear_sample(line, line2, 10, 10, 2010)
+    points = grid_product_p2(xs, xs2, line, line2).points
+    kernels = []
+    original = linalg.kernel_basis
+
+    def spy(rows, ncols):
+        kernel = original(rows, ncols)
+        kernels.append((len(rows), ncols, len(kernel)))
+        return kernel
+
+    monkeypatch.setattr(linalg, "kernel_basis", spy)
+    calls = spy_linalg(monkeypatch)
+    assert ci_verdict(points) == CIVerdict("CI", 2, 2, (10, 10))
+    assert kernels == [(100, comb(10 + 2, 2), 2)]
+    assert [name for name, *_ in calls] == ["kernel_basis", "rank_of"]
+    assert points._ladder.tau == 18
 
 
 def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):
     # the pass of GRID3 keeps all of block 2 but one monomial q, the
-    # quadric's lead.  Told instead that a second monomial g of block 2,
-    # prime to q, is free, the staircase passes the set arithmetic (the
-    # products of S_1 with {q, g} are distinct), but the one exact kernel
-    # of E_2 leads at q alone, so the exact ladder runs and every answer
-    # is the oracle's; the false staircase would give HF(2) = 8
+    # quadric's lead, and reaches |X| = 9 there.  Told instead that a
+    # second monomial g of block 2 is free and that one monomial of block
+    # 3 reaches |X|, the pass says HF(2) = 8, so dim J_2 = 2 and the
+    # squeeze takes the exact kernel of E_2.  It holds the quadric alone,
+    # so the bound HF(2) <= 10 - 1 = 9 cannot meet the pass: the exact
+    # ladder runs, and every answer is the oracle's
     points = PointSet(GRID3.points)
     expected = full_ring_answers(points)
     original = ideals._modular_degree
 
     def false_staircase(*args):
-        d, standard = original(*args)
-        (q,) = set(monomials(3, 2)) - standard[2]
+        d, standard, basis, ys = original(*args)
+        (q,) = set(monomials(3, 2)) - set(standard[2])
         g = next(e for e in standard[2] if not any(a and b for a, b in zip(e, q)))
-        return d, standard[:2] + [standard[2] - {g}]
+        false = [[e for e in standard[2] if e != g], [monomials(3, 3)[0]]]
+        return d + 1, standard[:2] + false, basis, ys
 
     monkeypatch.setattr(ideals, "_modular_degree", false_staircase)
     calls = spy_linalg(monkeypatch)
@@ -1110,19 +1240,20 @@ def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):
 
 def test_certified_sets_off_their_coordinates_eliminate_degree_bounded_ideal():
     # the stored kernel of E_alpha is in l-coordinates of the span, which
-    # are the set's own only when c = 0 and the set spans its P^n.  Five
-    # points of P^2, one with x0 = 0 (so c >= 1), and five points of a
-    # plane of P^3 are both certified from their staircase (one conic,
-    # alpha = 2), store no kernel, and ``degree_bounded_ideal`` eliminates
-    # E_t of the given points
-    rng = random.Random(3400)
-    off_x0 = PointSet.from_coords([[0, 1, 2], [1, 3, -1], [2, -1, 4], [1, 5, 7], [3, 2, -5]])
-    in_plane = points_in_span(rng, 3, 3, 5)
-    for points, c, linear in ((off_x0, 2, 0), (in_plane, 0, 1)):
+    # are the set's own only when c = 0 and the set spans its P^n.  Six
+    # points of the conic x0 * x2 = x1^2 of P^2, one with x0 = 0 (so
+    # c >= 1), and six points of a conic in a plane of P^3 are both
+    # squeezed with one kernel, of E_2 (their conic, alpha = 2 < tau = 3),
+    # store no kernel, and ``degree_bounded_ideal`` eliminates E_t of the
+    # given points
+    ts = (1, 2, -1, 3, -2)
+    off_x0 = PointSet.from_coords([[1, t, t * t] for t in ts[:4]] + [[0, 0, 1], [4, 2, 1]])
+    in_plane = PointSet.from_coords([[1, t, t * t, 1 + 2 * t - t * t] for t in ts + (4,)])
+    for points, c, linear in ((off_x0, 1, 0), (in_plane, 0, 1)):
         direct = [degree_bounded_ideal(PointSet(points.points), t) for t in range(4)]
         fresh = PointSet(points.points)
         hilbert_profile(fresh)
-        assert ladder_path(fresh) == "staircase"
+        assert ladder_path(fresh) == "squeeze" and fresh._ladder.kernels == (2,)
         assert _linear_form_parameter(ideals._span_coordinates(fresh)[0]) == c
         assert (fresh._ladder.linear, fresh._ladder.lowest) == (linear, None)
         assert [degree_bounded_ideal(fresh, t) for t in range(4)] == direct

@@ -1,12 +1,12 @@
 """Elimination kernels against an independent Fraction oracle."""
 
 import random
-from math import comb
+from math import comb, gcd, lcm
 
 from hada import _elim, linalg
 from hada.ideals import evaluation_rows
 from hada.projective import PointSet, ProjPoint
-from support import EagerModBasis, frac_rank, frac_rref, ref_echelon_gcd
+from support import EagerModBasis, frac_rank, frac_rref, ref_echelon_gcd, rref_kernel
 
 
 def random_matrix(rng, nrows, ncols, bound=30, sparsity=0.2):
@@ -93,6 +93,15 @@ def test_nullspace_vectors_annihilate_and_count():
                 g = gcd(g, x)
             assert g == 1
         assert _elim.nullspace(m, ncols) == basis
+        # the RREF kernel vector of each free column, 1 there and 0 at the
+        # other free columns, scaled to a primitive integer vector
+        expected = []
+        for w in rref_kernel(frac_rref(m, ncols), ncols):
+            scale = lcm(*(x.denominator for x in w))
+            ints = [int(x * scale) for x in w]
+            content = gcd(*ints)
+            expected.append(tuple(x // content for x in ints))
+        assert basis == expected
 
 
 def test_det_against_permutation_expansion():
@@ -313,6 +322,30 @@ def test_empty_matrix_conventions():
     assert linalg.rank_of([], 4) == 0
     assert linalg.kernel_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert linalg.det_of([]) == 1
+
+
+def test_mod_basis_solve_writes_a_vector_of_the_span():
+    # a rejected vector is a combination of the kept ones mod p, and the
+    # kept vectors are independent mod p, so the coefficients of a
+    # combination of them are unique mod p
+    rng = random.Random(1414)
+    p = _elim._PRIME
+    for _ in range(60):
+        k = rng.randint(1, 12)
+        basis, kept = _elim.ModBasis(), []
+        for _ in range(rng.randint(1, k + 3)):
+            v = [rng.randint(-(2**70), 2**70) for _ in range(k)]
+            if basis.add(v):
+                kept.append(v)
+            else:
+                coeffs = basis.solve(v)
+                assert all(
+                    (sum(c * w[j] for c, w in zip(coeffs, kept)) - v[j]) % p == 0 for j in range(k)
+                )
+        weights = [rng.randint(-(2**70), 2**70) for _ in kept]
+        vector = [sum(w * v[j] for w, v in zip(weights, kept)) for j in range(k)]
+        coeffs = basis.solve(vector)
+        assert [(c - w) % p for c, w in zip(coeffs, weights)] == [0] * len(kept)
 
 
 def test_mod_basis_matches_eager_reference():

@@ -36,6 +36,7 @@ from support import (
     brute_products,
     check_point_line_outcome,
     line_samples,
+    plane_grid_meet,
     random_fuzz_line,
     random_point_with_level,
 )
@@ -343,7 +344,7 @@ class TestGridProduct:
         # intersections of the two rulings are exactly the grid points
         for i, p in enumerate(GRID_X):
             for j, p2 in enumerate(GRID_XP):
-                assert g.point_at(i, j) == hadamard_points(p, p2)
+                assert plane_grid_meet(g, i, j) == hadamard_points(p, p2)
 
     def test_single_pair(self):
         xs = PointSet.from_coords([[6, 12, 1]])

@@ -163,7 +163,7 @@ class TestGrid3:
         for i in range(3):
             for j in range(3):
                 meet = line_intersection(g.row_lines[i], g.col_lines[j])
-                assert meet == g.point_at(i, j)
+                assert meet == g.point_grid[i][j]
 
     def test_strata_meeting_lines_still_grid(self):
         x = PointSet.from_coords([[4, -4, 3, 1], [6, -4, 1, 1], [5, -4, 2, 1]])
@@ -175,7 +175,7 @@ class TestGrid3:
         ys = PointSet.from_coords([[-1, 2, 2, 1]])
         g = grid_product_p3(xs, ys, L_A, L_B)
         assert len(g.points) == 1
-        assert g.point_at(0, 0) == ProjPoint([2, 2, 2, 1])
+        assert g.point_grid[0][0] == ProjPoint([2, 2, 2, 1])
 
     def test_bad_duals_fail_with_products_attached(self):
         # planar configuration: plane duals carry zero coordinates
@@ -226,7 +226,7 @@ class TestGrid3:
             assert len(set(g.col_lines)) == len(xs2)
             for i, r in enumerate(g.row_lines):
                 for j, c in enumerate(g.col_lines):
-                    assert line_intersection(r, c) == g.point_at(i, j)
+                    assert line_intersection(r, c) == g.point_grid[i][j]
 
     def test_all_undefined_products_raise_the_pairwise_error(self):
         xs = PointSet.from_coords([[1, 0, 0, 0], [1, 1, 0, 0]])
