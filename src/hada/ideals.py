@@ -89,16 +89,16 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   join the forms (each made primitive).  The first such degree is
   alpha, the first block with a free column mod p, and the lowest
   degree of J.  Where the rank still falls short, the pass was wrong
-  mod p and the exact ladder below runs instead.  Degree d itself needs
-  no kernel, as the ceiling |X| meets the pass there: HF(d) = |X|.
-  So when the loop ends, HF, tau = d and every J_t below tau are exact,
-  and J_(t-1) is spanned by M_(t-1) and the forms of degree t - 1,
-  which makes S_1 * J_(t-1) the span of M_t.  The exact kernels are of
-  E_t in degrees t < d, smaller than E_d: P^2 grids and planar-25 take
-  one in the degree of each of their two forms (one, when the two are
-  of the same degree), square skew grids of at least 4 x 4 points one
-  of E_2 (their quadric), and sets with a maximal Hilbert function
-  (random points, collinear sets, 3 x 3 skew grids) none;
+  mod p and the exact ladder below runs instead.  Degree d itself needs no kernel, as the ceiling
+  |X| meets the pass there: HF(d) = |X|.  So when the loop ends, HF,
+  tau = d and every J_t below tau are exact, and J_(t-1) is spanned by
+  M_(t-1) and the forms of degree t - 1, which makes S_1 * J_(t-1) the
+  span of M_t.  The exact kernels are of E_t in degrees t < d, smaller
+  than E_d: P^2 grids and planar-25 take one in the degree of each of
+  their two forms (one, when the two are of the same degree), square
+  skew grids of at least 4 x 4 points one of E_2 (their quadric), and
+  sets with a maximal Hilbert function (random points, collinear sets,
+  3 x 3 skew grids) none;
 * the counts.  In a degree t <= tau the count is dim J_t minus the rank
   of M_t, which is 0 in every degree below tau that took no kernel.  A
   rank mod p equal to the rows of M_t or to dim J_t is its rank over Q;
@@ -124,12 +124,13 @@ When the pass cannot decide, or the bound cannot meet it, one forward
 echelon of E_d gives HF exactly (``_exact_ladder``).  d is the pass's
 degree or, when the pass cannot decide, starts at the least t with
 C(t+n, n) >= |X| and rises by one until the exact pivots reach |X|.
-The counts then come from the same loop on those exact values; where
-the kernel's vectors fall short of dim J_t mod p the prime failed, and
-all of them join the forms, whose span over Q is J_t either way; at
-tau + 1 the exact kernel of E_tau stands in for the one mod p.  Every
-answer is exact whichever way: the prime chooses the path and the
-matrices, not an answer.
+The counts then come from the same loop on those exact values, which
+reuses any kernel the failed squeeze took; where the kernel's vectors
+fall short of dim J_t mod p the prime failed, and all of them join the
+forms, whose span over Q is J_t either way; at tau + 1 the exact
+kernel of E_tau stands in for the one mod p.  Every answer is exact
+whichever way: the prime chooses the path and the matrices, not an
+answer.
 
 The ladder of a set, with its generator counts through tau + 1, is
 built on the first profile question asked of it and stored on the
@@ -263,12 +264,9 @@ class _Ladder:
     least degree whose value reaches the cardinality, and
     ``generators[t]`` the number of new minimal generators in degree t
     for t = 0 .. tau + 1, the linear forms of the span included.
-    ``kernels`` lists the degrees t in which the kernel of E_t was
-    eliminated exactly, and ``exact`` says that HF was read off the
-    echelon of ``_exact_ladder`` because the pass mod p could not give
-    it.  ``lowest`` is (alpha, canonical kernel basis of E_alpha) when
-    the first of those kernels was taken in the set's own coordinates,
-    and None otherwise.
+    ``lowest`` is (t, canonical kernel basis of E_t) for the first
+    kernel the ladder eliminated exactly, when that was in the set's own
+    coordinates, and None otherwise.
     """
 
     cardinality: int
@@ -277,8 +275,6 @@ class _Ladder:
     values: tuple[int, ...]
     tau: int
     generators: tuple[int, ...]
-    kernels: tuple[int, ...]
-    exact: bool
     lowest: Optional[tuple[int, list]]
 
     def value(self, t: int) -> int:
@@ -385,27 +381,27 @@ def _span_coordinates(points: PointSet):
     return [tuple(p[j] for j in pivots) for p in coords], rank - 1
 
 
-def _squeeze_ladder(lcoords, n: int, values, found):
+def _squeeze_ladder(lcoords, n: int, values, found, kernels):
     """The new minimal generators of J in degrees 0 .. d + 1 of the set in
-    its span, for HF(0 .. d) = ``values``, and the exact kernels (t,
-    kernel of E_t) taken; or None when values claimed by the pass
-    ``found`` cannot be squeezed.
+    its span, for HF(0 .. d) = ``values``; or None when values claimed by
+    the pass ``found`` cannot be squeezed.
 
     ``found`` is what ``_modular_degree`` returned, whose values are lower
     bounds, or None when the values are exact (``_exact_ladder``).  In
     each degree t < d, the forms found so far give the multiples M_t:
     each form of degree s < t times each monomial of S_(t-s).  Where
     their rank mod p is below dim J_t = |S_t| - HF(t) + HF(t - 1), the
-    exact kernel of E_t is taken, and the block-t parts of its vectors
-    that are independent of M_t mod p join the forms.  Where the rank
-    still falls short, the pass was wrong mod p and None is returned;
-    with exact values, the prime failed instead, and every vector joins.
-    The module docstring shows why the values are then exact and how the
-    count in each degree, dim J_t minus the rank of M_t (at d + 1 that of
+    exact kernel of E_t is taken (``_exact_forms``, which keeps it in
+    ``kernels``), and the block-t parts of its vectors that are
+    independent of M_t mod p join the forms.  Where the rank still falls
+    short, the pass was wrong mod p and None is returned; with exact
+    values, the prime failed instead, and every vector joins.  The module
+    docstring shows why the values are then exact and how the count in
+    each degree, dim J_t minus the rank of M_t (at d + 1 that of
     S_1 * J_d), is settled.
     """
     d = len(values) - 1
-    forms, kernels, spans = [], [], []
+    forms, spans = [], []
     for t in range(d + 1):
         rows = _multiples(forms, n, t)
         span = _mod_span(rows)
@@ -436,7 +432,7 @@ def _squeeze_ladder(lcoords, n: int, values, found):
             if t > d and found and top is not forms:
                 rows = _multiples([(d, _exact_forms(lcoords, n, d, kernels))], n, t)
             counts[t] = dim - linalg.rank_of(rows, len(rows[0]))
-    return counts, kernels
+    return counts
 
 
 def _mod_span(rows):
@@ -449,12 +445,13 @@ def _mod_span(rows):
 
 def _exact_forms(lcoords, n: int, t: int, kernels):
     """A basis of J_t: the nonzero block-t parts of the canonical kernel
-    basis of E_t in l-coordinates, which is appended to ``kernels``, each
-    made primitive (a part keeps the common factors of its vector)."""
-    kernel = linalg.kernel_basis(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
-    kernels.append((t, kernel))
+    basis of E_t in l-coordinates, each made primitive (a part keeps the
+    common factors of its vector).  The kernel is kept in ``kernels``
+    under t and not eliminated again."""
+    if t not in kernels:
+        kernels[t] = linalg.kernel_basis(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
     start = _divisible_count(n, t)
-    return [_elim._primitive(v[start:]) for v in kernel if any(v[start:])]
+    return [_elim._primitive(v[start:]) for v in kernels[t] if any(v[start:])]
 
 
 def _kernel_mod_p(n: int, d: int, standard, basis, ys):
@@ -504,9 +501,12 @@ def _ladder(points: PointSet) -> _Ladder:
     d is the pass's degree or, when the pass cannot decide, the least
     degree with at least |X| monomials.  Either way HF(tau + 1) is then
     read off a rank of the full E_(tau+1); the module docstring says why
-    that is |X| and why the rank stays for now.  The first exact kernel,
-    of E_alpha, is kept for ``degree_bounded_ideal`` when l-coordinates
-    are the set's own (c = 0 and the set spans its P^n).
+    that is |X| and why the rank stays for now.  Both loops share the
+    exact kernels, so no degree is eliminated twice.  The first one, of
+    E_t with t the first degree where the pass left a column free (alpha,
+    unless the pass was wrong there), is kept for ``degree_bounded_ideal``
+    when l-coordinates are the set's own (c = 0 and the set spans its
+    P^n).
     """
     if points._ladder is not None:
         return points._ladder
@@ -521,13 +521,12 @@ def _ladder(points: PointSet) -> _Ladder:
     linear = points.ambient_dim - n
     found = _modular_degree(lvalues, tails)
     values = found and list(accumulate(len(block) for block in found[1]))
-    squeezed = found and _squeeze_ladder(lcoords, n, values, found)
-    exact = not squeezed
-    if exact:
+    kernels = {}
+    counts = found and _squeeze_ladder(lcoords, n, values, found, kernels)
+    if not counts:
         d = found[0] if found else next(t for t in range(card) if comb(t + n, n) >= card)
         values = _exact_ladder(lcoords, n, d)
-        squeezed = _squeeze_ladder(lcoords, n, values, None)
-    counts, kernels = squeezed
+        counts = _squeeze_ladder(lcoords, n, values, None, kernels)
     counts[1] += linear
     tau = len(values) - 1
     values.append(
@@ -540,9 +539,7 @@ def _ladder(points: PointSet) -> _Ladder:
         values=tuple(values),
         tau=tau,
         generators=tuple(counts),
-        kernels=tuple(t for t, _ in kernels),
-        exact=exact,
-        lowest=kernels[0] if kernels and not (c or linear) else None,
+        lowest=next(iter(kernels.items())) if kernels and not (c or linear) else None,
     )
     return points._ladder
 

@@ -3,7 +3,7 @@
 import functools
 import json
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from math import comb, gcd
 
 import pytest
@@ -92,16 +92,44 @@ def collinear_defeating_prime(m):
     return PointSet.from_coords(coords + [[1, 2**61, 2**62, 3 * 2**61]])
 
 
-def ladder_path(points):
-    """The path the set's stored ladder took: "exact" (the echelon of
-    E_d), or squeezed between the pass mod p and the bound, as "ceiling"
-    (the bound met the pass with no exact kernel: HF is min(C(t+n, n),
-    |X|)) or "squeeze" (with the multiples of the exact forms of at least
-    one kernel)."""
-    ladder = ideals._ladder(points)
-    if ladder.exact:
-        return "exact"
-    return "squeeze" if ladder.kernels else "ceiling"
+Built = namedtuple("Built", "path kernels ranks")
+
+
+def build_ladder(points):
+    """Build the ladder of a set that has none yet, spying on each call of
+    ``ideals._squeeze_ladder``, and say how it was built.
+
+    ``path`` is "exact" (HF from the echelon of E_d), or, squeezed
+    between the pass mod p and the bound, "ceiling" (the bound met the
+    pass with no exact kernel: HF is min(C(t+n, n), |X|)) or "squeeze"
+    (with the multiples of the exact forms of at least one kernel).
+    ``kernels`` lists the degrees of the exact kernels taken, in order,
+    and ``ranks`` the (rows, columns, rank) of every exact rank the
+    counts took."""
+    assert points._ladder is None
+    calls = []
+    original = ideals._squeeze_ladder
+
+    def spy(lcoords, n, values, found, kernels):
+        ranks = []
+        rank_of = linalg.rank_of
+
+        def recorded(rows, ncols):
+            ranks.append((len(rows), ncols, rank_of(rows, ncols)))
+            return ranks[-1][2]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "rank_of", recorded)
+            counts = original(lcoords, n, values, found, kernels)
+        calls.append((found is None, tuple(kernels), ranks))
+        return counts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_squeeze_ladder", spy)
+        ideals._ladder(points)
+    exact, kernels, _ = calls[-1]
+    path = "exact" if exact else "squeeze" if kernels else "ceiling"
+    return Built(path, kernels, [rank for *_, ranks in calls for rank in ranks])
 
 
 def no_squeeze(patch):
@@ -111,8 +139,8 @@ def no_squeeze(patch):
     loop on those values."""
     original = ideals._squeeze_ladder
 
-    def squeeze(lcoords, n, values, found):
-        return None if found else original(lcoords, n, values, found)
+    def squeeze(lcoords, n, values, found, kernels):
+        return None if found else original(lcoords, n, values, found, kernels)
 
     patch.setattr(ideals, "_squeeze_ladder", squeeze)
 
@@ -524,6 +552,7 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
     # a fresh copy: earlier tests may have stored the ladder of PLANAR25
     points = PointSet(PLANAR25.points)
     calls = spy_linalg(monkeypatch)
+    assert build_ladder(points).kernels == (5,)
     assert ci_verdict(points).witness_degrees == (1, 5, 5)
 
     # the set spans a plane of P^3, so its ladder is built in P^2.  There
@@ -538,7 +567,6 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
         ("kernel_basis", 25, comb(5 + n, n)),
         ("rank_of", 25, comb(tau + 1 + n, n)),
     ] == [("kernel_basis", 25, 21), ("rank_of", 25, 55)]
-    assert points._ladder.kernels == (5,)
 
 
 def test_one_ladder_serves_every_profile_question(monkeypatch):
@@ -564,12 +592,13 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
     for points in (grid, with_point(grid)):
         with monkeypatch.context() as patch:
             calls = spy_linalg(patch)
+            path = build_ladder(points).path
             prof = hilbert_profile(points)
             gens = generator_profile(points)
             verdict = ci_verdict(points)
         assert (prof.tau, gens.max_degree, verdict.kind) == (tau, 5, "NotCI")
         assert (points._ladder.dim, points._ladder.linear) == (n, 0)
-        assert ladder_path(points) == "squeeze"
+        assert path == "squeeze"
         assert calls == expected[len(points)]
 
 
@@ -633,9 +662,7 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         assert (c > 0) == (points is no_zero_free_coordinate)
         coords = [(_linear_form_value(c, p),) + p[1:] for p in span]
         kernels.clear()
-        fresh = PointSet(points.points)
-        hilbert_profile(fresh)
-        degrees = fresh._ladder.kernels
+        degrees = build_ladder(PointSet(points.points)).kernels
         kernel_degrees.append(degrees)
         assert received == []
         assert kernels == [(_evaluation_matrix(coords, n + 1, t), comb(t + n, n)) for t in degrees]
@@ -718,8 +745,8 @@ def test_collinear_points_eliminate_no_span(monkeypatch):
         (collinear_defeating_prime(20), "exact"),
     ):
         calls.clear()
+        assert build_ladder(points).path == path
         assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 1, 20))
-        assert ladder_path(points) == path
         assert calls == expected[path]
     assert expected["exact"] == [("echelon_of", 20, 20), ("rank_of", 20, 21)]
     assert {rows for rows, _, _ in spans} == {0}
@@ -765,53 +792,43 @@ def oracle_counts():
     return [(points, exact_span_counts(PointSet(points.points))) for points in oracle_sets()]
 
 
-def spy_squeeze_ranks(monkeypatch):
-    """Record, per call of ``ideals._squeeze_ladder``, the (rows,
-    columns) of every exact rank it takes: those of the counts the
-    ranks mod p leave open."""
-    ranks = []
-    original = ideals._squeeze_ladder
-
-    def spy(*args):
-        with monkeypatch.context() as patch:
-            calls = spy_linalg(patch)
-            result = original(*args)
-        ranks.append([c[1:] for c in calls if c[0] == "rank_of"])
-        return result
-
-    monkeypatch.setattr(ideals, "_squeeze_ladder", spy)
-    return ranks
-
-
-def test_generator_counts_equal_exact_span_counts(monkeypatch):
+def test_generator_counts_equal_exact_span_counts():
     # on squeezed and exact ladders alike.  Modulo 2**61 - 1 every pass of
     # the 179 sets decides and its bound meets it, so none takes the exact
     # ladder.  The collinear sets and the 3 x 3 skew grids meet the
     # ceiling; the larger square skew grids, planar-25 and the P^2 grids
     # take the multiples of their exact forms.  A count is eliminated
-    # exactly only where its rank mod p is short of both its rows and its
-    # columns and the Krull stop does not settle it: in 5 of the sets,
-    # the unequal skew grids among them
-    ranks = spy_squeeze_ranks(monkeypatch)
+    # exactly only where its rank mod p is short of both its rows and
+    # dim J_t and the Krull stop does not settle it: in 5 of the sets, the
+    # unequal skew grids among them.  Modulo 2**61 - 1 the rank of every
+    # such span is its rank over Q on these sets, so each exact rank is
+    # short of both too
     kinds = set()
     paths = Counter()
     reached = 0
     for points, expected in oracle_counts():
         points = PointSet(points.points)
-        ranks.clear()
-        counts = ideals._ladder(points).generators
-        assert counts == expected, points
-        reached += bool(ranks[0])
-        kinds.add(sum(counts) == points.ambient_dim)
-        paths[ladder_path(points)] += 1
+        built = build_ladder(points)
+        ladder = points._ladder
+        assert ladder.generators == expected, points
+        m = ladder.dim  # at least 2 where a rank is taken
+        for rows, cols, rank in built.ranks:
+            dims = j_dims(m, ladder.values, ladder.tau + 1)
+            (t,) = [t for t in range(len(dims)) if comb(t + m - 1, m - 1) == cols]
+            assert rank < min(rows, dims[t]), points
+        reached += bool(built.ranks)
+        kinds.add(sum(expected) == points.ambient_dim)
+        paths[built.path] += 1
     assert kinds == {True, False}
     assert reached == 5
     assert paths["exact"] == 0 and min(paths["ceiling"], paths["squeeze"]) >= 15
-    assert {ladder_path(collinear_points(m, dim)) for m in (1, 2, 3, 7, 12) for dim in (2, 3)} == {
-        "ceiling"
-    }
-    assert [ladder_path(skew_grid(m, 1700 + 11 * m)) for m in (3, 5)] == ["ceiling", "squeeze"]
-    assert {ladder_path(PointSet(s.points)) for s in (PLANAR25, GRID2)} == {"squeeze"}
+    assert {
+        build_ladder(collinear_points(m, dim)).path for m in (1, 2, 3, 7, 12) for dim in (2, 3)
+    } == {"ceiling"}
+    assert [build_ladder(skew_grid(m, 1700 + 11 * m)).path for m in (3, 5)] == [
+        "ceiling", "squeeze"
+    ]
+    assert {build_ladder(PointSet(s.points)).path for s in (PLANAR25, GRID2)} == {"squeeze"}
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5])
@@ -823,28 +840,27 @@ def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
     # the same counts
     cases = oracle_counts()
     ladders = [PointSet(points.points) for points, _ in cases]
-    values = [ideals._ladder(points).values for points in ladders]
-    squeezed = [ladder_path(points) != "exact" for points in ladders]
+    squeezed = [build_ladder(points).path != "exact" for points in ladders]
     monkeypatch.setattr(_elim, "_PRIME", prime)
-    ranks = spy_squeeze_ranks(monkeypatch)
     fallbacks = exact_ranks = 0
     shapes = []
-    for (points, counts), expected, was_squeezed in zip(cases, values, squeezed):
-        ranks.clear()
+    for (points, counts), ladder, was_squeezed in zip(cases, ladders, squeezed):
         fresh = PointSet(points.points)
-        assert ideals._ladder(fresh).generators == counts
-        assert fresh._ladder.values == expected
-        fallbacks += was_squeezed and ladder_path(fresh) == "exact"
-        exact_ranks += any(ranks)
-        shapes.append([shape for call in ranks for shape in call])
+        built = build_ladder(fresh)
+        assert fresh._ladder.generators == counts
+        assert fresh._ladder.values == ladder._ladder.values
+        fallbacks += was_squeezed and built.path == "exact"
+        exact_ranks += bool(built.ranks)
+        shapes.append(built.ranks)
     assert fallbacks >= 50 and exact_ranks >= 20
     if prime == 2:
         # GRID2, GRID3 and PLANAR25, the last sets, whose passes cannot
         # decide mod 2, take the exact path.  Mod 2 the multiples of their
         # exact forms still settle some counts: GRID3's shifts of J_2 have
         # full row rank, GRID2 takes one exact rank, at tau + 1 = 6, and
-        # PLANAR25, in its plane, two, in degrees 7 and tau + 1 = 9
-        assert shapes[-3:] == [[(7, 7)], [], [(6, 8), (13, 10)]]
+        # PLANAR25, in its plane, two, in degrees 7 and tau + 1 = 9.  Each
+        # is (rows, columns, rank); the ranks mod 2 were short
+        assert shapes[-3:] == [[(7, 7, 7)], [], [(6, 8, 6), (13, 10, 10)]]
 
 
 def test_full_row_rank_mod_p_settles_the_top_span(monkeypatch):
@@ -855,7 +871,6 @@ def test_full_row_rank_mod_p_settles_the_top_span(monkeypatch):
     # (18 x 21), but its rank is 10 over Q, so it takes the exact rank,
     # which equals the rank mod p
     spans = spy_mod_spans(monkeypatch)
-    ranks = spy_squeeze_ranks(monkeypatch)
     settled = []
     grid3_less = PointSet(GRID3.points[:-1])
     cases = oracle_counts() + [
@@ -865,15 +880,15 @@ def test_full_row_rank_mod_p_settles_the_top_span(monkeypatch):
     for points, expected in cases:
         fresh = PointSet(points.points)
         spans.clear()
-        ranks.clear()
-        assert ideals._ladder(fresh).generators == expected
+        ranks = build_ladder(fresh).ranks
+        assert fresh._ladder.generators == expected
         rows, cols, rank = top = spans[-1]
         if rows < cols and rank == rows:
-            assert sum(expected) > points.ambient_dim and ranks == [[]]
+            assert sum(expected) > points.ambient_dim and ranks == []
             settled.append(points)
     assert len(settled) >= 20 and settled[-1] is grid3_less
     # the last case is the skew grid with one point more
-    assert top == (18, 21, 10) and ranks == [[(18, 21)]]
+    assert top == (18, 21, 10) and ranks == [(18, 21, 10)]
 
 
 def test_no_modular_kernel_falls_back_to_exact_span_ranks(monkeypatch):
@@ -882,21 +897,19 @@ def test_no_modular_kernel_falls_back_to_exact_span_ranks(monkeypatch):
     # kernel of E_t, and every count that the Krull stop leaves open takes
     # the exact rank of its span, and the counts are the same
     monkeypatch.setattr(ideals, "_mod_span", lambda rows: _elim.ModBasis())
-    ranks = spy_squeeze_ranks(monkeypatch)
     reached = 0
     for points, expected in oracle_counts():
-        ranks.clear()
         fresh = PointSet(points.points)
-        assert ideals._ladder(fresh).generators == expected
-        reached += any(ranks)
+        reached += bool(build_ladder(fresh).ranks)
+        assert fresh._ladder.generators == expected
     assert reached >= 50
-    ranks.clear()
     points = PointSet(PLANAR25.points)
+    ranks = build_ladder(points).ranks
     assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 5, 5))
     # in its plane: the multiples of the two quintics in degree 6, then
     # of every form of J_6 and J_7 too (none is kept out mod p), and at
-    # tau + 1 the shifts of J_8
-    assert ranks == [[(4, 7), (14, 8), (32, 9), (16, 10)]]
+    # tau + 1 the shifts of J_8, as (rows, columns, rank)
+    assert ranks == [(4, 7, 4), (14, 8, 6), (32, 9, 8), (16, 10, 10)]
 
 
 def test_certified_ladders_count_with_no_elimination(monkeypatch):
@@ -908,8 +921,8 @@ def test_certified_ladders_count_with_no_elimination(monkeypatch):
     certified = Counter()
     for points, expected in oracle_counts():
         fresh = PointSet(points.points)
-        ladder = ideals._ladder(fresh)
-        assert not ladder.exact and ladder.generators == expected
+        assert build_ladder(fresh).path != "exact"
+        assert fresh._ladder.generators == expected
         spans.clear()
         with monkeypatch.context() as patch:
             calls = spy_linalg(patch)
@@ -1018,8 +1031,8 @@ def test_any_degree_at_least_tau_gives_the_same_ladder(monkeypatch):
         with monkeypatch.context() as patch:
             if k < 2:
                 no_squeeze(patch)
+            paths.append(build_ladder(fresh).path)
             assert (hilbert_profile(fresh), generator_profile(fresh), ci_verdict(fresh)) == expected
-        paths.append(ladder_path(fresh))
         if paths[-1] == "exact":
             d = expected[0].tau + 2
             assert calls[0] == ("echelon_of", len(points), comb(d + n, n))
@@ -1050,11 +1063,11 @@ def test_stored_ladder_rows_are_primitive(monkeypatch):
     skew = skew_grid(5, 2000)
     sets = (with_point(skew), GRID2, PointSet(GRID3.points[:-1]), PLANAR25, skew)
     for points in sets:
-        assert not ideals._ladder(PointSet(points.points)).exact
+        assert build_ladder(PointSet(points.points)).path != "exact"
     squeezed = len(forms)
     no_squeeze(monkeypatch)
     for points in sets[:-1] + (collinear_defeating_prime(6),):
-        assert ideals._ladder(PointSet(points.points)).exact
+        assert build_ladder(PointSet(points.points)).path == "exact"
     assert 0 < squeezed < len(forms)
     assert all(gcd(*v) == 1 for v in forms)
 
@@ -1130,10 +1143,10 @@ def test_certified_ladders_match_full_ring_oracle():
         profile, entries, verdict = full_ring_answers(points)
         direct = [degree_bounded_ideal(PointSet(points.points), t) for t in range(4)]
         fresh = PointSet(points.points)
+        assert build_ladder(fresh).path == path, points
         assert hilbert_profile(fresh) == profile
         assert generator_entries(generator_profile(fresh)) == entries
         assert ci_verdict(fresh) == verdict
-        assert ladder_path(fresh) == path, points
         assert [degree_bounded_ideal(fresh, t) for t in range(4)] == direct
         c = _linear_form_parameter(ideals._span_coordinates(fresh)[0])
         assert (fresh._ladder.lowest is not None) == (path == "squeeze" and c == 0)
@@ -1151,19 +1164,17 @@ def test_random_sets_match_full_ring_oracle(monkeypatch, prime):
     # (the seeds give each small prime at least one such set).  Every
     # answer equals the Fraction oracle in the full ring
     monkeypatch.setattr(_elim, "_PRIME", prime)
-    ranks = spy_squeeze_ranks(monkeypatch)
     paths = Counter()
     for k in range(30):
         points = random_points(4 + k % 13, 2 + k % 2, 3620 + k, 9)
         expected = full_ring_answers(points)
-        ranks.clear()
         fresh = PointSet(points.points)
+        built = build_ladder(fresh)
         answers = (
             hilbert_profile(fresh), generator_entries(generator_profile(fresh)), ci_verdict(fresh)
         )
         assert answers == expected, points
-        path = ladder_path(fresh)
-        paths[path, fresh._ladder.kernels == (fresh._ladder.tau,) and ranks[0] != []] += 1
+        paths[built.path, built.kernels == (fresh._ladder.tau,) and built.ranks != []] += 1
     if prime > 13:
         assert paths == {("ceiling", False): 30}
     else:
@@ -1216,7 +1227,9 @@ def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):
     # 3 reaches |X|, the pass says HF(2) = 8, so dim J_2 = 2 and the
     # squeeze takes the exact kernel of E_2.  It holds the quadric alone,
     # so the bound HF(2) <= 10 - 1 = 9 cannot meet the pass: the exact
-    # ladder runs, and every answer is the oracle's
+    # ladder runs, and every answer is the oracle's.  Its count loop reuses
+    # that kernel of E_2, so no degree is eliminated twice: the echelon of
+    # E_3 and the rank of E_(tau+1) follow it, and nothing else
     points = PointSet(GRID3.points)
     expected = full_ring_answers(points)
     original = ideals._modular_degree
@@ -1230,12 +1243,12 @@ def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):
 
     monkeypatch.setattr(ideals, "_modular_degree", false_staircase)
     calls = spy_linalg(monkeypatch)
+    assert build_ladder(points).path == "exact"
     answers = (
         hilbert_profile(points), generator_entries(generator_profile(points)), ci_verdict(points)
     )
     assert answers == expected
-    assert ladder_path(points) == "exact"
-    assert [name for name, _, _ in calls[:2]] == ["kernel_basis", "echelon_of"]
+    assert calls == [("kernel_basis", 9, 10), ("echelon_of", 9, 20), ("rank_of", 9, 20)]
 
 
 def test_certified_sets_off_their_coordinates_eliminate_degree_bounded_ideal():
@@ -1252,8 +1265,7 @@ def test_certified_sets_off_their_coordinates_eliminate_degree_bounded_ideal():
     for points, c, linear in ((off_x0, 1, 0), (in_plane, 0, 1)):
         direct = [degree_bounded_ideal(PointSet(points.points), t) for t in range(4)]
         fresh = PointSet(points.points)
-        hilbert_profile(fresh)
-        assert ladder_path(fresh) == "squeeze" and fresh._ladder.kernels == (2,)
+        assert build_ladder(fresh)[:2] == ("squeeze", (2,))
         assert _linear_form_parameter(ideals._span_coordinates(fresh)[0]) == c
         assert (fresh._ladder.linear, fresh._ladder.lowest) == (linear, None)
         assert [degree_bounded_ideal(fresh, t) for t in range(4)] == direct
