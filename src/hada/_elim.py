@@ -61,9 +61,16 @@ vectors along the longer side (rows of a tall matrix, columns of a
 wide one) into a ``ModBasis``, the one GF(p) routine here: an echelon
 basis that reduces each vector mod p only when it is added, so the
 walk stops at min(nrows, ncols) independent vectors without touching
-the rest.  Full-rank matrices with wide entries are common here: the
-evaluation matrix that confirms HF(tau + 1) = |X| in ``hada.ideals``
-(Moeller & Buchberger, 1982, use the same lower bound by reduction).
+the rest.  It packs each vector into one integer of fixed-width slots,
+so that a reduction step is a shift, a mask and one multiply-add of
+integers instead of a loop over the entries, and takes every slot mod p
+at once by folding; its docstring bounds the slots (Dumas, Fousse &
+Salvy, J. Symbolic Comput. 46, 2011, pack GF(p) entries the same way).
+Unlike exact rows of 300-bit entries, these entries stay below 2**62,
+so packing removes the per-entry interpreter work.  Full-rank matrices
+with wide entries are common here: the evaluation matrix that confirms
+HF(tau + 1) = |X| in ``hada.ideals`` (Moeller & Buchberger, 1982, use
+the same lower bound by reduction).
 The degree ladder there adds evaluation columns to a ``ModBasis`` to
 find HF mod p, a lower bound, and the multiples of its exact forms to
 others, to bound HF from above and to count generators by the same
@@ -71,7 +78,10 @@ inequality, exact when a rank reaches the rows or the columns; no
 answer rests on the prime alone.  ``ModBasis.solve`` writes a vector
 of its span as a combination of the vectors it kept, which gives the
 kernel mod p of the columns the ladder's pass rejected or never added,
-in the ladder's column order.
+in the ladder's column order.  ``ModBasis.pivots`` lists the entry at
+which each kept vector has its pivot; for the ladder's columns these are
+points, and ``hada.ideals`` shows that the rows of E_t at the pivots of
+its first HF(t) kept columns are independent.
 
 ``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
 the frontend every other module calls.
@@ -227,52 +237,98 @@ class ModBasis:
     """Echelon basis of a growing subspace of GF(p)^k, p = ``_PRIME``.
 
     Vectors are added one at a time and reduced modulo p only when
-    added.  A kept vector is stored from its pivot, its first nonzero
-    entry, on, scaled to 1 there; it is zero at the pivots of the vectors
-    kept before it, so one pass over the basis in order reduces a new
-    vector.  The pass reduces only each multiplier mod p and takes the
-    entries mod p once at the end: an entry starts below p, and each of
-    the k stored rows subtracts less than p**2, so it stays below
-    (k + 1) * p**2 in absolute value.
+    added.  A kept vector is stored reduced, zero before its pivot (its
+    first nonzero entry) and scaled to 1 there; it is zero at the pivots
+    of the vectors kept before it, so one pass over the basis in order
+    reduces a new vector.  ``pivots`` lists the pivot of each kept
+    vector, in the order kept.
+
+    Each vector is held as one integer of k slots of W bits, entry i in
+    bits i*W .. (i + 1)*W - 1, with W = 64 * ceil((2s + 1 + b) / 64), s
+    the bit size of p and b that of k.  A row is stored negated, each
+    entry in [0, p), so a reduction step is one shift and mask for the
+    multiplier c (the slot at the row's pivot, taken mod p) and one
+    multiply-add of c times the stored row: no slot is ever negative.
+    An entry starts below p and gains less than p**2 per step, and at
+    most k rows are stored, so it stays below p + k * p**2 < 2**W and no
+    slot carries into the next.  The entries are taken mod p once at the
+    end, all slots at once, by folding: with p = 2**s - c,
+    hi * 2**s + lo = hi * c + lo mod p, which lowers every slot that has
+    a bit at s or above and carries into none, until all are below
+    2**s; one comparison with p, made by adding c, finishes.  For the
+    Mersenne prime c = 1 and at most three folds are made; the loop
+    needs no special form of p, so a smaller prime patched in by the
+    tests is reduced the same way, with more folds.
 
     Each kept vector also keeps the multipliers of its reduction and the
     inverse of its pivot, so ``solve`` can write a vector of the span as
     a combination of the kept vectors, in the order they were kept.
     """
 
-    __slots__ = ("rows", "steps")
+    __slots__ = ("pivots", "_rows", "_steps", "_layout")
 
     def __init__(self):
-        self.rows = []
-        self.steps = []
+        self.pivots = []
+        self._rows = []
+        self._steps = []
+        self._layout = None
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    def _packing(self, k):
+        """The prime and the packed layout for vectors of k entries: the
+        slot width, a one in each slot, and the low s bits and the rest of
+        each slot as masks."""
+        p = _PRIME
+        s = p.bit_length()
+        width = -(-(2 * s + 1 + k.bit_length()) // 64) * 64
+        ones = int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * k, "little")
+        low = ones * ((1 << s) - 1)
+        high = ones * ((1 << (width - s)) - 1)
+        self._layout = p, s, (1 << s) - p, width, ones, low, high
+        return self._layout
+
+    def _fold(self, v):
+        """The packed vector with every slot reduced mod p."""
+        p, s, c, _, ones, low, high = self._layout
+        while True:
+            hi = (v >> s) & high
+            if not hi:
+                break
+            v = (v & low) + hi * c
+        # a slot below 2**s is at least p exactly when adding c carries it
+        # into bit s
+        return v - (((v + ones * c) >> s) & ones) * p
 
     def _reduce(self, vector):
-        """The vector reduced by the basis, mod p, and the multiplier of
-        each stored row."""
-        p = _PRIME
-        v = [x % p for x in vector]
+        """The vector, packed and reduced by the basis, with slots not yet
+        taken mod p, and the multiplier of each stored row."""
+        p, _, _, width, *_ = self._layout or self._packing(len(vector))
+        size = width // 8
+        v = int.from_bytes(b"".join([(x % p).to_bytes(size, "little") for x in vector]), "little")
+        mask = (1 << width) - 1
         multipliers = []
-        for j, tail in self.rows:
-            c = v[j] % p
+        for shift, row in self._rows:
+            c = ((v >> shift) & mask) % p
             multipliers.append(c)
             if c:
-                v[j:] = [x - c * y for x, y in zip(v[j:], tail)]
-        return [x % p for x in v], multipliers
+                v += c * row
+        return v, multipliers
 
     def add(self, vector) -> bool:
         """Keep the vector if it is independent of the basis mod p;
         return whether it was kept."""
-        p = _PRIME
         v, multipliers = self._reduce(vector)
-        j = next((j for j, x in enumerate(v) if x), -1)
-        if j < 0:
+        v = self._fold(v)
+        if not v:
             return False
-        inv = pow(v[j], -1, p)
-        self.rows.append((j, [x * inv % p for x in v[j:]]))
-        self.steps.append((inv, multipliers))
+        p, _, _, width, *_ = self._layout
+        j = ((v & -v).bit_length() - 1) // width
+        inv = pow((v >> (j * width)) & ((1 << width) - 1), -1, p)
+        self.pivots.append(j)
+        self._rows.append((j * width, self._fold(v * (p - inv))))
+        self._steps.append((inv, multipliers))
         return True
 
     def solve(self, vector):
@@ -287,10 +343,10 @@ class ModBasis:
         row.  Its kernel vector, with -a_i at w_i and 1 at the vector, is
         the one relation among the kept vectors and it.
         """
-        p = _PRIME
         coeffs = self._reduce(vector)[1]
+        p = self._layout[0]
         for i in range(len(coeffs) - 1, -1, -1):
-            inv, multipliers = self.steps[i]
+            inv, multipliers = self._steps[i]
             a = coeffs[i] = coeffs[i] * inv % p
             if a:
                 coeffs[:i] = [(x - a * m) % p for x, m in zip(coeffs, multipliers)]

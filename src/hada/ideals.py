@@ -89,16 +89,32 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   join the forms (each made primitive).  The first such degree is
   alpha, the first block with a free column mod p, and the lowest
   degree of J.  Where the rank still falls short, the pass was wrong
-  mod p and the exact ladder below runs instead.  Degree d itself needs no kernel, as the ceiling
-  |X| meets the pass there: HF(d) = |X|.  So when the loop ends, HF,
-  tau = d and every J_t below tau are exact, and J_(t-1) is spanned by
-  M_(t-1) and the forms of degree t - 1, which makes S_1 * J_(t-1) the
-  span of M_t.  The exact kernels are of E_t in degrees t < d, smaller
-  than E_d: P^2 grids and planar-25 take one in the degree of each of
-  their two forms (one, when the two are of the same degree), square
-  skew grids of at least 4 x 4 points one of E_2 (their quadric), and
-  sets with a maximal Hilbert function (random points, collinear sets,
-  3 x 3 skew grids) none;
+  mod p and the exact ladder below runs instead.  Degree d itself needs
+  no kernel, as the ceiling |X| meets the pass there: HF(d) = |X|.  So
+  when the loop ends, HF, tau = d and every J_t below tau are exact, and
+  J_(t-1) is spanned by M_(t-1) and the forms of degree t - 1, which
+  makes S_1 * J_(t-1) the span of M_t.  The exact kernels are of E_t in
+  degrees t < d, smaller than E_d: P^2 grids and planar-25 take one in
+  the degree of each of their two forms (one, when the two are of the
+  same degree), square skew grids of at least 4 x 4 points one of E_2
+  (their quadric), and sets with a maximal Hilbert function (random
+  points, collinear sets, 3 x 3 skew grids) none;
+* the rows.  Each such kernel is first taken on L(t) rows of E_t alone:
+  those of the points at which the pass's first L(t) kept columns have
+  their ``ModBasis`` pivots.  These rows are independent over Q.  The
+  vectors the basis stores come from those columns by invertible
+  operations mod p, and at their pivots, in pivot order, they form a
+  unit triangular matrix; so the L(t) x L(t) minor of E_t at those rows
+  and columns is nonzero mod p (its rows are scaled by the units
+  1/l(p)^t), hence nonzero.  Their kernel holds the kernel of E_t, and
+  it is that kernel exactly when every other row of E_t annihilates
+  each of its vectors, which is checked: then the rows span the row
+  space of E_t, and the canonical kernel basis is the same, bit for
+  bit.  When the check fails (L(t) < HF(t): the pass was wrong mod p),
+  the kernel of the whole E_t is taken instead.  The exact ladder,
+  which has no pass, always takes that one.  A skew grid's kernel of
+  E_2 is so taken on 9 rows, not 16 or 25, and a 5 x 5 P^2 grid's of
+  E_5 on 19 of its 25;
 * the counts.  In a degree t <= tau the count is dim J_t minus the rank
   of M_t, which is 0 in every degree below tau that took no kernel.  A
   rank mod p equal to the rows of M_t or to dim J_t is its rank over Q;
@@ -158,9 +174,10 @@ with one exception: ``degree_bounded_ideal`` in degree alpha reads the
 kernel of E_alpha that the ladder took, when c = 0 and the set spans
 its P^n.  Then the l-coordinates are the set's own coordinates,
 E_alpha is the set's evaluation matrix, and the stored kernel is, bit
-for bit, the one a direct elimination gives.  So the quadric of a skew
-grid of at least 4 x 4 points costs no elimination after a profile
-question.
+for bit, the one a direct elimination gives: a kernel the loop took on
+HF(alpha) rows passed the row check, so it is the kernel of E_alpha.
+So the quadric of a skew grid of at least 4 x 4 points costs no
+elimination after a profile question.
 """
 
 from __future__ import annotations
@@ -170,6 +187,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from operator import mul
 from typing import Optional
 
 from . import _elim, linalg
@@ -392,7 +410,8 @@ def _squeeze_ladder(lcoords, n: int, values, found, kernels):
     each form of degree s < t times each monomial of S_(t-s).  Where
     their rank mod p is below dim J_t = |S_t| - HF(t) + HF(t - 1), the
     exact kernel of E_t is taken (``_exact_forms``, which keeps it in
-    ``kernels``), and the block-t parts of its vectors that are
+    ``kernels``; with a pass, on the rows of its first HF(t) pivots when
+    the other rows agree), and the block-t parts of its vectors that are
     independent of M_t mod p join the forms.  Where the rank still falls
     short, the pass was wrong mod p and None is returned; with exact
     values, the prime failed instead, and every vector joins.  The module
@@ -408,7 +427,7 @@ def _squeeze_ladder(lcoords, n: int, values, found, kernels):
         dim = len(_s_monomials(n, t)) - values[t] + (values[t - 1] if t else 0)
         spans.append((rows, len(span), dim))
         if t < d and len(span) < dim:
-            basis = _exact_forms(lcoords, n, t, kernels)
+            basis = _exact_forms(lcoords, n, t, kernels, found and found[2].pivots[: values[t]])
             new = [v for v in basis if span.add(v)]
             if len(span) < dim:
                 if found:
@@ -443,13 +462,29 @@ def _mod_span(rows):
     return span
 
 
-def _exact_forms(lcoords, n: int, t: int, kernels):
+def _exact_forms(lcoords, n: int, t: int, kernels, rows=None):
     """A basis of J_t: the nonzero block-t parts of the canonical kernel
     basis of E_t in l-coordinates, each made primitive (a part keeps the
     common factors of its vector).  The kernel is kept in ``kernels``
-    under t and not eliminated again."""
+    under t and not eliminated again.
+
+    ``rows``, when given, are the points at which the pass's first
+    HF(t) kept columns have their ``ModBasis`` pivots.  Those rows of E_t
+    are independent, and the kernel is first taken on them alone.  It
+    holds the kernel of E_t, and it is that kernel, with the same
+    canonical basis, exactly when every other row of E_t annihilates each
+    of its vectors; otherwise the kernel of the whole E_t is taken."""
     if t not in kernels:
-        kernels[t] = linalg.kernel_basis(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
+        matrix = _evaluation_matrix(lcoords, n + 1, t)
+        ncols = comb(t + n, n)
+        kernel = None
+        if rows is not None:
+            chosen = set(rows)
+            kernel = linalg.kernel_basis([matrix[i] for i in sorted(chosen)], ncols)
+            others = [row for i, row in enumerate(matrix) if i not in chosen]
+            if any(sum(map(mul, row, v)) for v in kernel for row in others):
+                kernel = None
+        kernels[t] = linalg.kernel_basis(matrix, ncols) if kernel is None else kernel
     start = _divisible_count(n, t)
     return [_elim._primitive(v[start:]) for v in kernels[t] if any(v[start:])]
 

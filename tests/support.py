@@ -94,11 +94,16 @@ def ref_echelon_gcd(m, ncols, limit):
 
 class EagerModBasis:
     """Reference for ``_elim.ModBasis``: the same echelon basis over
-    GF(p), with every entry reduced mod p after every row step."""
+    GF(p), with every entry reduced mod p after every row step, and a
+    ``solve`` by Gauss-Jordan elimination mod p on the kept vectors."""
 
     def __init__(self, prime):
         self.prime = prime
         self.rows = []
+        self.kept = []
+
+    def __len__(self):
+        return len(self.rows)
 
     def add(self, vector):
         p = self.prime
@@ -112,7 +117,33 @@ class EagerModBasis:
             return False
         inv = pow(v[j], -1, p)
         self.rows.append((j, [x * inv % p for x in v[j:]]))
+        self.kept.append([x % p for x in vector])
         return True
+
+    def solve(self, vector):
+        """The coefficients of the kept vectors, in the order kept, whose
+        combination is the vector mod p; the vector must lie in the span.
+
+        The kept vectors are independent at the pivots of the echelon
+        rows, so Gauss-Jordan elimination mod p of those equations alone
+        gives the one solution, which is then checked on every entry."""
+        p = self.prime
+        m = len(self.kept)
+        system = [[w[j] for w in self.kept] + [vector[j] % p] for j, _ in self.rows]
+        for c in range(m):
+            piv = next(i for i in range(c, m) if system[i][c])
+            system[c], system[piv] = system[piv], system[c]
+            inv = pow(system[c][c], -1, p)
+            system[c] = [x * inv % p for x in system[c]]
+            for i, row in enumerate(system):
+                if i != c and row[c]:
+                    system[i] = [(x - row[c] * y) % p for x, y in zip(row, system[c])]
+        coeffs = [row[m] for row in system]
+        assert all(
+            (sum(a * w[j] for a, w in zip(coeffs, self.kept)) - x) % p == 0
+            for j, x in enumerate(vector)
+        ), "vector outside the span"
+        return coeffs
 
 
 def ref_evaluation_matrix(coords, nvars, degree):

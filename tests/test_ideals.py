@@ -557,16 +557,17 @@ def test_ci_verdict_eliminates_each_degree_once(monkeypatch):
 
     # the set spans a plane of P^3, so its ladder is built in P^2.  There
     # the pass first keeps fewer than C(t + n, n) columns in degree 5, so
-    # one kernel of E_5 gives the two quintics; their multiples meet the
-    # pass in degrees 6 .. tau and settle every count mod p, at full rows
-    # (dim J_t columns at tau, all of S_9 at tau + 1).  One rank confirms
-    # HF(tau + 1), and the plane's linear form adds one generator in
-    # degree 1
+    # one kernel of E_5, on the HF(5) = 19 rows of the pass's pivots, gives
+    # the two quintics; their multiples meet the pass in degrees 6 .. tau
+    # and settle every count mod p, at full rows (dim J_t columns at tau,
+    # all of S_9 at tau + 1).  One rank confirms HF(tau + 1), and the
+    # plane's linear form adds one generator in degree 1
     tau, n = 8, 2
+    assert points._ladder.values[5] == comb(5 + n, n) - 2
     assert calls == [
-        ("kernel_basis", 25, comb(5 + n, n)),
+        ("kernel_basis", comb(5 + n, n) - 2, comb(5 + n, n)),
         ("rank_of", 25, comb(tau + 1 + n, n)),
-    ] == [("kernel_basis", 25, 21), ("rank_of", 25, 55)]
+    ] == [("kernel_basis", 19, 21), ("rank_of", 25, 55)]
 
 
 def test_one_ladder_serves_every_profile_question(monkeypatch):
@@ -574,17 +575,18 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
     # certificate is one pass mod p outside ``linalg``.  Both are squeezed
     # between the pass and the multiples of exact forms, and the first
     # question counts the generators too.  The 5 x 5 skew grid takes one
-    # kernel of E_2 (its quadric) and one rank of E_(tau+1) for all three
-    # questions.  With one point more the first kernel is of E_3 (three
-    # cubics), and S_2 times them at tau + 1, 18 rows on the 21 monomials
-    # of S_5, have rank 10 mod p: short of both, so that count takes one
+    # kernel of E_2 (its quadric), on the HF(2) = 9 rows of the pass's
+    # pivots, and one rank of E_(tau+1) for all three questions.  With one
+    # point more the first kernel is of E_3 (three cubics), on HF(3) = 17
+    # rows, and S_2 times them at tau + 1, 18 rows on the 21 monomials of
+    # S_5, have rank 10 mod p: short of both, so that count takes one
     # exact rank
     grid = skew_grid(5, 4242)
     tau, n = 4, 3
     expected = {
-        25: [("kernel_basis", 25, comb(2 + n, n)), ("rank_of", 25, comb(tau + 1 + n, n))],
+        25: [("kernel_basis", 9, comb(2 + n, n)), ("rank_of", 25, comb(tau + 1 + n, n))],
         26: [
-            ("kernel_basis", 26, comb(3 + n, n)),
+            ("kernel_basis", 17, comb(3 + n, n)),
             ("rank_of", 18, 21),
             ("rank_of", 26, comb(tau + 1 + n, n)),
         ],
@@ -620,13 +622,14 @@ def test_second_generator_question_eliminates_nothing(monkeypatch):
 
 def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
     # every matrix the ladder eliminates exactly is a plain evaluation
-    # matrix of the points in l-coordinates (l(p), p1, ..., pn), taken in
-    # their span: the pivot coordinates of the Fraction RREF of the
+    # matrix of the points in l-coordinates (l(p), p1, ..., pn), or rows of
+    # one, taken in their span: the pivot coordinates of the Fraction RREF of the
     # coordinate matrix, so n = 2 for the planar set.  The squeeze takes
-    # the kernel of E_t in each of its kernel degrees, and the skew grid's
-    # one kernel is of E_2 in its own coordinates, which are its
-    # l-coordinates.  An exact ladder (here the squeeze is made to fail)
-    # eliminates E_tau once; the pivots left of its leading C(t + n, n)
+    # the kernel of E_t in each of its kernel degrees, on HF(t) of its
+    # rows, in their order, which the Fraction oracle finds independent;
+    # the skew grid's one kernel is of E_2 in its own coordinates, which
+    # are its l-coordinates.  An exact ladder (here the squeeze is made to
+    # fail) eliminates E_tau once; the pivots left of its leading C(t + n, n)
     # columns, diag(l(p))^(tau - t) * E_t, count HF(t), which the Fraction
     # oracle confirms.  The last set has a zero in every coordinate, so l
     # is not x0 there
@@ -642,11 +645,18 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
 
         monkeypatch.setattr(linalg, name, wrapped)
 
+    def independent_rows_of(kernel, matrix, ncols, value):
+        rows, cols = kernel
+        remaining = iter(matrix)
+        assert all(any(row == full for full in remaining) for row in rows)
+        assert cols == ncols and len(rows) == frac_rank(rows, ncols) == value
+
     spy("echelon_of", received)
     spy("kernel_basis", kernels)
     grid = skew_grid(5, 4545)
     hilbert_profile(grid)
-    assert received == [] and kernels == [(evaluation_rows(grid, 2), 10)]
+    assert received == [] and len(kernels) == 1
+    independent_rows_of(kernels[0], evaluation_rows(grid, 2), 10, frac_hilbert_values(grid)[2])
     no_zero_free_coordinate = PointSet.from_coords(
         [[0, 1, 1, 1], [1, 0, 2, 1], [1, 3, 0, 1], [2, 1, 1, 0], [1, 2, 3, 4], [3, -1, 2, 5]]
     )
@@ -664,8 +674,10 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         kernels.clear()
         degrees = build_ladder(PointSet(points.points)).kernels
         kernel_degrees.append(degrees)
-        assert received == []
-        assert kernels == [(_evaluation_matrix(coords, n + 1, t), comb(t + n, n)) for t in degrees]
+        assert received == [] and len(kernels) == len(degrees)
+        for kernel, t in zip(kernels, degrees):
+            matrix = _evaluation_matrix(coords, n + 1, t)
+            independent_rows_of(kernel, matrix, comb(t + n, n), frac_hilbert_values(points)[t])
         with monkeypatch.context() as patch:
             no_squeeze(patch)
             prof = hilbert_profile(PointSet(points.points))
@@ -831,6 +843,41 @@ def test_generator_counts_equal_exact_span_counts():
     assert {build_ladder(PointSet(s.points)).path for s in (PLANAR25, GRID2)} == {"squeeze"}
 
 
+def test_squeezed_kernels_equal_the_full_kernel(monkeypatch):
+    # the squeeze takes the kernel of E_t on the HF(t) rows of the pass's
+    # pivots, and keeps it only when every other row annihilates it: then
+    # it is the kernel of the whole E_t, with the same canonical basis.  So
+    # every kernel a ladder keeps equals ``kernel_basis`` of the full E_t
+    # in l-coordinates.  On the oracle sets every restricted kernel passes
+    # that check: the ladders keep 22 kernels, and the 18 below tau are
+    # taken on fewer rows than points (the 4 of E_tau take all of them)
+    original = ideals._squeeze_ladder
+    taken = []
+
+    def spy(lcoords, n, values, found, kernels):
+        counts = original(lcoords, n, values, found, kernels)
+        taken.append((lcoords, n, list(values), dict(kernels)))
+        return counts
+
+    monkeypatch.setattr(ideals, "_squeeze_ladder", spy)
+    shapes = spy_linalg(monkeypatch)
+    checked = kept = 0
+    for points in oracle_sets():
+        taken.clear()
+        shapes.clear()
+        ideals._ladder(PointSet(points.points))
+        lcoords, n, values, kernels = taken[-1]
+        rows = [rows for name, rows, _ in shapes if name == "kernel_basis"]
+        assert len(rows) == len(kernels)
+        for (t, kernel), count in zip(kernels.items(), rows):
+            full = _evaluation_matrix(lcoords, n + 1, t)
+            assert kernel == linalg.kernel_basis(full, comb(t + n, n))
+            assert count == values[t] and (count < len(points)) == (t < len(values) - 1)
+            checked += count < len(points)
+        kept += len(kernels)
+    assert (kept, checked) == (22, 18)
+
+
 @pytest.mark.parametrize("prime", [2, 3, 5])
 def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
     # modulo a small prime the pass decides less often, or claims values
@@ -953,12 +1000,15 @@ def test_unknown_ci_verdict_counts_no_generators(monkeypatch):
     assert ci_verdict(points, max_degree=2).kind == "Unknown"
     tau, n = 5, 2
     # the squeeze takes the kernels of E_3 and E_4 (the cubic and the
-    # quartic of the 3 x 4 grid) and settles its counts mod p
+    # quartic of the 3 x 4 grid), each on the HF(t) rows of the pass's
+    # pivots, and settles its counts mod p
+    values = points._ladder.values
+    assert values[3:5] == (comb(3 + n, n) - 1, comb(4 + n, n) - 4)
     assert calls == [
-        ("kernel_basis", 12, comb(3 + n, n)),
-        ("kernel_basis", 12, comb(4 + n, n)),
+        ("kernel_basis", values[3], comb(3 + n, n)),
+        ("kernel_basis", values[4], comb(4 + n, n)),
         ("rank_of", 12, comb(tau + 1 + n, n)),
-    ] == [("kernel_basis", 12, 10), ("kernel_basis", 12, 15), ("rank_of", 12, 28)]
+    ] == [("kernel_basis", 9, 10), ("kernel_basis", 11, 15), ("rank_of", 12, 28)]
 
 
 def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
@@ -1075,12 +1125,12 @@ def test_stored_ladder_rows_are_primitive(monkeypatch):
 def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
     # a 5 x 5 skew grid is squeezed with one exact kernel: the
     # profile, generator, CI and quadric questions take that kernel of E_2
-    # (its quadric) and the rank of E_(tau+1), and the quadric, read from
-    # the stored kernel, equals the one eliminated directly on a copy
-    # with no ladder.  A second quadric question eliminates nothing.  The
-    # P^2 grids of the CI benchmark are squeezed too: a kernel in the
-    # degree of each of their two forms (one, for a square grid) and one
-    # rank
+    # (its quadric) on its HF(2) = 9 independent rows, and the rank of
+    # E_(tau+1), and the quadric, read from the stored kernel, equals the
+    # one eliminated directly on a copy with no ladder.  A second quadric
+    # question eliminates nothing.  The P^2 grids of the CI benchmark are
+    # squeezed too: a kernel in the degree of each of their two forms (one,
+    # for a square grid), each on HF(t) rows, and one rank
     grid = skew_grid(5, 4848)
     direct = degree_bounded_ideal(PointSet(grid.points), 2)
     calls = spy_linalg(monkeypatch)
@@ -1088,7 +1138,7 @@ def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
     generator_profile(grid)
     ci_verdict(grid)
     quadric = quadric_through(grid)
-    assert calls == [("kernel_basis", 25, 10), ("rank_of", 25, 56)]
+    assert calls == [("kernel_basis", 9, 10), ("rank_of", 25, 56)]
     assert quadric.form == direct[0] and len(direct) == 1
     calls.clear()
     assert quadric_through(grid) == quadric
@@ -1099,8 +1149,15 @@ def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
         points = grid_product_p2(xs, xs2, line, line2).points
         calls.clear()
         assert ci_verdict(points).kind == "CI"
-        assert calls == [("kernel_basis", a * b, comb(t + 2, 2)) for t in degrees] + [
+        values = points._ladder.values
+        assert calls == [("kernel_basis", values[t], comb(t + 2, 2)) for t in degrees] + [
             ("rank_of", a * b, comb(top + 3, 2))
+        ]
+        # HF(t) of a complete intersection of forms of degrees a and b, in
+        # the degrees below a + b: the monomials of degree t less the
+        # multiples of each form
+        assert [values[t] for t in degrees] == [
+            comb(t + 2, 2) - sum(comb(t - e + 2, 2) for e in (a, b) if e <= t) for t in degrees
         ]
 
 
@@ -1198,9 +1255,10 @@ def test_random_points_of_the_plane_take_no_exact_elimination(monkeypatch):
 def test_ten_by_ten_plane_grid_takes_one_kernel(monkeypatch):
     # a 10 x 10 grid of P^2 is a complete intersection of two forms of
     # degree 10.  The pass first keeps fewer columns than the ceiling in
-    # degree 10; the kernel of E_10 there has dimension 2, and the
-    # multiples of the two forms meet the pass in every degree up to
-    # tau = 18, so nothing else is eliminated but the rank of E_19
+    # degree 10; the kernel of E_10 there, taken on the HF(10) = 64 rows
+    # of the pass's pivots, has dimension 2, and the multiples of the two
+    # forms meet the pass in every degree up to tau = 18, so nothing else
+    # is eliminated but the rank of E_19
     line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
     xs, xs2 = generic_collinear_sample(line, line2, 10, 10, 2010)
     points = grid_product_p2(xs, xs2, line, line2).points
@@ -1215,7 +1273,7 @@ def test_ten_by_ten_plane_grid_takes_one_kernel(monkeypatch):
     monkeypatch.setattr(linalg, "kernel_basis", spy)
     calls = spy_linalg(monkeypatch)
     assert ci_verdict(points) == CIVerdict("CI", 2, 2, (10, 10))
-    assert kernels == [(100, comb(10 + 2, 2), 2)]
+    assert kernels == [(comb(10 + 2, 2) - 2, comb(10 + 2, 2), 2)]
     assert [name for name, *_ in calls] == ["kernel_basis", "rank_of"]
     assert points._ladder.tau == 18
 
@@ -1225,11 +1283,14 @@ def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):
     # quadric's lead, and reaches |X| = 9 there.  Told instead that a
     # second monomial g of block 2 is free and that one monomial of block
     # 3 reaches |X|, the pass says HF(2) = 8, so dim J_2 = 2 and the
-    # squeeze takes the exact kernel of E_2.  It holds the quadric alone,
-    # so the bound HF(2) <= 10 - 1 = 9 cannot meet the pass: the exact
-    # ladder runs, and every answer is the oracle's.  Its count loop reuses
-    # that kernel of E_2, so no degree is eliminated twice: the echelon of
-    # E_3 and the rank of E_(tau+1) follow it, and nothing else
+    # squeeze takes the exact kernel of E_2, first on the 8 rows of the
+    # pass's first 8 pivots.  That kernel has dimension 2, and the ninth
+    # row does not annihilate it, so the kernel of the whole E_2 is taken.
+    # It holds the quadric alone, so the bound HF(2) <= 10 - 1 = 9 cannot
+    # meet the pass: the exact ladder runs, and every answer is the
+    # oracle's.  Its count loop reuses that kernel of E_2, so no degree is
+    # eliminated twice: the echelon of E_3 and the rank of E_(tau+1) follow
+    # it, and nothing else
     points = PointSet(GRID3.points)
     expected = full_ring_answers(points)
     original = ideals._modular_degree
@@ -1248,7 +1309,9 @@ def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):
         hilbert_profile(points), generator_entries(generator_profile(points)), ci_verdict(points)
     )
     assert answers == expected
-    assert calls == [("kernel_basis", 9, 10), ("echelon_of", 9, 20), ("rank_of", 9, 20)]
+    assert calls == [
+        ("kernel_basis", 8, 10), ("kernel_basis", 9, 10), ("echelon_of", 9, 20), ("rank_of", 9, 20)
+    ]
 
 
 def test_certified_sets_off_their_coordinates_eliminate_degree_bounded_ideal():

@@ -3,6 +3,8 @@
 import random
 from math import comb, gcd, lcm
 
+import pytest
+
 from hada import _elim, linalg
 from hada.ideals import evaluation_rows
 from hada.projective import PointSet, ProjPoint
@@ -348,6 +350,18 @@ def test_mod_basis_solve_writes_a_vector_of_the_span():
         assert [(c - w) % p for c, w in zip(coeffs, weights)] == [0] * len(kept)
 
 
+def check_mod_basis_step(ours, ref, v):
+    """Add the vector to both bases and compare what each says: whether
+    it was kept, the size of the basis and, for a rejected vector, its
+    coefficients, which are unique as the kept vectors are independent."""
+    kept = ours.add(v)
+    assert kept == ref.add(v)
+    assert len(ours) == len(ref)
+    if not kept:
+        assert ours.solve(v) == ref.solve(v)
+    return kept
+
+
 def test_mod_basis_matches_eager_reference():
     rng = random.Random(1212)
     p = _elim._PRIME
@@ -371,11 +385,49 @@ def test_mod_basis_matches_eager_reference():
                 v = [p * rng.randint(-wide, wide) for _ in range(k)]
             else:
                 v = [0 if rng.random() < 0.3 else rng.randint(-wide, wide) for _ in range(k)]
-            kept = ours.add(v)
-            assert kept == ref.add(v)
-            assert ours.rows == ref.rows
+            kept = check_mod_basis_step(ours, ref, v)
             outcomes.add(kept)
             if kept:
                 added.append(v)
-        assert len(ours) == len(ref.rows) <= k
+        assert len(ours) <= k
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("prime", [2, 3, 13, 2**31 - 1, 2**61 - 1])
+def test_mod_basis_packs_every_prime_and_length(monkeypatch, prime):
+    # vectors are packed into slots whose width steps up with the prime and
+    # the length (2**61 - 1: 128 bits up to 31 entries, 192 from 32; 2**31
+    # - 1: 64 bits for one entry, 128 from two), and every slot is reduced
+    # by folding with p = 2**s - c, c = 2 for the prime 2, 3 for 13 and 1
+    # for the rest.  Each basis is filled to full rank or to 24 vectors,
+    # with entries of at least 2**200, zero vectors, multiples of p and
+    # planted dependencies among them, so the slots take their largest
+    # sums; then six more dependent vectors are solved
+    monkeypatch.setattr(_elim, "_PRIME", prime)
+    rng = random.Random(prime)
+    wide = 2**200
+
+    def dependent(added, k):
+        kind = rng.random()
+        if kind < 0.2 or not added:
+            return [0] * k
+        if kind < 0.4:
+            return [prime * rng.randint(-wide, wide) for _ in range(k)]
+        v = [prime * rng.randint(-wide, wide) for _ in range(k)]
+        for w in rng.sample(added, min(len(added), 3)):
+            c = rng.randint(-wide, wide)
+            v = [x + c * y for x, y in zip(v, w)]
+        return v
+
+    for k in (1, 2, 31, 32, 63, 64, 150):
+        ours, ref = _elim.ModBasis(), EagerModBasis(prime)
+        added = []
+        while len(ours) < min(k, 24):
+            if rng.random() < 0.2:
+                v = dependent(added, k)
+            else:
+                v = [rng.choice((-1, 1)) * rng.randint(wide, 2 * wide) for _ in range(k)]
+            if check_mod_basis_step(ours, ref, v):
+                added.append(v)
+        for _ in range(6):
+            assert not check_mod_basis_step(ours, ref, dependent(added, k))
