@@ -35,9 +35,10 @@ precision comes for free.  Two elimination strategies are combined:
 There is one forward pass.  ``echelon`` runs the primary path and, if
 the guard trips, the fallback on the same input; rank and pivots do not
 depend on the path taken, the echelon rows do.  ``rank`` falls back on
-its first component, and the degree ladder in ``hada.ideals`` reads the
-pivots.  ``rref`` is ``echelon`` followed by a back substitution that
-clears above every pivot, last pivot first.  It needs no second guard:
+its first component, and ``hada.ideals`` reads the rank and pivots of
+the coordinate matrix of a point set, to find its linear span.
+``rref`` is ``echelon`` followed by a back substitution that clears
+above every pivot, last pivot first.  It needs no second guard:
 each row it builds is, up to its content, a vector of minors of the
 echelon rows, which the guard or Bareiss already keep polynomially
 sized (``_back_substitute`` gives the argument; Nakos, Turner &
@@ -84,7 +85,11 @@ points, and ``hada.ideals`` shows that the rows of E_t at the pivots of
 its first HF(t) kept columns are independent.
 
 ``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
-the frontend every other module calls.
+the frontend for ranks, kernels, RREFs and determinants, which
+``plane``, ``space``, ``sampling`` and ``ideals`` call.  ``hada.ideals``
+also calls ``echelon``, ``ModBasis``, ``_primitive`` and the span
+certificate ``_full_rank_mod_prime`` here directly, for its degree
+ladder.
 """
 
 from bisect import bisect_left

@@ -276,7 +276,7 @@ def cmd_grid(args):
         "col_lines": list(g.col_lines),
     }
     if inst.space == 2:
-        results["witness_degrees"] = [f.degree for f in g.ci_witness]
+        results["witness_degrees"] = list(g.witness_degrees)
     return results, 0
 
 

@@ -110,7 +110,7 @@ def _check_grid2(inst, args):
     )
     return {
         "count": len(g.points),
-        "witness_degrees": [g.ci_witness[0].degree, g.ci_witness[1].degree],
+        "witness_degrees": list(g.witness_degrees),
     }
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DimensionMismatch, HadaError
-from .projective import Hyperplane, ProjPoint, canonical_coords, parse_rational
+from .projective import ProjPoint, canonical_coords, parse_rational
 
 
 @lru_cache(maxsize=None)
@@ -82,17 +82,6 @@ class HomogeneousForm:
             )
         return cls(nvars, dict(zip(monos, vector)))
 
-    @classmethod
-    def from_hyperplane(cls, h: Hyperplane) -> "HomogeneousForm":
-        n = h.ambient_dim + 1
-        coeffs = {}
-        for i, a in enumerate(h.dual.coords):
-            if a:
-                expo = [0] * n
-                expo[i] = 1
-                coeffs[tuple(expo)] = a
-        return cls(n, coeffs)
-
     def coefficient_vector(self) -> tuple[int, ...]:
         """Full integer coefficient vector in monomial order."""
         return tuple(self.coeffs.get(e, 0) for e in monomials(self.nvars, self.degree))
@@ -107,18 +96,6 @@ class HomogeneousForm:
 
     def vanishes_at(self, p: ProjPoint) -> bool:
         return self.evaluate(p.coords) == 0
-
-    def __mul__(self, other):
-        if not isinstance(other, HomogeneousForm):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise HadaError("forms in different variable counts")
-        prod: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod[e] = prod.get(e, 0) + c1 * c2
-        return HomogeneousForm(self.nvars, prod)
 
     def __eq__(self, other):
         if not isinstance(other, HomogeneousForm):

@@ -45,8 +45,7 @@ dimension of the span):
   of S evaluated at (p1, ..., pn),
   E_d = [D^d * S_0 | D^(d-1) * S_1 | ... | S_d], and its leading
   C(t+n, n) columns are D^(d-t) * E_t, an invertible row scaling of
-  E_t.  Pivots do not depend on later columns, so HF(t) is the number of
-  pivots of E_d left of column C(t+n, n), for every t <= d;
+  E_t;
 * the block-t parts of the kernel vectors of E_t span J_t, the image of
   I_t in S_t, and HF(t) - HF(t - 1) = |S_t| - dim J_t.  J = (I + l)/l
   is an ideal of S, and the minimal generators of I in degree t are
@@ -89,7 +88,7 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   join the forms (each made primitive).  The first such degree is
   alpha, the first block with a free column mod p, and the lowest
   degree of J.  Where the rank still falls short, the pass was wrong
-  mod p and the exact ladder below runs instead.  Degree d itself needs
+  mod p and the fallback below runs instead.  Degree d itself needs
   no kernel, as the ceiling |X| meets the pass there: HF(d) = |X|.  So
   when the loop ends, HF, tau = d and every J_t below tau are exact, and
   J_(t-1) is spanned by M_(t-1) and the forms of degree t - 1, which
@@ -111,8 +110,8 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   each of its vectors, which is checked: then the rows span the row
   space of E_t, and the canonical kernel basis is the same, bit for
   bit.  When the check fails (L(t) < HF(t): the pass was wrong mod p),
-  the kernel of the whole E_t is taken instead.  The exact ladder,
-  which has no pass, always takes that one.  A skew grid's kernel of
+  the kernel of the whole E_t is taken instead.  The fallback, which
+  has no pass, always takes that one.  A skew grid's kernel of
   E_2 is so taken on 9 rows, not 16 or 25, and a 5 x 5 P^2 grid's of
   E_5 on 19 of its 25;
 * the counts.  In a degree t <= tau the count is dim J_t minus the rank
@@ -136,15 +135,17 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   and once those bounds sum to n every one is exact, so no exact rank
   is taken.
 
-When the pass cannot decide, or the bound cannot meet it, one forward
-echelon of E_d gives HF exactly (``_exact_ladder``).  d is the pass's
-degree or, when the pass cannot decide, starts at the least t with
-C(t+n, n) >= |X| and rises by one until the exact pivots reach |X|.
-The counts then come from the same loop on those exact values, which
-reuses any kernel the failed squeeze took; where the kernel's vectors
-fall short of dim J_t mod p the prime failed, and all of them join the
-forms, whose span over Q is J_t either way; at tau + 1 the exact
-kernel of E_tau stands in for the one mod p.  Every answer is exact
+When the pass cannot decide, or the bound cannot meet it, HF is read
+off its definition: HF(t) is the rank of E_t in l-coordinates, one
+``linalg.rank_of`` in each degree t = 0, 1, ... until it reaches |X|
+(Abbott, Bigatti, Kreuzer & Robbiano, *Computing ideals of points*,
+J. Symbolic Comput. 30, 2000).  Modulo 2**61 - 1 only sets built to
+defeat the prime take it.  The counts then come from the same loop on
+those exact values, which reuses any kernel the failed squeeze took;
+where the kernel's vectors fall short of dim J_t mod p the prime
+failed, and all of them join the forms, whose span over Q is J_t
+either way; at tau + 1 the exact kernel of E_tau stands in for the one
+mod p.  Every answer is exact
 whichever way: the prime chooses the path and the matrices, not an
 answer.
 
@@ -160,11 +161,12 @@ The ladder needs no consistency checks.  HF rises strictly until it
 reaches |X|: its first differences are the h-vector of the Artinian
 reduction R/(I, l), a standard graded algebra, which has no internal
 zeros (once it is zero in degree t it is zero above, as it is generated
-in degree 1).  So tau <= |X| - 1.  The ladder still stores
-HF(tau + 1) from one rank of the full E_(tau+1) of the set in its span
-(certified modulo a prime when its entries are that wide), although
-that rank is |X|: the l-divisible columns of E_(tau+1) are D * E_tau
-with D invertible.  The benchmark's tracer test
+in degree 1).  So tau <= |X| - 1, and the fallback's ranks reach |X|.
+The ladder still stores HF(tau + 1) from the same rank of the full
+E_(tau+1) in l-coordinates, which are the set's own coordinates in its
+span when c = 0 (certified modulo a prime when its entries are that
+wide), although that rank is |X|: the l-divisible columns of E_(tau+1)
+are D * E_tau with D invertible.  The benchmark's tracer test
 (``perfbench/tests/test_perfbench.py``) asserts the shape of that
 rank, so dropping it waits for a change to the benchmark.
 
@@ -182,7 +184,6 @@ elimination after a profile question.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -405,7 +406,8 @@ def _squeeze_ladder(lcoords, n: int, values, found, kernels):
     the pass ``found`` cannot be squeezed.
 
     ``found`` is what ``_modular_degree`` returned, whose values are lower
-    bounds, or None when the values are exact (``_exact_ladder``).  In
+    bounds, or None when the values are exact (the ranks of the fallback
+    in ``_ladder``).  In
     each degree t < d, the forms found so far give the multiples M_t:
     each form of degree s < t times each monomial of S_(t-s).  Where
     their rank mod p is below dim J_t = |S_t| - HF(t) + HF(t - 1), the
@@ -506,22 +508,6 @@ def _kernel_mod_p(n: int, d: int, standard, basis, ys):
     return vectors
 
 
-def _exact_ladder(lcoords, n: int, d: int):
-    """HF(0 .. tau), read off the pivots of one forward echelon of E_d in
-    l-coordinates, with d rising from the given degree until the rank is
-    |X|: HF(t) is the number of pivots left of column C(t + n, n)."""
-    card = len(lcoords)
-    while True:
-        rank, pivots, _ = linalg.echelon_of(
-            _evaluation_matrix(lcoords, n + 1, d), comb(d + n, n)
-        )
-        if rank == card:
-            break
-        d += 1
-    values = [bisect_left(pivots, comb(t + n, n)) for t in range(d + 1)]
-    return values[: values.index(card) + 1]
-
-
 def _ladder(points: PointSet) -> _Ladder:
     """The degree ladder of the set, built on first use and then read
     from the set.
@@ -531,12 +517,11 @@ def _ladder(points: PointSet) -> _Ladder:
     ``_modular_degree`` finds d and HF mod p, and ``_squeeze_ladder``
     squeezes HF between them and the multiples of exact forms, and counts
     the generators.  When the pass cannot decide, or the squeeze fails,
-    one forward echelon of E_d in l-coordinates gives HF exactly
-    (``_exact_ladder``), and the same loop, on those values, only counts;
-    d is the pass's degree or, when the pass cannot decide, the least
-    degree with at least |X| monomials.  Either way HF(tau + 1) is then
-    read off a rank of the full E_(tau+1); the module docstring says why
-    that is |X| and why the rank stays for now.  Both loops share the
+    HF(t) is the rank of E_t in l-coordinates (``rank``), for t = 0, 1,
+    ... until it reaches |X|, and the same loop, on those values, only
+    counts.  Either way HF(tau + 1) is then read off ``rank`` of the full
+    E_(tau+1); the module docstring says why that is |X| and why the rank
+    stays for now.  Both loops share the
     exact kernels, so no degree is eliminated twice.  The first one, of
     E_t with t the first degree where the pass left a column free (alpha,
     unless the pass was wrong there), is kept for ``degree_bounded_ideal``
@@ -554,19 +539,22 @@ def _ladder(points: PointSet) -> _Ladder:
     tails = [p[1:] for p in coords]
     lcoords = [(lp,) + tail for lp, tail in zip(lvalues, tails)]
     linear = points.ambient_dim - n
+
+    def rank(t):
+        return linalg.rank_of(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
+
     found = _modular_degree(lvalues, tails)
     values = found and list(accumulate(len(block) for block in found[1]))
     kernels = {}
     counts = found and _squeeze_ladder(lcoords, n, values, found, kernels)
     if not counts:
-        d = found[0] if found else next(t for t in range(card) if comb(t + n, n) >= card)
-        values = _exact_ladder(lcoords, n, d)
+        values = [rank(0)]
+        while values[-1] < card:
+            values.append(rank(len(values)))
         counts = _squeeze_ladder(lcoords, n, values, None, kernels)
     counts[1] += linear
     tau = len(values) - 1
-    values.append(
-        linalg.rank_of(_evaluation_matrix(coords, n + 1, tau + 1), comb(tau + 1 + n, n))
-    )
+    values.append(rank(tau + 1))
     points._ladder = _Ladder(
         cardinality=card,
         dim=n,

@@ -21,11 +21,6 @@ def rank_of(rows, ncols):
     return _elim.rank(rows, ncols)
 
 
-def echelon_of(rows, ncols):
-    """Forward echelon form ``(rank, pivots, rows)``; see ``_elim.echelon``."""
-    return _elim.echelon(rows, ncols)
-
-
 def rref_of(rows, ncols):
     return _elim.rref(rows, ncols)
 

@@ -35,7 +35,6 @@ from .errors import (
     MembershipError,
     StratumError,
 )
-from .forms import HomogeneousForm
 from .projective import (
     UNDEFINED,
     Hyperplane,
@@ -340,13 +339,14 @@ def grid_condition(
 @dataclass(frozen=True)
 class GridResult:
     """A grid of |X| |X'| points with its two rulings of lines and the
-    pair of forms (products of the row and column linear forms) that
-    exhibit the grid as a complete intersection."""
+    degrees (|X|, |X'|) of the two forms, the products of the row and of
+    the column linear forms, that exhibit the grid as a complete
+    intersection."""
 
     points: PointSet
     row_lines: tuple[Hyperplane, ...]
     col_lines: tuple[Hyperplane, ...]
-    ci_witness: tuple[HomogeneousForm, HomogeneousForm]
+    witness_degrees: tuple[int, int]
 
 
 def grid_product_p2(
@@ -378,21 +378,12 @@ def grid_product_p2(
         )
     row_lines = tuple(point_line_product_p2(p, line2).line for p in xs)
     col_lines = tuple(point_line_product_p2(p2, line).line for p2 in xs2)
-    row_form = _product_of_linear_forms(row_lines)
-    col_form = _product_of_linear_forms(col_lines)
     return GridResult(
         points=products,
         row_lines=row_lines,
         col_lines=col_lines,
-        ci_witness=(row_form, col_form),
+        witness_degrees=(len(xs), len(xs2)),
     )
-
-
-def _product_of_linear_forms(lines):
-    form = HomogeneousForm.from_hyperplane(lines[0])
-    for l in lines[1:]:
-        form = form * HomogeneousForm.from_hyperplane(l)
-    return form
 
 
 def generic_collinear_sample(

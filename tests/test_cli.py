@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hada import linalg
+from hada import _elim, linalg
 from hada.cli import MAX_RANDOM_SIZE, main
 from hada.fixtures import fixtures_dir, replay_fixtures
 from hada.ideals import degree_bounded_ideal
@@ -232,8 +232,9 @@ def no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("an elimination ran")
 
-    for name in ("echelon_of", "rank_of", "kernel_basis", "rref_of"):
+    for name in ("rank_of", "kernel_basis", "rref_of"):
         monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(_elim, "echelon", refuse)
 
 
 @pytest.mark.parametrize(

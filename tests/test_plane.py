@@ -12,6 +12,7 @@ from hada.errors import (
     MembershipError,
     StratumError,
 )
+from hada.ideals import ci_verdict
 from hada.plane import (
     case_hypotheses,
     collinear_set_line_product,
@@ -337,10 +338,8 @@ class TestGridProduct:
     def test_paper_style_grid(self):
         g = grid_product_p2(GRID_X, GRID_XP, GRID_L, GRID_LP)
         assert len(g.points) == 12
-        assert g.ci_witness[0].degree == 3 and g.ci_witness[1].degree == 4
-        for p in g.points:
-            assert g.ci_witness[0].vanishes_at(p)
-            assert g.ci_witness[1].vanishes_at(p)
+        assert g.witness_degrees == (3, 4)
+        assert sorted(g.witness_degrees) == list(ci_verdict(g.points).witness_degrees)
         # intersections of the two rulings are exactly the grid points
         for i, p in enumerate(GRID_X):
             for j, p2 in enumerate(GRID_XP):
@@ -351,7 +350,7 @@ class TestGridProduct:
         ys = PointSet.from_coords([[22, 154, 5]])
         g = grid_product_p2(xs, ys, GRID_L, GRID_LP)
         assert len(g.points) == 1
-        assert [f.degree for f in g.ci_witness] == [1, 1]
+        assert g.witness_degrees == (1, 1)
 
     def test_matches_brute_force(self):
         rng = random.Random(83)
