@@ -82,10 +82,23 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   pass gives dim J_t <= D(t) = |S_t| - L(t) + L(t - 1), so a rank
   rank_p M_t = D(t) makes HF(t) = L(t) exact and M_t a spanning set of
   J_t over Q;
+* the covers.  A set made by ``pairwise_products`` keeps its two
+  factors.  When c = 0 and the set spans its P^n, each factor G that
+  lies in a hyperplane H (the first vector of the canonical kernel basis
+  of G's coordinate matrix, a |G| x (n + 1) elimination), paired with a
+  factor F none of whose points has a zero coordinate, gives the exact
+  form prod over a in F of a * H, with (a * H)(x) = sum of H_i x_i / a_i.
+  It has degree |F| and vanishes on the set, as (a * H)(a * b) =
+  H(b) = 0: for a P^2 grid these are the paper's row and column lines.
+  Its image in S, the product of the a * H restricted to x0 = 0, is an
+  exact form of J; none of them is zero, as x0 vanishes at no point
+  when c = 0.  Covers are built in degrees below d only;
 * the loop.  In each degree t < d where rank_p M_t falls short of D(t),
-  one exact ``kernel_basis`` of E_t in l-coordinates gives J_t, and
-  the block-t parts of its vectors that are independent of M_t mod p
-  join the forms (each made primitive).  The first such degree is
+  the covers of degree t that are independent of M_t mod p join the
+  forms.  Where the rank still falls short, one exact ``kernel_basis``
+  of E_t in l-coordinates gives J_t, and the block-t parts of its
+  vectors that are independent of the span so far mod p join the forms
+  too (each made primitive).  The first degree that falls short is
   alpha, the first block with a free column mod p, and the lowest
   degree of J.  Where the rank still falls short, the pass was wrong
   mod p and the fallback below runs instead.  Degree d itself needs
@@ -93,11 +106,13 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   when the loop ends, HF, tau = d and every J_t below tau are exact, and
   J_(t-1) is spanned by M_(t-1) and the forms of degree t - 1, which
   makes S_1 * J_(t-1) the span of M_t.  The exact kernels are of E_t in
-  degrees t < d, smaller than E_d: P^2 grids and planar-25 take one in
-  the degree of each of their two forms (one, when the two are of the
-  same degree), square skew grids of at least 4 x 4 points one of E_2
-  (their quadric), and sets with a maximal Hilbert function (random
-  points, collinear sets, 3 x 3 skew grids) none;
+  degrees t < d, smaller than E_d: planar-25 and the points of a P^2
+  grid given alone take one in the degree of each of their two forms
+  (one, when the two are of the same degree), square skew grids of at
+  least 4 x 4 points one of E_2 (their quadric), and sets with a
+  maximal Hilbert function (random points, collinear sets, 3 x 3 skew
+  grids) none.  A P^2 grid made as a product takes none either: its two
+  covers are its two forms;
 * the rows.  Each such kernel is first taken on L(t) rows of E_t alone:
   those of the points at which the pass's first L(t) kept columns have
   their ``ModBasis`` pivots.  These rows are independent over Q.  The
@@ -112,10 +127,10 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   bit.  When the check fails (L(t) < HF(t): the pass was wrong mod p),
   the kernel of the whole E_t is taken instead.  The fallback, which
   has no pass, always takes that one.  A skew grid's kernel of
-  E_2 is so taken on 9 rows, not 16 or 25, and a 5 x 5 P^2 grid's of
-  E_5 on 19 of its 25;
+  E_2 is so taken on 9 rows, not 16 or 25, and the kernel of E_5 of a
+  5 x 5 P^2 grid's points on 19 of its 25;
 * the counts.  In a degree t <= tau the count is dim J_t minus the rank
-  of M_t, which is 0 in every degree below tau that took no kernel.  A
+  of M_t, which is 0 in every degree below tau where no form joined.  A
   rank mod p equal to the rows of M_t or to dim J_t is its rank over Q;
   otherwise ``linalg.rank_of`` takes it on the same integer rows, on
   the |S_t| columns;
@@ -141,9 +156,10 @@ off its definition: HF(t) is the rank of E_t in l-coordinates, one
 (Abbott, Bigatti, Kreuzer & Robbiano, *Computing ideals of points*,
 J. Symbolic Comput. 30, 2000).  Modulo 2**61 - 1 only sets built to
 defeat the prime take it.  The counts then come from the same loop on
-those exact values, which reuses any kernel the failed squeeze took;
-where the kernel's vectors fall short of dim J_t mod p the prime
-failed, and all of them join the forms, whose span over Q is J_t
+those exact values, covers included, which reuses any kernel the
+failed squeeze took; where the covers and the kernel's vectors fall
+short of dim J_t mod p the prime failed, and all of the kernel's
+vectors join the forms, whose span over Q is J_t
 either way; at tau + 1 the exact kernel of E_tau stands in for the one
 mod p.  Every answer is exact
 whichever way: the prime chooses the path and the matrices, not an
@@ -172,14 +188,15 @@ rank, so dropping it waits for a change to the benchmark.
 
 Single-degree questions (``hilbert_function``, ``ideal_dimension``,
 ``degree_bounded_ideal``) eliminate E_t of the given points directly,
-with one exception: ``degree_bounded_ideal`` in degree alpha reads the
-kernel of E_alpha that the ladder took, when c = 0 and the set spans
-its P^n.  Then the l-coordinates are the set's own coordinates,
-E_alpha is the set's evaluation matrix, and the stored kernel is, bit
-for bit, the one a direct elimination gives: a kernel the loop took on
-HF(alpha) rows passed the row check, so it is the kernel of E_alpha.
-So the quadric of a skew grid of at least 4 x 4 points costs no
-elimination after a profile question.
+with one exception: ``degree_bounded_ideal`` in the degree t of the
+first kernel the ladder took (alpha, unless covers filled J_alpha)
+reads that kernel of E_t, when c = 0 and the set spans its P^n.  Then
+the l-coordinates are the set's own coordinates, E_t is the set's
+evaluation matrix, and the stored kernel is, bit for bit, the one a
+direct elimination gives: a kernel the loop took on HF(t) rows passed
+the row check, so it is the kernel of E_t.  So the quadric of a skew
+grid of at least 4 x 4 points costs no elimination after a profile
+question.
 """
 
 from __future__ import annotations
@@ -187,7 +204,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, prod
 from operator import mul
 from typing import Optional
 
@@ -400,21 +417,23 @@ def _span_coordinates(points: PointSet):
     return [tuple(p[j] for j in pivots) for p in coords], rank - 1
 
 
-def _squeeze_ladder(lcoords, n: int, values, found, kernels):
+def _squeeze_ladder(lcoords, n: int, values, found, kernels, covers):
     """The new minimal generators of J in degrees 0 .. d + 1 of the set in
     its span, for HF(0 .. d) = ``values``; or None when values claimed by
     the pass ``found`` cannot be squeezed.
 
     ``found`` is what ``_modular_degree`` returned, whose values are lower
     bounds, or None when the values are exact (the ranks of the fallback
-    in ``_ladder``).  In
-    each degree t < d, the forms found so far give the multiples M_t:
-    each form of degree s < t times each monomial of S_(t-s).  Where
-    their rank mod p is below dim J_t = |S_t| - HF(t) + HF(t - 1), the
-    exact kernel of E_t is taken (``_exact_forms``, which keeps it in
-    ``kernels``; with a pass, on the rows of its first HF(t) pivots when
-    the other rows agree), and the block-t parts of its vectors that are
-    independent of M_t mod p join the forms.  Where the rank still falls
+    in ``_ladder``).  ``covers`` holds exact forms of J by degree
+    (``_covers``).  In each degree t < d, the forms found so far give the
+    multiples M_t: each form of degree s < t times each monomial of
+    S_(t-s).  Where their rank mod p is below dim J_t = |S_t| - HF(t) +
+    HF(t - 1), the covers of degree t that are independent of M_t mod p
+    join the forms.  Where the rank still falls short, the exact kernel
+    of E_t is taken (``_exact_forms``, which keeps it in ``kernels``; with
+    a pass, on the rows of its first HF(t) pivots when the other rows
+    agree), and the block-t parts of its vectors that are independent of
+    the span so far mod p join the forms.  Where the rank still falls
     short, the pass was wrong mod p and None is returned; with exact
     values, the prime failed instead, and every vector joins.  The module
     docstring shows why the values are then exact and how the count in
@@ -429,12 +448,14 @@ def _squeeze_ladder(lcoords, n: int, values, found, kernels):
         dim = len(_s_monomials(n, t)) - values[t] + (values[t - 1] if t else 0)
         spans.append((rows, len(span), dim))
         if t < d and len(span) < dim:
-            basis = _exact_forms(lcoords, n, t, kernels, found and found[2].pivots[: values[t]])
-            new = [v for v in basis if span.add(v)]
+            new = [v for v in covers.get(t, ()) if span.add(v)]
             if len(span) < dim:
-                if found:
-                    return None
-                new = basis
+                basis = _exact_forms(lcoords, n, t, kernels, found and found[2].pivots[: values[t]])
+                new += [v for v in basis if span.add(v)]
+                if len(span) < dim:
+                    if found:
+                        return None
+                    new = basis
             forms.append((t, new))
     rank, dim = spans[-1][1:]
     if rank == dim:
@@ -491,6 +512,44 @@ def _exact_forms(lcoords, n: int, t: int, kernels, rows=None):
     return [_elim._primitive(v[start:]) for v in kernels[t] if any(v[start:])]
 
 
+def _covers(factors, n: int, d: int):
+    """The cover forms of a product set in degrees below d, as {t: forms of
+    S_t}, from its two factors (``PointSet._factors``; {} when None).
+
+    Each factor G that lies in a hyperplane H, the first vector of the
+    canonical kernel basis of its coordinate matrix, paired with a factor
+    F none of whose points has a zero coordinate, gives the form
+    prod over a in F of a * H, with (a * H)(x) = sum of H_i x_i / a_i.
+    It has degree |F| and vanishes on F * G, as (a * H)(a * b) = H(b) = 0,
+    so it lies in I.  Its image in S is the product of the hyperplanes
+    restricted to x0 = 0, each made primitive, hence primitive (Gauss's
+    lemma).  With c = 0, x0 vanishes at no product point, so no a * H is
+    {x0 = 0} and that product is not zero.
+    """
+    covers = {}
+    if factors is None:
+        return covers
+    for f, g in (factors, factors[::-1]):
+        if len(f) >= d or any(0 in a.coords for a in f):
+            continue
+        kernel = _elim.nullspace([b.coords for b in g], n + 1)
+        if not kernel:
+            continue
+        h = kernel[0][1:]
+        form = [1]
+        for s, a in enumerate(f):
+            tail = a.coords[1:]
+            scale = prod(tail)
+            linear = _elim._primitive([hi * (scale // ai) for hi, ai in zip(h, tail)])
+            product = [0] * len(_s_monomials(n, s + 1))
+            for coefficient, columns in zip(linear, _product_columns(n, s, s + 1)):
+                for j, x in zip(columns, form):
+                    product[j] += coefficient * x
+            form = product
+        covers.setdefault(len(f), []).append(form)
+    return covers
+
+
 def _kernel_mod_p(n: int, d: int, standard, basis, ys):
     """A basis of J_d modulo ``_elim._PRIME``, from the pass of degree d:
     for each monomial f of block d that the pass did not keep, the block-d
@@ -515,18 +574,19 @@ def _ladder(points: PointSet) -> _Ladder:
     The ladder is built in the span of the set (``_span_coordinates``),
     P^(r-1), which the module docstring shows changes no answer.
     ``_modular_degree`` finds d and HF mod p, and ``_squeeze_ladder``
-    squeezes HF between them and the multiples of exact forms, and counts
-    the generators.  When the pass cannot decide, or the squeeze fails,
-    HF(t) is the rank of E_t in l-coordinates (``rank``), for t = 0, 1,
-    ... until it reaches |X|, and the same loop, on those values, only
-    counts.  Either way HF(tau + 1) is then read off ``rank`` of the full
+    squeezes HF between them and the multiples of exact forms, the covers
+    of a product set (``_covers``, when c = 0 and the set spans its P^n)
+    among them, and counts the generators.  When the pass cannot decide,
+    or the squeeze fails, HF(t) is the rank of E_t in l-coordinates
+    (``rank``), for t = 0, 1, ... until it reaches |X|, and the same loop,
+    on those values, only counts.  Either way HF(tau + 1) is then read off ``rank`` of the full
     E_(tau+1); the module docstring says why that is |X| and why the rank
     stays for now.  Both loops share the
     exact kernels, so no degree is eliminated twice.  The first one, of
     E_t with t the first degree where the pass left a column free (alpha,
-    unless the pass was wrong there), is kept for ``degree_bounded_ideal``
-    when l-coordinates are the set's own (c = 0 and the set spans its
-    P^n).
+    unless the pass was wrong there or covers filled J_alpha), is kept for
+    ``degree_bounded_ideal`` when l-coordinates are the set's own (c = 0
+    and the set spans its P^n).
     """
     if points._ladder is not None:
         return points._ladder
@@ -543,15 +603,20 @@ def _ladder(points: PointSet) -> _Ladder:
     def rank(t):
         return linalg.rank_of(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
 
+    factors = None if c or linear else points._factors
     found = _modular_degree(lvalues, tails)
     values = found and list(accumulate(len(block) for block in found[1]))
     kernels = {}
-    counts = found and _squeeze_ladder(lcoords, n, values, found, kernels)
+    counts = found and _squeeze_ladder(
+        lcoords, n, values, found, kernels, _covers(factors, n, found[0])
+    )
     if not counts:
         values = [rank(0)]
         while values[-1] < card:
             values.append(rank(len(values)))
-        counts = _squeeze_ladder(lcoords, n, values, None, kernels)
+        counts = _squeeze_ladder(
+            lcoords, n, values, None, kernels, _covers(factors, n, len(values) - 1)
+        )
     counts[1] += linear
     tau = len(values) - 1
     values.append(rank(tau + 1))

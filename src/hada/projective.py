@@ -268,10 +268,13 @@ class PointSet:
     """Duplicate-free ordered set of points in a common ambient space.
 
     A set is never mutated after construction, so ``hada.ideals`` keeps
-    its degree ladder in the ``_ladder`` slot, filled on first use.
+    its degree ladder in the ``_ladder`` slot, filled on first use.  A
+    set made by ``pairwise_products`` keeps its two factors in the
+    ``_factors`` slot, which is None on every other set; the ladder reads
+    covering hyperplanes of the product off them.
     """
 
-    __slots__ = ("points", "_ladder")
+    __slots__ = ("points", "_ladder", "_factors")
 
     def __init__(self, points):
         pts = tuple(points)
@@ -287,6 +290,7 @@ class PointSet:
             seen.add(p.coords)
         self.points = pts
         self._ladder = None
+        self._factors = None
 
     @classmethod
     def from_coords(cls, rows):
@@ -334,7 +338,10 @@ def pairwise_products(xs: PointSet, ys: PointSet):
 
     Returns ``(products, undefined_pairs)`` where ``products`` is the
     deduplicated point set sorted by canonical coordinates.  This is
-    the oracle every grid construction is checked against.
+    the oracle every grid construction is checked against.  The product
+    set records ``(xs, ys)`` as its factors and nothing else: the
+    covering hyperplanes the degree ladder reads off them are derived in
+    ``hada.ideals`` when a ladder is built.
     """
     out = []
     undefined = 0
@@ -347,4 +354,6 @@ def pairwise_products(xs: PointSet, ys: PointSet):
                 out.append(r)
     if not out:
         raise HadaError("every pairwise product is undefined")
-    return PointSet.dedupe(sorted(out, key=lambda p: p.coords)), undefined
+    products = PointSet.dedupe(sorted(out, key=lambda p: p.coords))
+    products._factors = (xs, ys)
+    return products, undefined

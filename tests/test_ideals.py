@@ -4,6 +4,7 @@ import functools
 import json
 import random
 from collections import Counter, namedtuple
+from fractions import Fraction
 from math import comb, gcd
 
 import pytest
@@ -92,7 +93,7 @@ def collinear_defeating_prime(m):
     return PointSet.from_coords(coords + [[1, 2**61, 2**62, 3 * 2**61]])
 
 
-Built = namedtuple("Built", "path kernels ranks")
+Built = namedtuple("Built", "path kernels ranks covers")
 
 
 def build_ladder(points):
@@ -101,16 +102,17 @@ def build_ladder(points):
 
     ``path`` is "exact" (the fallback: HF(t) is the rank of E_t), or,
     squeezed between the pass mod p and the bound, "ceiling" (the bound met the
-    pass with no exact kernel: HF is min(C(t+n, n), |X|)) or "squeeze"
-    (with the multiples of the exact forms of at least one kernel).
-    ``kernels`` lists the degrees of the exact kernels taken, in order,
-    and ``ranks`` the (rows, columns, rank) of every exact rank the
-    counts took."""
+    pass with no exact form: HF is min(C(t+n, n), |X|)) or "squeeze"
+    (with the multiples of exact forms: those of at least one kernel, or
+    the cover forms of a product set).  ``kernels`` lists the degrees of
+    the exact kernels taken, in order, ``ranks`` the (rows, columns, rank)
+    of every exact rank the counts took, and ``covers`` the degrees of the
+    cover forms the last loop was given."""
     assert points._ladder is None
     calls = []
     original = ideals._squeeze_ladder
 
-    def spy(lcoords, n, values, found, kernels):
+    def spy(lcoords, n, values, found, kernels, covers):
         ranks = []
         rank_of = linalg.rank_of
 
@@ -120,16 +122,22 @@ def build_ladder(points):
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "rank_of", recorded)
-            counts = original(lcoords, n, values, found, kernels)
-        calls.append((found is None, tuple(kernels), ranks))
+            counts = original(lcoords, n, values, found, kernels, covers)
+        calls.append((found is None, tuple(kernels), ranks, tuple(sorted(covers))))
         return counts
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ideals, "_squeeze_ladder", spy)
         ideals._ladder(points)
-    exact, kernels, _ = calls[-1]
-    path = "exact" if exact else "squeeze" if kernels else "ceiling"
-    return Built(path, kernels, [rank for *_, ranks in calls for rank in ranks])
+    exact, kernels, _, covers = calls[-1]
+    path = "exact" if exact else "squeeze" if kernels or covers else "ceiling"
+    return Built(path, kernels, [rank for _, _, ranks, _ in calls for rank in ranks], covers)
+
+
+def ladder_answers(points):
+    """The stored ladder's HF values, tau and generator counts."""
+    ladder = ideals._ladder(points)
+    return ladder.values, ladder.tau, ladder.generators
 
 
 def no_squeeze(patch):
@@ -139,8 +147,8 @@ def no_squeeze(patch):
     those values."""
     original = ideals._squeeze_ladder
 
-    def squeeze(lcoords, n, values, found, kernels):
-        return None if found else original(lcoords, n, values, found, kernels)
+    def squeeze(lcoords, n, values, found, kernels, covers):
+        return None if found else original(lcoords, n, values, found, kernels, covers)
 
     patch.setattr(ideals, "_squeeze_ladder", squeeze)
 
@@ -857,8 +865,8 @@ def test_squeezed_kernels_equal_the_full_kernel(monkeypatch):
     original = ideals._squeeze_ladder
     taken = []
 
-    def spy(lcoords, n, values, found, kernels):
-        counts = original(lcoords, n, values, found, kernels)
+    def spy(lcoords, n, values, found, kernels, covers):
+        counts = original(lcoords, n, values, found, kernels, covers)
         taken.append((lcoords, n, list(values), dict(kernels)))
         return counts
 
@@ -1135,8 +1143,11 @@ def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
     # E_(tau+1), and the quadric, read from the stored kernel, equals the
     # one eliminated directly on a copy with no ladder.  A second quadric
     # question eliminates nothing.  The P^2 grids of the CI benchmark are
-    # squeezed too: a kernel in the degree of each of their two forms (one,
-    # for a square grid), each on HF(t) rows, and one rank
+    # squeezed too.  Their points alone take a kernel in the degree of each
+    # of their two forms (one, for a square grid), each on HF(t) rows, and
+    # one rank.  The grids' product sets know their factors, whose cover
+    # forms are those two forms: they take the one rank alone, and their
+    # ladders are the same
     grid = skew_grid(5, 4848)
     direct = degree_bounded_ideal(PointSet(grid.points), 2)
     calls = spy_linalg(monkeypatch)
@@ -1152,13 +1163,18 @@ def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
     line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
     for a, b, degrees, top in ((5, 5, [5], 8), (4, 5, [4, 5], 7)):
         xs, xs2 = generic_collinear_sample(line, line2, a, b, 1900 + 10 * a + b)
-        points = grid_product_p2(xs, xs2, line, line2).points
+        product = grid_product_p2(xs, xs2, line, line2).points
+        points = PointSet(product.points)
         calls.clear()
         assert ci_verdict(points).kind == "CI"
         values = points._ladder.values
         assert calls == [("kernel_basis", values[t], comb(t + 2, 2)) for t in degrees] + [
             ("rank_of", a * b, comb(top + 3, 2))
         ]
+        calls.clear()
+        assert ci_verdict(product).kind == "CI"
+        assert calls == [("rank_of", a * b, comb(top + 3, 2))]
+        assert ladder_answers(product) == ladder_answers(points)
         # HF(t) of a complete intersection of forms of degrees a and b, in
         # the degrees below a + b: the monomials of degree t less the
         # multiples of each form
@@ -1260,14 +1276,18 @@ def test_random_points_of_the_plane_take_no_exact_elimination(monkeypatch):
 
 def test_ten_by_ten_plane_grid_takes_one_kernel(monkeypatch):
     # a 10 x 10 grid of P^2 is a complete intersection of two forms of
-    # degree 10.  The pass first keeps fewer columns than the ceiling in
-    # degree 10; the kernel of E_10 there, taken on the HF(10) = 64 rows
-    # of the pass's pivots, has dimension 2, and the multiples of the two
-    # forms meet the pass in every degree up to tau = 18, so nothing else
-    # is eliminated but the rank of E_19
+    # degree 10.  For its points alone, the pass first keeps fewer columns
+    # than the ceiling in degree 10; the kernel of E_10 there, taken on the
+    # HF(10) = 64 rows of the pass's pivots, has dimension 2, and the
+    # multiples of the two forms meet the pass in every degree up to
+    # tau = 18, so nothing else is eliminated but the rank of E_19.  The
+    # grid's product set knows its factors, and their two cover forms of
+    # degree 10 fill J_10 mod p: it takes no kernel, only the rank of E_19,
+    # and its ladder is the same
     line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
     xs, xs2 = generic_collinear_sample(line, line2, 10, 10, 2010)
-    points = grid_product_p2(xs, xs2, line, line2).points
+    grid = grid_product_p2(xs, xs2, line, line2).points
+    points = PointSet(grid.points)
     kernels = []
     original = linalg.kernel_basis
 
@@ -1282,6 +1302,132 @@ def test_ten_by_ten_plane_grid_takes_one_kernel(monkeypatch):
     assert kernels == [(comb(10 + 2, 2) - 2, comb(10 + 2, 2), 2)]
     assert [name for name, *_ in calls] == ["kernel_basis", "rank_of"]
     assert points._ladder.tau == 18
+    calls.clear()
+    assert ci_verdict(grid) == CIVerdict("CI", 2, 2, (10, 10))
+    assert calls == [("rank_of", 100, comb(19 + 2, 2))] and len(kernels) == 1
+    assert ladder_answers(grid) == ladder_answers(points)
+
+
+def cover_cases():
+    """Product sets with the degrees of the cover forms expected of them:
+    P^2 grids, the product X * X of a collinear set with itself (the grid
+    condition fails), a collinear set with a point that has a zero
+    coordinate times a grid factor (no cover from that side), a collinear
+    set times three points that span P^2 (no cover from that side either),
+    and products of sets on skew lines of P^3."""
+    line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
+    for a, b in ((3, 4), (5, 5)):
+        xs, xs2 = generic_collinear_sample(line, line2, a, b, 2400 + 10 * a + b)
+        yield pairwise_products(xs, xs2)[0], [a, b]
+    yield pairwise_products(xs, xs)[0], [5, 5]
+    zero = PointSet(xs.points[:3] + (ProjPoint([10, 0, 1]),))
+    assert all(line.contains(p) for p in zero)
+    yield pairwise_products(zero, xs2)[0], [5]
+    spanning = PointSet.from_coords([[1, 2, 3], [2, -1, 5], [3, 1, -4]])
+    yield pairwise_products(spanning, xs2)[0], [3]
+    for a, b in ((2, 5), (4, 4)):
+        _, _, ys, ys2 = generic_skew_sample(a, b, 2500 + 10 * a + b)
+        yield pairwise_products(ys, ys2)[0], [a, b]
+
+
+def restricted_cover(f, h):
+    """prod over a in f of (a * H), H = ``h``, restricted to x0 = 0, with
+    Fraction coefficients, on the monomials of x1 .. xn."""
+    n = len(h) - 1
+    poly = {(0,) * n: Fraction(1)}
+    for a in f:
+        out = {}
+        for e, x in poly.items():
+            for i in range(n):
+                key = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                out[key] = out.get(key, 0) + x * Fraction(h[i + 1], a.coords[i + 1])
+        poly = out
+    return [poly.get(e, 0) for e in monomials(n, len(f))]
+
+
+def test_cover_forms_vanish_on_their_products():
+    # each factor G in a hyperplane H (the first canonical kernel vector of
+    # its coordinate matrix), with a factor F that has no zero coordinate,
+    # gives prod over a in F of (a * H): it vanishes at every product point
+    # a * b, and its restriction to x0 = 0 is the cover ``_covers`` gives,
+    # up to a nonzero factor, made primitive
+    for product, degrees in cover_cases():
+        n = product.ambient_dim
+        covers = ideals._covers(product._factors, n, len(product) + 1)
+        assert sorted(t for t, forms in covers.items() for _ in forms) == sorted(degrees)
+        expected = {}
+        for f, g in (product._factors, product._factors[::-1]):
+            kernel = linalg.kernel_basis([b.coords for b in g], n + 1)
+            if not kernel or any(0 in a.coords for a in f):
+                continue
+            h = kernel[0]
+            for p in product:
+                values = [sum(Fraction(x * y, z) for x, y, z in zip(h, p.coords, a.coords))
+                          for a in f]
+                assert 0 in values
+            expected.setdefault(len(f), []).append(restricted_cover(f, h))
+        assert sorted(expected) == sorted(covers)
+        for t, forms in covers.items():
+            for form, reference in zip(forms, expected[t]):
+                assert gcd(*form) == 1 and any(form)
+                i = next(i for i, x in enumerate(form) if x)
+                ratio = reference[i] / form[i]
+                assert ratio and reference == [ratio * x for x in form]
+
+
+def fresh_product(points):
+    """A copy of the set with no ladder that keeps its factors."""
+    fresh = PointSet(points.points)
+    fresh._factors = points._factors
+    return fresh
+
+
+@pytest.mark.parametrize("prime", [_elim._PRIME, 2, 3, 7])
+def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
+    # the cover forms of a product set stand in for kernels in the degrees
+    # they fill mod p, and change no answer: on every product set of the
+    # oracle families the ladder (HF, tau and the counts) equals that of the
+    # same points with no factors, and the oracle's counts.  Modulo
+    # 2**61 - 1, 8 of the 19 take covers, and the 7 P^2 products among them
+    # take no kernel at all.  A small prime sends more sets to the fallback,
+    # which takes the covers too: on some sets, they leave it no kernel
+    monkeypatch.setattr(_elim, "_PRIME", prime)
+    products = [(p, counts) for p, counts in oracle_counts() if p._factors is not None]
+    assert len(products) == 19
+    covered = Counter()
+    for points, counts in products:
+        product, bare = fresh_product(points), PointSet(points.points)
+        built = build_ladder(product)
+        assert ladder_answers(product) == ladder_answers(bare)
+        assert product._ladder.generators == counts
+        lowest = {ladder.lowest[0] for ladder in (product._ladder, bare._ladder) if ladder.lowest}
+        for t in lowest:
+            assert degree_bounded_ideal(product, t) == degree_bounded_ideal(bare, t)
+        if built.covers:
+            covered[built.path, points.ambient_dim, built.kernels] += 1
+    if prime > 7:
+        assert covered == {("squeeze", 2, ()): 7, ("squeeze", 3, (2,)): 1}
+    else:
+        assert sum(covered.values()) >= 8
+        assert sum(k for (path, _, kernels), k in covered.items() if path == "exact" and not kernels)
+
+
+def test_covers_that_fall_short_still_take_the_kernel():
+    # a grid of skew lines of P^3 with a factor F of two points lies on the
+    # product of two planes a * H (a in F), the cover of degree 2, but I_2
+    # also holds the quadric of the grid and more: the cover does not fill
+    # J_2 mod p, so the kernel of E_2 is still taken, and every answer is
+    # the oracle's
+    for a, b in ((2, 5), (4, 2)):
+        _, _, xs, xs2 = generic_skew_sample(a, b, 2600 + 10 * a + b)
+        points = pairwise_products(xs, xs2)[0]
+        expected = full_ring_answers(points)
+        built = build_ladder(points)
+        assert (built.path, built.covers, built.kernels[:1]) == ("squeeze", (2,), (2,))
+        answers = (
+            hilbert_profile(points), generator_entries(generator_profile(points)), ci_verdict(points)
+        )
+        assert answers == expected
 
 
 def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):

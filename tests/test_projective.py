@@ -310,3 +310,18 @@ class TestPointSet:
         assert undefined == 0
         assert len(prods) == 4
         assert ProjPoint([3, 4, 3]) in prods
+
+    def test_products_keep_their_factors_and_eliminate_nothing(self, monkeypatch):
+        # the product set records its factors for the degree ladder, which
+        # derives their covering hyperplanes itself; no other set has any
+        from hada import _elim
+
+        def refuse(*args):
+            raise AssertionError("pairwise_products eliminated")
+
+        monkeypatch.setattr(_elim, "echelon", refuse)
+        xs = PointSet.from_coords([[1, 1, 1], [1, 2, 3]])
+        ys = PointSet.from_coords([[1, 1, 1], [3, 2, 1]])
+        prods, _ = pairwise_products(xs, ys)
+        assert prods._factors == (xs, ys) and prods._factors[0] is xs
+        assert xs._factors is None and prods.sorted()._factors is None
