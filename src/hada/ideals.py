@@ -83,16 +83,42 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   rank_p M_t = D(t) makes HF(t) = L(t) exact and M_t a spanning set of
   J_t over Q;
 * the covers.  A set made by ``pairwise_products`` keeps its two
-  factors.  When c = 0 and the set spans its P^n, each factor G that
-  lies in a hyperplane H (the first vector of the canonical kernel basis
-  of G's coordinate matrix, a |G| x (n + 1) elimination), paired with a
-  factor F none of whose points has a zero coordinate, gives the exact
-  form prod over a in F of a * H, with (a * H)(x) = sum of H_i x_i / a_i.
-  It has degree |F| and vanishes on the set, as (a * H)(a * b) =
-  H(b) = 0: for a P^2 grid these are the paper's row and column lines.
-  Its image in S, the product of the a * H restricted to x0 = 0, is an
-  exact form of J; none of them is zero, as x0 vanishes at no point
-  when c = 0.  Covers are built in degrees below d only;
+  factors.  When c = 0, each factor G that lies in a hyperplane H (the
+  first vector of the canonical kernel basis of G's coordinate matrix,
+  a |G| x (n + 1) elimination), paired with a factor F none of whose
+  points has a zero coordinate, gives the exact form prod over a in F of
+  a * H, with (a * H)(x) = sum of H_i x_i / a_i.  It has degree |F| and
+  vanishes on the set, as (a * H)(a * b) = H(b) = 0: for a P^2 grid
+  these are the paper's row and column lines.  Its image in S is the
+  product of the a * H, each restricted to the span of the set and then
+  to x0 = 0, an exact form of J.  For a set that does not span its P^n,
+  the restriction to the span solves one triangular system on the
+  echelon rows of its coordinate matrix (``_restricted``).  An a * H
+  that contains the span vanishes on it, and its cover is left out;
+  otherwise no factor is zero, as x0 vanishes at no point when c = 0.
+  The covers are built once per ladder, in degrees up to |X|, and each
+  loop below takes those of its degrees;
+* the closure.  Whenever the set has covers, they are tried alone
+  first, with no pass.  Let M_t hold the multiples of the covers kept in
+  degrees below t, and u(t) = |S_t| minus the rank mod p of M_t and the
+  covers of degree t; the covers of degree t independent of M_t mod p
+  are kept.  All of them lie in J_t, so each term of the h-vector of
+  R/(I, l) is h(t) = |S_t| - dim J_t <= u(t), and the h-vector sums to
+  |X|.  Suppose that the first T with u(T) = 0 has u(0) + ... +
+  u(T - 1) = |X|.  Then h(T) = 0, so h is zero from T on (it has no
+  internal zeros, below), and the h(t) <= u(t) with t < T have the same
+  sum: every one is an equality.  So HF(t) = u(0) + ... + u(t) exactly,
+  tau = T - 1, and in each degree t <= T the rank mod p of M_t and the
+  covers is dim J_t, so they span J_t over Q and M_t spans
+  S_1 * J_(t-1).  The counts then follow by the rules below.  The sum
+  cannot stay below |X| at such a T, as the h(t) <= u(t) with t < T
+  already sum to |X|; so the covers fail to close only when the sum
+  passes |X| before some u(T) = 0, and then the pass and the loop run
+  instead.  A P^2 grid made as a product closes: by the paper's grid
+  lemma it is the complete intersection of its row and column lines,
+  which its two covers are.  So does planar-25 made as the product of
+  its factors, a complete intersection of type (1, 5, 5) whose two
+  quintics are its covers in its plane;
 * the loop.  In each degree t < d where rank_p M_t falls short of D(t),
   the covers of degree t that are independent of M_t mod p join the
   forms.  Where the rank still falls short, one exact ``kernel_basis``
@@ -111,8 +137,8 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   (one, when the two are of the same degree), square skew grids of at
   least 4 x 4 points one of E_2 (their quadric), and sets with a
   maximal Hilbert function (random points, collinear sets, 3 x 3 skew
-  grids) none.  A P^2 grid made as a product takes none either: its two
-  covers are its two forms;
+  grids) none.  A product whose covers close takes no pass and no
+  kernel at all;
 * the rows.  Each such kernel is first taken on L(t) rows of E_t alone:
   those of the points at which the pass's first L(t) kept columns have
   their ``ModBasis`` pivots.  These rows are independent over Q.  The
@@ -133,9 +159,10 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   of M_t, which is 0 in every degree below tau where no form joined.  A
   rank mod p equal to the rows of M_t or to dim J_t is its rank over Q;
   otherwise ``linalg.rank_of`` takes it on the same integer rows, on
-  the |S_t| columns;
-* tau + 1.  When M_tau spans J_tau mod p, S_1 * J_tau is the span of
-  M_(tau+1), settled the same way.  Otherwise J_tau has forms the
+  the |S_t| columns.  One count loop (``_counts``) serves the closure,
+  the squeeze and the fallback;
+* tau + 1.  After the closure, and when M_tau spans J_tau mod p,
+  S_1 * J_tau is the span of M_(tau+1), settled the same way.  Otherwise J_tau has forms the
   multiples miss, and J_tau mod p comes from the pass: rank_p E_tau =
   |X| = rank E_tau, so the kernel of E_tau mod p, which
   ``ModBasis.solve`` gives for each column the pass did not keep, is
@@ -181,8 +208,9 @@ in degree 1).  So tau <= |X| - 1, and the fallback's ranks reach |X|.
 The ladder still stores HF(tau + 1) from the same rank of the full
 E_(tau+1) in l-coordinates, which are the set's own coordinates in its
 span when c = 0 (certified modulo a prime when its entries are that
-wide), although that rank is |X|: the l-divisible columns of E_(tau+1)
-are D * E_tau with D invertible.  The benchmark's tracer test
+wide), on every path, the closure's included, although that rank is
+|X|: the l-divisible columns of E_(tau+1) are D * E_tau with D
+invertible.  The benchmark's tracer test
 (``perfbench/tests/test_perfbench.py``) asserts the shape of that
 rank, so dropping it waits for a change to the benchmark.
 
@@ -203,8 +231,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, prod
+from fractions import Fraction
+from itertools import accumulate, count
+from math import comb, lcm, prod
 from operator import mul
 from typing import Optional
 
@@ -398,8 +427,9 @@ def _modular_degree(lvalues, tails):
 
 
 def _span_coordinates(points: PointSet):
-    """The coordinates of the points in their linear span, and its
-    projective dimension r - 1.
+    """The coordinates of the points in their linear span, its projective
+    dimension r - 1, and the exact echelon rows of the coordinate matrix,
+    or None when none was taken.
 
     A set of at least n + 1 points whose coordinate matrix has rank
     n + 1 modulo ``_elim._PRIME`` spans P^n and keeps its coordinates.
@@ -407,14 +437,39 @@ def _span_coordinates(points: PointSet):
     pivot columns, and each point keeps its pivot coordinates: the
     echelon rows are triangular there, so this projection is injective
     on the span.  For a set that spans after all, every column is a
-    pivot and nothing changes.
+    pivot and nothing changes.  The rows carry a linear form of P^n to
+    the span (``_restricted``).
     """
     n = points.ambient_dim
     coords = [p.coords for p in points]
     if len(coords) > n and _elim._full_rank_mod_prime(coords, n + 1):
-        return coords, n
-    rank, pivots, _ = _elim.echelon(coords, n + 1)
-    return [tuple(p[j] for j in pivots) for p in coords], rank - 1
+        return coords, n, None
+    rank, pivots, rows = _elim.echelon(coords, n + 1)
+    return [tuple(p[j] for j in pivots) for p in coords], rank - 1, rows
+
+
+def _restricted(linear, rows):
+    """The linear form of P^n with coefficients ``linear``, restricted to
+    the span of the echelon ``rows`` (``_span_coordinates``): an integer
+    form in the pivot coordinates, up to a nonzero factor.  It is zero
+    when the form vanishes on the span, and ``linear`` itself when there
+    are no rows.
+
+    A point of the span is x = y * E for the rows E, and its pivot
+    coordinates are y * P, with P the block of E at its pivot columns, so
+    the form sum of L_j x_j is sum of w_k (y * P)_k for the w with
+    P * w = E * L.  P is upper triangular with a nonzero diagonal, so w
+    is one back substitution."""
+    if rows is None:
+        return linear
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    w = [Fraction(0)] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        s = sum(map(mul, row, linear)) - sum(row[pivots[k]] * w[k] for k in range(i + 1, len(rows)))
+        w[i] = Fraction(s, row[pivots[i]])
+    scale = lcm(*(x.denominator for x in w))
+    return [x.numerator * (scale // x.denominator) for x in w]
 
 
 def _squeeze_ladder(lcoords, n: int, values, found, kernels, covers):
@@ -436,9 +491,9 @@ def _squeeze_ladder(lcoords, n: int, values, found, kernels, covers):
     the span so far mod p join the forms.  Where the rank still falls
     short, the pass was wrong mod p and None is returned; with exact
     values, the prime failed instead, and every vector joins.  The module
-    docstring shows why the values are then exact and how the count in
-    each degree, dim J_t minus the rank of M_t (at d + 1 that of
-    S_1 * J_d), is settled.
+    docstring shows why the values are then exact; ``_counts`` settles
+    the count in each degree, dim J_t minus the rank of M_t (at d + 1
+    that of S_1 * J_d).
     """
     d = len(values) - 1
     forms, spans = [], []
@@ -466,15 +521,61 @@ def _squeeze_ladder(lcoords, n: int, values, found, kernels, covers):
         top = [(d, _exact_forms(lcoords, n, d, kernels))]
     rows = _multiples(top, n, d + 1)
     spans.append((rows, len(_mod_span(rows)), len(_s_monomials(n, d + 1))))
+    if top is forms or not found:
+        return _counts(spans, n)
+    return _counts(
+        spans, n, lambda: _multiples([(d, _exact_forms(lcoords, n, d, kernels))], n, d + 1)
+    )
+
+
+def _counts(spans, n: int, exact_top=None):
+    """The new minimal generators of J in degrees 0 .. tau + 1, from
+    ``spans``: for each degree t, the rows of M_t (at tau + 1 rows that
+    span S_1 * J_tau), their rank mod p and dim J_t.
+
+    The count is dim J_t minus the rank of the rows, taken mod p where
+    that rank is exact, at full rows or at dim J_t, and after the Krull
+    stop; otherwise ``linalg.rank_of`` takes it.  ``exact_top``, given
+    when the rows at tau + 1 hold only mod p, makes integer rows for that
+    rank."""
     counts = [dim - rank for _, rank, dim in spans]
     for t, (rows, rank, dim) in enumerate(spans):
         if sum(counts) == n:
             break
         if rank < min(len(rows), dim):
-            if t > d and found and top is not forms:
-                rows = _multiples([(d, _exact_forms(lcoords, n, d, kernels))], n, t)
+            if exact_top and t == len(spans) - 1:
+                rows = exact_top()
             counts[t] = dim - linalg.rank_of(rows, len(rows[0]))
     return counts
+
+
+def _close(n: int, card: int, covers):
+    """HF(0 .. tau) and the generator counts of the set in its span, from
+    the covers alone; or None when they do not close.
+
+    In each degree t the covers found so far give the multiples M_t, and
+    the covers of degree t that are independent of them mod p join; u(t)
+    is |S_t| minus the rank mod p of both.  The module docstring shows
+    why, when the first T with u(T) = 0 has u(0) + ... + u(T - 1) = |X|,
+    HF(t) = u(0) + ... + u(t), tau = T - 1 and the spans of each degree
+    are those ``_counts`` needs; when the sum passes |X| first, None is
+    returned.  It never falls short of |X| there: h(t) <= u(t) for every
+    t, h(t) = 0 from T on, and the h(t) sum to |X|."""
+    forms, spans, values = [], [], []
+    for t in count():
+        rows = _multiples(forms, n, t)
+        span = _mod_span(rows)
+        rank = len(span)
+        new = [v for v in covers.get(t, ()) if span.add(v)]
+        if new:
+            forms.append((t, new))
+        spans.append((rows, rank, len(span)))
+        free = len(_s_monomials(n, t)) - len(span)
+        if not free:
+            return values, _counts(spans, n)
+        values.append(free + (values[-1] if t else 0))
+        if values[-1] > card:
+            return None
 
 
 def _mod_span(rows):
@@ -512,9 +613,10 @@ def _exact_forms(lcoords, n: int, t: int, kernels, rows=None):
     return [_elim._primitive(v[start:]) for v in kernels[t] if any(v[start:])]
 
 
-def _covers(factors, n: int, d: int):
-    """The cover forms of a product set in degrees below d, as {t: forms of
-    S_t}, from its two factors (``PointSet._factors``; {} when None).
+def _covers(factors, span_rows, n: int, card: int):
+    """The cover forms of a product set in degrees up to |X| = ``card``, as
+    {t: forms of S_t}, from its two factors (``PointSet._factors``; {}
+    when None), in its span through ``span_rows`` (``_span_coordinates``).
 
     Each factor G that lies in a hyperplane H, the first vector of the
     canonical kernel basis of its coordinate matrix, paired with a factor
@@ -522,31 +624,37 @@ def _covers(factors, n: int, d: int):
     prod over a in F of a * H, with (a * H)(x) = sum of H_i x_i / a_i.
     It has degree |F| and vanishes on F * G, as (a * H)(a * b) = H(b) = 0,
     so it lies in I.  Its image in S is the product of the hyperplanes
-    restricted to x0 = 0, each made primitive, hence primitive (Gauss's
-    lemma).  With c = 0, x0 vanishes at no product point, so no a * H is
-    {x0 = 0} and that product is not zero.
+    restricted to the span (``_restricted``) and then to x0 = 0, each made
+    primitive, hence primitive (Gauss's lemma).  A hyperplane that
+    contains the span makes its form vanish there, and that form is
+    left out.  Otherwise, with c = 0, x0 vanishes at no product point, so
+    no restricted a * H is {x0 = 0} and the product is not zero.  No
+    degree above |X| is needed, as tau + 1 <= |X|.
     """
     covers = {}
     if factors is None:
         return covers
     for f, g in (factors, factors[::-1]):
-        if len(f) >= d or any(0 in a.coords for a in f):
+        if len(f) > card or any(0 in a.coords for a in f):
             continue
-        kernel = _elim.nullspace([b.coords for b in g], n + 1)
+        kernel = _elim.nullspace([b.coords for b in g], g.ambient_dim + 1)
         if not kernel:
             continue
-        h = kernel[0][1:]
+        h = kernel[0]
         form = [1]
         for s, a in enumerate(f):
-            tail = a.coords[1:]
-            scale = prod(tail)
-            linear = _elim._primitive([hi * (scale // ai) for hi, ai in zip(h, tail)])
+            scale = prod(a.coords)
+            linear = _restricted([hi * (scale // ai) for hi, ai in zip(h, a.coords)], span_rows)
+            if not any(linear):
+                break
+            linear = _elim._primitive(linear[1:])
             product = [0] * len(_s_monomials(n, s + 1))
             for coefficient, columns in zip(linear, _product_columns(n, s, s + 1)):
                 for j, x in zip(columns, form):
                     product[j] += coefficient * x
             form = product
-        covers.setdefault(len(f), []).append(form)
+        else:
+            covers.setdefault(len(f), []).append(form)
     return covers
 
 
@@ -572,16 +680,19 @@ def _ladder(points: PointSet) -> _Ladder:
     from the set.
 
     The ladder is built in the span of the set (``_span_coordinates``),
-    P^(r-1), which the module docstring shows changes no answer.
-    ``_modular_degree`` finds d and HF mod p, and ``_squeeze_ladder``
-    squeezes HF between them and the multiples of exact forms, the covers
-    of a product set (``_covers``, when c = 0 and the set spans its P^n)
-    among them, and counts the generators.  When the pass cannot decide,
-    or the squeeze fails, HF(t) is the rank of E_t in l-coordinates
-    (``rank``), for t = 0, 1, ... until it reaches |X|, and the same loop,
-    on those values, only counts.  Either way HF(tau + 1) is then read off ``rank`` of the full
-    E_(tau+1); the module docstring says why that is |X| and why the rank
-    stays for now.  Both loops share the
+    P^(r-1), which the module docstring shows changes no answer.  When
+    c = 0, the covers of a product set (``_covers``) are built once, in
+    that span, and first tried alone: when they close the bound
+    (``_close``), HF, tau and the counts follow with no pass and no
+    kernel.  Otherwise ``_modular_degree`` finds d and HF mod p, and
+    ``_squeeze_ladder`` squeezes HF between them and the multiples of
+    exact forms, the covers among them, and counts the generators.  When
+    the pass cannot decide, or the squeeze fails, HF(t) is the rank of
+    E_t in l-coordinates (``rank``), for t = 0, 1, ... until it reaches
+    |X|, and the same loop, on those values, only counts.  Every path
+    counts in ``_counts``, and on every path HF(tau + 1) is then read off
+    ``rank`` of the full E_(tau+1); the module docstring says why that is
+    |X| and why the rank stays for now.  Both squeeze loops share the
     exact kernels, so no degree is eliminated twice.  The first one, of
     E_t with t the first degree where the pass left a column free (alpha,
     unless the pass was wrong there or covers filled J_alpha), is kept for
@@ -590,7 +701,7 @@ def _ladder(points: PointSet) -> _Ladder:
     """
     if points._ladder is not None:
         return points._ladder
-    coords, n = _span_coordinates(points)
+    coords, n, span_rows = _span_coordinates(points)
     card = len(coords)
     c = _linear_form_parameter(coords)
     # x0 -> l is unimodular (triangular, unit diagonal): ranks are kept and
@@ -603,20 +714,20 @@ def _ladder(points: PointSet) -> _Ladder:
     def rank(t):
         return linalg.rank_of(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
 
-    factors = None if c or linear else points._factors
-    found = _modular_degree(lvalues, tails)
-    values = found and list(accumulate(len(block) for block in found[1]))
+    covers = {} if c else _covers(points._factors, span_rows, n, card)
     kernels = {}
-    counts = found and _squeeze_ladder(
-        lcoords, n, values, found, kernels, _covers(factors, n, found[0])
-    )
-    if not counts:
-        values = [rank(0)]
-        while values[-1] < card:
-            values.append(rank(len(values)))
-        counts = _squeeze_ladder(
-            lcoords, n, values, None, kernels, _covers(factors, n, len(values) - 1)
-        )
+    closed = covers and _close(n, card, covers)
+    if closed:
+        values, counts = closed
+    else:
+        found = _modular_degree(lvalues, tails)
+        values = found and list(accumulate(len(block) for block in found[1]))
+        counts = found and _squeeze_ladder(lcoords, n, values, found, kernels, covers)
+        if not counts:
+            values = [rank(0)]
+            while values[-1] < card:
+                values.append(rank(len(values)))
+            counts = _squeeze_ladder(lcoords, n, values, None, kernels, covers)
     counts[1] += linear
     tau = len(values) - 1
     values.append(rank(tau + 1))

@@ -250,7 +250,7 @@ def exact_span_counts(points: PointSet):
     degree after E_t first has rank |X|.  Only the span coordinates and
     l are shared with ``ideals``, none of its ladder: this is the
     reference for the ladder's counts, whichever ranks settle them."""
-    coords, n = ideals._span_coordinates(points)
+    coords, n, _ = ideals._span_coordinates(points)
     c = ideals._linear_form_parameter(coords)
     lcoords = [(ideals._linear_form_value(c, p),) + tuple(p[1:]) for p in coords]
     nvars = n + 1

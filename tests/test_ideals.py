@@ -6,6 +6,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,23 +98,30 @@ Built = namedtuple("Built", "path kernels ranks covers")
 
 
 def build_ladder(points):
-    """Build the ladder of a set that has none yet, spying on each call of
-    ``ideals._squeeze_ladder``, and say how it was built.
+    """Build the ladder of a set that has none yet, spying on the calls of
+    ``ideals._squeeze_ladder``, ``ideals._counts`` and ``ideals._covers``,
+    and say how it was built.
 
-    ``path`` is "exact" (the fallback: HF(t) is the rank of E_t), or,
-    squeezed between the pass mod p and the bound, "ceiling" (the bound met the
-    pass with no exact form: HF is min(C(t+n, n), |X|)) or "squeeze"
-    (with the multiples of exact forms: those of at least one kernel, or
-    the cover forms of a product set).  ``kernels`` lists the degrees of
-    the exact kernels taken, in order, ``ranks`` the (rows, columns, rank)
-    of every exact rank the counts took, and ``covers`` the degrees of the
-    cover forms the last loop was given."""
+    ``path`` is "closed" (no squeeze: the covers of a product set alone
+    close the bound, with no pass mod p), "exact" (the fallback: HF(t) is
+    the rank of E_t), or, squeezed between the pass mod p and the bound,
+    "ceiling" (the bound met the pass with no exact form: HF is
+    min(C(t+n, n), |X|)) or "squeeze" (with the multiples of exact forms:
+    those of at least one kernel, or the cover forms of a product set).
+    ``kernels`` lists the degrees of the exact kernels taken, in order,
+    ``ranks`` the (rows, columns, rank) of every exact rank the counts
+    took, and ``covers`` the degrees up to tau of the cover forms built,
+    the ones a squeeze can use."""
     assert points._ladder is None
-    calls = []
-    original = ideals._squeeze_ladder
+    calls, ranks, built = [], [], []
+    squeeze, counts, covers = ideals._squeeze_ladder, ideals._counts, ideals._covers
 
-    def spy(lcoords, n, values, found, kernels, covers):
-        ranks = []
+    def spy_squeeze(lcoords, n, values, found, kernels, covers):
+        result = squeeze(lcoords, n, values, found, kernels, covers)
+        calls.append((found is None, tuple(kernels)))
+        return result
+
+    def spy_counts(*args):
         rank_of = linalg.rank_of
 
         def recorded(rows, ncols):
@@ -122,16 +130,24 @@ def build_ladder(points):
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "rank_of", recorded)
-            counts = original(lcoords, n, values, found, kernels, covers)
-        calls.append((found is None, tuple(kernels), ranks, tuple(sorted(covers))))
-        return counts
+            return counts(*args)
+
+    def spy_covers(*args):
+        built.append(covers(*args))
+        return built[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ideals, "_squeeze_ladder", spy)
+        patch.setattr(ideals, "_squeeze_ladder", spy_squeeze)
+        patch.setattr(ideals, "_counts", spy_counts)
+        patch.setattr(ideals, "_covers", spy_covers)
         ideals._ladder(points)
-    exact, kernels, _, covers = calls[-1]
-    path = "exact" if exact else "squeeze" if kernels or covers else "ceiling"
-    return Built(path, kernels, [rank for _, _, ranks, _ in calls for rank in ranks], covers)
+    tau = points._ladder.tau
+    degrees = tuple(sorted(t for forms in built for t in forms if t <= tau))
+    if not calls:
+        return Built("closed", (), ranks, degrees)
+    exact, kernels = calls[-1]
+    path = "exact" if exact else "squeeze" if kernels or degrees else "ceiling"
+    return Built(path, kernels, ranks, degrees)
 
 
 def ladder_answers(points):
@@ -1314,7 +1330,12 @@ def cover_cases():
     condition fails), a collinear set with a point that has a zero
     coordinate times a grid factor (no cover from that side), a collinear
     set times three points that span P^2 (no cover from that side either),
-    and products of sets on skew lines of P^3."""
+    and products of sets on skew lines of P^3.  Then products that span a
+    plane of P^3: planar-25 and its 3 x 3 part, and two products in the
+    plane x1 = x2.  In the first of those, F spans that plane and G lies
+    on a line of it, so a * H_G is not x1 = x2 but each b * H_F is: the
+    cover of degree |G| vanishes on the span and is left out.  In the
+    second, both factors span x1 = x2, and so neither has a cover."""
     line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
     for a, b in ((3, 4), (5, 5)):
         xs, xs2 = generic_collinear_sample(line, line2, a, b, 2400 + 10 * a + b)
@@ -1328,32 +1349,47 @@ def cover_cases():
     for a, b in ((2, 5), (4, 4)):
         _, _, ys, ys2 = generic_skew_sample(a, b, 2500 + 10 * a + b)
         yield pairwise_products(ys, ys2)[0], [a, b]
+    yield pairwise_products(*PLANAR_FACTORS)[0], [5, 5]
+    yield pairwise_products(*(PointSet(f.points[:3]) for f in PLANAR_FACTORS))[0], [3, 3]
+    plane = PointSet.from_coords([[1, 2, 2, 3], [2, 1, 1, 5], [3, 4, 4, 1], [5, 3, 3, 2]])
+    line = PointSet.from_coords([[1, 1, 1, 2], [1, 1, 1, 3], [2, 2, 2, 1]])
+    yield pairwise_products(plane, line)[0], [4]
+    other = PointSet.from_coords([[1, 3, 3, 2], [4, 1, 1, 3], [2, 5, 5, 7]])
+    yield pairwise_products(plane, other)[0], []
 
 
-def restricted_cover(f, h):
-    """prod over a in f of (a * H), H = ``h``, restricted to x0 = 0, with
-    Fraction coefficients, on the monomials of x1 .. xn."""
-    n = len(h) - 1
+def restricted_cover(linears):
+    """The product of the linear forms ``linears`` (Fraction coefficients
+    on x0 .. xn) restricted to x0 = 0, on the monomials of x1 .. xn."""
+    n = len(linears[0]) - 1
     poly = {(0,) * n: Fraction(1)}
-    for a in f:
+    for w in linears:
         out = {}
         for e, x in poly.items():
             for i in range(n):
                 key = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                out[key] = out.get(key, 0) + x * Fraction(h[i + 1], a.coords[i + 1])
+                out[key] = out.get(key, 0) + x * w[i + 1]
         poly = out
-    return [poly.get(e, 0) for e in monomials(n, len(f))]
+    return [poly.get(e, 0) for e in monomials(n, len(linears))]
 
 
 def test_cover_forms_vanish_on_their_products():
     # each factor G in a hyperplane H (the first canonical kernel vector of
     # its coordinate matrix), with a factor F that has no zero coordinate,
-    # gives prod over a in F of (a * H): it vanishes at every product point
-    # a * b, and its restriction to x0 = 0 is the cover ``_covers`` gives,
-    # up to a nonzero factor, made primitive
+    # gives prod over a in F of (a * H), which vanishes at every product
+    # point a * b.  In the pivot coordinates y of the span of the set, each
+    # a * H is the linear form w with w(y(p)) = (a * H)(p) at every point p,
+    # which the points fix, as they span it: for a set that spans its P^n,
+    # w is a * H itself.  Evaluated at the span coordinates, the product of
+    # the w vanishes at every point, and its restriction to y0 = 0 is the
+    # cover ``_covers`` gives, up to a nonzero factor, made primitive; an
+    # a * H that contains the span has w = 0, and its cover is left out.
+    # Each product's ladder equals that of its points alone
     for product, degrees in cover_cases():
         n = product.ambient_dim
-        covers = ideals._covers(product._factors, n, len(product) + 1)
+        coords, m, rows = ideals._span_coordinates(product)
+        assert (rows is None) == (m == n)
+        covers = ideals._covers(product._factors, rows, m, len(product))
         assert sorted(t for t, forms in covers.items() for _ in forms) == sorted(degrees)
         expected = {}
         for f, g in (product._factors, product._factors[::-1]):
@@ -1361,18 +1397,27 @@ def test_cover_forms_vanish_on_their_products():
             if not kernel or any(0 in a.coords for a in f):
                 continue
             h = kernel[0]
-            for p in product:
+            restricted = []
+            for a in f:
                 values = [sum(Fraction(x * y, z) for x, y, z in zip(h, p.coords, a.coords))
-                          for a in f]
-                assert 0 in values
-            expected.setdefault(len(f), []).append(restricted_cover(f, h))
+                          for p in product]
+                _, pivots, solved = frac_rref([list(y) + [v] for y, v in zip(coords, values)], m + 2)
+                assert pivots == list(range(m + 1))
+                restricted.append([row[-1] for row in solved])
+            if not all(any(w) for w in restricted):
+                continue
+            for y in coords:
+                assert 0 in [sum(map(mul, w, y)) for w in restricted]
+            expected.setdefault(len(f), []).append(restricted_cover(restricted))
         assert sorted(expected) == sorted(covers)
         for t, forms in covers.items():
+            assert len(forms) == len(expected[t])
             for form, reference in zip(forms, expected[t]):
                 assert gcd(*form) == 1 and any(form)
                 i = next(i for i, x in enumerate(form) if x)
                 ratio = reference[i] / form[i]
                 assert ratio and reference == [ratio * x for x in form]
+        assert ladder_answers(fresh_product(product)) == ladder_answers(PointSet(product.points))
 
 
 def fresh_product(points):
@@ -1384,13 +1429,16 @@ def fresh_product(points):
 
 @pytest.mark.parametrize("prime", [_elim._PRIME, 2, 3, 7])
 def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
-    # the cover forms of a product set stand in for kernels in the degrees
-    # they fill mod p, and change no answer: on every product set of the
-    # oracle families the ladder (HF, tau and the counts) equals that of the
-    # same points with no factors, and the oracle's counts.  Modulo
-    # 2**61 - 1, 8 of the 19 take covers, and the 7 P^2 products among them
-    # take no kernel at all.  A small prime sends more sets to the fallback,
-    # which takes the covers too: on some sets, they leave it no kernel
+    # the cover forms of a product set close the bound alone, or stand in
+    # for kernels in the degrees they fill mod p, and change no answer: on
+    # every product set of the oracle families the ladder (HF, tau and the
+    # counts) equals that of the same points with no factors, and the
+    # oracle's counts.  13 of the 19 have covers up to tau, whatever the
+    # prime.  Modulo 2**61 - 1, 9 of them close: the 7 P^2 products and the
+    # 2 planar products of P^3, which span a plane there.  The other 4 take
+    # the pass and a kernel of E_2.  A small prime closes fewer (none mod 2,
+    # 4 mod 3 and mod 7) and sends more sets to the fallback, which takes
+    # the covers too: on some sets, they leave it no kernel
     monkeypatch.setattr(_elim, "_PRIME", prime)
     products = [(p, counts) for p, counts in oracle_counts() if p._factors is not None]
     assert len(products) == 19
@@ -1405,11 +1453,87 @@ def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
             assert degree_bounded_ideal(product, t) == degree_bounded_ideal(bare, t)
         if built.covers:
             covered[built.path, points.ambient_dim, built.kernels] += 1
+    assert sum(covered.values()) == 13
     if prime > 7:
-        assert covered == {("squeeze", 2, ()): 7, ("squeeze", 3, (2,)): 1}
+        assert covered == {
+            ("closed", 2, ()): 7, ("closed", 3, ()): 2, ("squeeze", 3, (2,)): 2,
+            ("squeeze", 3, (2, 3)): 1, ("squeeze", 3, (2, 4)): 1,
+        }
     else:
-        assert sum(covered.values()) >= 8
-        assert sum(k for (path, _, kernels), k in covered.items() if path == "exact" and not kernels)
+        closed = sum(k for (path, _, _), k in covered.items() if path == "closed")
+        no_kernel = sum(k for (path, _, ks), k in covered.items() if path == "exact" and not ks)
+        assert (closed, no_kernel) == {2: (0, 2), 3: (4, 0), 7: (4, 1)}[prime]
+
+
+def test_covered_products_take_no_pass_and_no_kernel(monkeypatch):
+    # planar-25 as the product of its two factors, a complete intersection
+    # of type (1, 5, 5) in a plane of P^3, and a 5 x 5 P^2 grid, the
+    # complete intersection of its 5 row lines and 5 column lines: the
+    # covers of each, restricted to its span for planar-25, close the bound
+    # alone.  ``ci_verdict`` makes no pass mod p and takes no kernel; its one
+    # exact elimination is the rank of E_(tau+1), on the 25 points and the
+    # C(tau + 3, 2) monomials of degree tau + 1 = 9 of the plane.  The
+    # profile and the verdict are those of the points with no factors and
+    # of the full-ring oracle
+    line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
+    xs, xs2 = generic_collinear_sample(line, line2, 5, 5, 2555)
+    passes = []
+    original = ideals._modular_degree
+
+    def spy_pass(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ideals, "_modular_degree", spy_pass)
+    for factors in (PLANAR_FACTORS, (xs, xs2)):
+        passes.clear()
+        product = pairwise_products(*factors)[0]
+        expected = full_ring_answers(product)
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            verdict = ci_verdict(product)
+        assert passes == [] and calls == [("rank_of", 25, comb(9 + 2, 2))]
+        assert verdict == expected[2] and verdict.witness_degrees[-2:] == (5, 5)
+        assert product._ladder.tau == 8 and product._ladder.values[-1] == 25
+        bare = PointSet(product.points)
+        for points in (product, bare):
+            answers = (
+                hilbert_profile(points), generator_entries(generator_profile(points)),
+                ci_verdict(points),
+            )
+            assert answers == expected
+        assert len(passes) == 1
+
+
+@pytest.mark.parametrize("prime", [_elim._PRIME, 2, 5])
+def test_covers_that_do_not_close_take_the_pass(monkeypatch, prime):
+    # the 8-point product of P^3 in the oracle families, a 2 x 4 grid of
+    # skew lines, has a cover of degree 2 up to tau, but its multiples pass
+    # |X| before the bound closes: it takes the pass, and the kernel of E_2
+    # on the HF(2) = 6 rows of its pivots.  Modulo the patched primes 2 and
+    # 5 no product closes.  Either way every answer is unchanged
+    monkeypatch.setattr(_elim, "_PRIME", prime)
+    closes = []
+    original = ideals._close
+
+    def spy_close(n, card, covers):
+        closed = original(n, card, covers)
+        closes.append(closed is not None)
+        return closed
+
+    monkeypatch.setattr(ideals, "_close", spy_close)
+    products = [(p, counts) for p, counts in oracle_counts() if p._factors is not None]
+    for points, counts in products:
+        product = fresh_product(points)
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            built = build_ladder(product)
+        assert ladder_answers(product) == ladder_answers(PointSet(points.points))
+        assert product._ladder.generators == counts
+        if points.ambient_dim == 3 and len(points) == 8 and prime > 5:
+            assert (built.path, built.covers, built.kernels) == ("squeeze", (2,), (2,))
+            assert calls[0] == ("kernel_basis", 6, 10) and closes[-1] is False
+    assert len(closes) == 19 and sum(closes) == (9 if prime > 5 else 0)
 
 
 def test_covers_that_fall_short_still_take_the_kernel():
