@@ -1,63 +1,69 @@
 """Integer row-reduction kernels: the single elimination core.
 
 Every matrix here is a dense list of rows of Python ints; arbitrary
-precision comes for free.  Two elimination strategies are combined:
+precision comes for free.
 
-* the primary path eliminates fraction-free and divides rows by their
-  content.  On the structured matrices this package produces
-  (monomial evaluations, coordinatewise products) the content is
-  enormous and entries stay small, but on adversarial dense input the
-  growth can be exponential, so the path aborts once an entry
-  outgrows a bound derived from the Bareiss minor estimate.  A row
-  with entry q under a pivot p becomes row_i*(p/g) - (q/g)*row_r with
-  g = gcd(p, q), not row_i*p - q*row_r.  A row is divided by its
-  content when it becomes the pivot row, when an update has more than
-  doubled its largest bit size since its last division (grown it by
-  half, if that division removed more than a quarter of its bits), and
-  before the guard gives up on it; other updates leave the content in.
-  Each row kept this way is a positive integer multiple of the
-  primitive row that dividing after every full-multiplier update would
-  keep: g > 0, and positive multiples of the pivot row and of the row
-  itself give a positive multiple of the result.  So every pivot row,
-  once divided, is that primitive row, sign included, and so are the
-  returned rows.  The guard gives up only on a divided row, which is
-  that primitive row, and a multiple within the bound has its
-  primitive row within it, so its decisions are the same too.  Only
-  the factors multiplied and the number of content gcds are smaller.
-  The growth rule is needed on dense input, where the content one
-  update adds is about the previous pivot (the Bareiss identity), so
-  rows divided only at pivot time carry it compounded; a row with
-  that much content is divided sooner (Bareiss, Math. Comp. 22, 1968,
-  for the fraction-free background);
-* the fallback is one-step fraction-free (Bareiss) elimination, whose
-  entries are minors of the input and hence polynomially sized.
+``echelon`` eliminates fraction-free and divides rows by their
+content.  On the structured matrices this package produces (monomial
+evaluations, coordinatewise products) the content is enormous and
+entries stay small.  A row with entry q under a pivot p becomes
+row_i*(p/g) - (q/g)*row_r with g = gcd(p, q), not row_i*p - q*row_r.
+A row is divided by its content when it becomes the pivot row and
+when an update has more than doubled its largest bit size since its
+last division (grown it by half, if that division removed more than a
+quarter of its bits); other updates leave the content in.  Each row
+kept this way is a positive integer multiple of the primitive row that
+dividing after every full-multiplier update would keep: g > 0, and
+positive multiples of the pivot row and of the row itself give a
+positive multiple of the result.  So every pivot row, once divided, is
+that primitive row, sign included, and so are the returned rows.  Only
+the factors multiplied and the number of content gcds are smaller.
+The growth rule is needed on dense input, where the content one update
+adds is about the previous pivot (the Bareiss identity), so rows
+divided only at pivot time carry it compounded; a row with that much
+content is divided sooner.
 
-There is one forward pass.  ``echelon`` runs the primary path and, if
-the guard trips, the fallback on the same input; rank and pivots do not
-depend on the path taken, the echelon rows do.  ``rank`` falls back on
-its first component, and ``hada.ideals`` reads the rank and pivots of
-the coordinate matrix of a point set, to find its linear span.
+No growth guard is needed, even on adversarial dense input:
+
+1. Take row i after its updates by the first k pivots.  It is a
+   nonzero rational multiple of the row that one-step fraction-free
+   (Bareiss) elimination of the primitive input holds at the same
+   step: both choose the same pivots and apply the same updates up to
+   scale.  The Bareiss row's entries are s x s minors of the primitive
+   input, with s = k + 1 <= min(nrows, ncols) (Bareiss, Math. Comp. 22,
+   1968); this is the Cramer argument ``_back_substitute`` gives.
+2. A row divided by its content is primitive, so its entries are at
+   most those minors.  With maxbits the largest entry bit size of the
+   primitive input, Hadamard's bound gives a divided row a bit size of
+   at most s*(maxbits + log2(s)/2) + 1.  Every returned row k is such a
+   row, with s = k + 1.
+3. A row is divided once it holds more than twice the bits it held at
+   its last division (or as input), or sooner, so between divisions it
+   holds at most that plus one update, and growth stays polynomial.
+
+There is one forward pass.  ``rank`` falls back on the first component
+of ``echelon``, and ``hada.ideals`` reads the rank and pivots of the
+coordinate matrix of a point set, to find its linear span.
 ``rref`` is ``echelon`` followed by a back substitution that clears
-above every pivot, last pivot first.  It needs no second guard:
-each row it builds is, up to its content, a vector of minors of the
-echelon rows, which the guard or Bareiss already keep polynomially
-sized (``_back_substitute`` gives the argument; Nakos, Turner &
-Williams, SIGSAM Bull. 31, 1997, for the fraction-free background).
-Its result is the unique primitive-integer RREF with positive pivots,
-whichever path ``echelon`` took.  ``nullspace`` needs only one column of
-it per free column: it back-substitutes that column alone through the
-echelon rows, and the vector it builds stays primitive, so it is the
-primitive RREF kernel vector itself and its entries are bounded as
-``rref``'s are.
+above every pivot, last pivot first.  It needs no guard either: each
+row it builds is, up to its content, a vector of minors of the echelon
+rows, which the bound above keeps polynomially sized
+(``_back_substitute`` gives the argument; Nakos, Turner & Williams,
+SIGSAM Bull. 31, 1997, for the fraction-free background).  Its result
+is the unique primitive-integer RREF with positive pivots.
+``nullspace`` needs only one column of it per free column: it
+back-substitutes that column alone through the echelon rows, and the
+vector it builds stays primitive, so it is the primitive RREF kernel
+vector itself and its entries are bounded as ``rref``'s are.
 
 ``rank`` first tries a modular certificate.  Reducing the entries mod
 the prime p = 2**61 - 1 is a ring map, so the rank mod p is at most the
 rank over Q, which is at most min(nrows, ncols).  When the rank mod p
 reaches min(nrows, ncols) it is therefore the exact rank; otherwise
-``rank`` runs ``echelon`` unchanged (growth guard and Bareiss fallback
-included).  The certificate is tried only when some entry is at least
-p in absolute value: below that, reduction shrinks no entry, and on a
-rank-deficient matrix both passes would be paid for.  It walks the
+``rank`` runs ``echelon`` unchanged.  The certificate is tried only
+when some entry is at least p in absolute value: below that, reduction
+shrinks no entry, and on a rank-deficient matrix both passes would be
+paid for.  It walks the
 vectors along the longer side (rows of a tall matrix, columns of a
 wide one) into a ``ModBasis``, the one GF(p) routine here: an echelon
 basis that reduces each vector mod p only when it is added, so the
@@ -121,18 +127,7 @@ def _bits(row):
     return max(max(row).bit_length(), min(row).bit_length())
 
 
-def _growth_limit(m, ncols):
-    """Bit size beyond which the content-division path gives up.
-
-    Bareiss intermediates are minors, so their Hadamard bound (with
-    slack) separates harmless growth from the exponential regime.
-    """
-    maxbits = max([1] + [_bits(row) for row in m if row])
-    steps = min(len(m), ncols)
-    return 2 * steps * (maxbits + ncols.bit_length() + 2) + 64
-
-
-def _echelon_gcd(m, ncols, limit):
+def _echelon_gcd(m, ncols):
     nrows = len(m)
     # the bit size at which each row is next divided by its content; the
     # input rows are primitive
@@ -163,53 +158,15 @@ def _echelon_gcd(m, ncols, limit):
                 tail = [x * a - b * y for x, y in zip(row_i[c:], tail_r)]
                 row_i[c:] = tail
                 bits = _bits(tail)
-                if bits > limit or bits > due[i]:
+                if bits > due[i]:
                     g = gcd(*tail)
                     left = bits
                     if g > 1:
                         tail = row_i[c:] = [x // g for x in tail]
                         left = _bits(tail)
-                    if left > limit:
-                        return None
                     # a row whose content was more than a quarter of its
                     # bits is divided again when it has grown by half
                     due[i] = 2 * left if 4 * (bits - left) <= bits else 3 * left // 2
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, m
-
-
-def _echelon_bareiss(m, ncols):
-    nrows = len(m)
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        p = row_r[c]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            q = row_i[c]
-            if q:
-                for j in range(c, ncols):
-                    row_i[j] = (row_i[j] * p - q * row_r[j]) // prev
-            elif p != prev:
-                # zero-multiplier rows still need the generation
-                # scaling or later divisions stop being exact
-                for j in range(c, ncols):
-                    row_i[j] = row_i[j] * p // prev
-        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -221,16 +178,12 @@ def echelon(rows, ncols):
     """Forward (row) echelon form of an integer matrix.
 
     Returns ``(rank, pivots, rows)`` where ``rows`` holds the ``rank``
-    nonzero rows, each zero left of its pivot column ``pivots[i]``.
-    Rank and pivots do not depend on the path taken; the rows span the
-    row space but, unlike ``rref``, are not a canonical form.
+    nonzero rows, each primitive and zero left of its pivot column
+    ``pivots[i]``.  The rows span the row space but, unlike ``rref``,
+    are not a canonical form.
     """
-    m = _primitive_rows(rows)
-    attempt = _echelon_gcd([list(r) for r in m], ncols, _growth_limit(m, ncols))
-    if attempt is None:
-        attempt = _echelon_bareiss(m, ncols)
-    r, pivots, work = attempt
-    return r, pivots, work[:r]
+    r, pivots, m = _echelon_gcd(_primitive_rows(rows), ncols)
+    return r, pivots, m[:r]
 
 
 def _has_wide_entry(rows):
@@ -393,23 +346,23 @@ def rank(rows, ncols):
 
 
 def _back_substitute(rows, pivots):
-    """Primitive reduced rows, as tuples, from echelon rows.
+    """Primitive reduced rows, as tuples, from primitive echelon rows.
 
-    The rows are made primitive, then cleared above every pivot from
-    the last to the first; each pivot entry is made positive first.
-    A row update divides its multipliers by gcd(p, q) and the row by
-    its content after every update.
+    The rows are copied, then cleared above every pivot from the last
+    to the first; each pivot entry is made positive first.  A row
+    update divides its multipliers by gcd(p, q) and the row by its
+    content after every update.
 
     No growth guard is needed.  When row k is used it is already
     reduced, so after the update each row i above it is, up to scale,
     the unique vector of span(row_i, rows k..r-1) that vanishes at
     pivots k..r-1.  By Cramer's rule its entries are minors of the
     echelon rows, and after the content division they are at most
-    those minors.  The echelon rows are bounded by the growth guard
-    or are themselves minors of the input (Bareiss), so the entries
-    stay polynomially sized.
+    those minors.  The echelon rows are bounded by minors of the input
+    (the module docstring gives the bound), so the entries stay
+    polynomially sized.
     """
-    m = _primitive_rows(rows)
+    m = [list(row) for row in rows]
     for k in range(len(pivots) - 1, -1, -1):
         row_k = m[k]
         c = pivots[k]
@@ -432,8 +385,7 @@ def rref(rows, ncols):
 
     Returns ``(rank, pivots, reduced)`` where ``reduced`` holds the
     nonzero rows as tuples: primitive, positive pivot entry, zeros
-    above and below every pivot.  This form is unique, so it does not
-    depend on the path ``echelon`` took.
+    above and below every pivot.  This form is unique.
     """
     r, pivots, rows = echelon(rows, ncols)
     return r, pivots, _back_substitute(rows, pivots)
@@ -445,9 +397,9 @@ def nullspace(rows, ncols):
     One basis vector per free column f, ordered by f: the kernel vector
     that is zero at every other free column and positive at f, made
     primitive.  The pivot columns are independent, so it is unique: it
-    is the RREF kernel vector, whichever path ``echelon`` took.  It is
-    read off the echelon rows by back substitution alone, from the last
-    pivot left of f to the first, with no ``rref`` of the whole matrix.
+    is the RREF kernel vector.  It is read off the echelon rows by back
+    substitution alone, from the last pivot left of f to the first, with
+    no ``rref`` of the whole matrix.
     Row i, with pivot entry p, fixes the entry at its pivot from the sum
     s of its other terms: when p does not divide s the vector is scaled
     by p / g, g = gcd(s, p), and the entry is -s / g.  The vector stays

@@ -279,7 +279,8 @@ def replay_fixture(path: Path):
 def replay_fixtures(dirpath=None) -> ReplaySummary:
     base = Path(dirpath) if dirpath is not None else fixtures_dir()
     if not base.is_dir():
-        raise InstanceError(f"fixture directory {base} does not exist")
+        problem = "is not a directory" if base.exists() else "does not exist"
+        raise InstanceError(f"fixture directory {base} {problem}")
     paths = sorted(base.glob("*.json"))
     if not paths:
         raise InstanceError(f"fixture directory {base} holds no *.json fixtures")

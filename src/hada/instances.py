@@ -104,8 +104,6 @@ def _coords(values, length, where):
         raise InstanceError(f"{where}: expected {length} coordinates")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, float):
-            raise InstanceError(f"{where}[{i}]: floats are rejected, use 'p/q'")
         try:
             out.append(parse_rational(v))
         except HadaError as exc:
@@ -120,10 +118,10 @@ def parse_instance_dict(data: dict) -> Instance:
     if space not in (2, 3):
         raise InstanceError(f"space must be 2 or 3, got {space!r}")
     seed = data.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise InstanceError("seed must be an integer")
     for key in ("lines", "points"):
-        if not isinstance(data.get(key) or {}, dict):
+        if data.get(key) is not None and not isinstance(data[key], dict):
             raise InstanceError(f"{key} must be a JSON object")
     ncoords = space + 1
     inst = Instance(space=space, seed=seed)

@@ -57,11 +57,7 @@ def _ref_reduce_row(row, ncols):
             row[j] //= g
 
 
-def _ref_row_within(row, ncols, limit):
-    return all(not x or x.bit_length() <= limit for x in row[:ncols])
-
-
-def ref_echelon_gcd(m, ncols, limit):
+def ref_echelon_gcd(m, ncols):
     """Reference for ``_elim._echelon_gcd``: the same content-division
     elimination with the full pivot values, row_i*p - q*row_r, and no
     gcd(p, q) step."""
@@ -83,8 +79,6 @@ def ref_echelon_gcd(m, ncols, limit):
             for j in range(ncols):
                 row_i[j] = row_i[j] * p - q * row_r[j]
             _ref_reduce_row(row_i, ncols)
-            if not _ref_row_within(row_i, ncols, limit):
-                return None
         pivots.append(c)
         r += 1
         if r == nrows:

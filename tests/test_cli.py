@@ -381,7 +381,11 @@ def test_input_error_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("section", ["lines", "points"])
-@pytest.mark.parametrize("value", [[1, 2], True, "L"], ids=["list", "bool", "string"])
+@pytest.mark.parametrize(
+    "value",
+    [[1, 2], True, "L", [], 0, "", False],
+    ids=["list", "bool", "string", "empty-list", "zero", "empty-string", "false"],
+)
 def test_non_object_section_is_input_error(capsys, tmp_path, section, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**GRID_DOC, section: value}))
@@ -389,6 +393,15 @@ def test_non_object_section_is_input_error(capsys, tmp_path, section, value):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{section} must be a JSON object" in err and "Traceback" not in err
+
+
+def test_boolean_seed_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**GRID_DOC, "seed": True}))
+    rc = main(["hilbert", "-i", str(path), "--set", "X"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "seed must be an integer" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["hilbert", "quadric", "ci"])
@@ -580,6 +593,15 @@ def test_verify_missing_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert str(missing) in err and "Traceback" not in err
+
+
+def test_verify_file_is_not_a_directory(tmp_path, capsys):
+    path = tmp_path / "fixture.json"
+    path.write_text("{}")
+    rc = main(["verify", "--fixtures", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{path} is not a directory" in err and "Traceback" not in err
 
 
 def test_env_var_overrides_fixture_dir(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Elimination kernels against an independent Fraction oracle."""
 
 import random
-from math import comb, gcd, lcm
+from math import ceil, comb, gcd, lcm, log2
 
 import pytest
 
@@ -26,7 +26,7 @@ def test_rank_matches_fraction_oracle():
         assert _elim.rank(m, ncols) == frac_rank(m, ncols)
 
 
-def test_rref_is_primitive_scaling_of_monic_rref(monkeypatch):
+def test_rref_is_primitive_scaling_of_monic_rref():
     from math import gcd
 
     rng = random.Random(202)
@@ -54,11 +54,6 @@ def test_rref_is_primitive_scaling_of_monic_rref(monkeypatch):
                 ints = [x // g for x in ints]
             assert list(row) == ints
 
-    for m, ncols in cases:
-        check(m, ncols)
-    # a zero growth limit sends every elimination through Bareiss, so the
-    # back substitution also runs on the fallback's (non-primitive) rows
-    monkeypatch.setattr(_elim, "_growth_limit", lambda m, ncols: 0)
     for m, ncols in cases:
         check(m, ncols)
 
@@ -132,8 +127,8 @@ def test_det_against_permutation_expansion():
         assert _elim.det(m) == naive_det(m)
 
 
-def test_growth_guard_fallback_is_bit_identical(monkeypatch):
-    # dense wide-entry matrices: the unforced path must match the oracle
+def test_dense_wide_entry_kernels_match_oracle():
+    # dense wide-entry matrices: rank, kernel and echelon against the oracle
     rng = random.Random(606)
     n = 12
     cases = [
@@ -143,7 +138,6 @@ def test_growth_guard_fallback_is_bit_identical(monkeypatch):
     for _ in range(60):
         nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
         cases.append((random_matrix(rng, nrows, ncols, bound=10**6), ncols))
-    unforced = []
     for m, ncols in cases:
         rank = _elim.rank(m, ncols)
         assert rank == frac_rank(m, ncols)
@@ -155,37 +149,6 @@ def test_growth_guard_fallback_is_bit_identical(monkeypatch):
         echelon = _elim.echelon(m, ncols)
         assert echelon[0] == rank
         assert _elim.rref(echelon[2], ncols) == _elim.rref(m, ncols)
-        unforced.append((rank, _elim.rref(m, ncols), basis, echelon))
-
-    # a zero growth limit trips the guard on the first row update, so
-    # every case that needs elimination reruns through the Bareiss fallback;
-    # rref and nullspace reach it through their one forward pass
-    calls = []
-    original = _elim._echelon_bareiss
-
-    def spy(m, ncols):
-        calls.append(ncols)
-        return original(m, ncols)
-
-    monkeypatch.setattr(_elim, "_growth_limit", lambda m, ncols: 0)
-    monkeypatch.setattr(_elim, "_echelon_bareiss", spy)
-    reached = 0
-    for (m, ncols), expected in zip(cases, unforced):
-        before = len(calls)
-        reduced = _elim.rref(m, ncols)
-        in_rref = len(calls) - before
-        basis = _elim.nullspace(m, ncols)
-        assert len(calls) - before == 2 * in_rref
-        reached += in_rref
-        forced = (_elim.rank(m, ncols), reduced, basis)
-        assert forced == expected[:3]
-        assert forced[0] == frac_rank(m, ncols)
-        # echelon rows may differ by path; rank, pivots and row space may not
-        rank, pivots, rows = _elim.echelon(m, ncols)
-        assert (rank, pivots) == expected[3][:2] == forced[1][:2]
-        assert _elim.rref(rows, ncols) == forced[1]
-    # every dense wide-entry case needs a row update
-    assert reached >= 5
 
 
 def evaluation_cases(seed):
@@ -216,30 +179,45 @@ def test_reduced_multipliers_match_full_multiplier_reference(monkeypatch):
         bound = rng.choice([9, 10**6, 2**64])
         cases.append((random_matrix(rng, nrows, ncols, bound=bound), ncols))
 
-    # the kernels themselves, at limits that trip the guard early, midway
-    # or not at all: the same rows and the same decision to give up
-    outcomes = set()
+    # the kernel itself: the same rank, pivots and rows
     for m, ncols in cases:
         prim = _elim._primitive_rows(m)
-        for limit in (0, 12, 40, _elim._growth_limit(prim, ncols)):
-            got = _elim._echelon_gcd([list(r) for r in prim], ncols, limit)
-            assert got == ref_echelon_gcd([list(r) for r in prim], ncols, limit)
-            outcomes.add((limit, got is None))
-    assert (12, True) in outcomes and (12, False) in outcomes
+        got = _elim._echelon_gcd([list(r) for r in prim], ncols)
+        assert got == ref_echelon_gcd([list(r) for r in prim], ncols)
 
     def answers():
         return [(_elim.echelon(m, ncols), _elim.rref(m, ncols)) for m, ncols in cases]
 
-    # the public functions, unforced and with the Bareiss fallback forced
-    # by a zero growth limit, against the same functions running the
+    # the public functions against the same functions running the
     # full-multiplier reference
-    for limit in (None, 0):
-        with monkeypatch.context() as patch:
-            if limit is not None:
-                patch.setattr(_elim, "_growth_limit", lambda m, ncols: limit)
-            ours = answers()
-            patch.setattr(_elim, "_echelon_gcd", ref_echelon_gcd)
-            assert answers() == ours
+    ours = answers()
+    monkeypatch.setattr(_elim, "_echelon_gcd", ref_echelon_gcd)
+    assert answers() == ours
+
+
+def test_echelon_rows_are_primitive_within_the_minor_bound():
+    # echelon row k is primitive with the bit size of an s x s minor of
+    # the primitive input, s = k + 1, by Hadamard's bound
+    rng = random.Random(1111)
+    cases = []
+    for _ in range(120):
+        nrows, ncols = rng.randint(2, 25), rng.randint(2, 25)
+        bound = 2 ** rng.randint(1, 200)
+        cases.append((random_matrix(rng, nrows, ncols, bound=bound, sparsity=0.05), ncols))
+    for n, top in ((2, 6), (3, 4)):
+        for _ in range(8):
+            rows = [[rng.randint(-(10**4), 10**4) for _ in range(n + 1)] for _ in range(25)]
+            points = PointSet.dedupe(ProjPoint(r) for r in rows if any(r))
+            points = PointSet(points.points[: rng.randint(4, 25)])
+            for t in range(1, top + 1):
+                cases.append((evaluation_rows(points, t), comb(t + n, n)))
+    for m, ncols in cases:
+        maxbits = max(max(map(abs, row)) // gcd(*row) for row in m if any(row)).bit_length()
+        _, _, rows = _elim.echelon(m, ncols)
+        for k, row in enumerate(rows):
+            s = k + 1
+            assert gcd(*row) == 1
+            assert max(map(abs, row)).bit_length() <= s * maxbits + ceil(s / 2 * log2(s)) + 1
 
 
 def spy_echelon(monkeypatch):
