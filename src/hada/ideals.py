@@ -82,22 +82,31 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   pass gives dim J_t <= D(t) = |S_t| - L(t) + L(t - 1), so a rank
   rank_p M_t = D(t) makes HF(t) = L(t) exact and M_t a spanning set of
   J_t over Q;
-* the covers.  A set made by ``pairwise_products`` keeps its two
-  factors.  When c = 0, each factor G that lies in a hyperplane H (the
-  first vector of the canonical kernel basis of G's coordinate matrix,
-  a |G| x (n + 1) elimination), paired with a factor F none of whose
-  points has a zero coordinate, gives the exact form prod over a in F of
-  a * H, with (a * H)(x) = sum of H_i x_i / a_i.  It has degree |F| and
-  vanishes on the set, as (a * H)(a * b) = H(b) = 0: for a P^2 grid
-  these are the paper's row and column lines.  Its image in S is the
-  product of the a * H, each restricted to the span of the set and then
-  to x0 = 0, an exact form of J.  For a set that does not span its P^n,
-  the restriction to the span solves one triangular system on the
-  echelon rows of its coordinate matrix (``_restricted``).  An a * H
-  that contains the span vanishes on it, and its cover is left out;
-  otherwise no factor is zero, as x0 vanishes at no point when c = 0.
-  The covers are built once per ladder, in degrees up to |X|, and each
-  loop below takes those of its degrees;
+* the covers.  A set made by ``pairwise_products`` or
+  ``grid_product_p3`` keeps its two factors.  When c = 0, each factor G
+  that lies in a hyperplane H (the first vector of the canonical kernel
+  basis of G's coordinate matrix, a |G| x (n + 1) elimination), paired
+  with a factor F none of whose points has a zero coordinate, gives the
+  exact form prod over a in F of a * H, with (a * H)(x) = sum of
+  H_i x_i / a_i.  It has degree |F| and vanishes on the set, as
+  (a * H)(a * b) = H(b) = 0: for a P^2 grid these are the paper's row
+  and column lines.  Any hyperplane through G serves, and each a may
+  take its own: when the set spans P^3 and G lies on a line, whose
+  kernel has two vectors H1 and H2, the per-point choices H1 for the
+  first k points of F and H2 for the rest give |F| + 1 forms,
+  k = 0 .. |F|.  When both factors lie on lines, two points p, q of F
+  and r, s of G give the matrix A with columns p * r, p * s, q * r and
+  q * s, invertible when the set spans P^3, and every product point is
+  A w with w0 w3 = w1 w2; so Q = z0 z3 - z1 z2, z = adj(A) x, is a
+  quadric through the set, built from integer cofactors, and it is a
+  cover of degree 2.  The image in S of a cover is its restriction to
+  the span of the set and then to x0 = 0, an exact form of J.  For a
+  set that does not span its P^n, the restriction to the span solves one
+  triangular system on the echelon rows of its coordinate matrix
+  (``_restricted``).  An a * H that contains the span vanishes on it,
+  and its cover is left out; otherwise no factor is zero, as x0 vanishes
+  at no point when c = 0.  The covers are built once per ladder, in
+  degrees up to |X|, and each loop below takes those of its degrees;
 * the closure.  Whenever the set has covers, they are tried alone
   first, with no pass.  Let M_t hold the multiples of the covers kept in
   degrees below t, and u(t) = |S_t| minus the rank mod p of M_t and the
@@ -114,11 +123,18 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   cannot stay below |X| at such a T, as the h(t) <= u(t) with t < T
   already sum to |X|; so the covers fail to close only when the sum
   passes |X| before some u(T) = 0, and then the pass and the loop run
-  instead.  A P^2 grid made as a product closes: by the paper's grid
-  lemma it is the complete intersection of its row and column lines,
-  which its two covers are.  So does planar-25 made as the product of
-  its factors, a complete intersection of type (1, 5, 5) whose two
-  quintics are its covers in its plane;
+  instead.  A sum other than |X| there can only come from a form that
+  is not in I, and it is refused the same way.  A P^2 grid made as a
+  product closes: by the paper's grid lemma it is the complete
+  intersection of its row and column lines, which its two covers are.
+  So does planar-25 made as the product of its factors, a complete
+  intersection of type (1, 5, 5) whose two quintics are its covers in
+  its plane.  So does every a x b product of points on two lines of
+  P^3 that spans P^3 that has been tried (2 <= a, b <= 6): on Q, a
+  P^1 x P^1, it is the intersection of a lines of one ruling and b of
+  the other (Giuffrida, Maggioni & Ragusa, *Pacific J. Math.* 155,
+  1992), and Q and the per-point covers of both factors, with their
+  multiples, span J in every degree;
 * the loop.  In each degree t < d where rank_p M_t falls short of D(t),
   the covers of degree t that are independent of M_t mod p join the
   forms.  Where the rank still falls short, one exact ``kernel_basis``
@@ -134,11 +150,11 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   makes S_1 * J_(t-1) the span of M_t.  The exact kernels are of E_t in
   degrees t < d, smaller than E_d: planar-25 and the points of a P^2
   grid given alone take one in the degree of each of their two forms
-  (one, when the two are of the same degree), square skew grids of at
-  least 4 x 4 points one of E_2 (their quadric), and sets with a
-  maximal Hilbert function (random points, collinear sets, 3 x 3 skew
-  grids) none.  A product whose covers close takes no pass and no
-  kernel at all;
+  (one, when the two are of the same degree), the points of square skew
+  grids of at least 4 x 4 points given alone one of E_2 (their
+  quadric), and sets with a maximal Hilbert function (random points,
+  collinear sets, 3 x 3 skew grids) none.  A product whose covers close
+  takes no pass and no kernel at all;
 * the rows.  Each such kernel is first taken on L(t) rows of E_t alone:
   those of the points at which the pass's first L(t) kept columns have
   their ``ModBasis`` pivots.  These rows are independent over Q.  The
@@ -152,9 +168,9 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   space of E_t, and the canonical kernel basis is the same, bit for
   bit.  When the check fails (L(t) < HF(t): the pass was wrong mod p),
   the kernel of the whole E_t is taken instead.  The fallback, which
-  has no pass, always takes that one.  A skew grid's kernel of
-  E_2 is so taken on 9 rows, not 16 or 25, and the kernel of E_5 of a
-  5 x 5 P^2 grid's points on 19 of its 25;
+  has no pass, always takes that one.  The kernel of E_2 of a skew
+  grid's points is so taken on 9 rows, not 16 or 25, and the kernel of
+  E_5 of a 5 x 5 P^2 grid's points on 19 of its 25;
 * the counts.  In a degree t <= tau the count is dim J_t minus the rank
   of M_t, which is 0 in every degree below tau where no form joined.  A
   rank mod p equal to the rows of M_t or to dim J_t is its rank over Q;
@@ -222,8 +238,12 @@ reads that kernel of E_t, when c = 0 and the set spans its P^n.  Then
 the l-coordinates are the set's own coordinates, E_t is the set's
 evaluation matrix, and the stored kernel is, bit for bit, the one a
 direct elimination gives: a kernel the loop took on HF(t) rows passed
-the row check, so it is the kernel of E_t.  So the quadric of a skew
-grid of at least 4 x 4 points costs no elimination after a profile
+the row check, so it is the kernel of E_t.  A product of P^3 with the
+quadric Q of its covers and HF(2) = 9 stores Q in its place: then I_2
+is spanned by Q, and Q primitive with its last nonzero entry positive
+is the one vector of the canonical kernel basis of E_2.  So the quadric
+of a skew grid of at least 3 x 3 points, given as a product or alone
+with at least 4 x 4 points, costs no elimination after a profile
 question.
 """
 
@@ -331,7 +351,8 @@ class _Ladder:
     for t = 0 .. tau + 1, the linear forms of the span included.
     ``lowest`` is (t, canonical kernel basis of E_t) for the first
     kernel the ladder eliminated exactly, when that was in the set's own
-    coordinates, and None otherwise.
+    coordinates; (2, [Q]) for a product of P^3 whose covers give the
+    quadric Q and whose HF(2) is 9; and None otherwise.
     """
 
     cardinality: int
@@ -572,7 +593,8 @@ def _close(n: int, card: int, covers):
         spans.append((rows, rank, len(span)))
         free = len(_s_monomials(n, t)) - len(span)
         if not free:
-            return values, _counts(spans, n)
+            # a sum other than |X| means a cover that is not in I
+            return (values, _counts(spans, n)) if values[-1] == card else None
         values.append(free + (values[-1] if t else 0))
         if values[-1] > card:
             return None
@@ -613,49 +635,112 @@ def _exact_forms(lcoords, n: int, t: int, kernels, rows=None):
     return [_elim._primitive(v[start:]) for v in kernels[t] if any(v[start:])]
 
 
+def _times(g, s: int, h, r: int, n: int):
+    """The product on S_(s+r) of the form g of S_s and the form h of S_r."""
+    out = [0] * len(_s_monomials(n, s + r))
+    for x, columns in zip(h, _product_columns(n, s, s + r)):
+        for j, y in zip(columns, g):
+            out[j] += x * y
+    return out
+
+
+def _det3(rows):
+    """The determinant of a 3 x 3 matrix."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _covers(factors, span_rows, n: int, card: int):
     """The cover forms of a product set in degrees up to |X| = ``card``, as
-    {t: forms of S_t}, from its two factors (``PointSet._factors``; {}
+    {t: forms of S_t}, with its Segre quadric, a vector on the monomials
+    of R_2, or None; from its two factors (``PointSet._factors``; ({}, None)
     when None), in its span through ``span_rows`` (``_span_coordinates``).
 
-    Each factor G that lies in a hyperplane H, the first vector of the
-    canonical kernel basis of its coordinate matrix, paired with a factor
-    F none of whose points has a zero coordinate, gives the form
-    prod over a in F of a * H, with (a * H)(x) = sum of H_i x_i / a_i.
-    It has degree |F| and vanishes on F * G, as (a * H)(a * b) = H(b) = 0,
-    so it lies in I.  Its image in S is the product of the hyperplanes
-    restricted to the span (``_restricted``) and then to x0 = 0, each made
-    primitive, hence primitive (Gauss's lemma).  A hyperplane that
-    contains the span makes its form vanish there, and that form is
-    left out.  Otherwise, with c = 0, x0 vanishes at no product point, so
-    no restricted a * H is {x0 = 0} and the product is not zero.  No
-    degree above |X| is needed, as tau + 1 <= |X|.
+    Each factor G that lies in a hyperplane, paired with a factor F none
+    of whose points has a zero coordinate, gives forms of degree |F|: the
+    products over a in F of a * H_a, for hyperplanes H_a through G, with
+    (a * H)(x) = sum of H_i x_i / a_i.  Each vanishes on F * G, as
+    (a * H_a)(a * b) = H_a(b) = 0, so it lies in I.  The H_a come from
+    the canonical kernel basis of G's coordinate matrix.  In general H_a
+    is its first vector for every a, which gives one form.  When the set
+    spans P^3 (n = 3 and no ``span_rows``) and G lies on a line, the
+    kernel has two vectors H1 and H2, and the per-point choices a_i * H1
+    for i < k and a_i * H2 for i >= k give |F| + 1 forms, k = |F| .. 0,
+    each the product of a shared prefix and suffix.  The image in S of a
+    form is the product of its a * H_a restricted to the span
+    (``_restricted``) and then to x0 = 0, each made primitive, hence
+    primitive (Gauss's lemma).  A hyperplane that contains the span makes
+    its form vanish there, and the factor's forms are left out.
+    Otherwise, with c = 0, x0 vanishes at no product point, so no
+    restricted a * H is {x0 = 0} and no form is zero.  No degree above
+    |X| is needed, as tau + 1 <= |X|.
+
+    When the set spans P^3 and both factors lie on lines, the first two
+    points p, q of F and r, s of G give the integer matrix A with columns
+    p * r, p * s, q * r and q * s.  Each point of F * G is
+    (lam p + mu q) * (nu r + rho s) = A w, w = (lam nu, lam rho, mu nu,
+    mu rho), and w0 w3 = w1 w2.  When det A != 0, z = adj(A) x is det A
+    times w there, so the quadric Q = z0 z3 - z1 z2 vanishes on the set.
+    It is kept primitive with its last nonzero entry positive, and the
+    terms of Q free of x0 join the covers of degree 2.  As the columns
+    of A span every point of the set, det A != 0 whenever it spans P^3.
+    Q is the non-degenerate quadric of the paper's P^3 theorem (Bocci,
+    Carlini & Kileel, *Hadamard products of linear spaces*, J. Algebra
+    448, 2016).  On Q, a P^1 x P^1, each a * H_a cuts the line a * G of
+    one ruling and a line of the other, so the per-point forms of F
+    restrict to forms f * g, g in H^0(O(0, |F|)), with f the union of the
+    lines a * G, a in F; that is what lets Q and the forms of both
+    factors close the bound (``_close``).
     """
-    covers = {}
+    covers, quadric = {}, None
     if factors is None:
-        return covers
-    for f, g in (factors, factors[::-1]):
-        if len(f) > card or any(0 in a.coords for a in f):
+        return covers, quadric
+    kernels = [_elim.nullspace([b.coords for b in g], g.ambient_dim + 1) for g in factors]
+    spans_p3 = span_rows is None and n == 3
+    for f, kernel in zip(factors, kernels[::-1]):
+        if not kernel or len(f) > card or any(0 in a.coords for a in f):
             continue
-        kernel = _elim.nullspace([b.coords for b in g], g.ambient_dim + 1)
-        if not kernel:
+        planes = kernel if spans_p3 and len(kernel) == 2 else kernel[:1]
+        linears = [
+            [_restricted([x * (prod(a.coords) // y) for x, y in zip(h, a.coords)], span_rows)
+             for a in f]
+            for h in planes
+        ]
+        if not all(map(any, linears[0])):
             continue
-        h = kernel[0]
-        form = [1]
-        for s, a in enumerate(f):
-            scale = prod(a.coords)
-            linear = _restricted([hi * (scale // ai) for hi, ai in zip(h, a.coords)], span_rows)
-            if not any(linear):
-                break
-            linear = _elim._primitive(linear[1:])
-            product = [0] * len(_s_monomials(n, s + 1))
-            for coefficient, columns in zip(linear, _product_columns(n, s, s + 1)):
-                for j, x in zip(columns, form):
-                    product[j] += coefficient * x
-            form = product
-        else:
-            covers.setdefault(len(f), []).append(form)
-    return covers
+        lines = [[_elim._primitive(w[1:]) for w in ws] for ws in linears]
+        top = len(f)
+        prefixes = [[1]]
+        for s, w in enumerate(lines[0]):
+            prefixes.append(_times(prefixes[-1], s, w, 1, n))
+        forms = covers.setdefault(top, [])
+        forms.append(prefixes[top])
+        suffix = [1]
+        for k in range(top - 1, -1, -1) if len(lines) == 2 else ():
+            suffix = _times(suffix, top - 1 - k, lines[1][k], 1, n)
+            forms.append(_times(prefixes[k], k, suffix, top - k, n))
+    if spans_p3 and all(len(kernel) == 2 for kernel in kernels):
+        (p, q), (r, s) = (g.points[:2] for g in factors)
+        columns = [[x * y for x, y in zip(a.coords, b.coords)] for a in (p, q) for b in (r, s)]
+        # row i of adj(A) holds the cofactors of column i of A
+        adj = [
+            [(-1) ** (i + j) * _det3([c[:j] + c[j + 1 :] for c in columns[:i] + columns[i + 1 :]])
+             for j in range(4)]
+            for i in range(4)
+        ]
+        # det A, expanded along its first column
+        if sum(map(mul, adj[0], columns[0])):
+            a, b, c, d = adj
+            # the coefficient of x_j x_k, j <= k, in monomial order
+            quadric = _elim._primitive([
+                a[j] * d[k] - b[j] * c[k] + (a[k] * d[j] - b[k] * c[j] if j < k else 0)
+                for j in range(4) for k in range(j, 4)
+            ])
+            if next(x for x in reversed(quadric) if x) < 0:
+                quadric = [-x for x in quadric]
+            quadric = tuple(quadric)
+            covers.setdefault(2, []).append(_elim._primitive(quadric[_divisible_count(3, 2) :]))
+    return covers, quadric
 
 
 def _kernel_mod_p(n: int, d: int, standard, basis, ys):
@@ -697,7 +782,8 @@ def _ladder(points: PointSet) -> _Ladder:
     E_t with t the first degree where the pass left a column free (alpha,
     unless the pass was wrong there or covers filled J_alpha), is kept for
     ``degree_bounded_ideal`` when l-coordinates are the set's own (c = 0
-    and the set spans its P^n).
+    and the set spans its P^n); the quadric Q of the covers stands in for
+    the kernel of E_2 when it spans I_2.
     """
     if points._ladder is not None:
         return points._ladder
@@ -714,7 +800,7 @@ def _ladder(points: PointSet) -> _Ladder:
     def rank(t):
         return linalg.rank_of(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
 
-    covers = {} if c else _covers(points._factors, span_rows, n, card)
+    covers, quadric = ({}, None) if c else _covers(points._factors, span_rows, n, card)
     kernels = {}
     closed = covers and _close(n, card, covers)
     if closed:
@@ -731,6 +817,10 @@ def _ladder(points: PointSet) -> _Ladder:
     counts[1] += linear
     tau = len(values) - 1
     values.append(rank(tau + 1))
+    lowest = next(iter(kernels.items())) if kernels and not (c or linear) else None
+    if quadric and values[2] == 9:
+        # dim I_2 = 1, so I_2 is spanned by Q, the vector its kernel gives
+        lowest = (2, [quadric])
     points._ladder = _Ladder(
         cardinality=card,
         dim=n,
@@ -738,7 +828,7 @@ def _ladder(points: PointSet) -> _Ladder:
         values=tuple(values),
         tau=tau,
         generators=tuple(counts),
-        lowest=next(iter(kernels.items())) if kernels and not (c or linear) else None,
+        lowest=lowest,
     )
     return points._ladder
 

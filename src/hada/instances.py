@@ -115,7 +115,7 @@ def parse_instance_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise InstanceError("instance must be a JSON object")
     space = data.get("space")
-    if space not in (2, 3):
+    if type(space) is not int or space not in (2, 3):
         raise InstanceError(f"space must be 2 or 3, got {space!r}")
     seed = data.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     DimensionMismatch,
@@ -198,7 +198,8 @@ class LinearSubspace:
 
 
 def point_hyperplane_product(p: ProjPoint, h: Hyperplane) -> Hyperplane:
-    """Hyperplane with coefficients a_i / p_i.
+    """Hyperplane with coefficients a_i / p_i, taken as the integers
+    a_i * prod over j != i of p_j, the same coefficients up to scale.
 
     Requires every coordinate of ``p`` nonzero and every coefficient of
     ``h`` nonzero; otherwise the product is not a hyperplane and one of
@@ -219,9 +220,8 @@ def point_hyperplane_product(p: ProjPoint, h: Hyperplane) -> Hyperplane:
             f"hyperplane contains coordinate point {i}; "
             "use the point/line classification instead"
         )
-    return Hyperplane(
-        [Fraction(a, x) for a, x in zip(h.dual.coords, p.coords)]
-    )
+    scale = prod(p.coords)
+    return Hyperplane([a * (scale // x) for a, x in zip(h.dual.coords, p.coords)])
 
 
 def hyperplane_product(h: Hyperplane, k: Hyperplane):
@@ -269,9 +269,10 @@ class PointSet:
 
     A set is never mutated after construction, so ``hada.ideals`` keeps
     its degree ladder in the ``_ladder`` slot, filled on first use.  A
-    set made by ``pairwise_products`` keeps its two factors in the
-    ``_factors`` slot, which is None on every other set; the ladder reads
-    covering hyperplanes of the product off them.
+    set made by ``pairwise_products`` or ``hada.space.grid_product_p3``
+    keeps its two factors in the ``_factors`` slot, which is None on
+    every other set; the ladder reads covering forms of the product off
+    them.
     """
 
     __slots__ = ("points", "_ladder", "_factors")

@@ -120,9 +120,9 @@ class Line3:
     def contains(self, p: ProjPoint) -> bool:
         return self.h.contains(p) and self.k.contains(p)
 
-    def basis_points(self) -> tuple[ProjPoint, ProjPoint]:
-        """The kernel basis of the dual matrix [a; b] that
-        ``sampling.solution_basis`` returns, by Cramer's rule.
+    def _cramer_vectors(self) -> list[list[int]]:
+        """Two independent integer vectors of the line, by Cramer's rule on
+        the dual matrix [a; b], before canonical form.
 
         The reduced echelon form of [a; b] has its pivots in the first
         nonzero column c1 and the first column c2 > c1 with q_(c1 c2)
@@ -130,21 +130,28 @@ class Line3:
         x_c1 = -q_(f c2), x_c2 = -q_(c1 f) and zeros elsewhere; the
         free columns come in increasing order.
         """
+        a, b = self.h.dual.coords, self.k.dual.coords
+        q = self.q
+        c1 = next(i for i in range(4) if a[i] or b[i])
+        c2 = next(j for j in range(c1 + 1, 4) if _minor(q, c1, j))
+        vectors = []
+        for f in range(4):
+            if f in (c1, c2):
+                continue
+            x = [0] * 4
+            x[f] = _minor(q, c1, c2)
+            x[c1] = -_minor(q, f, c2)
+            x[c2] = -_minor(q, c1, f)
+            vectors.append(x)
+        return vectors
+
+    def basis_points(self) -> tuple[ProjPoint, ProjPoint]:
+        """The kernel basis of the dual matrix [a; b] that
+        ``sampling.solution_basis`` returns: the canonical forms of
+        ``_cramer_vectors``."""
         if self._basis is None:
-            a, b = self.h.dual.coords, self.k.dual.coords
-            q = self.q
-            c1 = next(i for i in range(4) if a[i] or b[i])
-            c2 = next(j for j in range(c1 + 1, 4) if _minor(q, c1, j))
-            points = []
-            for f in range(4):
-                if f in (c1, c2):
-                    continue
-                x = [0] * 4
-                x[f] = _minor(q, c1, c2)
-                x[c1] = -_minor(q, f, c2)
-                x[c2] = -_minor(q, c1, f)
-                points.append(ProjPoint(x))
-            self._basis = (points[0], points[1])
+            x, y = self._cramer_vectors()
+            self._basis = (ProjPoint(x), ProjPoint(y))
         return self._basis
 
     def meets_coordinate_points(self) -> bool:
@@ -266,7 +273,8 @@ def grid_product_p3(
     GridConditionError naming the witness and carrying the brute-force
     product set so relaxed instances can still be inspected.  Each pair
     is multiplied once: the product set is the grid's defined products,
-    sorted and deduplicated as ``pairwise_products`` does.
+    sorted and deduplicated as ``pairwise_products`` does, and it keeps
+    the two factors, from which the degree ladder reads its covers.
 
     The row line P*L' of P and the column line P'*L of P' coincide
     exactly when the rank condition fails at (P, P').  Once it holds,
@@ -280,6 +288,7 @@ def grid_product_p3(
     if not defined:
         raise HadaError("every pairwise product is undefined")
     products = PointSet.dedupe(sorted(defined, key=lambda p: p.coords))
+    products._factors = (xs, xs2)
     expected = len(xs) * len(xs2)
 
     def fail(msg, witness=None):
@@ -338,9 +347,13 @@ class Quadric3:
         return m
 
     def determinant(self) -> Fraction:
-        # doubling the matrix clears the halves; det scales by 2^4
-        m = self.symmetric_matrix()
-        rows = [[int(2 * m[i][j]) for j in range(4)] for i in range(4)]
+        # twice the symmetric matrix has the integer entries 2*c on the
+        # diagonal and c off it; det scales by 2^4
+        rows = [[0] * 4 for _ in range(4)]
+        for expo, c in self.form.coeffs.items():
+            i, j = [k for k, e in enumerate(expo) for _ in range(e)]
+            rows[i][j] += c
+            rows[j][i] += c
         return Fraction(linalg.det_of(rows), 16)
 
     def is_nondegenerate(self) -> bool:
@@ -351,11 +364,11 @@ class Quadric3:
 
     def contains_line(self, line: Line3) -> bool:
         # a degree-2 form vanishing at three points of a line vanishes
-        # on the whole line; the basis points are independent, so their
+        # on the whole line; the two vectors are independent, so their
         # sum is a third point
-        b1, b2 = line.basis_points()
-        pts = [b1, b2, sampling.combine([b1, b2], (1, 1))]
-        return all(self.form.vanishes_at(p) for p in pts)
+        x, y = line._cramer_vectors()
+        vectors = (x, y, [u + v for u, v in zip(x, y)])
+        return all(self.form.evaluate(v) == 0 for v in vectors)
 
     def __eq__(self, other):
         if not isinstance(other, Quadric3):

@@ -404,6 +404,17 @@ def test_boolean_seed_is_input_error(capsys, tmp_path):
     assert "seed must be an integer" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("space", [2.0, 3.0, True])
+def test_non_integer_space_is_input_error(capsys, tmp_path, space):
+    # 2.0 == 2 and True == 1 in Python, so only the type check refuses them
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**GRID_DOC, "space": space}))
+    rc = main(["hilbert", "-i", str(path), "--set", "X"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"space must be 2 or 3, got {space!r}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["hilbert", "quadric", "ci"])
 @pytest.mark.parametrize("product", ["X", "X,Xp,Xp"])
 def test_product_needs_exactly_two_names(capsys, p3_file, command, product):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hada import _elim, ideals, linalg
 from hada.errors import HadaError
 from hada.fixtures import fixtures_dir
-from hada.forms import monomials
+from hada.forms import evaluate_monomial, monomials
 from hada.ideals import (
     CIVerdict,
     HilbertProfile,
@@ -142,7 +142,7 @@ def build_ladder(points):
         patch.setattr(ideals, "_covers", spy_covers)
         ideals._ladder(points)
     tau = points._ladder.tau
-    degrees = tuple(sorted(t for forms in built for t in forms if t <= tau))
+    degrees = tuple(sorted(t for forms, _ in built for t in forms if t <= tau))
     if not calls:
         return Built("closed", (), ranks, degrees)
     exact, kernels = calls[-1]
@@ -604,8 +604,10 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
     # point more the first kernel is of E_3 (three cubics), on HF(3) = 17
     # rows, and S_2 times them at tau + 1, 18 rows on the 21 monomials of
     # S_5, have rank 10 mod p: short of both, so that count takes one
-    # exact rank
-    grid = skew_grid(5, 4242)
+    # exact rank.  The grid as a product knows its factors: its covers
+    # close the bound, and the rank of E_(tau+1) is its one elimination
+    product = skew_grid(5, 4242)
+    grid = PointSet(product.points)
     tau, n = 4, 3
     expected = {
         25: [("kernel_basis", 9, comb(2 + n, n)), ("rank_of", 25, comb(tau + 1 + n, n))],
@@ -626,6 +628,13 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
         assert (points._ladder.dim, points._ladder.linear) == (n, 0)
         assert path == "squeeze"
         assert calls == expected[len(points)]
+    with monkeypatch.context() as patch:
+        calls = spy_linalg(patch)
+        path = build_ladder(product).path
+        verdict = ci_verdict(product)
+    assert (path, verdict.kind) == ("closed", "NotCI")
+    assert calls == expected[25][1:]
+    assert ladder_answers(product) == ladder_answers(grid)
 
 
 def test_second_generator_question_eliminates_nothing(monkeypatch):
@@ -652,10 +661,11 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
     # the kernel of E_t in each of its kernel degrees, on HF(t) of its
     # rows, in their order, which the Fraction oracle finds independent;
     # the skew grid's one kernel is of E_2 in its own coordinates, which
-    # are its l-coordinates.  Either way the last rank is of the whole
-    # E_(tau+1).  The fallback (here the squeeze is made to fail) first
-    # takes the rank of the whole E_t for t = 0 .. tau, the Fraction
-    # oracle's HF(t).  The last set has a zero in every coordinate, so l
+    # are its l-coordinates (the grid's points are given alone: as a
+    # product, its covers would close).  Either way the last rank is of
+    # the whole E_(tau+1).  The fallback (here the squeeze is made to
+    # fail) first takes the rank of the whole E_t for t = 0 .. tau, the
+    # Fraction oracle's HF(t).  The last set has a zero in every coordinate, so l
     # is not x0 there
     ranks = []
     kernels = []
@@ -681,7 +691,7 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
 
     spy("rank_of", ranks)
     spy("kernel_basis", kernels)
-    grid = skew_grid(5, 4545)
+    grid = PointSet(skew_grid(5, 4545).points)
     tau = hilbert_profile(grid).tau
     assert len(kernels) == 1
     independent_rows_of(kernels[0], evaluation_rows(grid, 2), 10, frac_hilbert_values(grid)[2])
@@ -841,7 +851,8 @@ def test_generator_counts_equal_exact_span_counts():
     # dim J_t and the Krull stop does not settle it: in 5 of the sets, the
     # unequal skew grids among them.  Modulo 2**61 - 1 the rank of every
     # such span is its rank over Q on these sets, so each exact rank is
-    # short of both too
+    # short of both too.  Every set here is given by its points alone;
+    # the skew grids as products close from their covers
     kinds = set()
     paths = Counter()
     reached = 0
@@ -864,9 +875,9 @@ def test_generator_counts_equal_exact_span_counts():
     assert {
         build_ladder(collinear_points(m, dim)).path for m in (1, 2, 3, 7, 12) for dim in (2, 3)
     } == {"ceiling"}
-    assert [build_ladder(skew_grid(m, 1700 + 11 * m)).path for m in (3, 5)] == [
-        "ceiling", "squeeze"
-    ]
+    grids = [skew_grid(m, 1700 + 11 * m) for m in (3, 5)]
+    assert [build_ladder(PointSet(grid.points)).path for grid in grids] == ["ceiling", "squeeze"]
+    assert [build_ladder(grid).path for grid in grids] == ["closed", "closed"]
     assert {build_ladder(PointSet(s.points)).path for s in (PLANAR25, GRID2)} == {"squeeze"}
 
 
@@ -1153,29 +1164,35 @@ def test_stored_ladder_rows_are_primitive(monkeypatch):
 
 
 def test_skew_grid_questions_take_one_kernel_and_one_rank(monkeypatch):
-    # a 5 x 5 skew grid is squeezed with one exact kernel: the
-    # profile, generator, CI and quadric questions take that kernel of E_2
-    # (its quadric) on its HF(2) = 9 independent rows, and the rank of
-    # E_(tau+1), and the quadric, read from the stored kernel, equals the
-    # one eliminated directly on a copy with no ladder.  A second quadric
-    # question eliminates nothing.  The P^2 grids of the CI benchmark are
-    # squeezed too.  Their points alone take a kernel in the degree of each
-    # of their two forms (one, for a square grid), each on HF(t) rows, and
-    # one rank.  The grids' product sets know their factors, whose cover
-    # forms are those two forms: they take the one rank alone, and their
-    # ladders are the same
-    grid = skew_grid(5, 4848)
-    direct = degree_bounded_ideal(PointSet(grid.points), 2)
+    # the points of a 5 x 5 skew grid, given alone, are squeezed with one
+    # exact kernel: the profile, generator, CI and quadric questions take
+    # that kernel of E_2 (its quadric) on its HF(2) = 9 independent rows,
+    # and the rank of E_(tau+1), and the quadric, read from the stored
+    # kernel, equals the one eliminated directly on a copy with no ladder.
+    # A second quadric question eliminates nothing.  The grid as a
+    # product closes from its covers and takes the rank alone.  The P^2
+    # grids of the CI benchmark are squeezed too.  Their points alone take
+    # a kernel in the degree of each of their two forms (one, for a square
+    # grid), each on HF(t) rows, and one rank.  The grids' product sets
+    # know their factors, whose cover forms are those two forms: they take
+    # the one rank alone, and their ladders are the same
+    product = skew_grid(5, 4848)
+    direct = degree_bounded_ideal(PointSet(product.points), 2)
     calls = spy_linalg(monkeypatch)
-    hilbert_profile(grid)
-    generator_profile(grid)
-    ci_verdict(grid)
-    quadric = quadric_through(grid)
-    assert calls == [("kernel_basis", 9, 10), ("rank_of", 25, 56)]
-    assert quadric.form == direct[0] and len(direct) == 1
-    calls.clear()
-    assert quadric_through(grid) == quadric
-    assert calls == []
+    for grid, expected in (
+        (PointSet(product.points), [("kernel_basis", 9, 10), ("rank_of", 25, 56)]),
+        (product, [("rank_of", 25, 56)]),
+    ):
+        calls.clear()
+        hilbert_profile(grid)
+        generator_profile(grid)
+        ci_verdict(grid)
+        quadric = quadric_through(grid)
+        assert calls == expected
+        assert quadric.form == direct[0] and len(direct) == 1
+        calls.clear()
+        assert quadric_through(grid) == quadric
+        assert calls == []
     line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
     for a, b, degrees, top in ((5, 5, [5], 8), (4, 5, [4, 5], 7)):
         xs, xs2 = generic_collinear_sample(line, line2, a, b, 1900 + 10 * a + b)
@@ -1330,7 +1347,9 @@ def cover_cases():
     condition fails), a collinear set with a point that has a zero
     coordinate times a grid factor (no cover from that side), a collinear
     set times three points that span P^2 (no cover from that side either),
-    and products of sets on skew lines of P^3.  Then products that span a
+    and products of sets on skew lines of P^3, with |F| + 1 per-point
+    covers of degree |F| from each side and their quadric.  Then products
+    that span a
     plane of P^3: planar-25 and its 3 x 3 part, and two products in the
     plane x1 = x2.  In the first of those, F spans that plane and G lies
     on a line of it, so a * H_G is not x1 = x2 but each b * H_F is: the
@@ -1348,7 +1367,7 @@ def cover_cases():
     yield pairwise_products(spanning, xs2)[0], [3]
     for a, b in ((2, 5), (4, 4)):
         _, _, ys, ys2 = generic_skew_sample(a, b, 2500 + 10 * a + b)
-        yield pairwise_products(ys, ys2)[0], [a, b]
+        yield pairwise_products(ys, ys2)[0], [a] * (a + 1) + [b] * (b + 1) + [2]
     yield pairwise_products(*PLANAR_FACTORS)[0], [5, 5]
     yield pairwise_products(*(PointSet(f.points[:3]) for f in PLANAR_FACTORS))[0], [3, 3]
     plane = PointSet.from_coords([[1, 2, 2, 3], [2, 1, 1, 5], [3, 4, 4, 1], [5, 3, 3, 2]])
@@ -1358,65 +1377,118 @@ def cover_cases():
     yield pairwise_products(plane, other)[0], []
 
 
-def restricted_cover(linears):
+def product_form(linears):
     """The product of the linear forms ``linears`` (Fraction coefficients
-    on x0 .. xn) restricted to x0 = 0, on the monomials of x1 .. xn."""
-    n = len(linears[0]) - 1
+    on their variables), on the monomials of its degree."""
+    n = len(linears[0])
     poly = {(0,) * n: Fraction(1)}
     for w in linears:
         out = {}
         for e, x in poly.items():
             for i in range(n):
                 key = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                out[key] = out.get(key, 0) + x * w[i + 1]
+                out[key] = out.get(key, 0) + x * w[i]
         poly = out
     return [poly.get(e, 0) for e in monomials(n, len(linears))]
 
 
-def test_cover_forms_vanish_on_their_products():
-    # each factor G in a hyperplane H (the first canonical kernel vector of
-    # its coordinate matrix), with a factor F that has no zero coordinate,
-    # gives prod over a in F of (a * H), which vanishes at every product
-    # point a * b.  In the pivot coordinates y of the span of the set, each
-    # a * H is the linear form w with w(y(p)) = (a * H)(p) at every point p,
-    # which the points fix, as they span it: for a set that spans its P^n,
-    # w is a * H itself.  Evaluated at the span coordinates, the product of
-    # the w vanishes at every point, and its restriction to y0 = 0 is the
-    # cover ``_covers`` gives, up to a nonzero factor, made primitive; an
-    # a * H that contains the span has w = 0, and its cover is left out.
-    # Each product's ladder equals that of its points alone
-    for product, degrees in cover_cases():
-        n = product.ambient_dim
-        coords, m, rows = ideals._span_coordinates(product)
-        assert (rows is None) == (m == n)
-        covers = ideals._covers(product._factors, rows, m, len(product))
-        assert sorted(t for t, forms in covers.items() for _ in forms) == sorted(degrees)
-        expected = {}
-        for f, g in (product._factors, product._factors[::-1]):
-            kernel = linalg.kernel_basis([b.coords for b in g], n + 1)
-            if not kernel or any(0 in a.coords for a in f):
-                continue
-            h = kernel[0]
-            restricted = []
+def restricted_cover(linears):
+    """The product of the linear forms ``linears`` (Fraction coefficients
+    on x0 .. xn) restricted to x0 = 0, on the monomials of x1 .. xn."""
+    return product_form([w[1:] for w in linears])
+
+
+def segre_quadric(factors):
+    """z0 z3 - z1 z2 with z = A^-1 x, in Fractions, for A with columns
+    p * r, p * s, q * r and q * s, p and q the first two points of the
+    first factor and r and s those of the second; None when A is
+    singular."""
+    (p, q), (r, s) = (f.points[:2] for f in factors)
+    columns = [[x * y for x, y in zip(a.coords, b.coords)] for a in (p, q) for b in (r, s)]
+    augmented = [[col[i] for col in columns] + [int(i == j) for j in range(4)] for i in range(4)]
+    rank, _, solved = frac_rref(augmented, 4)
+    if rank < 4:
+        return None
+    z = [row[4:] for row in solved]
+    return [a - b for a, b in zip(product_form([z[0], z[3]]), product_form([z[1], z[2]]))]
+
+
+def reference_covers(product):
+    """The cover forms ``_covers`` should give, by degree, from Fraction
+    arithmetic, and the Segre quadric, or None.  Each factor G in a
+    hyperplane (the canonical kernel vectors of its coordinate matrix),
+    with a factor F that has no zero coordinate, gives a product over a in
+    F of (a * H_a), which vanishes at every product point a * b.  H_a is
+    the first kernel vector, or, when the set spans P^3 and G lies on a
+    line, the first one for the first k points of F and the second for
+    the rest, k = |F| .. 0.  In the pivot coordinates y of the span of
+    the set, each a * H is the linear form w with w(y(p)) = (a * H)(p) at
+    every point p, which the points fix, as they span it: for a set that
+    spans its P^n, w is a * H itself.  Evaluated at the span coordinates,
+    the product of the w vanishes at every point, and its restriction to
+    y0 = 0 is the cover; an a * H that contains the span has w = 0, and
+    its covers are left out.  When the set spans P^3 and both factors
+    lie on lines, the terms of the quadric free of x0 join degree 2."""
+    n = product.ambient_dim
+    coords, m, _ = ideals._span_coordinates(product)
+    expected, quadric = {}, None
+    kernels = [linalg.kernel_basis([b.coords for b in g], n + 1) for g in product._factors]
+    for f, kernel in zip(product._factors, kernels[::-1]):
+        if not kernel or any(0 in a.coords for a in f):
+            continue
+        planes = kernel if m == n == 3 and len(kernel) == 2 else kernel[:1]
+        restricted = []
+        for h in planes:
+            restricted.append([])
             for a in f:
                 values = [sum(Fraction(x * y, z) for x, y, z in zip(h, p.coords, a.coords))
                           for p in product]
                 _, pivots, solved = frac_rref([list(y) + [v] for y, v in zip(coords, values)], m + 2)
                 assert pivots == list(range(m + 1))
-                restricted.append([row[-1] for row in solved])
-            if not all(any(w) for w in restricted):
-                continue
+                restricted[-1].append([row[-1] for row in solved])
+        if not all(any(w) for w in restricted[0]):
+            continue
+        for k in range(len(f), -1, -1) if len(planes) == 2 else [len(f)]:
+            ws = [restricted[i >= k][i] for i in range(len(f))]
             for y in coords:
-                assert 0 in [sum(map(mul, w, y)) for w in restricted]
-            expected.setdefault(len(f), []).append(restricted_cover(restricted))
+                assert 0 in [sum(map(mul, w, y)) for w in ws]
+            expected.setdefault(len(f), []).append(restricted_cover(ws))
+    if m == n == 3 and all(len(kernel) == 2 for kernel in kernels):
+        quadric = segre_quadric(product._factors)
+        for p in product:
+            assert sum(x * evaluate_monomial(e, p.coords)
+                       for x, e in zip(quadric, monomials(4, 2))) == 0
+        free_of_x0 = [x for x, e in zip(quadric, monomials(4, 2)) if not e[0]]
+        expected.setdefault(2, []).append(free_of_x0)
+    return expected, quadric
+
+
+def assert_proportional(form, reference):
+    """``form`` is a nonzero primitive integer vector, a nonzero multiple
+    of ``reference``."""
+    assert gcd(*form) == 1 and any(form)
+    i = next(i for i, x in enumerate(form) if x)
+    ratio = reference[i] / form[i]
+    assert ratio and list(reference) == [ratio * x for x in form]
+
+
+def test_cover_forms_vanish_on_their_products():
+    # the covers ``_covers`` gives are those of ``reference_covers``, up to
+    # nonzero factors, made primitive, and each product's ladder equals
+    # that of its points alone
+    for product, degrees in cover_cases():
+        n = product.ambient_dim
+        _, m, rows = ideals._span_coordinates(product)
+        assert (rows is None) == (m == n)
+        covers, quadric = ideals._covers(product._factors, rows, m, len(product))
+        assert sorted(t for t, forms in covers.items() for _ in forms) == sorted(degrees)
+        expected, reference = reference_covers(product)
         assert sorted(expected) == sorted(covers)
         for t, forms in covers.items():
             assert len(forms) == len(expected[t])
-            for form, reference in zip(forms, expected[t]):
-                assert gcd(*form) == 1 and any(form)
-                i = next(i for i, x in enumerate(form) if x)
-                ratio = reference[i] / form[i]
-                assert ratio and reference == [ratio * x for x in form]
+            for form, cover in zip(forms, expected[t]):
+                assert_proportional(form, cover)
+        assert (quadric is None) == (reference is None)
         assert ladder_answers(fresh_product(product)) == ladder_answers(PointSet(product.points))
 
 
@@ -1433,12 +1505,14 @@ def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
     # for kernels in the degrees they fill mod p, and change no answer: on
     # every product set of the oracle families the ladder (HF, tau and the
     # counts) equals that of the same points with no factors, and the
-    # oracle's counts.  13 of the 19 have covers up to tau, whatever the
-    # prime.  Modulo 2**61 - 1, 9 of them close: the 7 P^2 products and the
-    # 2 planar products of P^3, which span a plane there.  The other 4 take
-    # the pass and a kernel of E_2.  A small prime closes fewer (none mod 2,
-    # 4 mod 3 and mod 7) and sends more sets to the fallback, which takes
-    # the covers too: on some sets, they leave it no kernel
+    # oracle's counts.  Modulo 2**61 - 1 all 19 have covers up to tau (the
+    # products that span P^3 have their per-point covers and quadric), and
+    # all 19 close.  A small prime can fail the span certificate of a
+    # product of P^3, which then has only today's single covers, so fewer
+    # have covers up to tau (13 mod 2, 17 mod 3, 18 mod 7); it closes fewer
+    # (none mod 2, 4 mod 3 and 5 mod 7) and sends more sets to the
+    # fallback, which takes the covers too: on some sets, they leave it no
+    # kernel
     monkeypatch.setattr(_elim, "_PRIME", prime)
     products = [(p, counts) for p, counts in oracle_counts() if p._factors is not None]
     assert len(products) == 19
@@ -1453,16 +1527,13 @@ def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
             assert degree_bounded_ideal(product, t) == degree_bounded_ideal(bare, t)
         if built.covers:
             covered[built.path, points.ambient_dim, built.kernels] += 1
-    assert sum(covered.values()) == 13
+    assert sum(covered.values()) == {2: 13, 3: 17, 7: 18}.get(prime, 19)
     if prime > 7:
-        assert covered == {
-            ("closed", 2, ()): 7, ("closed", 3, ()): 2, ("squeeze", 3, (2,)): 2,
-            ("squeeze", 3, (2, 3)): 1, ("squeeze", 3, (2, 4)): 1,
-        }
+        assert covered == {("closed", 2, ()): 7, ("closed", 3, ()): 12}
     else:
         closed = sum(k for (path, _, _), k in covered.items() if path == "closed")
         no_kernel = sum(k for (path, _, ks), k in covered.items() if path == "exact" and not ks)
-        assert (closed, no_kernel) == {2: (0, 2), 3: (4, 0), 7: (4, 1)}[prime]
+        assert (closed, no_kernel) == {2: (0, 2), 3: (4, 1), 7: (5, 1)}[prime]
 
 
 def test_covered_products_take_no_pass_and_no_kernel(monkeypatch):
@@ -1505,13 +1576,25 @@ def test_covered_products_take_no_pass_and_no_kernel(monkeypatch):
         assert len(passes) == 1
 
 
+def zero_coordinate_product():
+    """A 4 x 3 product of points on two skew lines of P^3, one point of
+    the first factor with a zero coordinate."""
+    return pairwise_products(
+        PointSet.from_coords([[1, 0, 2, 3], [2, 1, 1, 1], [3, 1, 3, 4], [1, 1, -1, -2]]),
+        PointSet.from_coords([[1, 2, 3, 4], [2, 3, 1, 5], [3, 5, 4, 9]]),
+    )[0]
+
+
 @pytest.mark.parametrize("prime", [_elim._PRIME, 2, 5])
 def test_covers_that_do_not_close_take_the_pass(monkeypatch, prime):
     # the 8-point product of P^3 in the oracle families, a 2 x 4 grid of
-    # skew lines, has a cover of degree 2 up to tau, but its multiples pass
-    # |X| before the bound closes: it takes the pass, and the kernel of E_2
-    # on the HF(2) = 6 rows of its pivots.  Modulo the patched primes 2 and
-    # 5 no product closes.  Either way every answer is unchanged
+    # skew lines, closes modulo 2**61 - 1 from its covers of degree 2 (the
+    # per-point ones and its quadric) and 4; its points alone take the
+    # pass, and the kernel of E_2 on the HF(2) = 6 rows of its pivots.
+    # Modulo the patched primes 2 and 5 at most one product closes.  A
+    # product with a zero coordinate in one factor has no covers of that
+    # factor's degree, and the rest do not close whatever the prime.
+    # Either way every answer is unchanged
     monkeypatch.setattr(_elim, "_PRIME", prime)
     closes = []
     original = ideals._close
@@ -1531,27 +1614,141 @@ def test_covers_that_do_not_close_take_the_pass(monkeypatch, prime):
         assert ladder_answers(product) == ladder_answers(PointSet(points.points))
         assert product._ladder.generators == counts
         if points.ambient_dim == 3 and len(points) == 8 and prime > 5:
-            assert (built.path, built.covers, built.kernels) == ("squeeze", (2,), (2,))
-            assert calls[0] == ("kernel_basis", 6, 10) and closes[-1] is False
-    assert len(closes) == 19 and sum(closes) == (9 if prime > 5 else 0)
+            assert (built.path, built.covers, built.kernels) == ("closed", (2,), ())
+            assert closes[-1] is True
+            bare = PointSet(points.points)
+            with monkeypatch.context() as patch:
+                calls = spy_linalg(patch)
+                built = build_ladder(bare)
+            assert (built.path, built.covers, built.kernels) == ("squeeze", (), (2,))
+            assert calls[0] == ("kernel_basis", 6, 10)
+    assert len(closes) == 19 and sum(closes) == {2: 0, 5: 1}.get(prime, 19)
+    product = zero_coordinate_product()
+    build_ladder(product)
+    assert closes[-1] is False
+    assert ladder_answers(product) == ladder_answers(PointSet(product.points))
 
 
 def test_covers_that_fall_short_still_take_the_kernel():
     # a grid of skew lines of P^3 with a factor F of two points lies on the
-    # product of two planes a * H (a in F), the cover of degree 2, but I_2
-    # also holds the quadric of the grid and more: the cover does not fill
-    # J_2 mod p, so the kernel of E_2 is still taken, and every answer is
+    # products of two planes a * H_a (a in F) for each per-point choice of
+    # the H_a through the other factor's line, and on the grid's quadric:
+    # these covers of degree 2 fill J_2 mod p and close the bound with
+    # those of degree |G|, while its points alone take the kernel of E_2.
+    # A factor F with a zero coordinate gives no cover of degree |F|: the
+    # 4 x 3 product's cubic covers and the multiples of its quadric do not
+    # fill J_3 mod p, so the kernel of E_3 is still taken.  Every answer is
     # the oracle's
+    cases = []
     for a, b in ((2, 5), (4, 2)):
         _, _, xs, xs2 = generic_skew_sample(a, b, 2600 + 10 * a + b)
-        points = pairwise_products(xs, xs2)[0]
+        product = pairwise_products(xs, xs2)[0]
+        cases.append((product, ("closed", (2,), ())))
+        cases.append((PointSet(product.points), ("squeeze", (), (2,))))
+    cases.append((zero_coordinate_product(), ("squeeze", (2, 3), (3,))))
+    for points, path in cases:
         expected = full_ring_answers(points)
         built = build_ladder(points)
-        assert (built.path, built.covers, built.kernels[:1]) == ("squeeze", (2,), (2,))
+        assert (built.path, built.covers, built.kernels[:1]) == path
         answers = (
             hilbert_profile(points), generator_entries(generator_profile(points)), ci_verdict(points)
         )
         assert answers == expected
+
+
+@pytest.mark.parametrize("a, b", [(2, 5), (4, 2), (3, 4), (4, 5), (5, 5)])
+def test_segre_quadric_and_per_point_covers_vanish_on_skew_products(a, b):
+    # the quadric ``_covers`` builds from integer cofactors is primitive,
+    # its last nonzero entry positive, and a multiple of z0 z3 - z1 z2 with
+    # z = A^-1 x in Fractions, which vanishes at every product point; each
+    # per-point cover is that of ``reference_covers``, whose products of
+    # planes vanish there.  The covers close the bound, and the ladder is
+    # that of the points alone, HF(t) = min(t + 1, a) * min(t + 1, b)
+    _, _, xs, xs2 = generic_skew_sample(a, b, 2700 + 10 * a + b)
+    product = pairwise_products(xs, xs2)[0]
+    covers, quadric = ideals._covers(product._factors, None, 3, len(product))
+    expected, reference = reference_covers(product)
+    counts = Counter({a: a + 1}) + Counter({b: b + 1}) + Counter({2: 1})
+    assert {t: len(forms) for t, forms in covers.items()} == counts
+    assert {t: len(forms) for t, forms in expected.items()} == counts
+    for t, forms in covers.items():
+        for form, cover in zip(forms, expected[t]):
+            assert_proportional(form, cover)
+    assert_proportional(quadric, reference)
+    assert next(x for x in reversed(quadric) if x) > 0
+    assert build_ladder(product).path == "closed"
+    values = product._ladder.values
+    assert values == tuple(min(t + 1, a) * min(t + 1, b) for t in range(len(values)))
+    assert ladder_answers(product) == ladder_answers(PointSet(product.points))
+
+
+def test_a_singular_segre_matrix_gives_no_quadric():
+    # X * X for two points p, q of a line: p * q is both columns p * s and
+    # q * r of A, which is singular, so no quadric is built even when
+    # ``_covers`` is told the set spans P^3 (it spans a plane)
+    xs = PointSet.from_coords([[1, 1, 1, 1], [1, 2, 3, 4]])
+    product = pairwise_products(xs, xs)[0]
+    assert segre_quadric(product._factors) is None
+    covers, quadric = ideals._covers(product._factors, None, 3, len(product))
+    assert quadric is None and sorted(covers) == [2]
+    assert ladder_answers(fresh_product(product)) == ladder_answers(PointSet(product.points))
+
+
+def test_a_factor_with_a_zero_coordinate_has_no_covers_of_its_degree():
+    # F has a point with a zero coordinate, so a * H is not defined for it
+    # and F gives no cover of degree |F| = 4; G gives its |G| + 1 = 4
+    # per-point covers of degree 3, and both lines give the quadric
+    product = zero_coordinate_product()
+    covers, quadric = ideals._covers(product._factors, None, 3, len(product))
+    assert {t: len(forms) for t, forms in covers.items()} == {3: 4, 2: 1}
+    expected, reference = reference_covers(product)
+    for t, forms in covers.items():
+        for form, cover in zip(forms, expected[t]):
+            assert_proportional(form, cover)
+    assert_proportional(quadric, reference)
+
+
+def test_closed_products_read_their_quadric_off_the_closure(monkeypatch):
+    # a product of P^3 with HF(2) = 9 stores its quadric as the kernel of
+    # E_2, bit for bit the canonical kernel of its points: after a profile
+    # question ``quadric_through`` makes no ``linalg`` call and gives the
+    # quadric of the points alone
+    for m in (3, 5):
+        product = skew_grid(m, 2800 + m)
+        bare = PointSet(product.points)
+        kernel = linalg.kernel_basis(evaluation_rows(bare, 2), 10)
+        hilbert_profile(product)
+        assert product._ladder.lowest == (2, kernel)
+        calls = spy_linalg(monkeypatch)
+        quadric = quadric_through(product)
+        assert calls == []
+        monkeypatch.undo()
+        assert quadric == quadric_through(bare)
+
+
+def test_closure_refuses_covers_that_do_not_sum_to_the_set(monkeypatch):
+    # x1^4 passed as a cover of a 5 x 5 product does not vanish on it and
+    # is not in J_4: u(4) falls one below h(4), and the u(t) sum to 24, not
+    # 25, at the first T with u(T) = 0.  The closure refuses them, the set
+    # takes the pass, and its answers are those of its points alone
+    product = skew_grid(5, 2900)
+    expected = ladder_answers(PointSet(product.points))
+    covers_of, close = ideals._covers, ideals._close
+    closes = []
+
+    def wrong_covers(*args):
+        covers, quadric = covers_of(*args)
+        covers.setdefault(4, []).append([1] + [0] * 14)
+        return covers, quadric
+
+    def spy_close(n, card, covers):
+        closes.append(close(n, card, covers))
+        return closes[-1]
+
+    monkeypatch.setattr(ideals, "_covers", wrong_covers)
+    monkeypatch.setattr(ideals, "_close", spy_close)
+    assert ladder_answers(product) == expected
+    assert closes == [None]
 
 
 def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):

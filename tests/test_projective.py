@@ -147,6 +147,18 @@ class TestPointHyperplaneProduct:
             rhs = point_hyperplane_product(q, h)
             assert (lhs == rhs) == (p == q)
 
+    def test_integer_coefficients_match_the_quotients(self):
+        # a_i * prod over j != i of p_j is a_i / p_i times prod p, so the
+        # canonical hyperplane is that of the Fraction quotients, signs
+        # included
+        rng = random.Random(41)
+        for dim in (2, 3):
+            for _ in range(100):
+                p = ProjPoint([sampling.nonzero_int(rng, 20) for _ in range(dim + 1)])
+                h = Hyperplane([sampling.nonzero_int(rng, 20) for _ in range(dim + 1)])
+                reference = Hyperplane([Fraction(a, x) for a, x in zip(h.dual.coords, p.coords)])
+                assert point_hyperplane_product(p, h) == reference
+
     def test_stratum_errors(self):
         with pytest.raises(StratumError):
             point_hyperplane_product(ProjPoint([0, 1, 1]), Hyperplane([1, 1, 1]))

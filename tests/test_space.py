@@ -165,6 +165,10 @@ class TestGrid3:
                 meet = line_intersection(g.row_lines[i], g.col_lines[j])
                 assert meet == g.point_grid[i][j]
 
+    def test_product_set_keeps_its_factors(self):
+        g = grid_product_p3(X_A, X_B, L_A, L_B)
+        assert g.points._factors[0] is X_A and g.points._factors[1] is X_B
+
     def test_strata_meeting_lines_still_grid(self):
         x = PointSet.from_coords([[4, -4, 3, 1], [6, -4, 1, 1], [5, -4, 2, 1]])
         g = grid_product_p3(x, X_B, L_C, L_B)
@@ -305,6 +309,44 @@ class TestQuadric:
         m = q.symmetric_matrix()
         assert m[0][1] == Fraction(3, 2) == m[1][0]
         assert m[2][2] == 4
+
+    def test_determinant_is_that_of_the_symmetric_matrix(self):
+        # Leibniz's formula on the Fraction matrix
+        rng = random.Random(61)
+        expos = [e for e in itertools.product(range(3), repeat=4) if sum(e) == 2]
+        for _ in range(50):
+            form = HomogeneousForm(4, {e: rng.randint(-9, 9) for e in expos} | {expos[0]: 1})
+            q = Quadric3(form)
+            m = q.symmetric_matrix()
+            det = 0
+            for perm in itertools.permutations(range(4)):
+                inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(4), 2))
+                term = Fraction((-1) ** inversions)
+                for i, j in enumerate(perm):
+                    term *= m[i][j]
+                det += term
+            assert q.determinant() == det
+
+    def test_contains_line_agrees_with_three_of_its_points(self):
+        # a quadric h * k with h a plane of the line contains it; one with
+        # random coefficients mostly does not
+        rng = random.Random(67)
+        for _ in range(50):
+            planes = [[sampling.nonzero_int(rng, 9) for _ in range(4)] for _ in range(3)]
+            line = Line3(Hyperplane(planes[0]), Hyperplane(planes[1]))
+            containing = {}
+            for i, a in enumerate(line.h.dual.coords):
+                for j, b in enumerate(planes[2]):
+                    e = tuple(int(k == i) + int(k == j) for k in range(4))
+                    containing[e] = containing.get(e, 0) + a * b
+            expos = [e for e in itertools.product(range(3), repeat=4) if sum(e) == 2]
+            other = {e: rng.randint(-3, 3) for e in expos} | {expos[-1]: 1}
+            b1, b2 = line.basis_points()
+            points = (b1, b2, sampling.combine([b1, b2], (2, 1)))
+            for coeffs in (containing, other):
+                q = Quadric3(HomogeneousForm(4, coeffs))
+                assert q.contains_line(line) == all(q.contains_point(p) for p in points)
+            assert Quadric3(HomogeneousForm(4, containing)).contains_line(line)
 
     def test_repr_names_the_form(self):
         q = Quadric3(HomogeneousForm(4, {(1, 1, 0, 0): 3, (0, 0, 2, 0): 4}))
