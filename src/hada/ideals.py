@@ -239,7 +239,8 @@ the l-coordinates are the set's own coordinates, E_t is the set's
 evaluation matrix, and the stored kernel is, bit for bit, the one a
 direct elimination gives: a kernel the loop took on HF(t) rows passed
 the row check, so it is the kernel of E_t.  A product of P^3 with the
-quadric Q of its covers and HF(2) = 9 stores Q in its place: then I_2
+quadric Q of its covers and HF(2) = 9 whose ladder eliminated no kernel
+(every closed ladder) stores Q in its place: then I_2
 is spanned by Q, and Q primitive with its last nonzero entry positive
 is the one vector of the canonical kernel basis of E_2.  So the quadric
 of a skew grid of at least 3 x 3 points, given as a product or alone
@@ -351,8 +352,9 @@ class _Ladder:
     for t = 0 .. tau + 1, the linear forms of the span included.
     ``lowest`` is (t, canonical kernel basis of E_t) for the first
     kernel the ladder eliminated exactly, when that was in the set's own
-    coordinates; (2, [Q]) for a product of P^3 whose covers give the
-    quadric Q and whose HF(2) is 9; and None otherwise.
+    coordinates; when no kernel was eliminated, (2, [Q]) for a product of
+    P^3 whose covers give the quadric Q and whose HF(2) is 9; and None
+    otherwise.
     """
 
     cardinality: int
@@ -701,9 +703,10 @@ def _covers(factors, span_rows, n: int, card: int):
         if not kernel or len(f) > card or any(0 in a.coords for a in f):
             continue
         planes = kernel if spans_p3 and len(kernel) == 2 else kernel[:1]
+        scales = [prod(a.coords) for a in f]
         linears = [
-            [_restricted([x * (prod(a.coords) // y) for x, y in zip(h, a.coords)], span_rows)
-             for a in f]
+            [_restricted([x * (scale // y) for x, y in zip(h, a.coords)], span_rows)
+             for a, scale in zip(f, scales)]
             for h in planes
         ]
         if not all(map(any, linears[0])):
@@ -782,8 +785,9 @@ def _ladder(points: PointSet) -> _Ladder:
     E_t with t the first degree where the pass left a column free (alpha,
     unless the pass was wrong there or covers filled J_alpha), is kept for
     ``degree_bounded_ideal`` when l-coordinates are the set's own (c = 0
-    and the set spans its P^n); the quadric Q of the covers stands in for
-    the kernel of E_2 when it spans I_2.
+    and the set spans its P^n); when no kernel was eliminated, the
+    quadric Q of the covers stands in for the kernel of E_2 when it spans
+    I_2.
     """
     if points._ladder is not None:
         return points._ladder
@@ -818,7 +822,7 @@ def _ladder(points: PointSet) -> _Ladder:
     tau = len(values) - 1
     values.append(rank(tau + 1))
     lowest = next(iter(kernels.items())) if kernels and not (c or linear) else None
-    if quadric and values[2] == 9:
+    if quadric and values[2] == 9 and not kernels:
         # dim I_2 = 1, so I_2 is spanned by Q, the vector its kernel gives
         lowest = (2, [quadric])
     points._ladder = _Ladder(

@@ -1726,6 +1726,24 @@ def test_closed_products_read_their_quadric_off_the_closure(monkeypatch):
         assert quadric == quadric_through(bare)
 
 
+def test_a_ladder_that_took_a_kernel_keeps_it(monkeypatch):
+    # the 4 x 3 product with a zero coordinate has its quadric and HF(2) =
+    # 9, but its covers do not close and its ladder takes the kernel of
+    # E_3: that kernel is kept, so the cubics cost no elimination after a
+    # profile question, and the quadrics are eliminated directly
+    product = zero_coordinate_product()
+    bare = PointSet(product.points)
+    hilbert_profile(product)
+    assert product._ladder.value(2) == 9 and product._ladder.lowest[0] == 3
+    calls = spy_linalg(monkeypatch)
+    cubics = degree_bounded_ideal(product, 3)
+    assert calls == []
+    assert degree_bounded_ideal(product, 2) == degree_bounded_ideal(bare, 2)
+    assert calls[0] == ("kernel_basis", 12, 10)
+    monkeypatch.undo()
+    assert cubics == degree_bounded_ideal(bare, 3)
+
+
 def test_closure_refuses_covers_that_do_not_sum_to_the_set(monkeypatch):
     # x1^4 passed as a cover of a 5 x 5 product does not vanish on it and
     # is not in J_4: u(4) falls one below h(4), and the u(t) sum to 24, not
