@@ -228,7 +228,15 @@ wide), on every path, the closure's included, although that rank is
 |X|: the l-divisible columns of E_(tau+1) are D * E_tau with D
 invertible.  The benchmark's tracer test
 (``perfbench/tests/test_perfbench.py``) asserts the shape of that
-rank, so dropping it waits for a change to the benchmark.
+rank, so dropping it waits for a change to the benchmark.  Meanwhile
+the rank is taken with the columns of E_(tau+1) in ascending monomial
+order, the l-free monomials of S first; a column permutation keeps the
+rank.  Its certificate (``_elim._full_rank_mod_prime``) walks the
+columns of this wide matrix until |X| of them are independent mod p, and
+in that order it meets fewer dependent ones.  On planar-25 and the
+P^2 grids of the ci-verdicts benchmark, made as products, it meets none:
+it adds exactly |X| columns, where the descending order added about
+half as many again.
 
 Single-degree questions (``hilbert_function``, ``ideal_dimension``,
 ``degree_bounded_ideal``) eliminate E_t of the given points directly,
@@ -264,24 +272,32 @@ from .forms import HomogeneousForm, monomials
 from .projective import PointSet
 
 
-@lru_cache(maxsize=None)
-def _exponent_columns(nvars: int, degree: int):
-    """The exponents of each variable across ``monomials(nvars, degree)``."""
-    return tuple(zip(*monomials(nvars, degree)))
+def _evaluation_columns(variables, degree: int):
+    """The columns of E_t, for points given by one coordinate column per
+    variable: each degree-t monomial, in ``monomials`` order, evaluated at
+    every point, as the product of the power columns of its variables."""
+    powers = []
+    for column in variables:
+        table = [None, column]
+        for _ in range(degree - 1):
+            table.append(list(map(mul, table[-1], column)))
+        powers.append(table)
+    ones = [[1] * len(variables[0])]
+    columns = []
+    for e in monomials(len(variables), degree):
+        first, *rest = [table[a] for table, a in zip(powers, e) if a] or ones
+        for factor in rest:
+            first = list(map(mul, first, factor))
+        columns.append(first)
+    return columns
 
 
 def _evaluation_matrix(coords, nvars: int, degree: int):
     """E_t: the degree-t monomials, in ``monomials`` order, evaluated at
-    each point, as products of per-coordinate power tables."""
-    first, *rest = _exponent_columns(nvars, degree)
-    matrix = []
-    for p in coords:
-        powers = [[x**e for e in range(degree + 1)] for x in p]
-        row = [powers[0][e] for e in first]
-        for table, column in zip(powers[1:], rest):
-            row = [v * table[e] for v, e in zip(row, column)]
-        matrix.append(row)
-    return matrix
+    each point, one row per point, built a column at a time
+    (``_evaluation_columns``)."""
+    variables = [[p[i] for p in coords] for i in range(nvars)]
+    return [list(row) for row in zip(*_evaluation_columns(variables, degree))]
 
 
 def evaluation_rows(points: PointSet, degree: int):
@@ -756,7 +772,7 @@ def _kernel_mod_p(n: int, d: int, standard, basis, ys):
     kept = standard[d]
     block = monomials(n, d)
     vectors = []
-    for f, column in zip(block, zip(*_evaluation_matrix(list(zip(*ys)), n, d))):
+    for f, column in zip(block, _evaluation_columns(ys, d)):
         if f not in kept:
             coeffs = dict(zip(kept, basis.solve(column)[len(basis) - len(kept) :]))
             vectors.append([1 if e == f else -coeffs.get(e, 0) for e in block])
@@ -779,15 +795,16 @@ def _ladder(points: PointSet) -> _Ladder:
     E_t in l-coordinates (``rank``), for t = 0, 1, ... until it reaches
     |X|, and the same loop, on those values, only counts.  Every path
     counts in ``_counts``, and on every path HF(tau + 1) is then read off
-    ``rank`` of the full E_(tau+1); the module docstring says why that is
-    |X| and why the rank stays for now.  Both squeeze loops share the
-    exact kernels, so no degree is eliminated twice.  The first one, of
-    E_t with t the first degree where the pass left a column free (alpha,
-    unless the pass was wrong there or covers filled J_alpha), is kept for
-    ``degree_bounded_ideal`` when l-coordinates are the set's own (c = 0
-    and the set spans its P^n); when no kernel was eliminated, the
-    quadric Q of the covers stands in for the kernel of E_2 when it spans
-    I_2.
+    the rank of the full E_(tau+1), its columns in ascending monomial
+    order so that its certificate walks the l-free columns first; the
+    module docstring says why that is |X| and why the rank stays for
+    now.  Both squeeze loops share the exact kernels, so no degree is
+    eliminated twice.  The first one, of E_t with t the first degree
+    where the pass left a column free (alpha, unless the pass was wrong
+    there or covers filled J_alpha), is kept for ``degree_bounded_ideal``
+    when l-coordinates are the set's own (c = 0 and the set spans its
+    P^n); when no kernel was eliminated, the quadric Q of the covers
+    stands in for the kernel of E_2 when it spans I_2.
     """
     if points._ladder is not None:
         return points._ladder
@@ -820,7 +837,10 @@ def _ladder(points: PointSet) -> _Ladder:
             counts = _squeeze_ladder(lcoords, n, values, None, kernels, covers)
     counts[1] += linear
     tau = len(values) - 1
-    values.append(rank(tau + 1))
+    # the columns in ascending monomial order, the l-free ones first: the
+    # rank is the same, and its certificate walks them in that order
+    top = [row[::-1] for row in _evaluation_matrix(lcoords, n + 1, tau + 1)]
+    values.append(linalg.rank_of(top, comb(tau + 1 + n, n)))
     lowest = next(iter(kernels.items())) if kernels and not (c or linear) else None
     if quadric and values[2] == 9 and not kernels:
         # dim I_2 = 1, so I_2 is spanned by Q, the vector its kernel gives

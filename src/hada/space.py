@@ -325,7 +325,7 @@ def grid_product_p3(
 
 
 class Quadric3:
-    """A quadric surface in P^3 with its symmetric coefficient matrix."""
+    """A quadric surface in P^3, given by its form."""
 
     __slots__ = ("form",)
 
@@ -333,18 +333,6 @@ class Quadric3:
         if form.nvars != 4 or form.degree != 2:
             raise HadaError("not a quadric in four variables")
         self.form = form
-
-    def symmetric_matrix(self):
-        m = [[Fraction(0)] * 4 for _ in range(4)]
-        for expo, c in self.form.coeffs.items():
-            idx = [i for i, e in enumerate(expo) if e]
-            if len(idx) == 1:
-                i = idx[0]
-                m[i][i] = Fraction(c)
-            else:
-                i, j = idx
-                m[i][j] = m[j][i] = Fraction(c, 2)
-        return m
 
     def determinant(self) -> Fraction:
         # twice the symmetric matrix has the integer entries 2*c on the

@@ -140,6 +140,22 @@ class EagerModBasis:
         return coeffs
 
 
+def ref_symmetric_matrix(form):
+    """Reference for ``Quadric3.determinant``: the symmetric Fraction
+    matrix of a quadratic form in four variables, c on the diagonal for
+    c x_i^2 and c / 2 at (i, j) and (j, i) for c x_i x_j."""
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    for expo, c in form.coeffs.items():
+        idx = [i for i, e in enumerate(expo) if e]
+        if len(idx) == 1:
+            i = idx[0]
+            m[i][i] = Fraction(c)
+        else:
+            i, j = idx
+            m[i][j] = m[j][i] = Fraction(c, 2)
+    return m
+
+
 def ref_evaluation_matrix(coords, nvars, degree):
     """Reference for ``ideals._evaluation_matrix``: every monomial
     evaluated on its own by ``evaluate_monomial``."""

@@ -663,7 +663,8 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
     # the skew grid's one kernel is of E_2 in its own coordinates, which
     # are its l-coordinates (the grid's points are given alone: as a
     # product, its covers would close).  Either way the last rank is of
-    # the whole E_(tau+1).  The fallback (here the squeeze is made to
+    # the whole E_(tau+1), its columns reversed into ascending monomial
+    # order, the l-free ones first.  The fallback (here the squeeze is made to
     # fail) first takes the rank of the whole E_t for t = 0 .. tau, the
     # Fraction oracle's HF(t).  The last set has a zero in every coordinate, so l
     # is not x0 there
@@ -689,13 +690,16 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
     def evaluations(coords, n, degrees):
         return [(_evaluation_matrix(coords, n + 1, t), comb(t + n, n)) for t in degrees]
 
+    def ascending(matrix, ncols):
+        return [row[::-1] for row in matrix], ncols
+
     spy("rank_of", ranks)
     spy("kernel_basis", kernels)
     grid = PointSet(skew_grid(5, 4545).points)
     tau = hilbert_profile(grid).tau
     assert len(kernels) == 1
     independent_rows_of(kernels[0], evaluation_rows(grid, 2), 10, frac_hilbert_values(grid)[2])
-    assert [r[:2] for r in ranks] == [(evaluation_rows(grid, tau + 1), comb(tau + 4, 3))]
+    assert [r[:2] for r in ranks] == [ascending(evaluation_rows(grid, tau + 1), comb(tau + 4, 3))]
     no_zero_free_coordinate = PointSet.from_coords(
         [[0, 1, 1, 1], [1, 0, 2, 1], [1, 3, 0, 1], [2, 1, 1, 0], [1, 2, 3, 4], [3, -1, 2, 5]]
     )
@@ -720,7 +724,7 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         for kernel, t in zip(kernels, degrees):
             matrix = _evaluation_matrix(coords, n + 1, t)
             independent_rows_of(kernel, matrix, comb(t + n, n), values[t])
-        assert ranks[-1] == evaluations(coords, n, [tau + 1])[0] + (len(points),)
+        assert ranks[-1] == ascending(*evaluations(coords, n, [tau + 1])[0]) + (len(points),)
         ranks.clear()
         with monkeypatch.context() as patch:
             no_squeeze(patch)
@@ -728,7 +732,7 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
         assert prof.values == tuple(values)
         assert [r[:2] for r in ranks[: tau + 1]] == evaluations(coords, n, range(tau + 1))
         assert [r[2] for r in ranks[: tau + 1]] == values[: tau + 1]
-        assert ranks[-1][:2] == evaluations(coords, n, [tau + 1])[0]
+        assert ranks[-1][:2] == ascending(*evaluations(coords, n, [tau + 1])[0])
     assert spans == [3, 2, 3]
     # the last set meets the ceiling, but its count at tau + 1 is not
     # settled mod p, so the exact rank there takes the kernel of E_tau
@@ -1574,6 +1578,52 @@ def test_covered_products_take_no_pass_and_no_kernel(monkeypatch):
             )
             assert answers == expected
         assert len(passes) == 1
+
+
+def test_confirmation_certificate_walks_no_dependent_column(monkeypatch):
+    # the ci-verdicts shapes: planar-25 and the 3 x 3, 4 x 5 and 5 x 5 P^2
+    # grids, each made as a product, close from their covers, so the one
+    # exact rank of the ladder is the HF(tau+1) confirmation, |X| x
+    # C(tau + 1 + n, n) in the plane of the set.  Its columns come in
+    # ascending monomial order, the l-free ones first, and the certificate
+    # mod p walks the columns of that wide matrix into a ModBasis: it adds
+    # exactly |X| of them, and keeps every one.  In descending order the
+    # l-divisible columns D * E_tau come first, and some of them are
+    # dependent
+    line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
+    products = [pairwise_products(*PLANAR_FACTORS)[0]] + [
+        pairwise_products(*generic_collinear_sample(line, line2, a, b, 2600 + 10 * a + b))[0]
+        for a, b in ((3, 3), (4, 5), (5, 5))
+    ]
+    walks, inside = [], []
+    full_rank, add = _elim._full_rank_mod_prime, _elim.ModBasis.add
+
+    def spy_full_rank(rows, ncols):
+        walks.append(((len(rows), ncols), []))
+        inside.append(True)
+        try:
+            return full_rank(rows, ncols)
+        finally:
+            inside.pop()
+
+    def spy_add(self, vector):
+        kept = add(self, vector)
+        if inside:
+            walks[-1][1].append(kept)
+        return kept
+
+    monkeypatch.setattr(_elim, "_full_rank_mod_prime", spy_full_rank)
+    monkeypatch.setattr(_elim.ModBasis, "add", spy_add)
+    for product in products:
+        walks.clear()
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            ci_verdict(product)
+        ladder, card = product._ladder, len(product)
+        assert ladder.dim == 2 and ladder.values[-1] == card
+        shape = (card, comb(ladder.tau + 3, 2))
+        assert calls == [("rank_of", *shape)]
+        assert [kept for size, kept in walks if size == shape] == [[True] * card]
 
 
 def zero_coordinate_product():
