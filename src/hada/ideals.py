@@ -10,13 +10,14 @@ Questions about a whole profile (``hilbert_profile``,
 ``generator_profile``, ``ci_verdict``, ``hf_product_check``) share one
 per-set degree ladder, built in the linear span of the set.  A set X of
 P^n whose coordinate matrix has rank r spans a linear space V of
-dimension r - 1, cut out by n + 1 - r independent linear forms L.  The
-r pivot columns of an echelon form of that matrix hold a triangular
-block of full rank, so keeping only those coordinates maps V
-isomorphically onto P^(r-1) and X onto a set X' that spans it.  Then
-R/(L) is a polynomial ring in r variables, this isomorphism identifies
-it with the coordinate ring of P^(r-1), and I_X = (L) + I' with I' the
-ideal of X' lifted.  So R/I_X and the ring of X' in P^(r-1) are the
+dimension r - 1, cut out by n + 1 - r independent linear forms L: the
+canonical kernel basis of that matrix, one form per free column, which
+is its last nonzero entry, and zero at every other free column.  The
+forms fix the free coordinates of a point of V from the other r, the
+pivot coordinates, so keeping only those maps V isomorphically onto
+P^(r-1) and X onto a set X' that spans it.  Then R/(L) is a polynomial
+ring in r variables, this isomorphism identifies it with the coordinate
+ring of P^(r-1), and I_X = (L) + I' with I' the ideal of X' lifted.  So R/I_X and the ring of X' in P^(r-1) are the
 same graded ring (the coordinate ring of X does not depend on the
 linear space it is embedded in; Eisenbud, *The Geometry of Syzygies*,
 2005, ch. 4): HF, tau and every J_t below are those of X'.  Its
@@ -25,9 +26,9 @@ minimal generators of I', which has no linear form because X' spans
 P^(r-1); so the counts of X are those of X' plus n + 1 - r in degree 1.
 Most sets span P^n, and a GF(p) certificate says so without an exact
 elimination: rank mod p = n + 1 of the |X| x (n + 1) coordinate matrix
-is at most the rank over Q.  Only when it fails is that small matrix
-eliminated exactly, and a set that spans after all keeps every
-coordinate.
+is at most the rank over Q.  Only when it fails is the kernel of that
+small matrix taken exactly, and a set that spans after all has no
+linear form and keeps every coordinate.
 
 The ladder works in an Artinian reduction (n, from here on, is the
 dimension of the span):
@@ -101,12 +102,13 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   quadric through the set, built from integer cofactors, and it is a
   cover of degree 2.  The image in S of a cover is its restriction to
   the span of the set and then to x0 = 0, an exact form of J.  For a
-  set that does not span its P^n, the restriction to the span solves one
-  triangular system on the echelon rows of its coordinate matrix
-  (``_restricted``).  An a * H that contains the span vanishes on it,
-  and its cover is left out; otherwise no factor is zero, as x0 vanishes
-  at no point when c = 0.  The covers are built once per ladder, in
-  degrees up to |X|, and each loop below takes those of its degrees;
+  set that does not span its P^n, each a * H is restricted to the span
+  by eliminating, in integers, the free coordinate of each linear form
+  L that cuts the span out (``_restricted``).  An a * H that contains
+  the span vanishes on it, and its cover is left out; otherwise no
+  factor is zero, as x0 vanishes at no point when c = 0.  The covers
+  are built once per ladder, in degrees up to |X|, and the closure is
+  the one step that uses them;
 * the closure.  Whenever the set has covers, they are tried alone
   first, with no pass.  Let M_t hold the multiples of the covers kept in
   degrees below t, and u(t) = |S_t| minus the rank mod p of M_t and the
@@ -123,8 +125,9 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   cannot stay below |X| at such a T, as the h(t) <= u(t) with t < T
   already sum to |X|; so the covers fail to close only when the sum
   passes |X| before some u(T) = 0, and then the pass and the loop run
-  instead.  A sum other than |X| there can only come from a form that
-  is not in I, and it is refused the same way.  A P^2 grid made as a
+  instead, with no covers: they fill J from exact kernels, as for a set
+  with no factors.  A sum other than |X| there can only come from a
+  form that is not in I, and it is refused the same way.  A P^2 grid made as a
   product closes: by the paper's grid lemma it is the complete
   intersection of its row and column lines, which its two covers are.
   So does planar-25 made as the product of its factors, a complete
@@ -136,12 +139,10 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   1992), and Q and the per-point covers of both factors, with their
   multiples, span J in every degree;
 * the loop.  In each degree t < d where rank_p M_t falls short of D(t),
-  the covers of degree t that are independent of M_t mod p join the
-  forms.  Where the rank still falls short, one exact ``kernel_basis``
-  of E_t in l-coordinates gives J_t, and the block-t parts of its
-  vectors that are independent of the span so far mod p join the forms
-  too (each made primitive).  The first degree that falls short is
-  alpha, the first block with a free column mod p, and the lowest
+  one exact ``kernel_basis`` of E_t in l-coordinates gives J_t, and the
+  block-t parts of its vectors that are independent of M_t mod p join
+  the forms (each made primitive).  The first degree that falls short
+  is alpha, the first block with a free column mod p, and the lowest
   degree of J.  Where the rank still falls short, the pass was wrong
   mod p and the fallback below runs instead.  Degree d itself needs
   no kernel, as the ceiling |X| meets the pass there: HF(d) = |X|.  So
@@ -154,7 +155,8 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   grids of at least 4 x 4 points given alone one of E_2 (their
   quadric), and sets with a maximal Hilbert function (random points,
   collinear sets, 3 x 3 skew grids) none.  A product whose covers close
-  takes no pass and no kernel at all;
+  takes no pass and no kernel at all; one whose covers do not close
+  takes the kernels its points alone take;
 * the rows.  Each such kernel is first taken on L(t) rows of E_t alone:
   those of the points at which the pass's first L(t) kept columns have
   their ``ModBasis`` pivots.  These rows are independent over Q.  The
@@ -178,8 +180,9 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   the |S_t| columns.  One count loop (``_counts``) serves the closure,
   the squeeze and the fallback;
 * tau + 1.  After the closure, and when M_tau spans J_tau mod p,
-  S_1 * J_tau is the span of M_(tau+1), settled the same way.  Otherwise J_tau has forms the
-  multiples miss, and J_tau mod p comes from the pass: rank_p E_tau =
+  S_1 * J_tau is the span of M_(tau+1), settled the same way.
+  Otherwise J_tau has forms the multiples miss, and J_tau mod p comes
+  from the pass: rank_p E_tau =
   |X| = rank E_tau, so the kernel of E_tau mod p, which
   ``ModBasis.solve`` gives for each column the pass did not keep, is
   the reduction of the saturated lattice of integer kernel vectors
@@ -199,14 +202,12 @@ off its definition: HF(t) is the rank of E_t in l-coordinates, one
 (Abbott, Bigatti, Kreuzer & Robbiano, *Computing ideals of points*,
 J. Symbolic Comput. 30, 2000).  Modulo 2**61 - 1 only sets built to
 defeat the prime take it.  The counts then come from the same loop on
-those exact values, covers included, which reuses any kernel the
-failed squeeze took; where the covers and the kernel's vectors fall
-short of dim J_t mod p the prime failed, and all of the kernel's
-vectors join the forms, whose span over Q is J_t
+those exact values, which reuses any kernel the failed squeeze took;
+where the kernel's vectors fall short of dim J_t mod p the prime
+failed, and all of them join the forms, whose span over Q is J_t
 either way; at tau + 1 the exact kernel of E_tau stands in for the one
-mod p.  Every answer is exact
-whichever way: the prime chooses the path and the matrices, not an
-answer.
+mod p.  Every answer is exact whichever way: the prime chooses the path
+and the matrices, not an answer.
 
 The ladder of a set, with its generator counts through tau + 1, is
 built on the first profile question asked of it and stored on the
@@ -240,36 +241,34 @@ half as many again.
 
 Single-degree questions (``hilbert_function``, ``ideal_dimension``,
 ``degree_bounded_ideal``) eliminate E_t of the given points directly,
-with one exception: ``degree_bounded_ideal`` in the degree t of the
-first kernel the ladder took (alpha, unless covers filled J_alpha)
-reads that kernel of E_t, when c = 0 and the set spans its P^n.  Then
-the l-coordinates are the set's own coordinates, E_t is the set's
-evaluation matrix, and the stored kernel is, bit for bit, the one a
-direct elimination gives: a kernel the loop took on HF(t) rows passed
-the row check, so it is the kernel of E_t.  A product of P^3 with the
-quadric Q of its covers and HF(2) = 9 whose ladder eliminated no kernel
-(every closed ladder) stores Q in its place: then I_2
-is spanned by Q, and Q primitive with its last nonzero entry positive
-is the one vector of the canonical kernel basis of E_2.  So the quadric
-of a skew grid of at least 3 x 3 points, given as a product or alone
-with at least 4 x 4 points, costs no elimination after a profile
-question.
+with one exception: ``degree_bounded_ideal`` in a degree t whose kernel
+of E_t the ladder took reads that kernel, when c = 0 and the set spans
+its P^n.  Then the l-coordinates are the set's own coordinates, E_t is
+the set's evaluation matrix, and each stored kernel is, bit for bit,
+the one a direct elimination gives: a kernel the loop took on HF(t)
+rows passed the row check, so it is the kernel of E_t.  A product of
+P^3 with the quadric Q of its covers and HF(2) = 9 whose ladder did not
+eliminate E_2 (every closed ladder) stores Q as its kernel of E_2: then
+I_2 is spanned by Q, and Q primitive with its last nonzero entry
+positive is the one vector of the canonical kernel basis of E_2.  So
+the quadric of a skew grid of at least 3 x 3 points, given as a product
+or alone with at least 4 x 4 points, costs no elimination after a
+profile question, and neither does any degree a ladder eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import accumulate, count
-from math import comb, lcm, prod
+from math import comb
 from operator import mul
 from typing import Optional
 
 from . import _elim, linalg
 from .errors import HadaError
 from .forms import HomogeneousForm, monomials
-from .projective import PointSet
+from .projective import PointSet, point_hyperplane_coefficients
 
 
 def _evaluation_columns(variables, degree: int):
@@ -366,11 +365,11 @@ class _Ladder:
     least degree whose value reaches the cardinality, and
     ``generators[t]`` the number of new minimal generators in degree t
     for t = 0 .. tau + 1, the linear forms of the span included.
-    ``lowest`` is (t, canonical kernel basis of E_t) for the first
-    kernel the ladder eliminated exactly, when that was in the set's own
-    coordinates; when no kernel was eliminated, (2, [Q]) for a product of
-    P^3 whose covers give the quadric Q and whose HF(2) is 9; and None
-    otherwise.
+    ``kernels[t]`` is the canonical kernel basis of E_t for every degree
+    t the ladder eliminated, when it did so in the set's own coordinates,
+    and [Q] in degree 2 for a product of P^3 whose covers give the
+    quadric Q, whose HF(2) is 9 and whose ladder did not eliminate E_2;
+    it is empty when the ladder's coordinates are not the set's own.
     """
 
     cardinality: int
@@ -379,7 +378,7 @@ class _Ladder:
     values: tuple[int, ...]
     tau: int
     generators: tuple[int, ...]
-    lowest: Optional[tuple[int, list]]
+    kernels: dict[int, list]
 
     def value(self, t: int) -> int:
         """HF(t) in any degree t >= 0."""
@@ -465,74 +464,79 @@ def _modular_degree(lvalues, tails):
     return t, standard, basis, ys
 
 
+def _free_column(form) -> int:
+    """The free column of a kernel vector of ``_elim.nullspace``: its last
+    nonzero entry."""
+    return max(j for j, x in enumerate(form) if x)
+
+
 def _span_coordinates(points: PointSet):
     """The coordinates of the points in their linear span, its projective
-    dimension r - 1, and the exact echelon rows of the coordinate matrix,
-    or None when none was taken.
+    dimension r - 1, and the n + 1 - r linear forms of P^n that cut the
+    span out, none when the set spans P^n.
 
     A set of at least n + 1 points whose coordinate matrix has rank
     n + 1 modulo ``_elim._PRIME`` spans P^n and keeps its coordinates.
-    Otherwise the exact echelon of that matrix gives its rank r and
-    pivot columns, and each point keeps its pivot coordinates: the
-    echelon rows are triangular there, so this projection is injective
-    on the span.  For a set that spans after all, every column is a
-    pivot and nothing changes.  The rows carry a linear form of P^n to
-    the span (``_restricted``).
+    Otherwise the forms are the canonical kernel basis of that matrix
+    (``_elim.nullspace``): one form per free column, which is its last
+    nonzero entry, zero at every other free column.  Each point keeps its
+    pivot coordinates, the columns no form is free in: the forms fix the
+    free coordinates of a point of the span from its pivot ones, so this
+    projection is injective on the span.  For a set that spans after all
+    there is no form and nothing changes.  The forms carry a linear form
+    of P^n to the span (``_restricted``).
     """
     n = points.ambient_dim
     coords = [p.coords for p in points]
     if len(coords) > n and _elim._full_rank_mod_prime(coords, n + 1):
-        return coords, n, None
-    rank, pivots, rows = _elim.echelon(coords, n + 1)
-    return [tuple(p[j] for j in pivots) for p in coords], rank - 1, rows
+        return coords, n, []
+    forms = _elim.nullspace(coords, n + 1)
+    free = {_free_column(f) for f in forms}
+    pivots = [j for j in range(n + 1) if j not in free]
+    return [tuple(p[j] for j in pivots) for p in coords], n - len(forms), forms
 
 
-def _restricted(linear, rows):
+def _restricted(linear, forms):
     """The linear form of P^n with coefficients ``linear``, restricted to
-    the span of the echelon ``rows`` (``_span_coordinates``): an integer
-    form in the pivot coordinates, up to a nonzero factor.  It is zero
-    when the form vanishes on the span, and ``linear`` itself when there
-    are no rows.
+    the span cut out by ``forms`` (``_span_coordinates``): an integer
+    form in the pivot coordinates, a positive multiple of the restriction.
+    It is zero when the form vanishes on the span, and ``linear`` itself
+    when there are no forms.
 
-    A point of the span is x = y * E for the rows E, and its pivot
-    coordinates are y * P, with P the block of E at its pivot columns, so
-    the form sum of L_j x_j is sum of w_k (y * P)_k for the w with
-    P * w = E * L.  P is upper triangular with a nonzero diagonal, so w
-    is one back substitution."""
-    if rows is None:
-        return linear
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
-    w = [Fraction(0)] * len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        s = sum(map(mul, row, linear)) - sum(row[pivots[k]] * w[k] for k in range(i + 1, len(rows)))
-        w[i] = Fraction(s, row[pivots[i]])
-    scale = lcm(*(x.denominator for x in w))
-    return [x.numerator * (scale // x.denominator) for x in w]
+    Each form f, with free column j, is zero at the other free columns,
+    so w <- f_j * w - w_j * f clears column j of w and no other free
+    column, and keeps the values of w on the span, up to the factor
+    f_j > 0.  Once every free column is clear, w is a form in the pivot
+    coordinates alone."""
+    w, free = list(linear), set()
+    for f in forms:
+        j = _free_column(f)
+        free.add(j)
+        if w[j]:
+            a, b = f[j], w[j]
+            w = [a * x - b * y for x, y in zip(w, f)]
+    return [x for j, x in enumerate(w) if j not in free]
 
 
-def _squeeze_ladder(lcoords, n: int, values, found, kernels, covers):
+def _squeeze_ladder(lcoords, n: int, values, found, kernels):
     """The new minimal generators of J in degrees 0 .. d + 1 of the set in
     its span, for HF(0 .. d) = ``values``; or None when values claimed by
     the pass ``found`` cannot be squeezed.
 
     ``found`` is what ``_modular_degree`` returned, whose values are lower
     bounds, or None when the values are exact (the ranks of the fallback
-    in ``_ladder``).  ``covers`` holds exact forms of J by degree
-    (``_covers``).  In each degree t < d, the forms found so far give the
-    multiples M_t: each form of degree s < t times each monomial of
+    in ``_ladder``).  In each degree t < d, the forms found so far give
+    the multiples M_t: each form of degree s < t times each monomial of
     S_(t-s).  Where their rank mod p is below dim J_t = |S_t| - HF(t) +
-    HF(t - 1), the covers of degree t that are independent of M_t mod p
-    join the forms.  Where the rank still falls short, the exact kernel
-    of E_t is taken (``_exact_forms``, which keeps it in ``kernels``; with
-    a pass, on the rows of its first HF(t) pivots when the other rows
-    agree), and the block-t parts of its vectors that are independent of
-    the span so far mod p join the forms.  Where the rank still falls
-    short, the pass was wrong mod p and None is returned; with exact
-    values, the prime failed instead, and every vector joins.  The module
-    docstring shows why the values are then exact; ``_counts`` settles
-    the count in each degree, dim J_t minus the rank of M_t (at d + 1
-    that of S_1 * J_d).
+    HF(t - 1), the exact kernel of E_t is taken (``_exact_forms``, which
+    keeps it in ``kernels``; with a pass, on the rows of its first HF(t)
+    pivots when the other rows agree), and the block-t parts of its
+    vectors that are independent of M_t mod p join the forms.  Where the
+    rank still falls short, the pass was wrong mod p and None is
+    returned; with exact values, the prime failed instead, and every
+    vector joins.  The module docstring shows why the values are then
+    exact; ``_counts`` settles the count in each degree, dim J_t minus
+    the rank of M_t (at d + 1 that of S_1 * J_d).
     """
     d = len(values) - 1
     forms, spans = [], []
@@ -542,14 +546,12 @@ def _squeeze_ladder(lcoords, n: int, values, found, kernels, covers):
         dim = len(_s_monomials(n, t)) - values[t] + (values[t - 1] if t else 0)
         spans.append((rows, len(span), dim))
         if t < d and len(span) < dim:
-            new = [v for v in covers.get(t, ()) if span.add(v)]
+            basis = _exact_forms(lcoords, n, t, kernels, found and found[2].pivots[: values[t]])
+            new = [v for v in basis if span.add(v)]
             if len(span) < dim:
-                basis = _exact_forms(lcoords, n, t, kernels, found and found[2].pivots[: values[t]])
-                new += [v for v in basis if span.add(v)]
-                if len(span) < dim:
-                    if found:
-                        return None
-                    new = basis
+                if found:
+                    return None
+                new = basis
             forms.append((t, new))
     rank, dim = spans[-1][1:]
     if rank == dim:
@@ -668,23 +670,25 @@ def _det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _covers(factors, span_rows, n: int, card: int):
+def _covers(factors, span, n: int, card: int):
     """The cover forms of a product set in degrees up to |X| = ``card``, as
     {t: forms of S_t}, with its Segre quadric, a vector on the monomials
     of R_2, or None; from its two factors (``PointSet._factors``; ({}, None)
-    when None), in its span through ``span_rows`` (``_span_coordinates``).
+    when None), in its span, cut out by the linear forms ``span``
+    (``_span_coordinates``).  Only the closure (``_close``) tries them.
 
     Each factor G that lies in a hyperplane, paired with a factor F none
     of whose points has a zero coordinate, gives forms of degree |F|: the
     products over a in F of a * H_a, for hyperplanes H_a through G, with
-    (a * H)(x) = sum of H_i x_i / a_i.  Each vanishes on F * G, as
+    (a * H)(x) = sum of H_i x_i / a_i, in the integer coefficients of
+    ``point_hyperplane_coefficients``.  Each vanishes on F * G, as
     (a * H_a)(a * b) = H_a(b) = 0, so it lies in I.  The H_a come from
     the canonical kernel basis of G's coordinate matrix.  In general H_a
     is its first vector for every a, which gives one form.  When the set
-    spans P^3 (n = 3 and no ``span_rows``) and G lies on a line, the
-    kernel has two vectors H1 and H2, and the per-point choices a_i * H1
-    for i < k and a_i * H2 for i >= k give |F| + 1 forms, k = |F| .. 0,
-    each the product of a shared prefix and suffix.  The image in S of a
+    spans P^3 (n = 3 and ``span`` holds no linear form) and G lies on a
+    line, the kernel has two vectors H1 and H2, and the per-point choices
+    a_i * H1 for i < k and a_i * H2 for i >= k give |F| + 1 forms,
+    k = |F| .. 0, each the product of a shared prefix and suffix.  The image in S of a
     form is the product of its a * H_a restricted to the span
     (``_restricted``) and then to x0 = 0, each made primitive, hence
     primitive (Gauss's lemma).  A hyperplane that contains the span makes
@@ -714,15 +718,13 @@ def _covers(factors, span_rows, n: int, card: int):
     if factors is None:
         return covers, quadric
     kernels = [_elim.nullspace([b.coords for b in g], g.ambient_dim + 1) for g in factors]
-    spans_p3 = span_rows is None and n == 3
+    spans_p3 = n == 3 and not span
     for f, kernel in zip(factors, kernels[::-1]):
         if not kernel or len(f) > card or any(0 in a.coords for a in f):
             continue
         planes = kernel if spans_p3 and len(kernel) == 2 else kernel[:1]
-        scales = [prod(a.coords) for a in f]
         linears = [
-            [_restricted([x * (scale // y) for x, y in zip(h, a.coords)], span_rows)
-             for a, scale in zip(f, scales)]
+            [_restricted(point_hyperplane_coefficients(a.coords, h), span) for a in f]
             for h in planes
         ]
         if not all(map(any, linears[0])):
@@ -786,11 +788,11 @@ def _ladder(points: PointSet) -> _Ladder:
     The ladder is built in the span of the set (``_span_coordinates``),
     P^(r-1), which the module docstring shows changes no answer.  When
     c = 0, the covers of a product set (``_covers``) are built once, in
-    that span, and first tried alone: when they close the bound
-    (``_close``), HF, tau and the counts follow with no pass and no
-    kernel.  Otherwise ``_modular_degree`` finds d and HF mod p, and
+    that span, and tried alone: when they close the bound (``_close``),
+    HF, tau and the counts follow with no pass and no kernel.  Otherwise
+    the covers are dropped, ``_modular_degree`` finds d and HF mod p, and
     ``_squeeze_ladder`` squeezes HF between them and the multiples of
-    exact forms, the covers among them, and counts the generators.  When
+    the forms of exact kernels, and counts the generators.  When
     the pass cannot decide, or the squeeze fails, HF(t) is the rank of
     E_t in l-coordinates (``rank``), for t = 0, 1, ... until it reaches
     |X|, and the same loop, on those values, only counts.  Every path
@@ -799,16 +801,14 @@ def _ladder(points: PointSet) -> _Ladder:
     order so that its certificate walks the l-free columns first; the
     module docstring says why that is |X| and why the rank stays for
     now.  Both squeeze loops share the exact kernels, so no degree is
-    eliminated twice.  The first one, of E_t with t the first degree
-    where the pass left a column free (alpha, unless the pass was wrong
-    there or covers filled J_alpha), is kept for ``degree_bounded_ideal``
-    when l-coordinates are the set's own (c = 0 and the set spans its
-    P^n); when no kernel was eliminated, the quadric Q of the covers
-    stands in for the kernel of E_2 when it spans I_2.
+    eliminated twice.  Every one of them is kept, by degree, for
+    ``degree_bounded_ideal`` when l-coordinates are the set's own (c = 0
+    and the set spans its P^n); when E_2 was not eliminated, the quadric
+    Q of the covers stands in for its kernel when it spans I_2.
     """
     if points._ladder is not None:
         return points._ladder
-    coords, n, span_rows = _span_coordinates(points)
+    coords, n, span = _span_coordinates(points)
     card = len(coords)
     c = _linear_form_parameter(coords)
     # x0 -> l is unimodular (triangular, unit diagonal): ranks are kept and
@@ -816,12 +816,12 @@ def _ladder(points: PointSet) -> _Ladder:
     lvalues = [_linear_form_value(c, p) for p in coords]
     tails = [p[1:] for p in coords]
     lcoords = [(lp,) + tail for lp, tail in zip(lvalues, tails)]
-    linear = points.ambient_dim - n
+    linear = len(span)
 
     def rank(t):
         return linalg.rank_of(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
 
-    covers, quadric = ({}, None) if c else _covers(points._factors, span_rows, n, card)
+    covers, quadric = ({}, None) if c else _covers(points._factors, span, n, card)
     kernels = {}
     closed = covers and _close(n, card, covers)
     if closed:
@@ -829,22 +829,23 @@ def _ladder(points: PointSet) -> _Ladder:
     else:
         found = _modular_degree(lvalues, tails)
         values = found and list(accumulate(len(block) for block in found[1]))
-        counts = found and _squeeze_ladder(lcoords, n, values, found, kernels, covers)
+        counts = found and _squeeze_ladder(lcoords, n, values, found, kernels)
         if not counts:
             values = [rank(0)]
             while values[-1] < card:
                 values.append(rank(len(values)))
-            counts = _squeeze_ladder(lcoords, n, values, None, kernels, covers)
+            counts = _squeeze_ladder(lcoords, n, values, None, kernels)
     counts[1] += linear
     tau = len(values) - 1
     # the columns in ascending monomial order, the l-free ones first: the
     # rank is the same, and its certificate walks them in that order
     top = [row[::-1] for row in _evaluation_matrix(lcoords, n + 1, tau + 1)]
     values.append(linalg.rank_of(top, comb(tau + 1 + n, n)))
-    lowest = next(iter(kernels.items())) if kernels and not (c or linear) else None
-    if quadric and values[2] == 9 and not kernels:
+    if c or linear:
+        kernels = {}
+    elif quadric and values[2] == 9:
         # dim I_2 = 1, so I_2 is spanned by Q, the vector its kernel gives
-        lowest = (2, [quadric])
+        kernels.setdefault(2, [quadric])
     points._ladder = _Ladder(
         cardinality=card,
         dim=n,
@@ -852,7 +853,7 @@ def _ladder(points: PointSet) -> _Ladder:
         values=tuple(values),
         tau=tau,
         generators=tuple(counts),
-        lowest=lowest,
+        kernels=kernels,
     )
     return points._ladder
 
@@ -938,16 +939,15 @@ def degree_bounded_ideal(points: PointSet, t: int):
     """Canonical basis of the degree-t forms vanishing on the set.
 
     The kernel of E_t of the points, or, when the set's stored ladder
-    took the kernel of E_t in the set's own coordinates
-    (``_Ladder.lowest``), that same kernel read from it.
+    keeps a kernel of E_t (``_Ladder.kernels``), that same kernel read
+    from it.
     """
     if t < 0:
         raise HadaError("degree must be nonnegative")
     nvars = points.ambient_dim + 1
     ladder = points._ladder
-    if ladder is not None and ladder.lowest is not None and ladder.lowest[0] == t:
-        kernel = ladder.lowest[1]
-    else:
+    kernel = ladder and ladder.kernels.get(t)
+    if kernel is None:
         kernel = linalg.kernel_basis(evaluation_rows(points, t), len(monomials(nvars, t)))
     return [HomogeneousForm.from_vector(nvars, t, v) for v in kernel]
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import linalg, sampling
@@ -44,6 +43,7 @@ from .projective import (
     hadamard_points,
     hyperplane_product,
     pairwise_products,
+    point_hyperplane_coefficients,
 )
 
 
@@ -94,7 +94,7 @@ def point_line_product_p2(q: ProjPoint, line: Hyperplane) -> PointLineOutcome:
     _require_plane(q, line)
     a, lq, la, lqa = _levels(q, line)
     if lq == 2:
-        dual = [Fraction(c, x) for c, x in zip(a.coords, q.coords)]
+        dual = point_hyperplane_coefficients(q.coords, a.coords)
         return PointLineOutcome(case=1, line=Hyperplane(dual))
     if lq == 1:
         j = q.coords.index(0)

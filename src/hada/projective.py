@@ -197,9 +197,19 @@ class LinearSubspace:
         return len(self.planes)
 
 
+def point_hyperplane_coefficients(point, coefficients) -> list[int]:
+    """The integer coefficients H_i * prod over j != i of p_j of the
+    hyperplane p * H = {sum of H_i x_i / p_i = 0}, for the coordinates
+    ``point`` of p and the ``coefficients`` of H: the coefficients
+    H_i / p_i scaled by prod of p_j.  Every coordinate of p must be
+    nonzero; the callers check it."""
+    scale = prod(point)
+    return [a * (scale // x) for a, x in zip(coefficients, point)]
+
+
 def point_hyperplane_product(p: ProjPoint, h: Hyperplane) -> Hyperplane:
     """Hyperplane with coefficients a_i / p_i, taken as the integers
-    a_i * prod over j != i of p_j, the same coefficients up to scale.
+    a_i * prod over j != i of p_j (``point_hyperplane_coefficients``).
 
     Requires every coordinate of ``p`` nonzero and every coefficient of
     ``h`` nonzero; otherwise the product is not a hyperplane and one of
@@ -220,8 +230,7 @@ def point_hyperplane_product(p: ProjPoint, h: Hyperplane) -> Hyperplane:
             f"hyperplane contains coordinate point {i}; "
             "use the point/line classification instead"
         )
-    scale = prod(p.coords)
-    return Hyperplane([a * (scale // x) for a, x in zip(h.dual.coords, p.coords)])
+    return Hyperplane(point_hyperplane_coefficients(p.coords, h.dual.coords))
 
 
 def hyperplane_product(h: Hyperplane, k: Hyperplane):

@@ -106,18 +106,17 @@ def build_ladder(points):
     close the bound, with no pass mod p), "exact" (the fallback: HF(t) is
     the rank of E_t), or, squeezed between the pass mod p and the bound,
     "ceiling" (the bound met the pass with no exact form: HF is
-    min(C(t+n, n), |X|)) or "squeeze" (with the multiples of exact forms:
-    those of at least one kernel, or the cover forms of a product set).
-    ``kernels`` lists the degrees of the exact kernels taken, in order,
-    ``ranks`` the (rows, columns, rank) of every exact rank the counts
-    took, and ``covers`` the degrees up to tau of the cover forms built,
-    the ones a squeeze can use."""
+    min(C(t+n, n), |X|)) or "squeeze" (with the multiples of the forms of
+    at least one exact kernel).  ``kernels`` lists the degrees of the
+    exact kernels taken, in order, ``ranks`` the (rows, columns, rank) of
+    every exact rank the counts took, and ``covers`` the degrees up to
+    tau of the cover forms built, the ones the closure tries."""
     assert points._ladder is None
     calls, ranks, built = [], [], []
     squeeze, counts, covers = ideals._squeeze_ladder, ideals._counts, ideals._covers
 
-    def spy_squeeze(lcoords, n, values, found, kernels, covers):
-        result = squeeze(lcoords, n, values, found, kernels, covers)
+    def spy_squeeze(lcoords, n, values, found, kernels):
+        result = squeeze(lcoords, n, values, found, kernels)
         calls.append((found is None, tuple(kernels)))
         return result
 
@@ -146,7 +145,7 @@ def build_ladder(points):
     if not calls:
         return Built("closed", (), ranks, degrees)
     exact, kernels = calls[-1]
-    path = "exact" if exact else "squeeze" if kernels or degrees else "ceiling"
+    path = "exact" if exact else "squeeze" if kernels else "ceiling"
     return Built(path, kernels, ranks, degrees)
 
 
@@ -163,8 +162,8 @@ def no_squeeze(patch):
     those values."""
     original = ideals._squeeze_ladder
 
-    def squeeze(lcoords, n, values, found, kernels, covers):
-        return None if found else original(lcoords, n, values, found, kernels, covers)
+    def squeeze(lcoords, n, values, found, kernels):
+        return None if found else original(lcoords, n, values, found, kernels)
 
     patch.setattr(ideals, "_squeeze_ladder", squeeze)
 
@@ -896,8 +895,8 @@ def test_squeezed_kernels_equal_the_full_kernel(monkeypatch):
     original = ideals._squeeze_ladder
     taken = []
 
-    def spy(lcoords, n, values, found, kernels, covers):
-        counts = original(lcoords, n, values, found, kernels, covers)
+    def spy(lcoords, n, values, found, kernels):
+        counts = original(lcoords, n, values, found, kernels)
         taken.append((lcoords, n, list(values), dict(kernels)))
         return counts
 
@@ -1251,9 +1250,9 @@ def certified_oracle_sets():
 
 def test_certified_ladders_match_full_ring_oracle():
     # every answer of a squeezed ladder equals the Fraction oracle in the
-    # full ring, and ``degree_bounded_ideal`` in degrees 0 .. 3, which
-    # reads the stored kernel of E_alpha after a profile question, equals
-    # direct elimination on a copy with no ladder
+    # full ring, and ``degree_bounded_ideal`` in degrees 0 .. 3 and in
+    # every degree whose kernel the ladder keeps, which it reads after a
+    # profile question, equals direct elimination on a copy with no ladder
     for points, path in certified_oracle_sets():
         assert len(PointSet.dedupe(points.points)) == len(points)
         profile, entries, verdict = full_ring_answers(points)
@@ -1265,7 +1264,12 @@ def test_certified_ladders_match_full_ring_oracle():
         assert ci_verdict(fresh) == verdict
         assert [degree_bounded_ideal(fresh, t) for t in range(4)] == direct
         c = _linear_form_parameter(ideals._span_coordinates(fresh)[0])
-        assert (fresh._ladder.lowest is not None) == (path == "squeeze" and c == 0)
+        kept = fresh._ladder.kernels
+        assert bool(kept) == (path == "squeeze" and c == 0)
+        for t in kept:
+            assert degree_bounded_ideal(fresh, t) == degree_bounded_ideal(
+                PointSet(points.points), t
+            )
 
 
 @pytest.mark.parametrize("prime", [_elim._PRIME, 7, 13])
@@ -1482,9 +1486,9 @@ def test_cover_forms_vanish_on_their_products():
     # that of its points alone
     for product, degrees in cover_cases():
         n = product.ambient_dim
-        _, m, rows = ideals._span_coordinates(product)
-        assert (rows is None) == (m == n)
-        covers, quadric = ideals._covers(product._factors, rows, m, len(product))
+        _, m, span = ideals._span_coordinates(product)
+        assert len(span) == n - m
+        covers, quadric = ideals._covers(product._factors, span, m, len(product))
         assert sorted(t for t, forms in covers.items() for _ in forms) == sorted(degrees)
         expected, reference = reference_covers(product)
         assert sorted(expected) == sorted(covers)
@@ -1505,18 +1509,16 @@ def fresh_product(points):
 
 @pytest.mark.parametrize("prime", [_elim._PRIME, 2, 3, 7])
 def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
-    # the cover forms of a product set close the bound alone, or stand in
-    # for kernels in the degrees they fill mod p, and change no answer: on
-    # every product set of the oracle families the ladder (HF, tau and the
-    # counts) equals that of the same points with no factors, and the
-    # oracle's counts.  Modulo 2**61 - 1 all 19 have covers up to tau (the
-    # products that span P^3 have their per-point covers and quadric), and
-    # all 19 close.  A small prime can fail the span certificate of a
-    # product of P^3, which then has only today's single covers, so fewer
-    # have covers up to tau (13 mod 2, 17 mod 3, 18 mod 7); it closes fewer
-    # (none mod 2, 4 mod 3 and 5 mod 7) and sends more sets to the
-    # fallback, which takes the covers too: on some sets, they leave it no
-    # kernel
+    # the cover forms of a product set close the bound alone or are not
+    # used, and change no answer: on every product set of the oracle
+    # families the ladder (HF, tau and the counts) equals that of the same
+    # points with no factors, and the oracle's counts.  All 19 have covers
+    # up to tau at every prime (the products that span P^3 have their
+    # per-point covers and quadric: a failed span certificate leaves them
+    # no linear form, so they still span P^3).  Modulo 2**61 - 1 all 19
+    # close; a small prime closes fewer (none mod 2, 4 mod 3 and 6 mod 7)
+    # and the rest take the pass or the fallback, which fill J_t from
+    # exact kernels alone, so none of them is left without a kernel
     monkeypatch.setattr(_elim, "_PRIME", prime)
     products = [(p, counts) for p, counts in oracle_counts() if p._factors is not None]
     assert len(products) == 19
@@ -1526,18 +1528,71 @@ def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
         built = build_ladder(product)
         assert ladder_answers(product) == ladder_answers(bare)
         assert product._ladder.generators == counts
-        lowest = {ladder.lowest[0] for ladder in (product._ladder, bare._ladder) if ladder.lowest}
-        for t in lowest:
+        for t in {t for ladder in (product._ladder, bare._ladder) for t in ladder.kernels}:
             assert degree_bounded_ideal(product, t) == degree_bounded_ideal(bare, t)
         if built.covers:
             covered[built.path, points.ambient_dim, built.kernels] += 1
-    assert sum(covered.values()) == {2: 13, 3: 17, 7: 18}.get(prime, 19)
+    assert sum(covered.values()) == 19
     if prime > 7:
         assert covered == {("closed", 2, ()): 7, ("closed", 3, ()): 12}
     else:
         closed = sum(k for (path, _, _), k in covered.items() if path == "closed")
         no_kernel = sum(k for (path, _, ks), k in covered.items() if path == "exact" and not ks)
-        assert (closed, no_kernel) == {2: (0, 2), 3: (4, 1), 7: (5, 1)}[prime]
+        assert (closed, no_kernel) == {2: (0, 0), 3: (4, 0), 7: (6, 0)}[prime]
+
+
+@pytest.mark.parametrize("prime", [_elim._PRIME, 2])
+def test_cover_forms_reach_the_closure_alone(monkeypatch, prime):
+    # the forms ``_covers`` builds are tried by ``_close`` and by nothing
+    # else: none of them joins a ``ModBasis`` or a multiple outside the
+    # closure, and the squeeze, its fallback and the counts never see
+    # them.  Modulo 2**61 - 1 every oracle product closes; modulo 2 none
+    # does, and each takes the exact path with kernels of its own
+    monkeypatch.setattr(_elim, "_PRIME", prime)
+    covers_of, close, multiples = ideals._covers, ideals._close, ideals._multiples
+    add = _elim.ModBasis.add
+    forms, closures, inside, strays = {}, [], [], []
+
+    def spy_covers(*args):
+        covers, quadric = covers_of(*args)
+        forms.update((id(g), g) for gs in covers.values() for g in gs)
+        return covers, quadric
+
+    def spy_close(n, card, covers):
+        assert all(id(g) in forms for gs in covers.values() for g in gs)
+        inside.append(True)
+        try:
+            closed = close(n, card, covers)
+        finally:
+            inside.pop()
+        closures.append(closed is not None)
+        return closed
+
+    def stray(vectors):
+        if not inside:
+            strays.extend(v for v in vectors if forms.get(id(v)) is v)
+
+    def spy_multiples(by_degree, n, t):
+        stray([g for _, gs in by_degree for g in gs])
+        return multiples(by_degree, n, t)
+
+    def spy_add(self, vector):
+        stray([vector])
+        return add(self, vector)
+
+    monkeypatch.setattr(ideals, "_covers", spy_covers)
+    monkeypatch.setattr(ideals, "_close", spy_close)
+    monkeypatch.setattr(ideals, "_multiples", spy_multiples)
+    monkeypatch.setattr(_elim.ModBasis, "add", spy_add)
+    products = [p for p, _ in oracle_counts() if p._factors is not None]
+    assert len(products) == 19
+    for points in products:
+        product = fresh_product(points)
+        built = build_ladder(product)
+        assert built.path == ("closed" if prime > 2 else "exact") and built.covers
+        assert ladder_answers(product) == ladder_answers(PointSet(points.points))
+    assert forms and strays == []
+    assert closures == [prime > 2] * 19
 
 
 def test_covered_products_take_no_pass_and_no_kernel(monkeypatch):
@@ -1687,7 +1742,8 @@ def test_covers_that_fall_short_still_take_the_kernel():
     # those of degree |G|, while its points alone take the kernel of E_2.
     # A factor F with a zero coordinate gives no cover of degree |F|: the
     # 4 x 3 product's cubic covers and the multiples of its quadric do not
-    # fill J_3 mod p, so the kernel of E_3 is still taken.  Every answer is
+    # fill J_3 mod p, so its covers do not close, and the squeeze takes the
+    # kernels of E_2 and E_3, those its points alone take.  Every answer is
     # the oracle's
     cases = []
     for a, b in ((2, 5), (4, 2)):
@@ -1695,11 +1751,13 @@ def test_covers_that_fall_short_still_take_the_kernel():
         product = pairwise_products(xs, xs2)[0]
         cases.append((product, ("closed", (2,), ())))
         cases.append((PointSet(product.points), ("squeeze", (), (2,))))
-    cases.append((zero_coordinate_product(), ("squeeze", (2, 3), (3,))))
+    product = zero_coordinate_product()
+    cases.append((product, ("squeeze", (2, 3), (2, 3))))
+    cases.append((PointSet(product.points), ("squeeze", (), (2, 3))))
     for points, path in cases:
         expected = full_ring_answers(points)
         built = build_ladder(points)
-        assert (built.path, built.covers, built.kernels[:1]) == path
+        assert (built.path, built.covers, built.kernels) == path
         answers = (
             hilbert_profile(points), generator_entries(generator_profile(points)), ci_verdict(points)
         )
@@ -1716,7 +1774,7 @@ def test_segre_quadric_and_per_point_covers_vanish_on_skew_products(a, b):
     # that of the points alone, HF(t) = min(t + 1, a) * min(t + 1, b)
     _, _, xs, xs2 = generic_skew_sample(a, b, 2700 + 10 * a + b)
     product = pairwise_products(xs, xs2)[0]
-    covers, quadric = ideals._covers(product._factors, None, 3, len(product))
+    covers, quadric = ideals._covers(product._factors, [], 3, len(product))
     expected, reference = reference_covers(product)
     counts = Counter({a: a + 1}) + Counter({b: b + 1}) + Counter({2: 1})
     assert {t: len(forms) for t, forms in covers.items()} == counts
@@ -1739,7 +1797,7 @@ def test_a_singular_segre_matrix_gives_no_quadric():
     xs = PointSet.from_coords([[1, 1, 1, 1], [1, 2, 3, 4]])
     product = pairwise_products(xs, xs)[0]
     assert segre_quadric(product._factors) is None
-    covers, quadric = ideals._covers(product._factors, None, 3, len(product))
+    covers, quadric = ideals._covers(product._factors, [], 3, len(product))
     assert quadric is None and sorted(covers) == [2]
     assert ladder_answers(fresh_product(product)) == ladder_answers(PointSet(product.points))
 
@@ -1749,13 +1807,46 @@ def test_a_factor_with_a_zero_coordinate_has_no_covers_of_its_degree():
     # and F gives no cover of degree |F| = 4; G gives its |G| + 1 = 4
     # per-point covers of degree 3, and both lines give the quadric
     product = zero_coordinate_product()
-    covers, quadric = ideals._covers(product._factors, None, 3, len(product))
+    covers, quadric = ideals._covers(product._factors, [], 3, len(product))
     assert {t: len(forms) for t, forms in covers.items()} == {3: 4, 2: 1}
     expected, reference = reference_covers(product)
     for t, forms in covers.items():
         for form, cover in zip(forms, expected[t]):
             assert_proportional(form, cover)
     assert_proportional(quadric, reference)
+
+
+def test_a_product_that_spans_p3_has_per_point_covers_when_the_certificate_fails(
+    monkeypatch,
+):
+    # a 3 x 4 product of points on two skew lines spans P^3, but x0 and x1
+    # are odd at every point, so modulo 2 its coordinate matrix has rank 3
+    # and the span certificate fails.  The exact kernel of that matrix is
+    # empty: the set has no linear form and spans P^3 after all, so
+    # ``_covers`` gives each factor's |F| + 1 per-point covers and the
+    # quadric, which a failed certificate used to withhold (one cover per
+    # factor and no quadric).  Every answer is the oracle's
+    xs = PointSet.from_coords([[1, 1, 1, 2], [3, 1, 2, 3], [5, 1, 3, 4]])
+    xs2 = PointSet.from_coords([[1, 1, 2, 1], [3, 3, 3, 4], [5, 5, 4, 7], [7, 7, 5, 10]])
+    product = pairwise_products(xs, xs2)[0]
+    expected = full_ring_answers(product)
+    expected_covers, reference = reference_covers(product)
+    monkeypatch.setattr(_elim, "_PRIME", 2)
+    coords = [p.coords for p in product]
+    assert not _elim._full_rank_mod_prime(coords, 4)
+    _, m, span = ideals._span_coordinates(product)
+    assert (m, span) == (3, [])
+    covers, quadric = ideals._covers(product._factors, span, m, len(product))
+    assert {t: len(forms) for t, forms in covers.items()} == {3: 4, 4: 5, 2: 1}
+    for t, forms in covers.items():
+        for form, cover in zip(forms, expected_covers[t]):
+            assert_proportional(form, cover)
+    assert_proportional(quadric, reference)
+    points = fresh_product(product)
+    answers = (
+        hilbert_profile(points), generator_entries(generator_profile(points)), ci_verdict(points)
+    )
+    assert answers == expected
 
 
 def test_closed_products_read_their_quadric_off_the_closure(monkeypatch):
@@ -1768,7 +1859,7 @@ def test_closed_products_read_their_quadric_off_the_closure(monkeypatch):
         bare = PointSet(product.points)
         kernel = linalg.kernel_basis(evaluation_rows(bare, 2), 10)
         hilbert_profile(product)
-        assert product._ladder.lowest == (2, kernel)
+        assert product._ladder.kernels == {2: kernel}
         calls = spy_linalg(monkeypatch)
         quadric = quadric_through(product)
         assert calls == []
@@ -1778,20 +1869,19 @@ def test_closed_products_read_their_quadric_off_the_closure(monkeypatch):
 
 def test_a_ladder_that_took_a_kernel_keeps_it(monkeypatch):
     # the 4 x 3 product with a zero coordinate has its quadric and HF(2) =
-    # 9, but its covers do not close and its ladder takes the kernel of
-    # E_3: that kernel is kept, so the cubics cost no elimination after a
-    # profile question, and the quadrics are eliminated directly
+    # 9, but its covers do not close, and its ladder takes the kernels of
+    # E_2 and E_3.  After one ``ci_verdict`` both are kept, so the quadric
+    # and the cubics cost no elimination, and each is the kernel a direct
+    # elimination of its points gives
     product = zero_coordinate_product()
-    bare = PointSet(product.points)
-    hilbert_profile(product)
-    assert product._ladder.value(2) == 9 and product._ladder.lowest[0] == 3
+    ci_verdict(product)
+    assert product._ladder.value(2) == 9 and sorted(product._ladder.kernels) == [2, 3]
     calls = spy_linalg(monkeypatch)
-    cubics = degree_bounded_ideal(product, 3)
+    forms = [degree_bounded_ideal(product, t) for t in (2, 3)]
     assert calls == []
-    assert degree_bounded_ideal(product, 2) == degree_bounded_ideal(bare, 2)
-    assert calls[0] == ("kernel_basis", 12, 10)
     monkeypatch.undo()
-    assert cubics == degree_bounded_ideal(bare, 3)
+    bare = PointSet(product.points)
+    assert forms == [degree_bounded_ideal(bare, t) for t in (2, 3)]
 
 
 def test_closure_refuses_covers_that_do_not_sum_to_the_set(monkeypatch):
@@ -1871,7 +1961,7 @@ def test_certified_sets_off_their_coordinates_eliminate_degree_bounded_ideal():
         fresh = PointSet(points.points)
         assert build_ladder(fresh)[:2] == ("squeeze", (2,))
         assert _linear_form_parameter(ideals._span_coordinates(fresh)[0]) == c
-        assert (fresh._ladder.linear, fresh._ladder.lowest) == (linear, None)
+        assert (fresh._ladder.linear, fresh._ladder.kernels) == (linear, {})
         assert [degree_bounded_ideal(fresh, t) for t in range(4)] == direct
         assert generator_entries(generator_profile(fresh)) == span_rank_generators(points)
 

@@ -1,5 +1,6 @@
 """Canonical coordinates and the elementary product formulas."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -21,6 +22,7 @@ from hada.projective import (
     hadamard_points,
     hyperplane_product,
     pairwise_products,
+    point_hyperplane_coefficients,
     point_hyperplane_product,
 )
 
@@ -156,8 +158,11 @@ class TestPointHyperplaneProduct:
             for _ in range(100):
                 p = ProjPoint([sampling.nonzero_int(rng, 20) for _ in range(dim + 1)])
                 h = Hyperplane([sampling.nonzero_int(rng, 20) for _ in range(dim + 1)])
-                reference = Hyperplane([Fraction(a, x) for a, x in zip(h.dual.coords, p.coords)])
-                assert point_hyperplane_product(p, h) == reference
+                quotients = [Fraction(a, x) for a, x in zip(h.dual.coords, p.coords)]
+                assert point_hyperplane_product(p, h) == Hyperplane(quotients)
+                scale = math.prod(p.coords)
+                coefficients = point_hyperplane_coefficients(p.coords, h.dual.coords)
+                assert coefficients == [q * scale for q in quotients]
 
     def test_stratum_errors(self):
         with pytest.raises(StratumError):
