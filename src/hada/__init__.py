@@ -18,7 +18,7 @@ from .errors import (
     StratumError,
     UnsupportedShapeError,
 )
-from .forms import HomogeneousForm, membership, monomials
+from .forms import HomogeneousForm, monomials
 from .ideals import (
     CIVerdict,
     GeneratorProfile,
@@ -29,7 +29,6 @@ from .ideals import (
     hf_product_check,
     hilbert_function,
     hilbert_profile,
-    ideal_dimension,
 )
 from .plane import (
     CollinearityReport,
@@ -39,9 +38,7 @@ from .plane import (
     PointLineOutcome,
     collinear_set_line_product,
     generic_collinear_sample,
-    grid_condition,
     grid_product_p2,
-    line_delta1_points,
     line_through,
     point_line_product_p2,
     product_collinearity_check,
@@ -55,7 +52,6 @@ from .projective import (
     ProjPoint,
     Undefined,
     coordinate_hyperplane,
-    delta_level,
     hadamard_points,
     hyperplane_product,
     pairwise_products,

@@ -448,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_implicitize)
 
     p = sub.add_parser("verify", help="replay the bundled worked examples")
-    p.add_argument("--fixtures", help="fixture directory (or HADA_FIXTURES)")
+    p.add_argument(
+        "--fixtures", help="fixture directory (default: the bundled examples)"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

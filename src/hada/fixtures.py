@@ -4,25 +4,34 @@ Each fixture is a JSON file with an instance plus a list of checks:
 an operation name, its arguments (entity names from the instance) and
 the expected exact output.  Replaying a fixture recomputes every check
 and diffs the canonical results; nothing is thrown on mismatch, the
-summary reports failures so a driver can exit nonzero.  A fixture
-directory that is missing or holds no fixture, and a fixture file that
-is not valid JSON, lacks its instance or checks, names an unknown
-operation, gives a check ``args`` that is not an object, or gives a
-check a missing argument, a name its instance lacks, a name that is not
-a string, a ``product_of`` that is not two names or that comes with a
-``set``, a ``degree`` that is not an integer, a ``degree_forms`` degree
-outside 0 to ``hada.space.MAX_IMPLICIT_DEGREE`` or an ``implicitize``
-degree outside 1 to it, or a profile check (hilbert, ci, generators,
-hf_product, whose two factors count too) of a set with more than
+summary reports failures so a driver can exit nonzero.
+
+The paper's P^2 dichotomy for two disjoint collinear sets has one op
+per half: ``grid2`` replays the grid half (``grid_product_p2`` on sets
+``x``, ``x2`` on lines ``line``, ``line2``), and ``collinear`` the
+collinear half (``product_collinearity_check`` on two subsets ``x``,
+``x2`` of one line ``line``), expecting ``collinear`` and
+``containing_line``, the coefficients of a line that holds every
+product, or null; a point off the line fails that check.
+
+A fixture directory that is missing or holds no fixture, and a fixture
+file that cannot be read or is not valid JSON, lacks its instance or
+checks, names an unknown operation, gives a check ``args`` that is not
+an object, or gives a check a missing argument, a name its instance
+lacks, a name that is not a string, a ``product_of`` that is not two
+names or that comes with a ``set``, a ``degree`` that is not an
+integer, a ``degree_forms`` degree outside 0 to
+``hada.space.MAX_IMPLICIT_DEGREE`` or an ``implicitize`` degree outside
+1 to it, or a profile check (hilbert, ci, generators, hf_product, whose
+two factors count too) of a set with more than
 ``hada.instances.MAX_PROFILE_POINTS`` points, raise InstanceError
-naming the file.  A check whose operation raises any other HadaError
-is a failing check.
+naming the file.  A check whose operation raises any other HadaError is
+a failing check.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +44,11 @@ from .ideals import (
     hilbert_profile,
 )
 from .instances import Instance, parse_instance_dict
-from .plane import collinear_set_line_product, grid_product_p2
+from .plane import (
+    collinear_set_line_product,
+    grid_product_p2,
+    product_collinearity_check,
+)
 from .projective import (
     Hyperplane,
     LinearSubspace,
@@ -52,9 +65,6 @@ from .space import (
 
 
 def fixtures_dir() -> Path:
-    env = os.environ.get("HADA_FIXTURES")
-    if env:
-        return Path(env)
     return Path(__file__).parent / "fixtures"
 
 
@@ -111,6 +121,17 @@ def _check_grid2(inst, args):
     return {
         "count": len(g.points),
         "witness_degrees": list(g.witness_degrees),
+    }
+
+
+def _check_collinear(inst, args):
+    rep = product_collinearity_check(
+        inst.point_set(args["x"]), inst.point_set(args["x2"]), inst.line(args["line"])
+    )
+    line = rep.containing_line
+    return {
+        "collinear": rep.collinear,
+        "containing_line": list(line.dual.coords) if line else None,
     }
 
 
@@ -192,6 +213,7 @@ CHECK_OPS = {
     "hyperplane_product": _check_hyperplane_product,
     "set_line_arrangement": _check_arrangement,
     "grid2": _check_grid2,
+    "collinear": _check_collinear,
     "grid3": _check_grid3,
     "product_count": _check_product_count,
     "hilbert": _check_hilbert,
@@ -242,9 +264,11 @@ def replay_fixture(path: Path):
                 raise ValueError(f"unknown check op {op!r}")
             if not isinstance(args, dict):
                 raise TypeError(f"check args must be an object, got {args!r}")
-    except (ValueError, KeyError, TypeError) as exc:
-        # invalid JSON or UTF-8, a missing key, an unknown op, or a value
-        # that is not an object where one is required
+    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+        # an unreadable file, invalid JSON or UTF-8, an integer beyond the
+        # interpreter's digit limit, nesting beyond its recursion limit, a
+        # missing key, an unknown op, or a value that is not an object
+        # where one is required
         raise InstanceError(f"malformed fixture {path}: {exc!r}") from None
     name = doc.get("name", path.stem)
     inst = parse_instance_dict(instance)

@@ -88,7 +88,7 @@ class HomogeneousForm:
 
     def evaluate(self, coords):
         if len(coords) != self.nvars:
-            raise HadaError("wrong number of coordinates")
+            raise DimensionMismatch("wrong number of coordinates")
         total = 0
         for expo, c in self.coeffs.items():
             total += c * evaluate_monomial(expo, coords)
@@ -123,10 +123,3 @@ class HomogeneousForm:
             else:
                 parts.append(f"{c}*{mono}")
         return " ".join(parts)
-
-
-def membership(p: ProjPoint, f: HomogeneousForm) -> bool:
-    """Exact test that a form vanishes at a point."""
-    if p.ambient_dim + 1 != f.nvars:
-        raise DimensionMismatch("point and form dimensions differ")
-    return f.vanishes_at(p)

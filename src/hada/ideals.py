@@ -239,21 +239,24 @@ P^2 grids of the ci-verdicts benchmark, made as products, it meets none:
 it adds exactly |X| columns, where the descending order added about
 half as many again.
 
-Single-degree questions (``hilbert_function``, ``ideal_dimension``,
-``degree_bounded_ideal``) eliminate E_t of the given points directly,
-with one exception: ``degree_bounded_ideal`` in a degree t whose kernel
-of E_t the ladder took reads that kernel, when c = 0 and the set spans
-its P^n.  Then the l-coordinates are the set's own coordinates, E_t is
-the set's evaluation matrix, and each stored kernel is, bit for bit,
-the one a direct elimination gives: a kernel the loop took on HF(t)
-rows passed the row check, so it is the kernel of E_t.  A product of
-P^3 with the quadric Q of its covers and HF(2) = 9 whose ladder did not
-eliminate E_2 (every closed ladder) stores Q as its kernel of E_2: then
-I_2 is spanned by Q, and Q primitive with its last nonzero entry
-positive is the one vector of the canonical kernel basis of E_2.  So
-the quadric of a skew grid of at least 3 x 3 points, given as a product
-or alone with at least 4 x 4 points, costs no elimination after a
-profile question, and neither does any degree a ladder eliminated.
+Single-degree questions have one route each.  HF(t)
+(``hilbert_function``) is read off the ladder, which holds it in every
+degree; dim I_t is C(t + n, n) - HF(t), the ``ideal_dim`` of the
+generator profile's entry t.  ``degree_bounded_ideal`` eliminates E_t
+of the given points directly, with one exception: in a degree t whose
+kernel of E_t the ladder took it reads that kernel, when c = 0 and the
+set spans its P^n.  Then the l-coordinates are the set's own
+coordinates, E_t is the set's evaluation matrix, and each stored kernel
+is, bit for bit, the one a direct elimination gives: a kernel the loop
+took on HF(t) rows passed the row check, so it is the kernel of E_t.  A
+product of P^3 with the quadric Q of its covers and HF(2) = 9 whose
+ladder did not eliminate E_2 (every closed ladder) stores Q as its
+kernel of E_2: then I_2 is spanned by Q, and Q primitive with its last
+nonzero entry positive is the one vector of the canonical kernel basis
+of E_2.  So the quadric of a skew grid of at least 3 x 3 points, given
+as a product or alone with at least 4 x 4 points, costs no elimination
+after a profile question, and neither does any degree a ladder
+eliminated.
 """
 
 from __future__ import annotations
@@ -306,11 +309,12 @@ def evaluation_rows(points: PointSet, degree: int):
 
 
 def hilbert_function(points: PointSet, t: int) -> int:
-    """Rank of the degree-t evaluation matrix."""
+    """HF(t), the rank of the degree-t evaluation matrix, read off the
+    set's degree ladder (built on the first profile question and then
+    stored), so a set whose ladder is built eliminates nothing."""
     if t < 0:
         raise HadaError("degree must be nonnegative")
-    n = points.ambient_dim
-    return linalg.rank_of(evaluation_rows(points, t), comb(t + n, n))
+    return _ladder(points).value(t)
 
 
 @dataclass(frozen=True)
@@ -929,12 +933,6 @@ def hf_product_check(
     )
 
 
-def ideal_dimension(points: PointSet, t: int) -> int:
-    """Dimension of the degree-t part of the vanishing ideal."""
-    n = points.ambient_dim
-    return comb(t + n, n) - hilbert_function(points, t)
-
-
 def degree_bounded_ideal(points: PointSet, t: int):
     """Canonical basis of the degree-t forms vanishing on the set.
 
@@ -962,7 +960,7 @@ class GeneratorDegree:
 @dataclass(frozen=True)
 class GeneratorProfile:
     """Minimal generator counts of the vanishing ideal, degree by
-    degree, through ``max_degree``."""
+    degree, through ``max_degree`` = tau + 1."""
 
     entries: tuple[GeneratorDegree, ...]
     max_degree: int
@@ -984,29 +982,25 @@ class GeneratorProfile:
         return 0
 
 
-def generator_profile(points: PointSet, max_degree: Optional[int] = None):
-    """Count minimal generators per degree.
+def generator_profile(points: PointSet) -> GeneratorProfile:
+    """Count minimal generators per degree, through tau + 1.
 
     The count is taken in the Artinian reduction S = R/(l) of the
     module docstring when the degree ladder is built, and stored with
-    it, so a later question of the same set, bounded or not, eliminates
-    nothing.
+    it, so a later question of the same set eliminates nothing.
     Because l is a nonzerodivisor on R/I, these are the minimal
     generator counts of I itself (Eisenbud, *The Geometry of
     Syzygies*, 2005, ch. 4).  Ideals of finite point sets are generated
-    in degrees up to tau + 1, the default bound; above it the count is
-    zero.
+    in degrees up to tau + 1; above it the count is zero.
     """
     n = points.ambient_dim
     ladder = _ladder(points)
-    if max_degree is None:
-        max_degree = ladder.tau + 1
-    counts = ladder.generators
+    max_degree = ladder.tau + 1
     entries = tuple(
         GeneratorDegree(
             degree=t,
             ideal_dim=comb(t + n, n) - ladder.value(t),
-            new_generators=counts[t] if t < len(counts) else 0,
+            new_generators=ladder.generators[t],
         )
         for t in range(max_degree + 1)
     )

@@ -176,7 +176,9 @@ def parse_instance(path) -> Instance:
             data = json.load(fh)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # invalid JSON or UTF-8, an integer beyond the interpreter's digit
+        # limit, or nesting beyond its recursion limit
         raise InstanceError(f"{path} is not valid JSON: {exc}") from None
     return parse_instance_dict(data)
 

@@ -118,26 +118,6 @@ def line_through(p: ProjPoint, q: ProjPoint) -> Hyperplane:
     return Hyperplane(dual)
 
 
-def line_delta1_points(line: Hyperplane) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
-    """The three points of the line with one zero coordinate.
-
-    Only defined for lines whose dual has full support (no coordinate
-    point on the line); then there is exactly one such point per
-    coordinate line.
-    """
-    a = line.dual
-    if a.delta_level < 2:
-        raise StratumError("line contains a coordinate point")
-    pts = []
-    for i in range(3):
-        j, k = (t for t in range(3) if t != i)
-        coords = [0, 0, 0]
-        coords[j] = a.coords[k]
-        coords[k] = -a.coords[j]
-        pts.append(ProjPoint(coords))
-    return tuple(pts)
-
-
 @dataclass(frozen=True)
 class IncidenceReport:
     """Joint classification of Q*L and Q'*L for distinct points Q, Q'.
@@ -322,18 +302,6 @@ def _grid_collision(xs, xs2, line, line2):
             if pa == p2a:
                 return p, p2
     return None
-
-
-def grid_condition(
-    xs: PointSet, xs2: PointSet, line: Hyperplane, line2: Hyperplane
-) -> bool:
-    """True when no cross pair satisfies P*A = P'*A'.
-
-    This is exactly the condition under which the product of the two
-    collinear sets is a full grid of |X| |X'| points.
-    """
-    _check_grid_pre(xs, xs2, line, line2)
-    return _grid_collision(xs, xs2, line, line2) is None
 
 
 @dataclass(frozen=True)

@@ -118,11 +118,6 @@ class ProjPoint:
         return "[" + ":".join(str(x) for x in self.coords) + "]"
 
 
-def delta_level(p: ProjPoint) -> int:
-    """Number of nonzero coordinates minus one."""
-    return p.delta_level
-
-
 def hadamard_points(p: ProjPoint, q: ProjPoint):
     """Coordinatewise product; UNDEFINED when every coordinate vanishes."""
     if p.ambient_dim != q.ambient_dim:
@@ -191,10 +186,6 @@ class LinearSubspace:
     outcome of a product of two distinct coordinate hyperplanes."""
 
     planes: tuple[Hyperplane, ...]
-
-    @property
-    def codim(self) -> int:
-        return len(self.planes)
 
 
 def point_hyperplane_coefficients(point, coefficients) -> list[int]:

@@ -347,9 +347,6 @@ class Quadric3:
     def is_nondegenerate(self) -> bool:
         return self.determinant() != 0
 
-    def contains_point(self, p: ProjPoint) -> bool:
-        return self.form.vanishes_at(p)
-
     def contains_line(self, line: Line3) -> bool:
         # a degree-2 form vanishing at three points of a line vanishes
         # on the whole line; the two vectors are independent, so their

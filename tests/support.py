@@ -18,6 +18,7 @@ from hada.projective import (
     hadamard_points,
 )
 from hada import _elim, ideals, linalg, sampling
+from hada.errors import StratumError
 from hada.forms import evaluate_monomial, monomials
 from hada.plane import line_through
 
@@ -315,6 +316,26 @@ def line_samples(line: Hyperplane, count: int = 12):
             seen.add(p.coords)
             out.append(p)
     return out
+
+
+def line_delta1_points(line: Hyperplane) -> tuple[ProjPoint, ProjPoint, ProjPoint]:
+    """The three points of the line with one zero coordinate.
+
+    Only defined for lines whose dual has full support (no coordinate
+    point on the line); then there is exactly one such point per
+    coordinate line.
+    """
+    a = line.dual
+    if a.delta_level < 2:
+        raise StratumError("line contains a coordinate point")
+    pts = []
+    for i in range(3):
+        j, k = (t for t in range(3) if t != i)
+        coords = [0, 0, 0]
+        coords[j] = a.coords[k]
+        coords[k] = -a.coords[j]
+        pts.append(ProjPoint(coords))
+    return tuple(pts)
 
 
 def check_point_line_outcome(q: ProjPoint, line: Hyperplane, outcome) -> None:

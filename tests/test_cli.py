@@ -380,6 +380,31 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert rc == 2
 
 
+# files json.load cannot read: an integer beyond the interpreter's digit
+# limit (ValueError), nesting beyond its recursion limit (RecursionError)
+# and a byte that is not UTF-8 (UnicodeDecodeError)
+UNREADABLE_FILES = {
+    "long-integer": b'{"space": 2, "points": {"X": [[' + b"7" * 5000 + b", 1, 1]]}}",
+    "deep-nesting": b"[" * 100_000,
+    "not-utf8": b'{"space": 2, "points": {"X": [[1, 1, 1]]}}\xff',
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_FILES)
+@pytest.mark.parametrize("command", ["hilbert", "ci", "verify"])
+def test_unreadable_file_is_input_error(capsys, tmp_path, command, kind):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNREADABLE_FILES[kind])
+    if command == "verify":
+        rc = main(["verify", "--fixtures", str(tmp_path)])
+    else:
+        rc = main([command, "-i", str(path), "--set", "X"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:") and str(path) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("section", ["lines", "points"])
 @pytest.mark.parametrize(
     "value",
@@ -466,7 +491,7 @@ def test_verify_bundled_fixtures(capsys):
     rc = main(["verify"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
     assert "FAIL" not in out
 
 
@@ -482,7 +507,7 @@ def test_verify_tampered_fixture_fails_exactly_once(tmp_path, capsys):
     rc = main(["verify", "--fixtures", str(target)])
     out = capsys.readouterr().out
     assert rc == 1
-    assert out.count("FAIL") >= 1 and out.count("PASS") == 7
+    assert out.count("FAIL") >= 1 and out.count("PASS") == 8
 
 
 @pytest.mark.parametrize(
@@ -575,6 +600,51 @@ def test_verify_check_raising_a_hada_error_fails_that_check(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+COLLINEAR_FIXTURE = fixtures_dir() / "p2-collinear-through-coordinate-point.json"
+
+
+def test_verify_replays_the_collinear_half(tmp_path, capsys):
+    # X = {[a:2:1]} and X' = {[b:2:1]} on {x1 - 2 x2 = 0}, which passes
+    # through [1:0:0]: every product is [ab:4:1], nine points on
+    # {x1 - 4 x2 = 0}
+    shutil.copy(COLLINEAR_FIXTURE, tmp_path)
+    rc = main(["verify", "--fixtures", str(tmp_path), "--json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert rc == 0
+    assert results == {"fixtures": 1, "checks": 3, "failures": [], "ok": True}
+    doc = json.loads(COLLINEAR_FIXTURE.read_text())
+    assert doc["checks"][0] == {
+        "op": "collinear",
+        "args": {"x": "X", "x2": "Xp", "line": "L"},
+        "expect": {"collinear": True, "containing_line": [0, 1, -4]},
+    }
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        ({"x": "X", "x2": "Xp"}, 2, "lacks argument 'line'"),
+        ({"x": "X", "x2": ["Xp"], "line": "L"}, 2, "name must be a string"),
+        ({"x": "X", "x2": "Off", "line": "L"}, 1, "error: point [1:1:1] is not on the line"),
+    ],
+    ids=["missing-arg", "non-string-name", "set-off-the-line"],
+)
+def test_verify_malformed_collinear_check(tmp_path, capsys, args, code, message):
+    doc = json.loads(COLLINEAR_FIXTURE.read_text())
+    doc["instance"]["points"]["Off"] = [[1, 1, 1]]
+    doc["checks"][0]["args"] = args
+    (tmp_path / "collinear.json").write_text(json.dumps(doc))
+    rc = main(["verify", "--fixtures", str(tmp_path), "--json"])
+    captured = capsys.readouterr()
+    assert rc == code and "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err.startswith("input error: malformed fixture")
+        assert message in captured.err
+    else:
+        failures = json.loads(captured.out)["results"]["failures"]
+        assert failures == [{"fixture": doc["name"], "op": "collinear", "detail": message}]
+
+
 def test_verify_replays_subspace_and_quadric_kinds(tmp_path, capsys):
     instance = {**P3_DOC, "lines": {**P3_DOC["lines"], "A": [1, 0, 0, 0], "B": [0, 1, 0, 0]}}
     checks = [
@@ -613,14 +683,6 @@ def test_verify_file_is_not_a_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{path} is not a directory" in err and "Traceback" not in err
-
-
-def test_env_var_overrides_fixture_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HADA_FIXTURES", str(tmp_path))
-    rc = main(["verify"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert str(tmp_path) in err and "Traceback" not in err
 
 
 def test_text_report_renders(capsys, grid_file):
@@ -842,7 +904,7 @@ QUADRIC_VECTOR = [36, -246, 338, 354, 180, -354, -1690, 126, 861, 630]
         (
             ["verify"],
             0,
-            {"fixtures": 8, "checks": 27, "failures": [], "ok": True},
+            {"fixtures": 9, "checks": 30, "failures": [], "ok": True},
         ),
         (
             ["random", "--space", "3", "--n", "2", "--m", "2", "--seed", "3"],
@@ -899,8 +961,8 @@ def test_verify_json_report_lists_each_failure(tmp_path, capsys):
         "command": "verify",
         "backend": "python",
         "results": {
-            "fixtures": 8,
-            "checks": 27,
+            "fixtures": 9,
+            "checks": 30,
             "failures": [
                 {
                     "fixture": "plane-pair-binomial",

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from hada.errors import DimensionMismatch, HadaError
-from hada.forms import HomogeneousForm, membership
+from hada.forms import HomogeneousForm
 from hada.projective import ProjPoint
 
 
@@ -70,6 +70,6 @@ class TestArithmetic:
 
 def test_membership_checks_dimensions():
     f = HomogeneousForm(3, {(1, 0, 0): 1, (0, 1, 0): -1})
-    assert membership(ProjPoint([1, 1, 5]), f)
-    with pytest.raises(DimensionMismatch, match="point and form dimensions differ"):
-        membership(ProjPoint([1, 1, 1, 1]), f)
+    assert f.vanishes_at(ProjPoint([1, 1, 5]))
+    with pytest.raises(DimensionMismatch, match="wrong number of coordinates"):
+        f.vanishes_at(ProjPoint([1, 1, 1, 1]))

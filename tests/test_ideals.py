@@ -28,7 +28,6 @@ from hada.ideals import (
     hf_product_check,
     hilbert_function,
     hilbert_profile,
-    ideal_dimension,
 )
 from hada.instances import parse_instance_dict
 from hada.plane import generic_collinear_sample, grid_product_p2
@@ -36,6 +35,7 @@ from hada.projective import Hyperplane, PointSet, ProjPoint, pairwise_products
 from hada.space import Line3, generic_skew_sample, quadric_through
 from support import (
     exact_span_counts,
+    frac_hilbert_value,
     frac_hilbert_values,
     frac_rank,
     frac_rref,
@@ -261,23 +261,29 @@ class TestHFProduct:
 
 
 class TestIdealDimension:
+    # dim I_t is the generator profile's ideal_dim in degree t and the
+    # number of forms degree_bounded_ideal returns
     def test_unique_quadric_through_grid3(self):
-        assert ideal_dimension(GRID3, 2) == 1
+        assert generator_profile(GRID3).entries[2].ideal_dim == 1
+        assert len(degree_bounded_ideal(GRID3, 2)) == 1
 
     def test_constants_never_vanish(self):
-        assert ideal_dimension(GRID3, 0) == 0
+        assert generator_profile(GRID3).entries[0].ideal_dim == 0
+        assert degree_bounded_ideal(GRID3, 0) == []
 
     def test_two_by_two_grid_has_six_quadrics(self):
         _, _, xs, xs2 = generic_skew_sample(2, 2, 37)
         products, _ = pairwise_products(xs, xs2)
-        assert ideal_dimension(products, 2) == 6
+        assert generator_profile(products).entries[2].ideal_dim == 6
+        assert len(degree_bounded_ideal(products, 2)) == 6
 
     def test_complements_hilbert_function(self):
+        n = GRID3.ambient_dim
+        entries = generator_profile(GRID3).entries
         for t in range(4):
-            n = GRID3.ambient_dim
-            assert ideal_dimension(GRID3, t) == comb(t + n, n) - hilbert_function(
-                GRID3, t
-            )
+            expected = comb(t + n, n) - frac_hilbert_value(GRID3, t)
+            assert entries[t].ideal_dim == expected
+            assert len(degree_bounded_ideal(GRID3, t)) == expected
 
 
 class TestDegreeBoundedIdeal:
@@ -301,7 +307,7 @@ class TestDegreeBoundedIdeal:
             nvars = 4
             count = len(monomials(nvars, t))
             forms = degree_bounded_ideal(GRID3, t)
-            assert len(forms) == count - hilbert_function(GRID3, t)
+            assert len(forms) == count - frac_hilbert_value(GRID3, t)
 
     def test_negative_degree_is_refused(self):
         with pytest.raises(HadaError, match="degree must be nonnegative"):
@@ -333,10 +339,12 @@ class TestGeneratorProfile:
         assert prof.new_in_degree(1) == 2 and prof.total == 2
 
     def test_no_generator_beyond_the_bound(self):
-        prof = generator_profile(GRID3, max_degree=2)
-        assert [e.degree for e in prof.entries] == [0, 1, 2]
+        # the profile runs through tau + 1 = 3; above it no degree is new
+        prof = generator_profile(GRID3)
+        assert prof.max_degree == 3
+        assert [e.degree for e in prof.entries] == [0, 1, 2, 3]
         assert prof.new_in_degree(2) == 1
-        assert prof.new_in_degree(3) == 0 and prof.new_in_degree(9) == 0
+        assert prof.new_in_degree(4) == 0 and prof.new_in_degree(9) == 0
 
     def test_new_generators_nonnegative_and_dims_consistent(self):
         for points in (GRID2, GRID3):
@@ -344,7 +352,7 @@ class TestGeneratorProfile:
             n = points.ambient_dim
             for e in prof.entries:
                 assert e.new_generators >= 0
-                assert e.ideal_dim == comb(e.degree + n, n) - hilbert_function(
+                assert e.ideal_dim == comb(e.degree + n, n) - frac_hilbert_value(
                     points, e.degree
                 )
 
@@ -437,9 +445,6 @@ def test_ladder_matches_full_ring_oracle():
         # the unbounded calls below then read
         points = PointSet(points.points)
         d = max(tau + 1 + extra - 2, 0)
-        assert generator_entries(generator_profile(points, d)) == (
-            span_rank_generators(points, d)
-        )
         assert (ci_verdict(points, d).kind == "Unknown") == (d < tau + 1)
 
         assert hilbert_profile(points) == profile
@@ -638,7 +643,7 @@ def test_one_ladder_serves_every_profile_question(monkeypatch):
 
 def test_second_generator_question_eliminates_nothing(monkeypatch):
     # the counts through tau + 1 are stored with the ladder by the first
-    # question; a CI verdict and bounded profiles then only read them
+    # question; a CI verdict, bounded or not, then only reads them
     _, _, xs, xs2 = generic_skew_sample(4, 4, 4747)
     points = pairwise_products(xs, xs2)[0]
     gens = generator_profile(points)
@@ -646,10 +651,22 @@ def test_second_generator_question_eliminates_nothing(monkeypatch):
     assert ci_verdict(points).witness_degrees == gens.witness_degrees()
     assert generator_profile(points) == gens
     for d in range(gens.max_degree + 3):
-        bounded = generator_profile(points, d)
-        assert bounded.entries[: gens.max_degree + 1] == gens.entries[: d + 1]
-        assert all(e.new_generators == 0 for e in bounded.entries[gens.max_degree + 1 :])
+        verdict = ci_verdict(points, max_degree=d)
+        assert verdict.kind == ("NotCI" if d >= gens.max_degree else "Unknown")
     assert calls == []
+
+
+def test_hilbert_function_reads_the_built_ladder(monkeypatch):
+    # HF(t) has one route, the ladder: once a profile question built it,
+    # every degree, beyond tau + 1 too, is read with no elimination
+    for points in (PointSet(GRID2.points), PointSet(GRID3.points)):
+        values = frac_hilbert_values(points)
+        hilbert_profile(points)
+        with monkeypatch.context() as patch:
+            calls = spy_linalg(patch)
+            got = [hilbert_function(points, t) for t in range(len(values) + 2)]
+        assert calls == []
+        assert got == values + [len(points)] * 2
 
 
 def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
@@ -846,7 +863,7 @@ def oracle_counts():
 
 def test_generator_counts_equal_exact_span_counts():
     # on squeezed and exact ladders alike.  Modulo 2**61 - 1 every pass of
-    # the 179 sets decides and its bound meets it, so none takes the
+    # the 182 sets decides and its bound meets it, so none takes the
     # fallback.  The collinear sets and the 3 x 3 skew grids meet the
     # ceiling; the larger square skew grids, planar-25 and the P^2 grids
     # take the multiples of their exact forms.  A count is eliminated
@@ -1512,16 +1529,17 @@ def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
     # the cover forms of a product set close the bound alone or are not
     # used, and change no answer: on every product set of the oracle
     # families the ladder (HF, tau and the counts) equals that of the same
-    # points with no factors, and the oracle's counts.  All 19 have covers
-    # up to tau at every prime (the products that span P^3 have their
-    # per-point covers and quadric: a failed span certificate leaves them
-    # no linear form, so they still span P^3).  Modulo 2**61 - 1 all 19
+    # points with no factors, and the oracle's counts.  All 20 but the
+    # collinear product of the collinear fixture have covers up to tau at
+    # every prime (the products that span P^3 have their per-point covers
+    # and quadric: a failed span certificate leaves them no linear form,
+    # so they still span P^3).  Modulo 2**61 - 1 those 19 all
     # close; a small prime closes fewer (none mod 2, 4 mod 3 and 6 mod 7)
     # and the rest take the pass or the fallback, which fill J_t from
     # exact kernels alone, so none of them is left without a kernel
     monkeypatch.setattr(_elim, "_PRIME", prime)
     products = [(p, counts) for p, counts in oracle_counts() if p._factors is not None]
-    assert len(products) == 19
+    assert len(products) == 20
     covered = Counter()
     for points, counts in products:
         product, bare = fresh_product(points), PointSet(points.points)
@@ -1546,8 +1564,10 @@ def test_cover_forms_reach_the_closure_alone(monkeypatch, prime):
     # the forms ``_covers`` builds are tried by ``_close`` and by nothing
     # else: none of them joins a ``ModBasis`` or a multiple outside the
     # closure, and the squeeze, its fallback and the counts never see
-    # them.  Modulo 2**61 - 1 every oracle product closes; modulo 2 none
-    # does, and each takes the exact path with kernels of its own
+    # them.  Modulo 2**61 - 1 every oracle product with covers closes;
+    # modulo 2 none does, and each takes the exact path with kernels of its
+    # own.  The one product with none is collinear: each a * H contains
+    # its span, the line of the products, so every cover is left out
     monkeypatch.setattr(_elim, "_PRIME", prime)
     covers_of, close, multiples = ideals._covers, ideals._close, ideals._multiples
     add = _elim.ModBasis.add
@@ -1585,13 +1605,18 @@ def test_cover_forms_reach_the_closure_alone(monkeypatch, prime):
     monkeypatch.setattr(ideals, "_multiples", spy_multiples)
     monkeypatch.setattr(_elim.ModBasis, "add", spy_add)
     products = [p for p, _ in oracle_counts() if p._factors is not None]
-    assert len(products) == 19
+    assert len(products) == 20
+    uncovered = 0
     for points in products:
         product = fresh_product(points)
         built = build_ladder(product)
-        assert built.path == ("closed" if prime > 2 else "exact") and built.covers
+        if not built.covers:
+            assert product._ladder.dim == 1
+            uncovered += 1
+            continue
+        assert built.path == ("closed" if prime > 2 else "exact")
         assert ladder_answers(product) == ladder_answers(PointSet(points.points))
-    assert forms and strays == []
+    assert forms and strays == [] and uncovered == 1
     assert closures == [prime > 2] * 19
 
 

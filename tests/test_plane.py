@@ -17,9 +17,7 @@ from hada.plane import (
     case_hypotheses,
     collinear_set_line_product,
     generic_collinear_sample,
-    grid_condition,
     grid_product_p2,
-    line_delta1_points,
     line_through,
     point_line_product_p2,
     product_collinearity_check,
@@ -36,6 +34,7 @@ from hada.projective import (
 from support import (
     brute_products,
     check_point_line_outcome,
+    line_delta1_points,
     line_samples,
     plane_grid_meet,
     random_fuzz_line,
@@ -293,14 +292,13 @@ GRID_XP = PointSet.from_coords(
 
 class TestGridCondition:
     def test_paper_style_instance_passes(self):
-        assert grid_condition(GRID_X, GRID_XP, GRID_L, GRID_LP)
+        assert len(grid_product_p2(GRID_X, GRID_XP, GRID_L, GRID_LP).points) == 12
 
     def test_disjoint_subsets_of_one_line(self):
         # disjoint stratum-free subsets of a single line always grid
         line = Hyperplane([1, 1, -2])
         xs = PointSet.from_coords([[1, 1, 1], [3, 1, 2]])
         ys = PointSet.from_coords([[5, 1, 3], [7, 1, 4], [9, 1, 5]])
-        assert grid_condition(xs, ys, line, line)
         g = grid_product_p2(xs, ys, line, line)
         assert len(g.points) == 6
 
@@ -316,22 +314,22 @@ class TestGridCondition:
             [Fraction(p.coords[i] * a.coords[i], a2.coords[i]) for i in range(3)]
         )
         assert line2.contains(p2)
-        assert not grid_condition(
-            PointSet([p]), PointSet([p2]), line, line2
-        )
+        with pytest.raises(GridConditionError) as exc:
+            grid_product_p2(PointSet([p]), PointSet([p2]), line, line2)
+        assert exc.value.witness == (p, p2)
 
     def test_precondition_reports_offender(self):
         bad = PointSet.from_coords([[6, 12, 1], [0, 30, 1]])
         with pytest.raises(StratumError, match=r"\[0:30:1\]"):
-            grid_condition(bad, GRID_XP, GRID_L, GRID_LP)
+            grid_product_p2(bad, GRID_XP, GRID_L, GRID_LP)
         off = PointSet.from_coords([[1, 1, 1]])
         with pytest.raises(MembershipError, match=r"\[1:1:1\]"):
-            grid_condition(off, GRID_XP, GRID_L, GRID_LP)
+            grid_product_p2(off, GRID_XP, GRID_L, GRID_LP)
         # [1:1:1] lies on both lines
         shared = PointSet.from_coords([[1, 1, 1]])
         line, line2 = Hyperplane([1, 1, -2]), Hyperplane([1, -3, 2])
         with pytest.raises(HadaError, match=r"point \[1:1:1\] belongs to both sets"):
-            grid_condition(shared, shared, line, line2)
+            grid_product_p2(shared, shared, line, line2)
 
 
 class TestGridProduct:
@@ -409,11 +407,11 @@ class TestGenericSample:
         line, line2 = Hyperplane([2, 3, 5]), Hyperplane([7, -1, 2])
         xs, ys = generic_collinear_sample(line, line2, 1, 1, 3)
         assert len(xs) == len(ys) == 1
-        assert grid_condition(xs, ys, line, line2)
+        assert len(grid_product_p2(xs, ys, line, line2).points) == 1
 
     def test_three_by_four_on_grid_lines(self):
         xs, ys = generic_collinear_sample(GRID_L, GRID_LP, 3, 4, 5)
-        assert grid_condition(xs, ys, GRID_L, GRID_LP)
+        assert len(grid_product_p2(xs, ys, GRID_L, GRID_LP).points) == 12
 
     def test_bad_line_rejected(self):
         with pytest.raises(StratumError):
