@@ -82,24 +82,32 @@ The degree ladder there adds evaluation columns to a ``ModBasis`` to
 find HF mod p, a lower bound, and the multiples of its exact forms to
 others, to bound HF from above and to count generators by the same
 inequality, exact when a rank reaches the rows or the columns; no
-answer rests on the prime alone.  ``ModBasis.solve`` writes a vector
-of its span as a combination of the vectors it kept, which gives the
-kernel mod p of the columns the ladder's pass rejected or never added,
-in the ladder's column order.  ``ModBasis.pivots`` lists the entry at
-which each kept vector has its pivot; for the ladder's columns these are
-points, and ``hada.ideals`` shows that the rows of E_t at the pivots of
-its first HF(t) kept columns are independent.
+answer rests on the prime alone.  ``ModBasis.solve`` gives the
+relation of a vector of its span to the vectors it kept, which gives
+the kernel mod p of the columns the ladder's pass rejected or never
+added, in the ladder's column order.  ``ModBasis.pivots`` lists the
+entry at which each kept vector has its pivot; for the ladder's columns
+these are points, and ``hada.ideals`` shows that the rows of E_t at the
+pivots of its first HF(t) kept columns are independent.  When the prime
+cannot decide, the ladder runs the same pass on an ``ExactBasis``, with
+the same ``add``, ``pivots``, ``solve`` and ``len`` over Q: fraction-free
+in integers, with ``echelon``'s growth rule, each kept vector carrying
+the coefficients that make it a combination of the vectors given, so
+that ``solve`` returns an exact relation.  Its ``scale`` multiplies the
+rows by a diagonal matrix, as the ladder's columns over Z need when the
+degree grows.
 
 ``det`` is Bareiss elimination on a square matrix.  ``hada.linalg`` is
 the frontend for ranks, kernels, RREFs and determinants, which
 ``plane``, ``space``, ``sampling`` and ``ideals`` call.  ``hada.ideals``
-also calls ``echelon``, ``ModBasis``, ``_primitive`` and the span
-certificate ``_full_rank_mod_prime`` here directly, for its degree
-ladder.
+also calls ``nullspace``, ``ModBasis``, ``ExactBasis``, ``_primitive``
+and the span certificate ``_full_rank_mod_prime`` here directly, for
+its degree ladder.
 """
 
 from bisect import bisect_left
 from math import gcd
+from operator import mul
 
 # the modulus of the rank certificate in ``rank``, a Mersenne prime
 _PRIME = (1 << 61) - 1
@@ -290,16 +298,15 @@ class ModBasis:
         return True
 
     def solve(self, vector):
-        """Coefficients a_i, one per kept vector w_i in the order kept,
-        with vector = sum of a_i * w_i mod p; the vector must lie in the
-        span.
+        """The relation of a vector of the span to the kept vectors w_i:
+        one entry r_i per w_i in the order kept, then 1 for the vector,
+        with sum of r_i * w_i + vector = 0 mod p.
 
-        It reduces to sum of c_i * row_i, and row i was kept as
+        The vector reduces to sum of c_i * row_i, and row i was kept as
         inv_i * (w_i - sum over h < i of m_ih * row_h), with m_ih the
-        multipliers of its own reduction.  So the last row's coefficient
-        gives a_i = c_i * inv_i, and a_i * m_ih moves onto each earlier
-        row.  Its kernel vector, with -a_i at w_i and 1 at the vector, is
-        the one relation among the kept vectors and it.
+        multipliers of its own reduction.  So the vector is sum of
+        a_i * w_i: the last row's coefficient gives a_i = c_i * inv_i, and
+        a_i * m_ih moves onto each earlier row; r_i = -a_i.
         """
         coeffs = self._reduce(vector)[1]
         p = self._layout[0]
@@ -308,7 +315,85 @@ class ModBasis:
             a = coeffs[i] = coeffs[i] * inv % p
             if a:
                 coeffs[:i] = [(x - a * m) % p for x, m in zip(coeffs, multipliers)]
-        return coeffs
+        return [-a % p for a in coeffs] + [1]
+
+
+class ExactBasis:
+    """Echelon basis over Q of a growing set of integer vectors, in
+    integers: ``ModBasis`` without the prime, with the same ``add``,
+    ``pivots``, ``solve`` and ``len``.
+
+    Each kept vector w_i of k entries is stored as one list: a row of k
+    entries, zero at the pivots of the rows kept before it, its pivot its
+    first nonzero entry, followed by integers c_i0 .. c_ii with row =
+    sum of c_ij * w_j.  A vector v, with the coefficient 1 at itself, is
+    reduced by the rows in order, fraction-free: where v has the entry b
+    at the pivot of a row whose pivot entry is a, v and its coefficients
+    become (a/g) times themselves minus (b/g) times the row's,
+    g = gcd(a, b).  One pass over row i's list updates v and its
+    coefficients at w_0 .. w_i; those at w_(i+1) and beyond are still 0,
+    so only the coefficient at v itself is multiplied apart.  As in
+    ``echelon``, v and its coefficients are divided by their content
+    once an update has doubled their largest bit size since the last
+    division, and a kept row and a relation are divided when made.
+    What is left of v is zero exactly when v lies in the span, and its
+    coefficients are then the relation ``solve`` returns.
+
+    ``scale`` multiplies the k entries of every stored row by
+    D = diag(``factors``): each row is then the same combination of its
+    vectors multiplied by D, and a vector given afterwards must be too.
+    """
+
+    __slots__ = ("pivots", "_rows")
+
+    def __init__(self):
+        self.pivots = []
+        self._rows = []
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _reduce(self, vector):
+        """The vector reduced by the rows, followed by its coefficients at
+        the kept vectors, and its coefficient at itself."""
+        v, own = list(vector) + [0] * len(self._rows), 1
+        due = 2 * _bits(v)
+        for j, row in zip(self.pivots, self._rows):
+            if v[j]:
+                g = gcd(row[j], v[j])
+                a, b = row[j] // g, v[j] // g
+                v[: len(row)] = [a * x - b * y for x, y in zip(v, row)]
+                own *= a
+                if _bits(v) > due:
+                    g = gcd(own, *v)
+                    v, own = [x // g for x in v], own // g
+                    due = 2 * _bits(v)
+        return v, own
+
+    def add(self, vector) -> bool:
+        """Keep the vector if it is independent of the basis; return
+        whether it was kept."""
+        v, own = self._reduce(vector)
+        j = next((j for j, x in zip(range(len(vector)), v) if x), None)
+        if j is None:
+            return False
+        self.pivots.append(j)
+        self._rows.append(_primitive(v + [own]))
+        return True
+
+    def solve(self, vector):
+        """The relation of a vector of the span to the kept vectors w_i:
+        one integer r_i per w_i in the order kept, then r > 0 for the
+        vector, primitive, with sum of r_i * w_i + r * vector = 0."""
+        v, own = self._reduce(vector)
+        relation = _primitive(v[len(vector) :] + [own])
+        return relation if own > 0 else [-x for x in relation]
+
+    def scale(self, factors):
+        """Multiply the leading entries of every stored row by
+        D = diag(``factors``)."""
+        k = len(factors)
+        self._rows = [list(map(mul, row, factors)) + row[k:] for row in self._rows]
 
 
 def _full_rank_mod_prime(rows, ncols):

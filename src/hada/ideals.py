@@ -54,14 +54,14 @@ dimension of the span):
   Beyond the regularity index tau, J_(tau+1) = S_(tau+1) and no
   generator is new in any higher degree.
 
-HF is first found modulo the prime p = ``_elim._PRIME``.  Scaling the
-row of p by 1/l(p)^d turns E_d into the affine monomials of degree at
-most d in y = (p1, ..., pn)/l(p), so E_t grows from E_(t-1) by
-appending columns, and a pass over GF(p) adds them one degree at a time
-to an ``_elim.ModBasis``.  The independent columns, taken in term
-order, are the standard monomials of the reduced points (Moeller &
-Buchberger, 1982) and form an order ideal, so a monomial with a
-dependent divisor is dependent and is skipped.  The pass stops at the
+HF is first found by the column pass (``_column_pass``) modulo the
+prime p = ``_elim._PRIME``.  Scaling the row of p by 1/l(p)^d turns E_d
+into the affine monomials of degree at most d in y = (p1, ..., pn)/l(p),
+so E_t grows from E_(t-1) by appending columns, and the pass adds them
+one degree at a time to an ``_elim.ModBasis``.  The independent columns,
+taken in term order, are the standard monomials of the reduced points
+(Moeller & Buchberger, 1982) and form an order ideal, so a monomial with
+a dependent divisor is dependent and is skipped.  The pass stops at the
 first degree d of rank |X| mod p.  Rank mod p of every column prefix is
 at most its rank over Q (the row scaling is invertible mod p), so the
 pass gives lower bounds L(t) <= HF(t), HF(d) = |X| and d >= tau.  It
@@ -148,15 +148,10 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   no kernel, as the ceiling |X| meets the pass there: HF(d) = |X|.  So
   when the loop ends, HF, tau = d and every J_t below tau are exact, and
   J_(t-1) is spanned by M_(t-1) and the forms of degree t - 1, which
-  makes S_1 * J_(t-1) the span of M_t.  The exact kernels are of E_t in
-  degrees t < d, smaller than E_d: planar-25 and the points of a P^2
-  grid given alone take one in the degree of each of their two forms
-  (one, when the two are of the same degree), the points of square skew
-  grids of at least 4 x 4 points given alone one of E_2 (their
-  quadric), and sets with a maximal Hilbert function (random points,
-  collinear sets, 3 x 3 skew grids) none.  A product whose covers close
-  takes no pass and no kernel at all; one whose covers do not close
-  takes the kernels its points alone take;
+  makes S_1 * J_(t-1) the span of M_t.  Planar-25 and the points of a
+  P^2 grid given alone take a kernel in the degree of each of their two
+  forms, square skew grids of at least 4 x 4 points given alone one of
+  E_2, and sets with a maximal Hilbert function none;
 * the rows.  Each such kernel is first taken on L(t) rows of E_t alone:
   those of the points at which the pass's first L(t) kept columns have
   their ``ModBasis`` pivots.  These rows are independent over Q.  The
@@ -169,10 +164,7 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
   each of its vectors, which is checked: then the rows span the row
   space of E_t, and the canonical kernel basis is the same, bit for
   bit.  When the check fails (L(t) < HF(t): the pass was wrong mod p),
-  the kernel of the whole E_t is taken instead.  The fallback, which
-  has no pass, always takes that one.  The kernel of E_2 of a skew
-  grid's points is so taken on 9 rows, not 16 or 25, and the kernel of
-  E_5 of a 5 x 5 P^2 grid's points on 19 of its 25;
+  the kernel of the whole E_t is taken instead;
 * the counts.  In a degree t <= tau the count is dim J_t minus the rank
   of M_t, which is 0 in every degree below tau where no form joined.  A
   rank mod p equal to the rows of M_t or to dim J_t is its rank over Q;
@@ -182,32 +174,30 @@ algorithms for computing Groebner bases*, J. Symbolic Comput. 35,
 * tau + 1.  After the closure, and when M_tau spans J_tau mod p,
   S_1 * J_tau is the span of M_(tau+1), settled the same way.
   Otherwise J_tau has forms the multiples miss, and J_tau mod p comes
-  from the pass: rank_p E_tau =
-  |X| = rank E_tau, so the kernel of E_tau mod p, which
-  ``ModBasis.solve`` gives for each column the pass did not keep, is
-  the reduction of the saturated lattice of integer kernel vectors
-  (its reduction is injective and the dimensions agree).  The shifts
-  of its block-tau part have a rank mod p at most the rank over Q, and
-  settle the count at full rows or columns; otherwise the exact kernel
-  of E_tau gives the rows of one ``linalg.rank_of``;
+  from the pass: rank_p E_tau = |X| = rank E_tau, so the kernel of
+  E_tau mod p, one relation (``_relations``) for each column the pass
+  did not keep, is the reduction of the saturated lattice of integer
+  kernel vectors (its reduction is injective and the dimensions
+  agree).  The shifts of its block-tau part have a rank mod p at most
+  the rank over Q, and settle the count at full rows or columns;
+  otherwise the exact kernel of E_tau gives the rows of one
+  ``linalg.rank_of``;
 * the Krull stop.  J is primary to the maximal ideal of S, a ring in n
   variables, so it needs at least n generators (Krull's height
   theorem).  Each count above is at most dim J_t minus the rank mod p,
   and once those bounds sum to n every one is exact, so no exact rank
   is taken.
 
-When the pass cannot decide, or the bound cannot meet it, HF is read
-off its definition: HF(t) is the rank of E_t in l-coordinates, one
-``linalg.rank_of`` in each degree t = 0, 1, ... until it reaches |X|
-(Abbott, Bigatti, Kreuzer & Robbiano, *Computing ideals of points*,
-J. Symbolic Comput. 30, 2000).  Modulo 2**61 - 1 only sets built to
-defeat the prime take it.  The counts then come from the same loop on
-those exact values, which reuses any kernel the failed squeeze took;
-where the kernel's vectors fall short of dim J_t mod p the prime
-failed, and all of them join the forms, whose span over Q is J_t
-either way; at tau + 1 the exact kernel of E_tau stands in for the one
-mod p.  Every answer is exact whichever way: the prime chooses the path
-and the matrices, not an answer.
+When the pass cannot decide, or the bound cannot meet it, the same pass
+runs over Z, on an ``_elim.ExactBasis`` (Abbott, Bigatti, Kreuzer &
+Robbiano, *Computing ideals of points*, J. Symbolic Comput. 30, 2000),
+and its values are HF.  Modulo 2**61 - 1 only sets built to defeat the
+prime take it.  The same loop then counts on those values, with each
+J_t from the pass's relations in place of a kernel of E_t; where they
+fall short of dim J_t mod p the prime failed, and all of them join the
+forms, whose span over Q is J_t either way.  Every answer is exact
+whichever way: the prime chooses the path and the matrices, not an
+answer.
 
 The ladder of a set, with its generator counts through tau + 1, is
 built on the first profile question asked of it and stored on the
@@ -221,7 +211,8 @@ The ladder needs no consistency checks.  HF rises strictly until it
 reaches |X|: its first differences are the h-vector of the Artinian
 reduction R/(I, l), a standard graded algebra, which has no internal
 zeros (once it is zero in degree t it is zero above, as it is generated
-in degree 1).  So tau <= |X| - 1, and the fallback's ranks reach |X|.
+in degree 1).  So tau <= |X| - 1, and over Z each degree of the pass
+adds a column until it holds |X|.
 The ladder still stores HF(tau + 1) from the same rank of the full
 E_(tau+1) in l-coordinates, which are the set's own coordinates in its
 span when c = 0 (certified modulo a prime when its entries are that
@@ -261,9 +252,10 @@ eliminated.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import count
 from math import comb
 from operator import mul
 from typing import Optional
@@ -423,40 +415,51 @@ def _multiples(forms, n: int, t: int):
     return rows
 
 
-def _modular_degree(lvalues, tails):
-    """Least t with rank E_t = |X| modulo ``_elim._PRIME``, with the
-    monomials of S kept in each block 0 .. t in the order kept, the
-    ``ModBasis`` of the kept columns and the columns of y, or None when
-    the prime cannot decide.
+_Pass = namedtuple("_Pass", "values standard basis ys scale")
+
+
+def _column_pass(lvalues, tails, basis):
+    """The ladder's one column pass over the field of ``basis``: the rank
+    there of E_t for t = 0 .. d, the least degree where it reaches |X|,
+    with the monomials of S kept in each block 0 .. d in the order kept,
+    the basis of the kept columns, the columns of y in that field and the
+    row scale (None mod p); or None when the prime cannot decide.
 
     Row p of E_t scaled by 1/l(p)^t holds the affine monomials of degree
     at most t in y = (p1, ..., pn)/l(p), so each degree appends columns.
-    A monomial with a dependent divisor y^a / y_i is dependent and is
-    skipped.  The kept monomials of block s are its pivot columns mod p,
-    and the rest of the block, the free columns mod p, is F^p_s.  None
-    means some l(p) vanishes mod p, or a degree added no column, after
-    which none ever does (two points agree mod p).
+    A ``ModBasis`` takes them mod p.  An ``_elim.ExactBasis`` takes E_t
+    itself, with no fraction: the column of y^e is then p^e, and the
+    basis multiplies its rows by D = diag(l(p)) each time the degree
+    grows, as the leading columns of E_t are D * E_(t-1).  A monomial
+    with a dependent divisor y^a / y_i is dependent and is skipped.  The
+    kept monomials of block s are its pivot columns, the rest its free
+    columns.  None means some l(p) vanishes mod p, or a degree added no
+    column mod p, after which none ever does (two points agree mod p);
+    over Q each degree adds one until |X|.
     """
-    p = _elim._PRIME
     card, n = len(lvalues), len(tails[0])
-    if any(lp % p == 0 for lp in lvalues):
-        return None
-    inverses = [pow(lp, -1, p) for lp in lvalues]
-    ys = [[x * inv % p for x, inv in zip(column, inverses)] for column in zip(*tails)]
-    basis = _elim.ModBasis()
+    ys, scale, p = [list(column) for column in zip(*tails)], lvalues, None
+    if isinstance(basis, _elim.ModBasis):
+        p = _elim._PRIME
+        if any(lp % p == 0 for lp in lvalues):
+            return None
+        inverses = [pow(lp, -1, p) for lp in lvalues]
+        ys = [[x * inv % p for x, inv in zip(column, inverses)] for column in ys]
+        scale = None
     basis.add([1] * card)
     kept = {(0,) * n: [1] * card}
-    standard = [list(kept)]
-    t = 0
+    standard, values = [list(kept)], [1]
     while len(basis) < card:
-        t += 1
+        if scale:
+            basis.scale(scale)
         added = {}
-        for e in monomials(n, t):
+        for e in monomials(n, len(values)):
             divisors = [(i, e[:i] + (a - 1,) + e[i + 1 :]) for i, a in enumerate(e) if a]
             if any(d not in kept for _, d in divisors):
                 continue
             i, d = divisors[0]
-            column = [x * y % p for x, y in zip(kept[d], ys[i])]
+            pairs = zip(kept[d], ys[i])
+            column = [x * y % p for x, y in pairs] if p else [x * y for x, y in pairs]
             if basis.add(column):
                 added[e] = column
                 if len(basis) == card:
@@ -465,7 +468,8 @@ def _modular_degree(lvalues, tails):
             return None
         kept = added
         standard.append(list(added))
-    return t, standard, basis, ys
+        values.append(len(basis))
+    return _Pass(values, standard, basis, ys, scale)
 
 
 def _free_column(form) -> int:
@@ -522,26 +526,27 @@ def _restricted(linear, forms):
     return [x for j, x in enumerate(w) if j not in free]
 
 
-def _squeeze_ladder(lcoords, n: int, values, found, kernels):
+def _squeeze_ladder(lcoords, n: int, found, kernels):
     """The new minimal generators of J in degrees 0 .. d + 1 of the set in
-    its span, for HF(0 .. d) = ``values``; or None when values claimed by
-    the pass ``found`` cannot be squeezed.
+    its span, for HF(0 .. d) the values of the column pass ``found``; or
+    None when values claimed by a pass mod p cannot be squeezed.
 
-    ``found`` is what ``_modular_degree`` returned, whose values are lower
-    bounds, or None when the values are exact (the ranks of the fallback
-    in ``_ladder``).  In each degree t < d, the forms found so far give
-    the multiples M_t: each form of degree s < t times each monomial of
-    S_(t-s).  Where their rank mod p is below dim J_t = |S_t| - HF(t) +
-    HF(t - 1), the exact kernel of E_t is taken (``_exact_forms``, which
-    keeps it in ``kernels``; with a pass, on the rows of its first HF(t)
-    pivots when the other rows agree), and the block-t parts of its
-    vectors that are independent of M_t mod p join the forms.  Where the
-    rank still falls short, the pass was wrong mod p and None is
-    returned; with exact values, the prime failed instead, and every
-    vector joins.  The module docstring shows why the values are then
-    exact; ``_counts`` settles the count in each degree, dim J_t minus
-    the rank of M_t (at d + 1 that of S_1 * J_d).
+    The values of a pass mod p are lower bounds; those of the pass over Z
+    (scale given) are exact.  In each degree t < d, the forms found so
+    far give the multiples M_t: each form of degree s < t times each
+    monomial of S_(t-s).  Where their rank mod p is below dim J_t =
+    |S_t| - HF(t) + HF(t - 1), a basis of J_t is taken: mod p the exact
+    kernel of E_t (``_exact_forms``, which keeps it in ``kernels``, on the
+    rows of the pass's first HF(t) pivots when the other rows agree),
+    over Z the pass's relations (``_relations``).  Its vectors that are
+    independent of M_t mod p join the forms.  Where the rank still falls
+    short, a pass mod p was wrong and None is returned; with exact
+    values, the prime failed instead, and every vector joins.  The module
+    docstring shows why the values are then exact; ``_counts`` settles
+    the count in each degree, dim J_t minus the rank of M_t (at d + 1
+    that of S_1 * J_d).
     """
+    values, exact = found.values, found.scale is not None
     d = len(values) - 1
     forms, spans = [], []
     for t in range(d + 1):
@@ -550,23 +555,21 @@ def _squeeze_ladder(lcoords, n: int, values, found, kernels):
         dim = len(_s_monomials(n, t)) - values[t] + (values[t - 1] if t else 0)
         spans.append((rows, len(span), dim))
         if t < d and len(span) < dim:
-            basis = _exact_forms(lcoords, n, t, kernels, found and found[2].pivots[: values[t]])
+            basis = (
+                _relations(t, found) if exact
+                else _exact_forms(lcoords, n, t, kernels, found.basis.pivots[: values[t]])
+            )
             new = [v for v in basis if span.add(v)]
             if len(span) < dim:
-                if found:
+                if not exact:
                     return None
                 new = basis
             forms.append((t, new))
     rank, dim = spans[-1][1:]
-    if rank == dim:
-        top = forms
-    elif found:
-        top = [(d, _kernel_mod_p(n, *found))]
-    else:
-        top = [(d, _exact_forms(lcoords, n, d, kernels))]
+    top = forms if rank == dim else [(d, _relations(d, found))]
     rows = _multiples(top, n, d + 1)
     spans.append((rows, len(_mod_span(rows)), len(_s_monomials(n, d + 1))))
-    if top is forms or not found:
+    if top is forms or exact:
         return _counts(spans, n)
     return _counts(
         spans, n, lambda: _multiples([(d, _exact_forms(lcoords, n, d, kernels))], n, d + 1)
@@ -768,20 +771,26 @@ def _covers(factors, span, n: int, card: int):
     return covers, quadric
 
 
-def _kernel_mod_p(n: int, d: int, standard, basis, ys):
-    """A basis of J_d modulo ``_elim._PRIME``, from the pass of degree d:
-    for each monomial f of block d that the pass did not keep, the block-d
-    part of the kernel vector of E_d mod p that is 1 at f and 0 at the
-    other free columns.  Its entries at the kept monomials of block d are
-    minus the coefficients of the last kept vectors in ``basis.solve``
-    of the column of f."""
-    kept = standard[d]
-    block = monomials(n, d)
+def _relations(t: int, found):
+    """A basis of J_t from the pass ``found``, over its field: for each
+    monomial f of block t that the pass did not keep, the block-t part of
+    the relation ``solve`` gives for the column of f, a kernel vector of
+    E_t that is zero at the other free columns, made primitive (mod p it
+    is 1 at f).  Its entries at the kept monomials of block t are the
+    relation's at the vectors the pass kept in block t.  Over Z the
+    column of f is multiplied by D^(d-t), the scale of the basis in the
+    pass's last degree d."""
+    kept = found.standard[t]
+    start = found.values[t] - len(kept)
+    block = monomials(len(found.ys), t)
+    factors = found.scale and [x ** (len(found.values) - 1 - t) for x in found.scale]
     vectors = []
-    for f, column in zip(block, _evaluation_columns(ys, d)):
+    for f, column in zip(block, _evaluation_columns(found.ys, t)):
         if f not in kept:
-            coeffs = dict(zip(kept, basis.solve(column)[len(basis) - len(kept) :]))
-            vectors.append([1 if e == f else -coeffs.get(e, 0) for e in block])
+            relation = found.basis.solve(list(map(mul, column, factors)) if factors else column)
+            coeffs = dict(zip(kept, relation[start:]))
+            entries = [relation[-1] if e == f else coeffs.get(e, 0) for e in block]
+            vectors.append(_elim._primitive(entries))
     return vectors
 
 
@@ -794,21 +803,20 @@ def _ladder(points: PointSet) -> _Ladder:
     c = 0, the covers of a product set (``_covers``) are built once, in
     that span, and tried alone: when they close the bound (``_close``),
     HF, tau and the counts follow with no pass and no kernel.  Otherwise
-    the covers are dropped, ``_modular_degree`` finds d and HF mod p, and
+    the covers are dropped, ``_column_pass`` finds d and HF mod p, and
     ``_squeeze_ladder`` squeezes HF between them and the multiples of
-    the forms of exact kernels, and counts the generators.  When
-    the pass cannot decide, or the squeeze fails, HF(t) is the rank of
-    E_t in l-coordinates (``rank``), for t = 0, 1, ... until it reaches
-    |X|, and the same loop, on those values, only counts.  Every path
-    counts in ``_counts``, and on every path HF(tau + 1) is then read off
-    the rank of the full E_(tau+1), its columns in ascending monomial
-    order so that its certificate walks the l-free columns first; the
-    module docstring says why that is |X| and why the rank stays for
-    now.  Both squeeze loops share the exact kernels, so no degree is
-    eliminated twice.  Every one of them is kept, by degree, for
-    ``degree_bounded_ideal`` when l-coordinates are the set's own (c = 0
-    and the set spans its P^n); when E_2 was not eliminated, the quadric
-    Q of the covers stands in for its kernel when it spans I_2.
+    the forms of exact kernels, and counts the generators.  When the pass
+    cannot decide, or the squeeze fails, the same pass over Z gives HF,
+    and the same loop, on those values and the pass's relations, only
+    counts.  Every path counts in ``_counts``, and on every path
+    HF(tau + 1) is then read off the rank of the full E_(tau+1), its
+    columns in ascending monomial order so that its certificate walks
+    the l-free columns first; the module docstring says why that is |X|
+    and why the rank stays for now.  Every exact kernel the squeeze took
+    is kept, by degree, for ``degree_bounded_ideal`` when l-coordinates
+    are the set's own (c = 0 and the set spans its P^n); when E_2 was
+    not eliminated, the quadric Q of the covers stands in for its kernel
+    when it spans I_2.
     """
     if points._ladder is not None:
         return points._ladder
@@ -821,24 +829,18 @@ def _ladder(points: PointSet) -> _Ladder:
     tails = [p[1:] for p in coords]
     lcoords = [(lp,) + tail for lp, tail in zip(lvalues, tails)]
     linear = len(span)
-
-    def rank(t):
-        return linalg.rank_of(_evaluation_matrix(lcoords, n + 1, t), comb(t + n, n))
-
     covers, quadric = ({}, None) if c else _covers(points._factors, span, n, card)
     kernels = {}
     closed = covers and _close(n, card, covers)
     if closed:
         values, counts = closed
     else:
-        found = _modular_degree(lvalues, tails)
-        values = found and list(accumulate(len(block) for block in found[1]))
-        counts = found and _squeeze_ladder(lcoords, n, values, found, kernels)
+        found = _column_pass(lvalues, tails, _elim.ModBasis())
+        counts = found and _squeeze_ladder(lcoords, n, found, kernels)
         if not counts:
-            values = [rank(0)]
-            while values[-1] < card:
-                values.append(rank(len(values)))
-            counts = _squeeze_ladder(lcoords, n, values, None, kernels)
+            found = _column_pass(lvalues, tails, _elim.ExactBasis())
+            counts = _squeeze_ladder(lcoords, n, found, kernels)
+        values = found.values
     counts[1] += linear
     tau = len(values) - 1
     # the columns in ascending monomial order, the l-free ones first: the

@@ -16,9 +16,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hada import _elim, linalg
 from hada.cli import MAX_RANDOM_SIZE, main
 from hada.fixtures import fixtures_dir, replay_fixtures
-from hada.ideals import degree_bounded_ideal
+from hada.ideals import CIVerdict, degree_bounded_ideal
 from hada.instances import MAX_PROFILE_POINTS, parse_instance, parse_instance_dict
+from hada.projective import PointSet
 from hada.space import MAX_IMPLICIT_DEGREE
+from support import frac_hilbert_values
 
 GRID_DOC = {
     "space": 2,
@@ -329,6 +331,54 @@ def test_largest_random_grid_is_within_the_profile_cap(capsys, tmp_path, no_elim
     assert json.loads(capsys.readouterr().out)["results"]["grid_points"] == MAX_PROFILE_POINTS
     inst = parse_instance(str(path))
     assert len(inst.profile_set(product_of=["X", "Xp"])) == MAX_PROFILE_POINTS
+
+
+def test_sets_that_defeat_the_prime_answer_exactly(capsys, tmp_path):
+    # sets of P^2 on which the pass modulo 2**61 - 1 cannot decide, so the
+    # ladder runs its column pass over Z: two 6-point sets (two points
+    # agree mod p; x0 vanishes mod p at a point), and 20 collinear points
+    # (1, b, 2b + 3) with a copy of the first moved off their line by
+    # (2**61 - 1) * x0, equal to it mod p.  ``hilbert`` and ``ci`` exit 0
+    # with the Fraction oracle's answers: HF from Fraction ranks of E_t,
+    # and the verdicts of the full-ring oracle, which for the 21-point set
+    # (about 18 s of Fraction ranks) is written out
+    from test_ideals import full_ring_answers
+
+    p = _elim._PRIME
+    sets = {
+        "A": [[1, 1, 0], [1, 2**61, 0], [1, 3, 0], [1, 5, 0], [1, 7, 0], [1, 1, 1]],
+        "V": [[p, 1, 2], [1, 1, 2], [2, 1, 2], [3, 1, 2], [4, 1, 2], [1, 0, 1]],
+        "C": [[1, b, 2 * b + 3] for b in range(20)] + [[1, p, 3]],
+    }
+    path = tmp_path / "defeat.json"
+    path.write_text(json.dumps({"space": 2, "points": sets}))
+    line = "3 minimal generators exceed the codimension 2; h-vector is not symmetric"
+    verdicts = {"C": CIVerdict("NotCI", 2, 3, (2, 2, 20), line)}
+    for name, coords in sets.items():
+        points = PointSet.from_coords(coords)
+        values = frac_hilbert_values(points)
+        verdict = verdicts.get(name) or full_ring_answers(points)[2]
+        reports = []
+        for command in ("hilbert", "ci"):
+            rc = main([command, "-i", str(path), "--set", name, "--json"])
+            captured = capsys.readouterr()
+            assert rc == 0 and "Traceback" not in captured.err
+            reports.append(json.loads(captured.out)["results"])
+        tau = len(values) - 2
+        assert reports[0] == {
+            "values": values,
+            "tau": tau,
+            "h_vector": [values[0]] + [values[t] - values[t - 1] for t in range(1, tau + 1)],
+            "cardinality": len(points),
+        }
+        assert reports[1] == {
+            "kind": verdict.kind,
+            "codimension": verdict.codimension,
+            "total_generators": verdict.total_generators,
+            "witness_degrees": list(verdict.witness_degrees),
+            "reason": verdict.reason,
+        }
+    assert (tau, verdict) == (19, verdicts["C"])
 
 
 @pytest.mark.parametrize("coordinate", ["1e100000", "1.5", "0x10", "1_000"])

@@ -4,6 +4,7 @@ import functools
 import json
 import random
 from collections import Counter, namedtuple
+from itertools import accumulate
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
@@ -99,52 +100,80 @@ Built = namedtuple("Built", "path kernels ranks covers")
 
 def build_ladder(points):
     """Build the ladder of a set that has none yet, spying on the calls of
-    ``ideals._squeeze_ladder``, ``ideals._counts`` and ``ideals._covers``,
-    and say how it was built.
+    ``ideals._squeeze_ladder``, ``ideals._counts``, ``ideals._covers``
+    and ``hada.linalg``, and say how it was built.
 
     ``path`` is "closed" (no squeeze: the covers of a product set alone
-    close the bound, with no pass mod p), "exact" (the fallback: HF(t) is
-    the rank of E_t), or, squeezed between the pass mod p and the bound,
-    "ceiling" (the bound met the pass with no exact form: HF is
-    min(C(t+n, n), |X|)) or "squeeze" (with the multiples of the forms of
-    at least one exact kernel).  ``kernels`` lists the degrees of the
-    exact kernels taken, in order, ``ranks`` the (rows, columns, rank) of
-    every exact rank the counts took, and ``covers`` the degrees up to
-    tau of the cover forms built, the ones the closure tries."""
-    assert points._ladder is None
-    calls, ranks, built = [], [], []
-    squeeze, counts, covers = ideals._squeeze_ladder, ideals._counts, ideals._covers
+    close the bound, with no pass mod p), "exact" (the fallback: the
+    column pass over Z, with an ``_elim.ExactBasis``, whose values are
+    HF), or, squeezed between the pass mod p and the bound, "ceiling"
+    (the bound met the pass with no exact form: HF is min(C(t+n, n),
+    |X|)) or "squeeze" (with the multiples of the forms of at least one
+    exact kernel).  ``kernels`` lists the degrees of the exact kernels
+    taken, in order, ``ranks`` the (rows, columns, rank) of every exact
+    rank the counts took, and ``covers`` the degrees up to tau of the
+    cover forms built, the ones the closure tries.
 
-    def spy_squeeze(lcoords, n, values, found, kernels):
-        result = squeeze(lcoords, n, values, found, kernels)
-        calls.append((found is None, tuple(kernels)))
+    The fallback reduces no evaluation matrix but one: from its pass on,
+    the ladder's one ``linalg`` call outside the counts is the rank that
+    confirms HF(tau + 1), of E_(tau+1), and no ``kernel_basis`` is
+    taken."""
+    assert points._ladder is None
+    calls, ranks, built, fallback, counting = [], [], [], [], []
+    squeeze, counts, covers = ideals._squeeze_ladder, ideals._counts, ideals._covers
+    column_pass = ideals._column_pass
+
+    def spy_pass(lvalues, tails, basis):
+        if isinstance(basis, _elim.ExactBasis):
+            fallback.append([])
+        return column_pass(lvalues, tails, basis)
+
+    def spy_squeeze(lcoords, n, found, kernels):
+        result = squeeze(lcoords, n, found, kernels)
+        calls.append((isinstance(found.basis, _elim.ExactBasis), tuple(kernels)))
         return result
 
     def spy_counts(*args):
-        rank_of = linalg.rank_of
-
-        def recorded(rows, ncols):
-            ranks.append((len(rows), ncols, rank_of(rows, ncols)))
-            return ranks[-1][2]
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "rank_of", recorded)
+        counting.append(True)
+        try:
             return counts(*args)
+        finally:
+            counting.pop()
 
     def spy_covers(*args):
         built.append(covers(*args))
         return built[-1]
 
+    def spy(name):
+        original = getattr(linalg, name)
+
+        def wrapped(rows, ncols):
+            result = original(rows, ncols)
+            if counting and name == "rank_of":
+                ranks.append((len(rows), ncols, result))
+            elif fallback:
+                fallback[-1].append((name, len(rows), ncols))
+            return result
+
+        return wrapped
+
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ideals, "_column_pass", spy_pass)
         patch.setattr(ideals, "_squeeze_ladder", spy_squeeze)
         patch.setattr(ideals, "_counts", spy_counts)
         patch.setattr(ideals, "_covers", spy_covers)
+        for name in ("rank_of", "kernel_basis"):
+            patch.setattr(linalg, name, spy(name))
         ideals._ladder(points)
-    tau = points._ladder.tau
+    ladder = points._ladder
+    tau = ladder.tau
     degrees = tuple(sorted(t for forms, _ in built for t in forms if t <= tau))
     if not calls:
         return Built("closed", (), ranks, degrees)
     exact, kernels = calls[-1]
+    if exact:
+        n = ladder.dim
+        assert fallback == [[("rank_of", len(points), comb(tau + 1 + n, n))]]
     path = "exact" if exact else "squeeze" if kernels else "ceiling"
     return Built(path, kernels, ranks, degrees)
 
@@ -156,14 +185,16 @@ def ladder_answers(points):
 
 
 def no_squeeze(patch):
-    """Make the squeeze of every pass fail, as a pass whose bound cannot
-    close would, so that every set takes the fallback: HF(t) from the
-    rank of E_t for t = 0 .. tau, and the counts from the same loop on
-    those values."""
+    """Make the squeeze of every pass mod p fail, as a pass whose bound
+    cannot close would, so that every set takes the fallback: the column
+    pass over Z, whose values are HF, and the counts from the same loop
+    on those values, with the pass's relations for J_t."""
     original = ideals._squeeze_ladder
 
-    def squeeze(lcoords, n, values, found, kernels):
-        return None if found else original(lcoords, n, values, found, kernels)
+    def squeeze(lcoords, n, found, kernels):
+        if isinstance(found.basis, _elim.ModBasis):
+            return None
+        return original(lcoords, n, found, kernels)
 
     patch.setattr(ideals, "_squeeze_ladder", squeeze)
 
@@ -681,9 +712,9 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
     # product, its covers would close).  Either way the last rank is of
     # the whole E_(tau+1), its columns reversed into ascending monomial
     # order, the l-free ones first.  The fallback (here the squeeze is made to
-    # fail) first takes the rank of the whole E_t for t = 0 .. tau, the
-    # Fraction oracle's HF(t).  The last set has a zero in every coordinate, so l
-    # is not x0 there
+    # fail) takes the Fraction oracle's HF(t) from its column pass over Z,
+    # with no kernel and no rank of any E_t but that last one.  The last set
+    # has a zero in every coordinate, so l is not x0 there
     ranks = []
     kernels = []
 
@@ -742,12 +773,14 @@ def test_ladder_rows_equal_evaluation_in_l_coordinates(monkeypatch):
             independent_rows_of(kernel, matrix, comb(t + n, n), values[t])
         assert ranks[-1] == ascending(*evaluations(coords, n, [tau + 1])[0]) + (len(points),)
         ranks.clear()
+        kernels.clear()
         with monkeypatch.context() as patch:
             no_squeeze(patch)
             prof = hilbert_profile(PointSet(points.points))
         assert prof.values == tuple(values)
-        assert [r[:2] for r in ranks[: tau + 1]] == evaluations(coords, n, range(tau + 1))
-        assert [r[2] for r in ranks[: tau + 1]] == values[: tau + 1]
+        every_e_t = evaluations(coords, n, range(tau + 2))
+        every_e_t += [ascending(*e) for e in every_e_t]
+        assert kernels == [] and not [r for r in ranks[:-1] if r[:2] in every_e_t]
         assert ranks[-1][:2] == ascending(*evaluations(coords, n, [tau + 1])[0])
     assert spans == [3, 2, 3]
     # the last set meets the ceiling, but its count at tau + 1 is not
@@ -797,18 +830,15 @@ def test_collinear_points_eliminate_no_span(monkeypatch):
     # the ladder of a line's points is built in P^1.  There every block
     # holds one monomial and the pass keeps each one up to tau, so HF
     # meets the ceiling with no elimination but the rank of E_(tau+1).
-    # When two points agree mod p the pass cannot decide, and the fallback
-    # takes the rank of E_t for t = 0 .. tau + 1.  Either way J_t = 0
+    # When two points agree mod p the pass cannot decide, and the fallback's
+    # pass over Z keeps the same columns, with no more elimination either.
+    # Either way J_t = 0
     # through tau, so no form is found and no span has a row: the counts
     # are (0, ..., 0, 1), with no kernel and no span rank, and the two
     # linear forms that cut out the line are the degree-1 generators
     spans = spy_mod_spans(monkeypatch)
     calls = spy_linalg(monkeypatch)
     tau, n = 19, 1
-    expected = {
-        "ceiling": [("rank_of", 20, comb(tau + 1 + n, n))],
-        "exact": [("rank_of", 20, comb(t + n, n)) for t in range(tau + 2)],
-    }
     for points, path in (
         (collinear_points(20), "ceiling"),
         (collinear_defeating_prime(20), "exact"),
@@ -816,8 +846,7 @@ def test_collinear_points_eliminate_no_span(monkeypatch):
         calls.clear()
         assert build_ladder(points).path == path
         assert ci_verdict(points) == CIVerdict("CI", 3, 3, (1, 1, 20))
-        assert calls == expected[path]
-    assert expected["exact"][-2:] == [("rank_of", 20, 20), ("rank_of", 20, 21)]
+        assert calls == [("rank_of", 20, comb(tau + 1 + n, n))] == [("rank_of", 20, 21)]
     assert {rows for rows, _, _ in spans} == {0}
 
 
@@ -912,9 +941,9 @@ def test_squeezed_kernels_equal_the_full_kernel(monkeypatch):
     original = ideals._squeeze_ladder
     taken = []
 
-    def spy(lcoords, n, values, found, kernels):
-        counts = original(lcoords, n, values, found, kernels)
-        taken.append((lcoords, n, list(values), dict(kernels)))
+    def spy(lcoords, n, found, kernels):
+        counts = original(lcoords, n, found, kernels)
+        taken.append((lcoords, n, list(found.values), dict(kernels)))
         return counts
 
     monkeypatch.setattr(ideals, "_squeeze_ladder", spy)
@@ -940,9 +969,10 @@ def test_squeezed_kernels_equal_the_full_kernel(monkeypatch):
 def test_small_prime_forces_the_exact_span_ranks(monkeypatch, prime):
     # modulo a small prime the pass decides less often, or claims values
     # that the squeeze cannot meet, so sets squeezed modulo 2**61 - 1 fall
-    # back to the exact ranks of E_t, with the same values; and the ranks
-    # mod p of the spans fall short more often, so the exact ranks must
-    # give the same counts
+    # back to the column pass over Z, with the same values and no rank or
+    # kernel of any E_t but E_(tau+1) (``build_ladder`` checks that on
+    # every fallback); and the ranks mod p of the spans fall short more
+    # often, so the exact ranks must give the same counts
     cases = oracle_counts()
     ladders = [PointSet(points.points) for points, _ in cases]
     squeezed = [build_ladder(points).path != "exact" for points in ladders]
@@ -1073,11 +1103,13 @@ def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
     # the modular pass cannot decide either set: two points of the first
     # agree mod p (2**61 = 1), and l = x0 vanishes mod p at a point of the
     # second.  Each set is five points of a line and one point off it, so
-    # it spans P^2 and its ladder stays there.  The fallback then takes
-    # the rank of E_t for t = 0 .. tau = 4 and, after the counts, tau + 1;
-    # the counts take the kernel of E_2, whose two forms are new, and one
-    # span rank, at tau + 1 (S_3 times the two forms, on S_5).  Answers
-    # must match the Fraction oracles
+    # it spans P^2 and its ladder stays there.  The fallback then runs the
+    # same column pass over Z, whose values are HF(t) for t = 0 .. tau = 4.
+    # The pass's relations in block 2 give J_2, whose two forms are new,
+    # and the counts take one span rank, at tau + 1 (S_3 times the two
+    # forms, on S_5).  No E_t is reduced: the one evaluation matrix is
+    # E_(tau+1), whose rank confirms HF(tau + 1).  Answers must match the
+    # Fraction oracles
     p = _elim._PRIME
     agree_mod_p = PointSet.from_coords(
         [[1, 1, 0], [1, 2**61, 0], [1, 3, 0], [1, 5, 0], [1, 7, 0], [1, 1, 1]]
@@ -1086,13 +1118,13 @@ def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
         [[p, 1, 2], [1, 1, 2], [2, 1, 2], [3, 1, 2], [4, 1, 2], [1, 0, 1]]
     )
     passes = []
-    original = ideals._modular_degree
+    original = ideals._column_pass
 
-    def spy_pass(*args):
-        passes.append(original(*args))
+    def spy_pass(lvalues, tails, basis):
+        passes.append(original(lvalues, tails, basis))
         return passes[-1]
 
-    monkeypatch.setattr(ideals, "_modular_degree", spy_pass)
+    monkeypatch.setattr(ideals, "_column_pass", spy_pass)
     calls = spy_linalg(monkeypatch)
     for points in (agree_mod_p, l_vanishes_mod_p):
         n, card = points.ambient_dim, len(points)
@@ -1100,11 +1132,12 @@ def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
         tau = len(values) - 2
         assert (n, card, tau) == (2, 6, 4)
         calls.clear()
+        passes.clear()
+        assert build_ladder(points).path == "exact"
         prof = hilbert_profile(points)
         assert prof.values == tuple(values) and prof.tau == tau
-        ranks = [("rank_of", card, comb(t + n, n)) for t in range(tau + 2)]
-        counts = [("kernel_basis", card, comb(2 + n, n)), ("rank_of", 8, 6)]
-        assert calls == ranks[:-1] + counts + ranks[-1:]
+        assert calls == [("rank_of", 8, 6), ("rank_of", card, comb(tau + 1 + n, n))]
+        assert passes[0] is None and passes[1].values == values
         expected = span_rank_generators(points, tau + 1)
         assert generator_entries(generator_profile(points)) == expected
         # the line's form times the two linear forms through the point off
@@ -1114,18 +1147,19 @@ def test_points_that_defeat_the_prime_fall_back_to_exact_degrees(monkeypatch):
             "NotCI", n, 3, (2, 2, 5),
             "3 minimal generators exceed the codimension 2; h-vector is not symmetric",
         )
-    assert passes == [None, None]
 
 
 def test_fallback_without_the_squeeze_gives_the_squeezed_answers(monkeypatch):
-    # with the squeeze made to fail, every set takes the fallback: the rank
-    # of E_t for t = 0 .. tau, the counts from the same loop on those
-    # values, and the rank of E_(tau+1).  Its answers are those of the
-    # ladder built unpatched: squeezed for GRID2, at the ceiling for GRID3,
-    # GRID3 minus a point and collinear points whose pass decides.
-    # The ladder of the collinear set is built in P^1, and its pass cannot
-    # decide, so it takes the fallback either way.  With no pass, the
-    # counts take each kernel of E_t on all of its rows
+    # with the squeeze made to fail, every set takes the fallback: the
+    # column pass over Z, whose values are HF, the counts from the same
+    # loop on those values, with each J_t from the pass's relations, and
+    # the rank of E_(tau+1).  Its answers are those of the ladder built
+    # unpatched: squeezed for GRID2, at the ceiling for GRID3, GRID3 minus
+    # a point and collinear points whose pass decides.  The ladder of the
+    # collinear set is built in P^1, and its pass cannot decide, so it
+    # takes the fallback either way.  The fallback takes no kernel, and
+    # on these sets its counts all settle mod p, so its one elimination is
+    # the rank of E_(tau+1)
     sets = [
         GRID2, PointSet(GRID3.points[:-1]), collinear_defeating_prime(4), GRID3, collinear_points(4)
     ]
@@ -1137,40 +1171,40 @@ def test_fallback_without_the_squeeze_gives_the_squeezed_answers(monkeypatch):
     answers = [(hilbert_profile(s), generator_profile(s), ci_verdict(s)) for s in unpatched]
     calls = spy_linalg(monkeypatch)
     no_squeeze(monkeypatch)
-    kernels = []
     for points, n, expected in zip(sets, spans, answers):
         fresh = PointSet(points.points)
-        assert build_ladder(fresh).path == "exact"
+        built = build_ladder(fresh)
+        assert (built.path, built.ranks) == ("exact", [])
         assert (hilbert_profile(fresh), generator_profile(fresh), ci_verdict(fresh)) == expected
         card, tau = len(points), expected[0].tau
-        ranks = [("rank_of", card, comb(t + n, n)) for t in range(tau + 2)]
-        assert calls[: tau + 1] == ranks[:-1] and calls[-1] == ranks[-1]
-        kernels.append(calls[tau + 1 : -1])
+        assert calls == [("rank_of", card, comb(tau + 1 + n, n))]
         calls.clear()
-    assert kernels == [
-        [("kernel_basis", 12, 10), ("kernel_basis", 12, 15)], [("kernel_basis", 8, 10)], [],
-        [("kernel_basis", 9, 10)], [],
-    ]
 
 
 def test_stored_ladder_rows_are_primitive(monkeypatch):
     # a ladder stores no echelon rows: the fallback keeps HF alone and
-    # counts from exact kernels, as the squeeze does.  The rows its counts
-    # multiply are the exact forms, the block-t parts of kernel vectors,
-    # which keep common factors of the whole vector (up to 29 bits on
-    # these sets) and are made primitive.  This 5x5 skew grid with one
-    # point more and the other sets are squeezed, and the fallback
-    # (the squeeze made to fail, or a pass that cannot decide) takes
-    # kernels too: every form either takes is primitive
+    # counts from the relations of its column pass over Z, as the squeeze
+    # counts from exact kernels.  The rows the counts multiply are the
+    # exact forms, the block-t parts of kernel vectors or of relations,
+    # which keep common factors of the whole vector and are made
+    # primitive.  This 5x5 skew grid with one point more and the other
+    # sets are squeezed, and the fallback (the squeeze made to fail, or a
+    # pass that cannot decide) takes relations: every form either takes
+    # is primitive
     forms = []
-    original = ideals._exact_forms
 
-    def spy(*args):
-        basis = original(*args)
-        forms.extend(basis)
-        return basis
+    def spy(name):
+        original = getattr(ideals, name)
 
-    monkeypatch.setattr(ideals, "_exact_forms", spy)
+        def wrapped(*args):
+            basis = original(*args)
+            forms.extend(basis)
+            return basis
+
+        monkeypatch.setattr(ideals, name, wrapped)
+
+    spy("_exact_forms")
+    spy("_relations")
     skew = skew_grid(5, 2000)
     sets = (with_point(skew), GRID2, PointSet(GRID3.points[:-1]), PLANAR25, skew)
     for points in sets:
@@ -1296,10 +1330,11 @@ def test_random_sets_match_full_ring_oracle(monkeypatch, prime):
     # no kernel.  J_tau is then the first nonzero J_t, and its count at
     # tau + 1 takes the shifts of its basis mod p, read off the pass's
     # kernel of E_tau mod p.  A small prime leaves more passes undecided
-    # (the fallback) and some of those counts short of both rows and
-    # columns: those take the exact kernel of E_tau and one exact rank
-    # (the seeds give each small prime at least one such set).  Every
-    # answer equals the Fraction oracle in the full ring
+    # (the fallback, which takes no kernel) and leaves some of the
+    # squeezed counts short of both rows and columns: those take the exact
+    # kernel of E_tau and one exact rank (the seeds give each small prime
+    # at least one such set).  Every answer equals the Fraction oracle in
+    # the full ring
     monkeypatch.setattr(_elim, "_PRIME", prime)
     paths = Counter()
     for k in range(30):
@@ -1536,7 +1571,9 @@ def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
     # so they still span P^3).  Modulo 2**61 - 1 those 19 all
     # close; a small prime closes fewer (none mod 2, 4 mod 3 and 6 mod 7)
     # and the rest take the pass or the fallback, which fill J_t from
-    # exact kernels alone, so none of them is left without a kernel
+    # exact kernels or from the relations of the column pass over Z, never
+    # from covers.  All of them but one 3 x 3 grid mod 7, at the ceiling,
+    # take the fallback, and its relations alone: no kernel
     monkeypatch.setattr(_elim, "_PRIME", prime)
     products = [(p, counts) for p, counts in oracle_counts() if p._factors is not None]
     assert len(products) == 20
@@ -1555,8 +1592,8 @@ def test_product_ladders_equal_the_ladders_of_their_points(monkeypatch, prime):
         assert covered == {("closed", 2, ()): 7, ("closed", 3, ()): 12}
     else:
         closed = sum(k for (path, _, _), k in covered.items() if path == "closed")
-        no_kernel = sum(k for (path, _, ks), k in covered.items() if path == "exact" and not ks)
-        assert (closed, no_kernel) == {2: (0, 0), 3: (4, 0), 7: (6, 0)}[prime]
+        fallbacks = sum(k for (path, _, ks), k in covered.items() if path == "exact" and not ks)
+        assert (closed, fallbacks) == {2: (0, 19), 3: (4, 15), 7: (6, 12)}[prime]
 
 
 @pytest.mark.parametrize("prime", [_elim._PRIME, 2])
@@ -1633,13 +1670,13 @@ def test_covered_products_take_no_pass_and_no_kernel(monkeypatch):
     line, line2 = Hyperplane([3, 1, -30]), Hyperplane([67, -6, -110])
     xs, xs2 = generic_collinear_sample(line, line2, 5, 5, 2555)
     passes = []
-    original = ideals._modular_degree
+    original = ideals._column_pass
 
     def spy_pass(*args):
         passes.append(args)
         return original(*args)
 
-    monkeypatch.setattr(ideals, "_modular_degree", spy_pass)
+    monkeypatch.setattr(ideals, "_column_pass", spy_pass)
     for factors in (PLANAR_FACTORS, (xs, xs2)):
         passes.clear()
         product = pairwise_products(*factors)[0]
@@ -1943,30 +1980,32 @@ def test_staircase_the_exact_kernel_contradicts_falls_back(monkeypatch):
     # pass's first 8 pivots.  That kernel has dimension 2, and the ninth
     # row does not annihilate it, so the kernel of the whole E_2 is taken.
     # It holds the quadric alone, so the bound HF(2) <= 10 - 1 = 9 cannot
-    # meet the pass: the fallback takes the rank of E_t for t = 0 .. tau = 2,
-    # and every answer is the oracle's.  Its count loop reuses that kernel
-    # of E_2, so no degree is eliminated twice: the rank of E_(tau+1) follows,
-    # and nothing else
+    # meet the pass: the fallback's column pass over Z finds tau = 2, and
+    # every answer is the oracle's.  It reduces no E_t, so no degree is
+    # eliminated twice: the rank of E_(tau+1) follows, and nothing else
     points = PointSet(GRID3.points)
     expected = full_ring_answers(points)
-    original = ideals._modular_degree
+    original = ideals._column_pass
 
-    def false_staircase(*args):
-        d, standard, basis, ys = original(*args)
+    def false_staircase(lvalues, tails, basis):
+        found = original(lvalues, tails, basis)
+        if isinstance(basis, _elim.ExactBasis):
+            return found
+        standard = found.standard
         (q,) = set(monomials(3, 2)) - set(standard[2])
         g = next(e for e in standard[2] if not any(a and b for a, b in zip(e, q)))
-        false = [[e for e in standard[2] if e != g], [monomials(3, 3)[0]]]
-        return d + 1, standard[:2] + false, basis, ys
+        standard = standard[:2] + [[e for e in standard[2] if e != g], [monomials(3, 3)[0]]]
+        return found._replace(values=list(accumulate(map(len, standard))), standard=standard)
 
-    monkeypatch.setattr(ideals, "_modular_degree", false_staircase)
+    monkeypatch.setattr(ideals, "_column_pass", false_staircase)
     calls = spy_linalg(monkeypatch)
     assert build_ladder(points).path == "exact"
     answers = (
         hilbert_profile(points), generator_entries(generator_profile(points)), ci_verdict(points)
     )
     assert answers == expected
-    assert calls == [("kernel_basis", 8, 10), ("kernel_basis", 9, 10)] + [
-        ("rank_of", 9, comb(t + 3, 3)) for t in range(4)
+    assert calls == [
+        ("kernel_basis", 8, 10), ("kernel_basis", 9, 10), ("rank_of", 9, comb(3 + 3, 3))
     ]
 
 

@@ -6,7 +6,8 @@ from math import ceil, comb, gcd, lcm, log2
 import pytest
 
 from hada import _elim, linalg
-from hada.ideals import evaluation_rows
+from hada.forms import monomials
+from hada.ideals import _column_pass, _evaluation_matrix, _linear_form_parameter, evaluation_rows
 from hada.projective import PointSet, ProjPoint
 from support import EagerModBasis, frac_rank, frac_rref, ref_echelon_gcd, rref_kernel
 
@@ -307,7 +308,8 @@ def test_empty_matrix_conventions():
 def test_mod_basis_solve_writes_a_vector_of_the_span():
     # a rejected vector is a combination of the kept ones mod p, and the
     # kept vectors are independent mod p, so the coefficients of a
-    # combination of them are unique mod p
+    # combination of them are unique mod p; ``solve`` gives the relation,
+    # minus those coefficients and then 1 at the vector
     rng = random.Random(1414)
     p = _elim._PRIME
     for _ in range(60):
@@ -318,25 +320,26 @@ def test_mod_basis_solve_writes_a_vector_of_the_span():
             if basis.add(v):
                 kept.append(v)
             else:
-                coeffs = basis.solve(v)
-                assert all(
-                    (sum(c * w[j] for c, w in zip(coeffs, kept)) - v[j]) % p == 0 for j in range(k)
+                *coeffs, one = basis.solve(v)
+                assert one == 1 and all(
+                    (sum(c * w[j] for c, w in zip(coeffs, kept)) + v[j]) % p == 0 for j in range(k)
                 )
         weights = [rng.randint(-(2**70), 2**70) for _ in kept]
         vector = [sum(w * v[j] for w, v in zip(weights, kept)) for j in range(k)]
-        coeffs = basis.solve(vector)
-        assert [(c - w) % p for c, w in zip(coeffs, weights)] == [0] * len(kept)
+        *coeffs, one = basis.solve(vector)
+        assert one == 1 and [(c + w) % p for c, w in zip(coeffs, weights)] == [0] * len(kept)
 
 
 def check_mod_basis_step(ours, ref, v):
     """Add the vector to both bases and compare what each says: whether
     it was kept, the size of the basis and, for a rejected vector, its
-    coefficients, which are unique as the kept vectors are independent."""
+    coefficients, which are unique as the kept vectors are independent,
+    negated in the relation ``solve`` gives, whose last entry is 1."""
     kept = ours.add(v)
     assert kept == ref.add(v)
     assert len(ours) == len(ref)
     if not kept:
-        assert ours.solve(v) == ref.solve(v)
+        assert ours.solve(v) == [-a % ref.prime for a in ref.solve(v)] + [1]
     return kept
 
 
@@ -369,6 +372,112 @@ def test_mod_basis_matches_eager_reference():
                 added.append(v)
         assert len(ours) <= k
     assert outcomes == {True, False}
+
+
+def exact_basis_vector(rng, kept, k):
+    """A vector for an ``ExactBasis``: zero, a multiple of 2**61 - 1, an
+    integer combination of kept vectors divided by its content (so that
+    its relation is not 1 at it), or wide random entries."""
+    kind = rng.random()
+    if kind < 0.1:
+        return [0] * k
+    if kind < 0.2:
+        return [_elim._PRIME * rng.randint(-3, 3) for _ in range(k)]
+    if kept and kind < 0.5:
+        v = [0] * k
+        for w in rng.sample(kept, rng.randint(1, len(kept))):
+            c = rng.randint(-50, 50)
+            v = [x + c * y for x, y in zip(v, w)]
+        g = gcd(*v)
+        return [x // g for x in v] if g else v
+    return [0 if rng.random() < 0.3 else rng.randint(-(2**70), 2**70) for _ in range(k)]
+
+
+def assert_exact_relation(relation, kept, v):
+    """The relation is primitive, positive at v, one entry per kept
+    vector before it, and vanishes over Z."""
+    *coeffs, r = relation
+    assert r > 0 and gcd(*relation) == 1 and len(coeffs) == len(kept)
+    assert all(sum(c * w[j] for c, w in zip(coeffs, kept)) + r * x == 0 for j, x in enumerate(v))
+
+
+def test_exact_basis_keeps_the_rank_over_q():
+    # an ``ExactBasis`` keeps as many vectors as the rank over Q of all it
+    # was given, multiples of the prime included, which a ``ModBasis``
+    # drops; a pivot per kept vector
+    rng = random.Random(1212)
+    for _ in range(60):
+        k = rng.randint(1, 12)
+        basis, given, kept = _elim.ExactBasis(), [], []
+        for _ in range(rng.randint(1, k + 5)):
+            v = exact_basis_vector(rng, kept, k)
+            given.append(v)
+            if basis.add(v):
+                kept.append(v)
+            assert len(basis) == frac_rank(given, k)
+        assert len(basis.pivots) == len(kept) and len(set(basis.pivots)) == len(kept)
+
+
+def test_exact_basis_relations_vanish_exactly():
+    # every vector the basis rejects, and every integer combination of the
+    # kept vectors, has a relation that vanishes over Z
+    rng = random.Random(1414)
+    relations = 0
+    for _ in range(60):
+        k = rng.randint(1, 12)
+        basis, kept = _elim.ExactBasis(), []
+        for _ in range(rng.randint(1, k + 5)):
+            v = exact_basis_vector(rng, kept, k)
+            if basis.add(v):
+                kept.append(v)
+            else:
+                assert_exact_relation(basis.solve(v), kept, v)
+                relations += 1
+        weights = [rng.randint(-(2**70), 2**70) for _ in kept]
+        vector = [sum(w * v[j] for w, v in zip(weights, kept)) for j in range(k)]
+        assert_exact_relation(basis.solve(vector), kept, vector)
+    assert relations >= 100
+
+
+def test_exact_basis_rescaled_by_degree_keeps_rank_and_relations(monkeypatch):
+    # the ladder's column pass over Z on five points of a line of P^2 and
+    # one off it, with x0 = l taking the values 2**61 - 1, 1, 2, 3, 4 and 1:
+    # the basis multiplies its rows by D = diag(l(p)) at each degree, so
+    # that it holds the columns of E_t in l-coordinates.  It keeps rank E_t
+    # columns through each degree t, the Fraction oracle's HF(t), and the
+    # relation it gives for each column of block t that it did not keep,
+    # taken in its last degree d (the column of y^f times l^(d - t)),
+    # vanishes exactly on the columns of E_d it combines
+    p = _elim._PRIME
+    coords = [[p, 1, 2], [1, 1, 2], [2, 1, 2], [3, 1, 2], [4, 1, 2], [1, 0, 1]]
+    assert _linear_form_parameter(coords) == 0
+    lvalues = [x0 for x0, _, _ in coords]
+    scaled = []
+    original = _elim.ExactBasis.scale
+
+    def spy(self, factors):
+        scaled.append(list(factors))
+        return original(self, factors)
+
+    monkeypatch.setattr(_elim.ExactBasis, "scale", spy)
+    found = _column_pass(lvalues, [c[1:] for c in coords], _elim.ExactBasis())
+    d = len(found.values) - 1
+    assert found.values == [
+        frac_rank(_evaluation_matrix(coords, 3, t), comb(t + 2, 2)) for t in range(d + 1)
+    ] == [1, 3, 4, 5, 6]
+    assert scaled == [lvalues] * d
+
+    def column(e, t):
+        return [x0 ** (d - t) * x1 ** e[0] * x2 ** e[1] for x0, x1, x2 in coords]
+
+    kept = [column(e, t) for t, block in enumerate(found.standard) for e in block]
+    relations = 0
+    for t, block in enumerate(found.standard):
+        for f in monomials(2, t):
+            if f not in block:
+                assert_exact_relation(found.basis.solve(column(f, t)), kept, column(f, t))
+                relations += 1
+    assert relations == sum(comb(t + 1, 1) for t in range(d + 1)) - len(kept)
 
 
 @pytest.mark.parametrize("prime", [2, 3, 13, 2**31 - 1, 2**61 - 1])
